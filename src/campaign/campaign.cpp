@@ -11,9 +11,9 @@
 #include "campaign/journal.hpp"
 #include "campaign/progress.hpp"
 #include "campaign/record_io.hpp"
+#include "campaign/shard_runner.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "core/row_map.hpp"
 #include "telemetry/stream.hpp"
 
 namespace rh::campaign {
@@ -68,77 +68,27 @@ std::vector<core::RowRecord> CampaignResult::flat() const {
   return records;
 }
 
-namespace {
-
-/// One worker's private measurement stack: a host clone, its telemetry
-/// sink, its fault injector (when the campaign runs under fault injection),
-/// and a characterizer bound to all three. Rebuilt from scratch when a
-/// shard throws (the old host's state is suspect after an exception).
-struct WorkerRig {
-  std::unique_ptr<bender::BenderHost> host;
-  std::unique_ptr<telemetry::Telemetry> sink;
-  std::unique_ptr<resilience::FaultInjector> injector;
-  std::unique_ptr<core::Characterizer> characterizer;
-};
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-      .count();
+std::unique_ptr<bender::BenderHost> make_default_host(const SweepSpec& spec) {
+  auto host = std::make_unique<bender::BenderHost>(spec.device);
+  if (spec.settle_thermal) {
+    host->set_chip_temperature(spec.temperature_c);
+  } else {
+    host->device().set_temperature(spec.temperature_c);
+  }
+  return host;
 }
-
-/// Live status of one worker slot, mutated under the campaign mutex; the
-/// wall-cadence monitor folds it into each wall sample's `workers` array.
-struct WorkerStatus {
-  double busy_ms = 0.0;    ///< completed-shard wall time (in-flight added at read)
-  std::uint64_t done = 0;  ///< shards this worker finished
-  std::int64_t shard = -1; ///< shard in flight, -1 when idle
-  std::chrono::steady_clock::time_point claim;  ///< when `shard` was claimed
-};
-
-}  // namespace
 
 Campaign::Campaign(CampaignConfig config, telemetry::Telemetry* aggregate)
-    : config_(std::move(config)), aggregate_(aggregate) {
-  factory_ = [](const SweepSpec& spec) {
-    auto host = std::make_unique<bender::BenderHost>(spec.device);
-    if (spec.settle_thermal) {
-      host->set_chip_temperature(spec.temperature_c);
-    } else {
-      host->device().set_temperature(spec.temperature_c);
-    }
-    return host;
-  };
-}
+    : config_(std::move(config)), aggregate_(aggregate), factory_(make_default_host) {}
 
 CampaignResult Campaign::run(const SweepSpec& spec) {
-  const auto run_start = std::chrono::steady_clock::now();
-  spans_.clear();  // spans describe one run; metrics/profile accumulate
   const std::size_t n = spec.shards.size();
   for (std::size_t i = 0; i < n; ++i) {
     RH_EXPECTS(spec.shards[i].index == i);  // merge order is index order
   }
   const JournalHeader header{spec.device.fault.seed, sweep_config_hash(spec),
                              static_cast<std::uint64_t>(n)};
-
-  auto& total_counter = metrics_.counter("campaign.shards_total");
-  auto& done_counter = metrics_.counter("campaign.shards_done");
-  auto& skipped_counter = metrics_.counter("campaign.shards_skipped");
-  auto& failed_counter = metrics_.counter("campaign.shards_failed");
-  auto& retried_counter = metrics_.counter("campaign.shards_retried");
-  auto& fatal_counter = metrics_.counter("campaign.shards_fatal");
-  auto& record_counter = metrics_.counter("campaign.records");
-  auto& injected_counter = metrics_.counter("resilience.injected");
-  auto& recovered_counter = metrics_.counter("resilience.recovered");
-  auto& aborted_counter = metrics_.counter("resilience.aborted");
-  // Per-shard end-to-end wall time (all attempts, incl. rig rebuilds). The
-  // name carries "wall_ms" on purpose: the deterministic report projection
-  // filters metrics by that suffix.
-  auto& shard_wall_hist = metrics_.histogram("campaign.shard_wall_ms", 0.0, 60000.0, 120);
-  total_counter.add(n);
-
-  CampaignResult result;
-  result.per_shard.resize(n);
-  std::vector<char> done(n, 0);
+  ShardRun run(spec, config_, factory_, aggregate_);
 
   // Storage fault injection: the journal and the stream draw independent,
   // reproducible fault streams decorrelated from the plan seed (and from
@@ -152,313 +102,109 @@ CampaignResult Campaign::run(const SweepSpec& spec) {
     splan.seed = common::hash_coords(config_.storage_fault_plan.seed, 0x570u, 1);
     stream_injector = std::make_unique<resilience::StorageFaultInjector>(std::move(splan));
   }
-  // A storage failure is never worth a shard: drop the durable output that
-  // failed, remember why, keep measuring.
-  auto note_storage_error = [&result](const common::StorageError& e) {
-    ++result.storage_errors;
-    if (result.storage_error.empty()) result.storage_error = e.what();
-  };
 
   // Resume: restore journaled shards, refusing a journal from a different
   // sweep. Corrupt mid-file lines are quarantined (their shards re-run);
   // the compacted journal is then reopened for appending the rest.
-  std::unique_ptr<JournalWriter> journal;
   try {
     if (!config_.checkpoint_path.empty() && config_.resume) {
       JournalReader reader(config_.checkpoint_path);
       reader.require_matches(header);
       for (const auto& [index, records] : reader.shards()) {
         if (index >= n) continue;  // defensively ignore out-of-range entries
-        result.per_shard[index] = records;
-        done[index] = 1;
-        ++result.shards_skipped;
-        record_counter.add(records.size());
+        run.restore(index, records);
       }
-      skipped_counter.add(result.shards_skipped);
-      journal = std::make_unique<JournalWriter>(config_.checkpoint_path, reader,
-                                                journal_injector.get());
+      run.journal = std::make_unique<JournalWriter>(config_.checkpoint_path, reader,
+                                                    journal_injector.get());
     } else if (!config_.checkpoint_path.empty()) {
-      journal =
+      run.journal =
           std::make_unique<JournalWriter>(config_.checkpoint_path, header, journal_injector.get());
     }
   } catch (const common::StorageError& e) {
-    note_storage_error(e);  // checkpointing lost; the sweep still runs
+    run.note_storage_error(e.what());  // checkpointing lost; the sweep still runs
   }
 
   const auto pending =
-      static_cast<std::size_t>(std::count(done.begin(), done.end(), char{0}));
+      static_cast<std::size_t>(std::count(run.done.begin(), run.done.end(), char{0}));
   unsigned jobs = std::max(1u, config_.jobs);
   jobs = static_cast<unsigned>(std::min<std::size_t>(jobs, std::max<std::size_t>(pending, 1)));
+  run.workers.resize(jobs);
 
   // Live metrics stream: header first (fsync'd, like the journal), then
   // per-worker cycles samples during shards, wall samples from the monitor
   // thread, and exactly one final sample after the pool drains.
-  const std::uint64_t cycle_cadence = std::max<std::uint64_t>(1, config_.stream_cycle_cadence);
-  std::unique_ptr<telemetry::MetricsStreamWriter> stream;
   if (!config_.metrics_stream_path.empty()) {
-    try {
-      stream = std::make_unique<telemetry::MetricsStreamWriter>(
-          config_.metrics_stream_path,
-          telemetry::MetricsStreamHeader{spec.device.fault.seed, header.config_hash,
-                                         static_cast<std::uint64_t>(n), jobs, cycle_cadence,
-                                         config_.stream_wall_cadence_ms},
-          stream_injector.get());
-    } catch (const common::StorageError& e) {
-      note_storage_error(e);  // header never landed: run streamless
-    }
+    run.open_stream(config_.metrics_stream_path,
+                    {spec.device.fault.seed, header.config_hash, static_cast<std::uint64_t>(n),
+                     jobs, std::max<std::uint64_t>(1, config_.stream_cycle_cadence),
+                     config_.stream_wall_cadence_ms},
+                    stream_injector.get());
   }
 
   std::ostream* progress_stream =
       config_.progress ? (config_.progress_stream != nullptr ? config_.progress_stream
                                                              : &std::cerr)
                        : nullptr;
-  ProgressMeter progress(progress_stream, total_counter, done_counter, skipped_counter,
-                         failed_counter, jobs);
+  ProgressMeter progress(progress_stream, run.metrics.counter("campaign.shards_total"),
+                         run.metrics.counter("campaign.shards_done"),
+                         run.metrics.counter("campaign.shards_skipped"),
+                         run.metrics.counter("campaign.shards_failed"), jobs);
 
   std::atomic<std::size_t> next{0};
-  std::atomic<std::uint64_t> rig_serial{0};
-  std::mutex mutex;  // guards result, journal, counters, progress, aggregate_,
-                     // wstatus, spans_ — and the monitor's wait
-  std::vector<WorkerStatus> wstatus(jobs);
-
-  auto retire_rig = [&](WorkerRig& rig) {
-    if (rig.host != nullptr || (rig.sink != nullptr && aggregate_ != nullptr) ||
-        rig.injector != nullptr) {
-      const std::lock_guard<std::mutex> lock(mutex);
-      // Host-level phases (upload/execute/drain/recover/thermal) fold into
-      // the fleet profile when the rig retires, mirroring telemetry absorb.
-      if (rig.host != nullptr) profile_.merge_from(rig.host->profile());
-      if (rig.sink != nullptr && aggregate_ != nullptr) aggregate_->absorb(*rig.sink);
-      if (rig.injector != nullptr) {
-        const auto& stats = rig.injector->stats();
-        injected_counter.add(stats.injected);
-        recovered_counter.add(stats.recovered);
-        aborted_counter.add(stats.aborted);
-      }
-    }
-    rig = WorkerRig{};
-  };
-
-  auto build_rig = [&](WorkerRig& rig) {
-    // The factory settles the host fault-free; the injector arms only the
-    // measurement phase, so rig bring-up stays deterministic.
-    rig.host = factory_(spec);
-    if (aggregate_ != nullptr) {
-      rig.sink = std::make_unique<telemetry::Telemetry>(aggregate_->config());
-      rig.host->set_telemetry(rig.sink.get());
-    } else if (stream != nullptr) {
-      // Streaming without an aggregate still needs a per-worker sink: the
-      // cycles series samples its counters. Trace stays off (nothing will
-      // export it) and the heatmap matches the device geometry.
-      telemetry::TelemetryConfig tc;
-      tc.trace_enabled = false;
-      tc.channels = spec.device.geometry.channels;
-      tc.pseudo_channels = spec.device.geometry.pseudo_channels_per_channel;
-      tc.banks = spec.device.geometry.banks_per_pseudo_channel;
-      rig.sink = std::make_unique<telemetry::Telemetry>(tc);
-      rig.host->set_telemetry(rig.sink.get());
-    }
-    if (config_.fault_plan.enabled()) {
-      // Each rig draws an independent, reproducible fault stream: the plan
-      // describes the failure environment, the serial decorrelates rigs.
-      resilience::FaultPlan plan = config_.fault_plan;
-      plan.seed = common::hash_coords(config_.fault_plan.seed, 0x819u,
-                                      rig_serial.fetch_add(1));
-      rig.injector = std::make_unique<resilience::FaultInjector>(std::move(plan));
-      rig.host->set_fault_injector(rig.injector.get());
-    }
-    rig.host->set_engine(config_.engine, config_.engine_bug);
-    rig.host->set_retry_policy(config_.retry_policy);
-    rig.characterizer = std::make_unique<core::Characterizer>(
-        *rig.host, core::RowMap::from_device(rig.host->device()), spec.characterizer);
-  };
+  std::mutex mutex;  // guards run, progress and aggregate_, and the monitor's wait
 
   auto worker = [&](unsigned widx) {
     WorkerRig rig;
     // Each worker accounts its campaign-level phases into a private profile
-    // and its spans into a private sheet (both merged under the completion
-    // lock at thread exit); its hosts' phases travel with retire_rig.
-    // Mirrors the per-worker telemetry sinks.
+    // and its spans into a private sheet, both merged under the lock at
+    // thread exit; its hosts' phases travel with ShardRun::retire.
     profiling::Profile wprof;
     telemetry::SpanSheet wsheet;
     const auto worker_start = std::chrono::steady_clock::now();
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= n) break;
-      if (done[i] != 0) continue;
-      if (stream != nullptr) {
+      if (run.done[i] != 0) continue;
+      {
         const std::lock_guard<std::mutex> lock(mutex);
-        wstatus[widx].shard = static_cast<std::int64_t>(i);
-        wstatus[widx].claim = std::chrono::steady_clock::now();
+        run.claim(widx, i);
       }
-
-      // The shard's span subtree: shard -> attempt(s) -> host phases. The
-      // campaign-level spans carry 0..cycles-consumed cycle stamps; host
-      // phases (opened through the context by the host) carry the absolute
-      // host clock. Either way end - begin is cycles consumed.
-      telemetry::TraceContext ctx(wsheet, i, run_start);
-      const std::uint64_t shard_span = ctx.open(telemetry::SpanKind::kShard, 0);
-
-      std::vector<core::RowRecord> records;
-      std::string error;
-      bool ok = false;
-      bool fatal = false;
-      unsigned attempts_used = 0;
-      double shard_wall_ms = 0.0;       // all attempts, incl. rig rebuilds
-      std::uint64_t shard_cycles = 0;   // measurement cycles (deterministic)
-      for (unsigned attempt = 0; attempt <= config_.retries && !ok && !fatal; ++attempt) {
-        if (attempt > 0) {
-          const std::lock_guard<std::mutex> lock(mutex);
-          retried_counter.add();
-          ++result.shards_retried;
-        }
-        ++attempts_used;
-        ctx.set_attempt(attempt + 1);
-        const std::uint64_t attempt_span = ctx.open(telemetry::SpanKind::kAttempt, 0);
-        const auto attempt_start = std::chrono::steady_clock::now();
-        double build_ms = 0.0;
-        hbm::Cycle run_from = 0;
-        bool running = false;
-        std::unique_ptr<telemetry::MetricsSampler> sampler;
-        try {
-          if (rig.host == nullptr) {
-            build_rig(rig);
-            build_ms = ms_since(attempt_start);
-            // Bring-up cycles = the fresh host's clock (thermal settle).
-            wprof.record(profiling::Phase::kRigBuild, rig.host->now(), build_ms);
-          }
-          rig.host->set_trace_context(&ctx);
-          run_from = rig.host->now();
-          if (stream != nullptr && rig.sink != nullptr) {
-            // The cycles series is attempt-scoped: cycle stamps relative to
-            // run_from, deltas relative to the previous sample, so the
-            // series is a pure function of the shard, not of scheduling.
-            sampler = std::make_unique<telemetry::MetricsSampler>(
-                *stream, rig.sink->metrics(), cycle_cadence, i, attempt + 1, run_from);
-            rig.host->set_cycle_sampler(sampler.get());
-          }
-          running = true;
-          records = core::run_shard(*rig.characterizer, spec.shards[i]);
-          ok = true;
-        } catch (const common::TransientError& e) {
-          // Infrastructure gave out (transport budget exhausted, thermal
-          // upset): worth a retry on a freshly built rig.
-          error = e.what();
-        } catch (const std::exception& e) {
-          // Deterministic failure — a retry would replay the identical
-          // error, so don't burn the budget; isolate the shard now.
-          error = e.what();
-          fatal = true;
-        }
-        const std::uint64_t run_cycles =
-            (running && rig.host != nullptr) ? rig.host->now() - run_from : 0;
-        if (rig.host != nullptr) {
-          if (sampler != nullptr) sampler->finish(rig.host->now());
-          rig.host->set_cycle_sampler(nullptr);
-          rig.host->set_trace_context(nullptr);
-        }
-        ctx.close(attempt_span, run_cycles);
-        const double attempt_ms = ms_since(attempt_start);
-        wprof.record(profiling::Phase::kShardRun, run_cycles,
-                     std::max(0.0, attempt_ms - build_ms));
-        shard_wall_ms += attempt_ms;
-        shard_cycles += run_cycles;
-        if (!ok) retire_rig(rig);  // the host's state is suspect after a throw
-      }
-
-      ctx.close(shard_span, shard_cycles);
-
+      ExecutedShard outcome = run.execute(rig, i, mutex, wprof, wsheet);
       const std::lock_guard<std::mutex> lock(mutex);
-      if (fatal) fatal_counter.add();
-      if (ok) {
-        if (journal != nullptr) {
-          try {
-            const profiling::PhaseTimer timer(wprof, profiling::Phase::kCheckpoint);
-            journal->append_shard(i, records, shard_wall_ms, attempts_used);
-          } catch (const common::StorageError& e) {
-            journal.reset();  // the journal is gone; results stay in memory
-            note_storage_error(e);
-          }
-        }
-        record_counter.add(records.size());
-        result.per_shard[i] = std::move(records);
-        result.timings.push_back({i, shard_cycles, shard_wall_ms, attempts_used,
-                                  telemetry::span_id(i, 0, 0)});
-        shard_wall_hist.observe(shard_wall_ms);
-        ++result.shards_run;
-        done_counter.add();
-      } else {
-        if (journal != nullptr) {
-          try {
-            journal->append_failure(i, attempts_used, error);
-          } catch (const common::StorageError& e) {
-            journal.reset();
-            note_storage_error(e);
-          }
-        }
-        result.failures.push_back({i, error});
-        failed_counter.add();
-      }
-      if (stream != nullptr) {
-        wstatus[widx].busy_ms += ms_since(wstatus[widx].claim);
-        ++wstatus[widx].done;
-        wstatus[widx].shard = -1;
-      }
+      run.commit(widx, i, std::move(outcome), wprof);
       progress.update();
     }
-    retire_rig(rig);
+    run.retire(rig, mutex);
     // Queue wait + scheduling gaps: whatever worker lifetime no phase claims.
-    const double lifetime_ms = ms_since(worker_start);
+    const double lifetime_ms = std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - worker_start)
+                                   .count();
     const double busy_ms = wprof.stat(profiling::Phase::kRigBuild).wall_ms +
                            wprof.stat(profiling::Phase::kShardRun).wall_ms +
                            wprof.stat(profiling::Phase::kCheckpoint).wall_ms;
     wprof.record(profiling::Phase::kIdle, 0, std::max(0.0, lifetime_ms - busy_ms));
     const std::lock_guard<std::mutex> lock(mutex);
-    profile_.merge_from(wprof);
-    spans_.merge_from(wsheet);
+    run.profile.merge_from(wprof);
+    run.spans.merge_from(wsheet);
   };
 
   if (pending > 0) {
-    // Wall-cadence monitor: samples campaign counter deltas and per-worker
-    // utilization under the campaign mutex, appends outside it (fsync is
-    // slow; workers must not block on it).
+    // Wall-cadence monitor: samples under the lock, appends outside it
+    // (fsync is slow; workers must not block on it).
     std::condition_variable monitor_cv;
     bool monitor_stop = false;
     std::thread monitor;
-    if (stream != nullptr) {
+    if (run.stream != nullptr) {
       monitor = std::thread([&]() {
-        telemetry::CounterValues last;
         std::unique_lock<std::mutex> lock(mutex);
         while (!monitor_stop) {
           monitor_cv.wait_for(
               lock, std::chrono::duration<double, std::milli>(config_.stream_wall_cadence_ms),
               [&] { return monitor_stop; });
           if (monitor_stop) break;
-          const telemetry::CounterValues now_values = telemetry::counter_values(metrics_);
-          telemetry::CounterValues deltas;
-          for (const auto& [name, value] : now_values) {
-            const auto it = last.find(name);
-            const std::uint64_t before = it != last.end() ? it->second : 0;
-            if (value > before) deltas[name] = value - before;
-          }
-          last = now_values;
-          std::vector<telemetry::StreamWorkerStatus> workers;
-          workers.reserve(wstatus.size());
-          const auto snap_now = std::chrono::steady_clock::now();
-          for (const auto& s : wstatus) {
-            telemetry::StreamWorkerStatus w;
-            w.busy_ms = s.busy_ms;
-            if (s.shard >= 0) {
-              w.busy_ms += std::chrono::duration<double, std::milli>(snap_now - s.claim).count();
-            }
-            w.done = s.done;
-            w.shard = s.shard;
-            workers.push_back(w);
-          }
-          const std::string line =
-              telemetry::format_wall_sample(ms_since(run_start), deltas, workers);
+          const std::string line = run.wall_sample();
           lock.unlock();
-          stream->append(line);
+          run.stream->append(line);
           lock.lock();
         }
       });
@@ -477,42 +223,12 @@ CampaignResult Campaign::run(const SweepSpec& spec) {
     }
   }
 
-  std::sort(result.failures.begin(), result.failures.end(),
-            [](const ShardFailure& a, const ShardFailure& b) { return a.shard < b.shard; });
-  // Workers push timings in completion order; shard order is the canonical
-  // (and deterministic) presentation.
-  std::sort(result.timings.begin(), result.timings.end(),
-            [](const profiling::ShardTiming& a, const profiling::ShardTiming& b) {
-              return a.shard < b.shard;
-            });
-  result.elapsed_wall_ms = ms_since(run_start);
-  result.jobs = jobs;
-
-  // Root the span forest and settle it into canonical order: the campaign
-  // span's cycle extent is the fleet's total measurement cycles.
-  {
-    telemetry::Span root;
-    root.id = telemetry::kCampaignSpanId;
-    root.parent = 0;
-    root.kind = telemetry::SpanKind::kCampaign;
-    for (const auto& t : result.timings) root.end_cycle += t.device_cycles;
-    root.end_wall_ms = result.elapsed_wall_ms;
-    spans_.add(root);
-    spans_.sort_canonical();
-  }
-
-  if (stream != nullptr) {
-    stream->append(telemetry::format_final_sample(
-        ms_since(run_start), telemetry::counter_values(metrics_), done_counter.value(),
-        failed_counter.value(), skipped_counter.value(), total_counter.value()));
-    if (stream->degraded()) {
-      ++result.storage_errors;
-      if (result.storage_error.empty()) result.storage_error = stream->storage_error();
-    }
-  }
-
+  run.finish();
   progress.finish();
-  if (aggregate_ != nullptr) aggregate_->metrics().merge_from(metrics_);
+  metrics_ = std::move(run.metrics);
+  profile_ = std::move(run.profile);
+  spans_ = std::move(run.spans);
+  CampaignResult result = std::move(run.result);
 
   if (config_.fail_on_shard_error && !result.failures.empty()) {
     std::string message = std::to_string(result.failures.size()) + " of " + std::to_string(n) +
@@ -532,19 +248,13 @@ CampaignResult Campaign::run(const SweepSpec& spec) {
   return result;
 }
 
-profiling::RunReport build_report(const std::string& label, const SweepSpec& spec,
-                                  const Campaign& campaign, const CampaignResult& result,
-                                  const telemetry::Telemetry* sink) {
-  return build_report(label, spec, campaign.profile(), campaign.spans(), campaign.metrics(),
-                      result, sink);
-}
+namespace {
 
-profiling::RunReport build_report(const std::string& label, const SweepSpec& spec,
-                                  const profiling::Profile& profile,
-                                  const telemetry::SpanSheet& spans,
-                                  const telemetry::MetricsRegistry& metrics,
-                                  const CampaignResult& result,
-                                  const telemetry::Telemetry* sink) {
+profiling::RunReport join_report(const std::string& label, const SweepSpec& spec,
+                                 const profiling::Profile& profile,
+                                 const telemetry::SpanSheet& spans,
+                                 const telemetry::MetricsRegistry& metrics,
+                                 const CampaignResult& result, const telemetry::Telemetry* sink) {
   profiling::RunReport report;
   report.campaign = label;
   report.seed = spec.device.fault.seed;
@@ -561,9 +271,9 @@ profiling::RunReport build_report(const std::string& label, const SweepSpec& spe
   report.spans_total = spans.spans().size();
   report.spans_dropped = spans.dropped();
   if (sink != nullptr) {
-    // The aggregate sink already holds the campaign.* counters (run() merges
-    // them in) plus every worker's cmd.*/trr.*/flip.* observations; its
-    // snapshot() also synthesizes telemetry.trace_dropped.
+    // The aggregate sink already holds the campaign.* counters (finish()
+    // merges them in) plus every worker's cmd.*/trr.*/flip.* observations;
+    // its snapshot() also synthesizes telemetry.trace_dropped.
     report.metrics = sink->snapshot();
     report.trace = {sink->trace().total_recorded(),
                     static_cast<std::uint64_t>(sink->trace().size()),
@@ -574,6 +284,20 @@ profiling::RunReport build_report(const std::string& label, const SweepSpec& spe
   report.shards_fatal =
       static_cast<std::uint64_t>(report.metrics.value_or("campaign.shards_fatal", 0.0));
   return report;
+}
+
+}  // namespace
+
+profiling::RunReport build_report(const std::string& label, const SweepSpec& spec,
+                                  const Campaign& campaign, const CampaignResult& result,
+                                  const telemetry::Telemetry* sink) {
+  return join_report(label, spec, campaign.profile(), campaign.spans(), campaign.metrics(),
+                     result, sink);
+}
+
+profiling::RunReport build_report(const std::string& label, const SweepSpec& spec,
+                                  const ShardRun& run, const telemetry::Telemetry* sink) {
+  return join_report(label, spec, run.profile, run.spans, run.metrics, run.result, sink);
 }
 
 }  // namespace rh::campaign

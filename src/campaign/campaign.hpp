@@ -29,6 +29,13 @@
 //   * observability — each worker host gets its own telemetry sink, all
 //     absorbed into the caller's aggregate sink (TelemetrySession) so
 //     --metrics-json / --heatmap cover the whole fleet.
+//
+// Who owns what: the per-shard work (rig bring-up, attempts, spans,
+// sampler, retry/fatal split, outcome bookkeeping) and the per-run state
+// live in the shard-execution core, ShardRun (shard_runner.hpp), which the
+// campaign service's rig pool runs too. Campaign::run owns only the
+// journal/stream prologue (resume included), the worker pool, the
+// wall-cadence monitor, progress, and the fail-on-shard-error policy.
 #pragma once
 
 #include <cstdint>
@@ -177,36 +184,41 @@ public:
   using common::Error::Error;
 };
 
+/// Builds a worker's private host from the sweep spec.
+using HostFactory = std::function<std::unique_ptr<bender::BenderHost>(const SweepSpec&)>;
+
+/// The default HostFactory: BenderHost(spec.device) brought to
+/// spec.temperature_c (PID-settled, or pinned when !spec.settle_thermal).
+[[nodiscard]] std::unique_ptr<bender::BenderHost> make_default_host(const SweepSpec& spec);
+
+class ShardRun;
+
 class Campaign {
 public:
-  /// Builds a worker's private host from the sweep spec. The default
-  /// constructs BenderHost(spec.device) and brings it to temperature.
-  using HostFactory = std::function<std::unique_ptr<bender::BenderHost>(const SweepSpec&)>;
-
   /// `aggregate` (may be null) receives every worker's telemetry after the
   /// run plus the campaign.* counters; pass TelemetrySession::sink().
   explicit Campaign(CampaignConfig config, telemetry::Telemetry* aggregate = nullptr);
 
-  /// Overrides worker host construction (population studies build variant
-  /// devices; tests inject failures).
+  /// Overrides worker host construction, make_default_host by default
+  /// (population studies build variant devices; tests inject failures).
   void set_host_factory(HostFactory factory) { factory_ = std::move(factory); }
 
   /// Runs the sweep to completion. Throws common::ConfigError on journal
   /// mismatch and CampaignError per config.fail_on_shard_error.
   CampaignResult run(const SweepSpec& spec);
 
-  /// Live campaign.* counters (shards_total/done/skipped/failed/retried).
+  /// The last run's campaign.*/resilience.* counters
+  /// (shards_total/done/skipped/failed/retried/fatal, records, injected...).
   [[nodiscard]] const telemetry::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Fleet phase profile: every worker's campaign-level phases (rig_build /
-  /// shard_run / checkpoint / idle) plus every retired host's host-level
-  /// phases, merged under the completion lock. Accumulates across run()
-  /// calls on the same Campaign.
+  /// The last run's fleet phase profile: every worker's campaign-level
+  /// phases (rig_build / shard_run / checkpoint / idle) plus every retired
+  /// host's host-level phases.
   [[nodiscard]] const profiling::Profile& profile() const { return profile_; }
 
   /// The last run's span forest (campaign -> shard -> attempt -> host
   /// phase -> fault/recovery marks), already merged across workers and in
-  /// canonical order. Cleared at the start of each run().
+  /// canonical order.
   [[nodiscard]] const telemetry::SpanSheet& spans() const { return spans_; }
 
 private:
@@ -229,16 +241,10 @@ private:
                                                 const CampaignResult& result,
                                                 const telemetry::Telemetry* sink = nullptr);
 
-/// Same join, from loose parts instead of a Campaign. For runners that
-/// schedule shards themselves (the campaign service's shared rig pool) but
-/// must produce reports byte-identical to the Campaign path: pass the
-/// merged fleet profile, the run's span sheet, and the registry holding the
-/// campaign.*/resilience.* counters.
+/// Same join, straight from a finished ShardRun (its own result). What the
+/// campaign service's jobs report through.
 [[nodiscard]] profiling::RunReport build_report(const std::string& label, const SweepSpec& spec,
-                                                const profiling::Profile& profile,
-                                                const telemetry::SpanSheet& spans,
-                                                const telemetry::MetricsRegistry& metrics,
-                                                const CampaignResult& result,
+                                                const ShardRun& run,
                                                 const telemetry::Telemetry* sink = nullptr);
 
 }  // namespace rh::campaign

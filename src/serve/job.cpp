@@ -1,6 +1,5 @@
 #include "serve/job.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -11,11 +10,6 @@
 namespace rh::serve {
 
 namespace {
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 std::string hash_hex(std::uint64_t h) {
   char buf[32];
@@ -45,113 +39,46 @@ JobState job_state_from_string(const std::string& text) {
   throw common::ConfigError("job descriptor: unknown state \"" + text + "\"");
 }
 
-void register_job_counters(Job& job) {
-  // Mirror Campaign::run()'s registration set (and the histogram's bounds)
-  // exactly: the deterministic report projection serializes these, so a
-  // missing or extra metric would break report byte-identity with the
-  // bench CLI path.
-  job.metrics.counter("campaign.shards_total").add(job.spec.shards.size());
-  job.metrics.counter("campaign.shards_done");
-  job.metrics.counter("campaign.shards_skipped");
-  job.metrics.counter("campaign.shards_failed");
-  job.metrics.counter("campaign.shards_retried");
-  job.metrics.counter("campaign.shards_fatal");
-  job.metrics.counter("campaign.records");
-  job.metrics.counter("resilience.injected");
-  job.metrics.counter("resilience.recovered");
-  job.metrics.counter("resilience.aborted");
-  job.metrics.histogram("campaign.shard_wall_ms", 0.0, 60000.0, 120);
-}
-
 void finalize_job(Job& job) {
   if (job.finalized) return;
   job.finalized = true;
-
-  std::sort(job.result.failures.begin(), job.result.failures.end(),
-            [](const campaign::ShardFailure& a, const campaign::ShardFailure& b) {
-              return a.shard < b.shard;
-            });
-  std::sort(job.result.timings.begin(), job.result.timings.end(),
-            [](const profiling::ShardTiming& a, const profiling::ShardTiming& b) {
-              return a.shard < b.shard;
-            });
-  job.result.elapsed_wall_ms = ms_since(job.epoch);
-  job.result.jobs = static_cast<unsigned>(std::max<std::size_t>(1, job.wstatus.size()));
-
-  // Root the span forest exactly the way Campaign::run() does.
-  telemetry::Span root;
-  root.id = telemetry::kCampaignSpanId;
-  root.parent = 0;
-  root.kind = telemetry::SpanKind::kCampaign;
-  for (const auto& t : job.result.timings) root.end_cycle += t.device_cycles;
-  root.end_wall_ms = job.result.elapsed_wall_ms;
-  job.spans.add(root);
-  job.spans.sort_canonical();
-
-  if (job.stream != nullptr) {
-    job.stream->append(telemetry::format_final_sample(
-        ms_since(job.epoch), telemetry::counter_values(job.metrics),
-        job.metrics.counter("campaign.shards_done").value(),
-        job.metrics.counter("campaign.shards_failed").value(),
-        job.metrics.counter("campaign.shards_skipped").value(),
-        job.metrics.counter("campaign.shards_total").value()));
-    // The stream going dark is advisory-telemetry loss: counted, surfaced
-    // via /healthz, but never grounds to fail the job.
-    if (job.stream->degraded()) {
-      ++job.result.storage_errors;
-      if (job.result.storage_error.empty()) {
-        job.result.storage_error = job.stream->storage_error();
-      }
-    }
-  }
-
-  if (job.aggregate != nullptr) job.aggregate->metrics().merge_from(job.metrics);
+  campaign::ShardRun& run = *job.run;
+  run.finish();
 
   const profiling::RunReport report =
-      campaign::build_report(job.config.label, job.spec, job.profile, job.spans, job.metrics,
-                             job.result, job.aggregate.get());
+      campaign::build_report(job.config.label, job.spec, run, job.aggregate.get());
+  const auto render = [&report](bool include_wall) {
+    std::ostringstream os;
+    profiling::write_report_json(os, report, include_wall);
+    os << '\n';
+    return os.str();
+  };
   bool report_written = false;
   try {
-    std::string text;
-    {
-      std::ostringstream os;
-      profiling::write_report_json(os, report);
-      os << '\n';
-      text = os.str();
-    }
-    resilience::write_file_atomic(job.report_path, text, "job report",
+    resilience::write_file_atomic(job.report_path, render(true), "job report",
                                   job.journal_injector.get());
-    std::ostringstream os;
-    profiling::write_report_json(os, report, /*include_wall=*/false);
-    os << '\n';
-    resilience::write_file_atomic(job.det_report_path, os.str(), "job report",
+    resilience::write_file_atomic(job.det_report_path, render(false), "job report",
                                   job.journal_injector.get());
     report_written = true;
   } catch (const common::Error& e) {
     // finalize runs on rig threads: a report that cannot land must degrade
     // the job, never unwind into the scheduler.
-    ++job.result.storage_errors;
-    if (job.result.storage_error.empty()) job.result.storage_error = e.what();
+    run.note_storage_error(e.what());
   }
 
-  // Close the writers: their destructors flush + fclose, so after finalize
-  // the on-disk journal/stream are complete documents.
-  job.journal.reset();
-  job.stream.reset();
-
-  if (!job.result.failures.empty()) {
+  const campaign::CampaignResult& result = run.result;
+  if (!result.failures.empty()) {
     job.state = JobState::kFailed;
-    job.error = std::to_string(job.result.failures.size()) + " of " +
+    job.error = std::to_string(result.failures.size()) + " of " +
                 std::to_string(job.spec.shards.size()) + " shards failed; first: shard " +
-                std::to_string(job.result.failures.front().shard) + ": " +
-                job.result.failures.front().what;
-  } else if (job.journal_lost || !report_written) {
+                std::to_string(result.failures.front().shard) + ": " +
+                result.failures.front().what;
+  } else if (run.journal_lost || !report_written) {
     // The science completed but its durable record did not: a job whose
     // journal died or whose report never landed must not claim success.
     job.state = JobState::kFailed;
-    job.error = "storage: " + (job.result.storage_error.empty()
-                                   ? std::string("durable write failed")
-                                   : job.result.storage_error);
+    job.error = "storage: " + (result.storage_error.empty() ? std::string("durable write failed")
+                                                            : result.storage_error);
   } else {
     job.state = JobState::kDone;
   }
@@ -159,7 +86,8 @@ void finalize_job(Job& job) {
 
 std::string job_status_json(Job& job) {
   const std::uint64_t total = job.spec.shards.size();
-  const std::uint64_t completed = job.result.shards_run + job.result.shards_skipped;
+  const campaign::CampaignResult& result = job.run->result;
+  const std::uint64_t completed = result.shards_run + result.shards_skipped;
   const bool cache_hit = total > 0 && job.shards_cached == total;
   std::string out = "{";
   out += "\"cache_hit\":";
@@ -171,10 +99,10 @@ std::string job_status_json(Job& job) {
   out += ",\"label\":\"" + telemetry::json_escape(job.config.label) + "\"";
   out += ",\"records\":" +
          std::to_string(static_cast<std::uint64_t>(
-             job.metrics.counter("campaign.records").value()));
+             job.run->metrics.counter("campaign.records").value()));
   out += ",\"shards\":{\"cached\":" + std::to_string(job.shards_cached);
   out += ",\"done\":" + std::to_string(completed);
-  out += ",\"failed\":" + std::to_string(job.result.failures.size());
+  out += ",\"failed\":" + std::to_string(result.failures.size());
   out += ",\"remaining\":" + std::to_string(job.remaining);
   out += ",\"total\":" + std::to_string(total) + "}";
   out += ",\"state\":\"" + std::string(to_string(job.state)) + "\"";

@@ -1,11 +1,14 @@
 // One tenant-submitted campaign job and its on-disk footprint.
 //
-// A Job owns exactly the state one Campaign::run() call owns — result,
-// counters, profile, span sheet, journal, metrics stream, worker status —
-// because the service's contract is that a job's deterministic report is
+// A Job is the service's wrapper around one campaign::ShardRun, the
+// shard-execution core Campaign::run drives too: the run owns the result,
+// counters, profile, span sheet, journal, metrics stream and worker status,
+// and executes and books every shard, so a job's deterministic report is
 // byte-identical to running its config through the bench CLI path. The
-// scheduler (scheduler.hpp) mutates all of it under `mutex`, replicating
-// the campaign engine's accounting move for move; the job just holds it.
+// job adds only what the service owns: admission identity (id, tenant,
+// config, paths), lifecycle state, cache accounting, rig attachment, and
+// the per-job storage fault injectors. Job::mutex is the run state's
+// guard (see the locking note in shard_runner.hpp).
 //
 // On-disk footprint, all under the server's data dir and all named by id:
 //   job-<id>.json           descriptor (tenant, state, canonical config) —
@@ -20,21 +23,14 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
-#include "campaign/campaign.hpp"
-#include "campaign/journal.hpp"
-#include "profiling/profile.hpp"
+#include "campaign/shard_runner.hpp"
 #include "resilience/storage.hpp"
 #include "serve/config.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/span.hpp"
-#include "telemetry/stream.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace rh::serve {
@@ -48,15 +44,6 @@ enum class JobState : std::uint8_t { kQueued, kRunning, kDone, kFailed, kCancell
 [[nodiscard]] inline bool job_state_active(JobState s) {
   return s == JobState::kQueued || s == JobState::kRunning;
 }
-
-/// Live status of one rig slot against this job (the wall samples' workers
-/// array). Guarded by Job::mutex.
-struct JobWorkerStatus {
-  double busy_ms = 0.0;
-  std::uint64_t done = 0;
-  std::int64_t shard = -1;
-  std::chrono::steady_clock::time_point claim;
-};
 
 struct Job {
   // --- immutable after admission --------------------------------------
@@ -79,46 +66,27 @@ struct Job {
   std::atomic<bool> cancel{false};
   std::string error;  ///< first fatal failure / finalize error, for the API
 
-  std::vector<char> done;        ///< per-shard completion, plan order
   std::size_t remaining = 0;     ///< shards not yet completed or failed
   std::uint64_t shards_cached = 0;  ///< answered from the result cache
   unsigned rigs_attached = 0;    ///< rigs currently holding this job's state
-  /// Fault-injector decorrelation serial (atomic: drawn during rig build,
-  /// outside the job lock — exactly Campaign::run()'s rig_serial).
-  std::atomic<std::uint64_t> rig_serial{0};
   bool finalized = false;
-  /// The journal writer died on a storage failure: results are no longer
-  /// durable, so finalize marks the job failed with the storage reason
-  /// (counted in result.storage_errors alongside stream/report losses).
-  bool journal_lost = false;
 
-  campaign::CampaignResult result;
-  telemetry::MetricsRegistry metrics;   ///< campaign.*/resilience.* counters
-  profiling::Profile profile;           ///< fleet profile (rigs merge in)
-  telemetry::SpanSheet spans;
   std::unique_ptr<telemetry::Telemetry> aggregate;  ///< fleet cmd.* sink
-  std::unique_ptr<campaign::JournalWriter> journal;
-  std::unique_ptr<telemetry::MetricsStreamWriter> stream;
   /// Per-job storage fault injectors (null unless the server was started
   /// with a storage fault plan), one independent stream per durable output
   /// so a journal fault never moves a stream fault.
   std::unique_ptr<resilience::StorageFaultInjector> journal_injector;
   std::unique_ptr<resilience::StorageFaultInjector> stream_injector;
   std::unique_ptr<resilience::StorageFaultInjector> meta_injector;
-  std::vector<JobWorkerStatus> wstatus;       ///< one slot per scheduler rig
-  telemetry::CounterValues last_wall;         ///< previous wall sample's values
-  std::chrono::steady_clock::time_point epoch;  ///< run start (span clock base)
+  /// The run state, one worker slot per scheduler rig. A storage failure
+  /// that drops its journal (run->journal_lost) fails the job at finalize.
+  std::unique_ptr<campaign::ShardRun> run;
 };
 
-/// Registers the campaign counter set on a fresh job's registry in the
-/// exact order Campaign::run() does (snapshot key order is sorted, but the
-/// stream's delta series observes registration-time zero-ness).
-void register_job_counters(Job& job);
-
-/// Completes a job whose last shard has retired: sorts timings/failures,
-/// roots the span forest, emits the final stream sample, merges counters
-/// into the aggregate sink, builds the rh-run-report/v1 pair, and writes
-/// both report files. Caller holds job.mutex; state must still be active.
+/// Completes a job whose last shard has retired: finishes the run (sorts,
+/// roots the span forest, final stream sample, aggregate merge), builds
+/// the rh-run-report/v1 pair, and writes both report files. Caller holds
+/// job.mutex; state must still be active.
 void finalize_job(Job& job);
 
 /// One-line JSON descriptor for GET /jobs/<id> (and the jobs list).

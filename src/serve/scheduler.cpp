@@ -2,56 +2,11 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-#include "common/rng.hpp"
-#include "core/row_map.hpp"
-#include "profiling/profile.hpp"
-
 namespace rh::serve {
-
-namespace {
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// Appends one wall sample for `job` (caller holds job.mutex): counter
-/// deltas since the last sample plus per-rig utilization — the same shape
-/// Campaign::run()'s wall-cadence monitor emits, sampled at shard
-/// completions instead of on a timer.
-void emit_wall_sample(Job& job) {
-  if (job.stream == nullptr) return;
-  const telemetry::CounterValues now_values = telemetry::counter_values(job.metrics);
-  telemetry::CounterValues deltas;
-  for (const auto& [name, value] : now_values) {
-    const auto it = job.last_wall.find(name);
-    const std::uint64_t before = it != job.last_wall.end() ? it->second : 0;
-    if (value > before) deltas[name] = value - before;
-  }
-  job.last_wall = now_values;
-  std::vector<telemetry::StreamWorkerStatus> workers;
-  workers.reserve(job.wstatus.size());
-  const auto snap_now = std::chrono::steady_clock::now();
-  for (const auto& s : job.wstatus) {
-    telemetry::StreamWorkerStatus w;
-    w.busy_ms = s.busy_ms;
-    if (s.shard >= 0) {
-      w.busy_ms += std::chrono::duration<double, std::milli>(snap_now - s.claim).count();
-    }
-    w.done = s.done;
-    w.shard = s.shard;
-    workers.push_back(w);
-  }
-  job.stream->append(telemetry::format_wall_sample(ms_since(job.epoch), deltas, workers));
-}
-
-}  // namespace
 
 Scheduler::Scheduler(Options options, ResultCache& cache)
     : options_(std::move(options)), cache_(cache) {
   options_.rigs = std::max(1u, options_.rigs);
-  options_.stream_cycle_cadence = std::max<std::uint64_t>(1, options_.stream_cycle_cadence);
   deques_.resize(options_.rigs);
   rig_stats_.resize(options_.rigs);
 }
@@ -73,8 +28,9 @@ void Scheduler::enqueue(const std::shared_ptr<Job>& job) {
   std::vector<std::uint64_t> pending;
   {
     const std::lock_guard<std::mutex> lock(job->mutex);
-    for (std::size_t i = 0; i < job->done.size(); ++i) {
-      if (job->done[i] == 0) pending.push_back(i);
+    const std::vector<char>& done = job->run->done;
+    for (std::size_t i = 0; i < done.size(); ++i) {
+      if (done[i] == 0) pending.push_back(i);
     }
   }
   if (pending.empty()) {
@@ -118,16 +74,10 @@ std::vector<Scheduler::RigStatus> Scheduler::rig_status() const {
   std::vector<RigStatus> out;
   out.reserve(rig_stats_.size());
   for (const RigStats& s : rig_stats_) {
-    RigStatus r;
-    r.busy_ms = s.busy_ms;
+    out.push_back(s);  // the RigStatus part, plus the in-flight task below
     if (s.shard >= 0) {
-      r.busy_ms += std::chrono::duration<double, std::milli>(now - s.claim).count();
+      out.back().busy_ms += std::chrono::duration<double, std::milli>(now - s.claim).count();
     }
-    r.done = s.done;
-    r.steals = s.steals;
-    r.shard = s.shard;
-    r.job = s.job;
-    out.push_back(r);
   }
   return out;
 }
@@ -218,75 +168,26 @@ void Scheduler::attach(Rig& rig, const std::shared_ptr<Job>& job) {
   ++job->rigs_attached;
 }
 
-void Scheduler::build_rig(Rig& rig, Job& job) {
-  // Same bring-up as Campaign's default host factory: settle fault-free,
-  // arm the injector only for the measurement phase.
-  rig.host = std::make_unique<bender::BenderHost>(job.spec.device);
-  if (job.spec.settle_thermal) {
-    rig.host->set_chip_temperature(job.spec.temperature_c);
-  } else {
-    rig.host->device().set_temperature(job.spec.temperature_c);
-  }
-  if (job.aggregate != nullptr) {
-    rig.sink = std::make_unique<telemetry::Telemetry>(job.aggregate->config());
-    rig.host->set_telemetry(rig.sink.get());
-  }
-  resilience::FaultPlan plan = to_fault_plan(job.config);
-  if (plan.enabled()) {
-    plan.seed = common::hash_coords(plan.seed, 0x819u, job.rig_serial.fetch_add(1));
-    rig.injector = std::make_unique<resilience::FaultInjector>(std::move(plan));
-    rig.host->set_fault_injector(rig.injector.get());
-  }
-  rig.host->set_retry_policy(options_.retry_policy);
-  rig.characterizer = std::make_unique<core::Characterizer>(
-      *rig.host, core::RowMap::from_device(rig.host->device()), job.spec.characterizer);
-}
-
-void Scheduler::scrap_hardware(Rig& rig) {
-  if (rig.job == nullptr) return;
-  if (rig.host == nullptr && rig.sink == nullptr && rig.injector == nullptr) return;
-  Job& job = *rig.job;
-  {
-    const std::lock_guard<std::mutex> lock(job.mutex);
-    if (rig.host != nullptr) rig.profile.merge_from(rig.host->profile());
-    if (rig.sink != nullptr && job.aggregate != nullptr) job.aggregate->absorb(*rig.sink);
-    if (rig.injector != nullptr) {
-      const auto& stats = rig.injector->stats();
-      job.metrics.counter("resilience.injected").add(stats.injected);
-      job.metrics.counter("resilience.recovered").add(stats.recovered);
-      job.metrics.counter("resilience.aborted").add(stats.aborted);
-    }
-  }
-  rig.characterizer.reset();
-  rig.injector.reset();
-  rig.host.reset();
-  rig.sink.reset();
-}
-
 void Scheduler::retire(Rig& rig) {
   if (rig.job == nullptr) return;
-  scrap_hardware(rig);
   const std::shared_ptr<Job> job = std::move(rig.job);
-  bool finalized_now = false;
+  campaign::ShardRun& run = *job->run;
+  run.retire(rig.hardware, job->mutex);
   {
     const std::lock_guard<std::mutex> lock(job->mutex);
-    job->profile.merge_from(rig.profile);
-    job->spans.merge_from(rig.sheet);
+    run.profile.merge_from(rig.profile);
+    run.spans.merge_from(rig.sheet);
     --job->rigs_attached;
-    if (job->remaining == 0 && job->rigs_attached == 0 && job_state_active(job->state) &&
-        !job->finalized) {
-      finalize_job(*job);
-      finalized_now = true;
-    } else if (job->rigs_attached == 0 && !job_state_active(job->state) && !job->finalized) {
+    if (job->rigs_attached == 0 && !job_state_active(job->state) && !job->finalized) {
       // Cancelled while rigs were in flight: cancel_job left the writers
       // open (this rig's sampler may have been appending) — the last rig
       // out closes them, completing the on-disk record.
-      job->journal.reset();
-      job->stream.reset();
+      run.journal.reset();
+      run.stream.reset();
     }
   }
   rig = Rig{};
-  if (finalized_now && on_finalized_) on_finalized_(job);
+  finalize_if_complete(job);
 }
 
 void Scheduler::finalize_if_complete(const std::shared_ptr<Job>& job) {
@@ -304,153 +205,45 @@ void Scheduler::finalize_if_complete(const std::shared_ptr<Job>& job) {
 
 void Scheduler::run_task(unsigned rig_index, Rig& rig, const Task& task) {
   Job& job = *task.job;
+  campaign::ShardRun& run = *job.run;
   const std::uint64_t i = task.shard;
-  telemetry::MetricsStreamWriter* stream = nullptr;
   {
     const std::lock_guard<std::mutex> lock(job.mutex);
-    if (job.done[i] != 0 || !job_state_active(job.state)) return;
+    if (run.done[i] != 0 || !job_state_active(job.state)) return;
     job.state = JobState::kRunning;
-    // Read the stream writer under the lock, once: while this rig is
-    // attached nobody resets job.stream (cancel_job defers closing to the
-    // last retire()), so the pointer stays valid for the whole task.
-    stream = job.stream.get();
-    job.wstatus[rig_index].shard = static_cast<std::int64_t>(i);
-    job.wstatus[rig_index].claim = std::chrono::steady_clock::now();
+    run.claim(rig_index, i);
   }
 
-  // From here down this mirrors Campaign::run()'s per-shard block exactly
-  // (same spans, same counters, same retry/fatal split) — report
-  // byte-identity with the bench path depends on it.
-  telemetry::TraceContext ctx(rig.sheet, i, job.epoch);
-  const std::uint64_t shard_span = ctx.open(telemetry::SpanKind::kShard, 0);
-
-  std::vector<core::RowRecord> records;
-  std::string error;
-  bool ok = false;
-  bool fatal = false;
-  unsigned attempts_used = 0;
-  double shard_wall_ms = 0.0;
-  std::uint64_t shard_cycles = 0;
-  for (unsigned attempt = 0; attempt <= options_.retries && !ok && !fatal; ++attempt) {
-    if (attempt > 0) {
-      {
-        const std::lock_guard<std::mutex> lock(job.mutex);
-        job.metrics.counter("campaign.shards_retried").add();
-        ++job.result.shards_retried;
-      }
-      if (options_.flightrec != nullptr) {
-        options_.flightrec->record(ServiceEventKind::kRetry, job.id, job.tenant,
-                                   "shard " + std::to_string(i) + ": " + error);
-      }
+  const auto on_retry = [&](const std::string& error) {
+    if (options_.flightrec != nullptr) {
+      options_.flightrec->record(ServiceEventKind::kRetry, job.id, job.tenant,
+                                 "shard " + std::to_string(i) + ": " + error);
     }
-    ++attempts_used;
-    ctx.set_attempt(attempt + 1);
-    const std::uint64_t attempt_span = ctx.open(telemetry::SpanKind::kAttempt, 0);
-    const auto attempt_start = std::chrono::steady_clock::now();
-    double build_ms = 0.0;
-    std::uint64_t run_from = 0;
-    bool running = false;
-    std::unique_ptr<telemetry::MetricsSampler> sampler;
-    try {
-      if (rig.host == nullptr) {
-        build_rig(rig, job);
-        build_ms = ms_since(attempt_start);
-        rig.profile.record(profiling::Phase::kRigBuild, rig.host->now(), build_ms);
-      }
-      rig.host->set_trace_context(&ctx);
-      run_from = rig.host->now();
-      if (stream != nullptr && rig.sink != nullptr) {
-        sampler = std::make_unique<telemetry::MetricsSampler>(
-            *stream, rig.sink->metrics(), options_.stream_cycle_cadence, i, attempt + 1,
-            run_from);
-        rig.host->set_cycle_sampler(sampler.get());
-      }
-      running = true;
-      records = core::run_shard(*rig.characterizer, job.spec.shards[i]);
-      ok = true;
-    } catch (const common::TransientError& e) {
-      error = e.what();
-    } catch (const std::exception& e) {
-      error = e.what();
-      fatal = true;
-    }
-    const std::uint64_t run_cycles =
-        (running && rig.host != nullptr) ? rig.host->now() - run_from : 0;
-    if (rig.host != nullptr) {
-      if (sampler != nullptr) sampler->finish(rig.host->now());
-      rig.host->set_cycle_sampler(nullptr);
-      rig.host->set_trace_context(nullptr);
-    }
-    ctx.close(attempt_span, run_cycles);
-    const double attempt_ms = ms_since(attempt_start);
-    rig.profile.record(profiling::Phase::kShardRun, run_cycles,
-                       std::max(0.0, attempt_ms - build_ms));
-    shard_wall_ms += attempt_ms;
-    shard_cycles += run_cycles;
-    if (!ok) scrap_hardware(rig);  // the host's state is suspect after a throw
+  };
+  campaign::ExecutedShard outcome =
+      run.execute(rig.hardware, i, job.mutex, rig.profile, rig.sheet, on_retry);
+  if (options_.metrics != nullptr) {
+    options_.metrics->observe("serve.shard_exec_ms", outcome.wall_ms);
   }
-
-  ctx.close(shard_span, shard_cycles);
-
-  if (options_.metrics != nullptr) options_.metrics->observe("serve.shard_exec_ms", shard_wall_ms);
 
   bool finished = false;
   {
     const std::lock_guard<std::mutex> lock(job.mutex);
-    if (fatal) job.metrics.counter("campaign.shards_fatal").add();
-    if (ok) {
-      if (job.journal != nullptr) {
-        try {
-          const profiling::PhaseTimer timer(rig.profile, profiling::Phase::kCheckpoint);
-          job.journal->append_shard(i, records, shard_wall_ms, attempts_used);
-        } catch (const common::StorageError& e) {
-          // The journal is gone; letting this unwind would kill the rig
-          // thread. Degrade: keep results in memory, finalize marks the
-          // job failed with the storage reason.
-          job.journal.reset();
-          job.journal_lost = true;
-          ++job.result.storage_errors;
-          if (job.result.storage_error.empty()) job.result.storage_error = e.what();
-          if (options_.flightrec != nullptr) {
-            options_.flightrec->record(ServiceEventKind::kStorageError, job.id, job.tenant,
-                                       e.what());
-          }
-        }
-      }
-      cache_.insert(shard_cache_key(job.cache_prefix, job.spec.shards[i]), records);
-      job.metrics.counter("campaign.records").add(records.size());
-      job.result.per_shard[i] = std::move(records);
-      job.result.timings.push_back(
-          {i, shard_cycles, shard_wall_ms, attempts_used, telemetry::span_id(i, 0, 0)});
-      job.metrics.histogram("campaign.shard_wall_ms", 0.0, 60000.0, 120).observe(shard_wall_ms);
-      ++job.result.shards_run;
-      job.metrics.counter("campaign.shards_done").add();
+    if (outcome.ok) {
+      cache_.insert(shard_cache_key(job.cache_prefix, job.spec.shards[i]), outcome.records);
       shards_run_.fetch_add(1);
-    } else {
-      if (job.journal != nullptr) {
-        try {
-          job.journal->append_failure(i, attempts_used, error);
-        } catch (const common::StorageError& e) {
-          job.journal.reset();
-          job.journal_lost = true;
-          ++job.result.storage_errors;
-          if (job.result.storage_error.empty()) job.result.storage_error = e.what();
-          if (options_.flightrec != nullptr) {
-            options_.flightrec->record(ServiceEventKind::kStorageError, job.id, job.tenant,
-                                       e.what());
-          }
-        }
-      }
-      job.result.failures.push_back({i, error});
-      job.metrics.counter("campaign.shards_failed").add();
     }
-    job.wstatus[rig_index].busy_ms += ms_since(job.wstatus[rig_index].claim);
-    ++job.wstatus[rig_index].done;
-    job.wstatus[rig_index].shard = -1;
-    job.done[i] = 1;
+    // A journal that dies here must not unwind and kill the rig thread:
+    // the run drops it and keeps results in memory, and finalize marks the
+    // job failed with the storage reason.
+    const std::string dropped = run.commit(rig_index, i, std::move(outcome), rig.profile);
+    if (!dropped.empty() && options_.flightrec != nullptr) {
+      options_.flightrec->record(ServiceEventKind::kStorageError, job.id, job.tenant, dropped);
+    }
     --job.remaining;
     finished = job.remaining == 0;
-    emit_wall_sample(job);
+    // Wall samples come at shard completions here, not on a timer.
+    if (run.stream != nullptr) run.stream->append(run.wall_sample());
   }
   // The last shard retires the rig immediately: finalize must not wait for
   // this rig to go idle or switch jobs.

@@ -9,17 +9,18 @@
 // peer's, so one giant job spreads over all rigs yet a small job landing
 // later still starts immediately on whichever rig frees up first.
 //
-// Execution of one task replicates Campaign::run()'s inner worker loop
-// move for move — same counter updates, same span tree, same retry/fatal
-// split, same journal append under the job lock — because the service's
-// contract is that a job's deterministic report is byte-identical to the
-// bench CLI path. Where Campaign keeps per-worker state for the lifetime
-// of one run, a rig keeps it per *attachment*: the stretch of consecutive
-// tasks it runs for one job. Switching jobs (or going idle) retires the
-// attachment, folding the rig's host profile, telemetry sink, span sheet,
-// and fault-injector stats into the job under the job's mutex. A job
+// Execution of one task is campaign::ShardRun::execute + commit, the same
+// shard core Campaign::run drives, on the job's run state under the job's
+// mutex; the scheduler adds only the serve work around it (claim, result
+// cache insert, flight-recorder retry and storage events, serve.*
+// histograms, and the job's remaining count). Where Campaign keeps a
+// worker's rig, profile and span sheet for the lifetime of one run, a rig
+// keeps them per *attachment*: the stretch of consecutive tasks it runs
+// for one job. Switching jobs (or going idle) retires the attachment,
+// folding the rig's host profile, telemetry sink, span sheet, and
+// fault-injector stats into the job's run under the job's mutex. A job
 // finalizes when its last shard has completed AND its last rig has
-// retired — so nothing is ever absorbed twice and nothing is missing.
+// retired, so nothing is ever absorbed twice and nothing is missing.
 //
 // Drain: stop() lets in-flight tasks finish (and journal), then joins the
 // rig threads. Unfinished jobs keep their journals; restart recovery
@@ -37,7 +38,7 @@
 #include <thread>
 #include <vector>
 
-#include "resilience/retry.hpp"
+#include "campaign/shard_runner.hpp"
 #include "serve/cache.hpp"
 #include "serve/job.hpp"
 #include "serve/observe.hpp"
@@ -48,10 +49,6 @@ class Scheduler {
 public:
   struct Options {
     unsigned rigs = 2;       ///< pool size (worker threads / simulated rigs)
-    unsigned retries = 1;    ///< per-shard transient-failure retry budget
-    resilience::RetryPolicy retry_policy;  ///< per-host transport retries
-    /// Device cycles between a job's per-rig metrics-stream samples.
-    std::uint64_t stream_cycle_cadence = 1ull << 24;
     /// Optional service observability hooks (owned by the server, must
     /// outlive the scheduler). When set, the pool observes queue-wait,
     /// steal-wait, and shard-execution histograms and records steal /
@@ -114,24 +111,17 @@ private:
     bool stolen = false;  ///< set by pop_task when claimed from a peer
   };
 
-  /// The mutable side of RigStatus, guarded by the pool mutex_ (updated at
-  /// the claim/completion points where rig_loop already holds it).
-  struct RigStats {
-    double busy_ms = 0.0;
-    std::uint64_t done = 0;
-    std::uint64_t steals = 0;
-    std::int64_t shard = -1;
-    std::uint64_t job = 0;
-    std::chrono::steady_clock::time_point claim;
+  /// The mutable side of RigStatus (busy_ms without the in-flight task),
+  /// guarded by the pool mutex_ (updated at the claim/completion points
+  /// where rig_loop already holds it).
+  struct RigStats : RigStatus {
+    std::chrono::steady_clock::time_point claim;  ///< when `shard` was claimed
   };
 
   /// One rig's per-attachment state (see file comment).
   struct Rig {
     std::shared_ptr<Job> job;  ///< current attachment, null when detached
-    std::unique_ptr<bender::BenderHost> host;
-    std::unique_ptr<telemetry::Telemetry> sink;
-    std::unique_ptr<resilience::FaultInjector> injector;
-    std::unique_ptr<core::Characterizer> characterizer;
+    campaign::WorkerRig hardware;
     profiling::Profile profile;   ///< campaign-level phases this attachment
     telemetry::SpanSheet sheet;   ///< spans this attachment
   };
@@ -139,10 +129,8 @@ private:
   void rig_loop(unsigned rig_index);
   bool pop_task(unsigned rig_index, Task& task);  ///< pool lock held
   void attach(Rig& rig, const std::shared_ptr<Job>& job);
-  void scrap_hardware(Rig& rig);  ///< absorb + destroy host/sink/injector
   void retire(Rig& rig);          ///< end the attachment; may finalize the job
   void run_task(unsigned rig_index, Rig& rig, const Task& task);
-  void build_rig(Rig& rig, Job& job);
   void finalize_if_complete(const std::shared_ptr<Job>& job);
 
   Options options_;

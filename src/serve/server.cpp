@@ -55,13 +55,6 @@ bool is_job_descriptor(const std::string& name, std::uint64_t& id) {
   return true;
 }
 
-/// Storage loss never unwinds admission or recovery: count it on the job
-/// and keep going (finalize decides whether the job can still claim done).
-void note_job_storage_error(Job& job, const common::StorageError& e) {
-  ++job.result.storage_errors;
-  if (job.result.storage_error.empty()) job.result.storage_error = e.what();
-}
-
 /// The accounting identity of a request: the X-Tenant header, "anonymous"
 /// when absent or empty.
 std::string tenant_of(const HttpRequest& req) {
@@ -83,18 +76,38 @@ double us_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Opens a job's metrics stream; a storage failure means the job simply
-/// runs streamless (telemetry is advisory).
-void open_stream(Job& job, std::size_t n, const Server::Options& options) {
-  try {
-    job.stream = std::make_unique<telemetry::MetricsStreamWriter>(
-        job.stream_path,
-        telemetry::MetricsStreamHeader{job.spec.device.fault.seed, job.hash,
-                                       static_cast<std::uint64_t>(n), options.rigs,
-                                       options.stream_cycle_cadence, 0.0},
-        job.stream_injector.get());
-  } catch (const common::StorageError& e) {
-    note_job_storage_error(job, e);
+/// Opens a job's metrics stream (its wall samples come at shard
+/// completions, so the header's wall cadence is 0).
+void open_stream(Job& job, const Server::Options& options) {
+  job.run->open_stream(job.stream_path,
+                       {job.spec.device.fault.seed, job.hash,
+                        static_cast<std::uint64_t>(job.spec.shards.size()), options.rigs,
+                        options.stream_cycle_cadence, 0.0},
+                       job.stream_injector.get());
+}
+
+/// The header a job's journal must carry.
+campaign::JournalHeader journal_header(const Job& job) {
+  return {job.spec.device.fault.seed, job.hash,
+          static_cast<std::uint64_t>(job.spec.shards.size())};
+}
+
+/// A shard answered without a rig (result cache or journal): the run books
+/// it as skipped through the same ShardRun::restore a `--resume` skip takes;
+/// the job counts it cached.
+void restore_shard(Job& job, std::uint64_t shard, std::vector<core::RowRecord> records) {
+  job.run->restore(shard, std::move(records));
+  --job.remaining;
+  ++job.shards_cached;
+}
+
+/// Restores every journaled shard of the job's sweep, warming the cache
+/// with each.
+void restore_journaled(Job& job, const campaign::JournalReader& reader, ResultCache& cache) {
+  for (const auto& [index, records] : reader.shards()) {
+    if (index >= job.spec.shards.size()) continue;
+    cache.insert(shard_cache_key(job.cache_prefix, job.spec.shards[index]), records);
+    restore_shard(job, index, records);
   }
 }
 
@@ -108,9 +121,6 @@ Server::Server(Options options)
           [&] {
             Scheduler::Options so;
             so.rigs = std::max(1u, options_.rigs);
-            so.retries = options_.retries;
-            so.retry_policy = options_.retry_policy;
-            so.stream_cycle_cadence = std::max<std::uint64_t>(1, options_.stream_cycle_cadence);
             so.metrics = &metrics_;
             so.flightrec = &flightrec_;
             return so;
@@ -457,13 +467,13 @@ HttpResponse Server::cancel_job(std::uint64_t id) {
     job->cancel.store(true, std::memory_order_relaxed);
     job->state = JobState::kCancelled;
     // Close the writers only when no rig holds a reference to them: an
-    // attached rig's metrics sampler appends to *job->stream outside this
+    // attached rig's metrics sampler appends to the run's stream outside this
     // lock, so resetting mid-flight is a use-after-free. With rigs
     // attached, the last retire() closes both writers; the in-flight
     // shards finish and journal (DESIGN.md: "claimed shards finish").
     if (job->rigs_attached == 0) {
-      job->journal.reset();
-      job->stream.reset();
+      job->run->journal.reset();
+      job->run->stream.reset();
     }
     body = job_status_json(*job);
   }
@@ -514,7 +524,7 @@ std::string Server::healthz_json() {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [id, job] : jobs_) {
       const std::lock_guard<std::mutex> jlock(job->mutex);
-      storage_errors += job->result.storage_errors;
+      storage_errors += job->run->result.storage_errors;
     }
   }
   std::string out = "{\"degraded\":";
@@ -542,7 +552,7 @@ Server::StatsSnapshot Server::stats_snapshot() {
     for (const auto& [id, job] : jobs_) {
       const std::lock_guard<std::mutex> jlock(job->mutex);
       snap.shards_cached += job->shards_cached;
-      snap.storage_errors += job->result.storage_errors;
+      snap.storage_errors += job->run->result.storage_errors;
       const bool is_active = job_state_active(job->state);
       switch (job->state) {
         case JobState::kQueued: ++snap.queued; ++snap.active; break;
@@ -720,40 +730,42 @@ std::shared_ptr<Job> Server::make_job(std::uint64_t id, const std::string& tenan
     splan.seed = common::hash_coords(options_.storage_plan.seed, 0x570u, id, 2);
     job->meta_injector = std::make_unique<resilience::StorageFaultInjector>(std::move(splan));
   }
-  const std::size_t n = job->spec.shards.size();
-  job->done.assign(n, 0);
-  job->remaining = n;
-  job->result.per_shard.resize(n);
-  register_job_counters(*job);
+  job->remaining = job->spec.shards.size();
   // Same sink configuration as the bench CLI's report-only TelemetrySession:
   // report byte-identity depends on the aggregate snapshot matching.
   telemetry::TelemetryConfig tc;
   tc.trace_enabled = false;
   job->aggregate = std::make_unique<telemetry::Telemetry>(tc);
-  job->wstatus.resize(std::max(1u, options_.rigs));
-  job->epoch = std::chrono::steady_clock::now();
+  // The execution knobs are the server's, never the job's: the same
+  // physics produces the same bytes however the pool is configured.
+  campaign::CampaignConfig execution;
+  execution.retries = options_.retries;
+  execution.retry_policy = options_.retry_policy;
+  execution.fault_plan = to_fault_plan(job->config);
+  execution.stream_cycle_cadence = options_.stream_cycle_cadence;
+  job->run = std::make_unique<campaign::ShardRun>(job->spec, std::move(execution),
+                                                  campaign::make_default_host,
+                                                  job->aggregate.get());
+  job->run->workers.resize(options_.rigs);
   return job;
 }
 
 void Server::prepare_fresh(Job& job) {
   const std::size_t n = job.spec.shards.size();
-  const campaign::JournalHeader header{job.spec.device.fault.seed, job.hash,
-                                       static_cast<std::uint64_t>(n)};
+  campaign::ShardRun& run = *job.run;
   try {
-    job.journal =
-        std::make_unique<campaign::JournalWriter>(job.journal_path, header,
-                                                  job.journal_injector.get());
+    run.journal = std::make_unique<campaign::JournalWriter>(
+        job.journal_path, journal_header(job), job.journal_injector.get());
   } catch (const common::StorageError& e) {
-    note_job_storage_error(job, e);
-    job.journal_lost = true;  // admitted, but it can never claim success
+    run.note_storage_error(e.what());
+    run.journal_lost = true;  // admitted, but it can never claim success
   }
-  open_stream(job, n, options_);
+  open_stream(job, options_);
 
   // Probe the cache shard by shard: a superset sweep only simulates the
   // shards the cache has never seen. Hits replay through the same
   // accounting as a `--resume` skip, journal line included, so downstream
   // consumers cannot tell a cached shard from a journaled one.
-  std::uint64_t skipped = 0;
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<core::RowRecord> records;
     const auto lookup_start = std::chrono::steady_clock::now();
@@ -763,53 +775,24 @@ void Server::prepare_fresh(Job& job) {
     metrics_.observe("serve.cache_lookup_us", lookup_us);
     if (!hit) continue;
     metrics_.observe("serve.cache_hit_us", lookup_us);
-    if (job.journal != nullptr) {
-      try {
-        job.journal->append_shard(i, records);
-      } catch (const common::StorageError& e) {
-        job.journal.reset();
-        job.journal_lost = true;
-        note_job_storage_error(job, e);
-      }
-    }
-    job.metrics.counter("campaign.records").add(records.size());
-    job.result.per_shard[i] = std::move(records);
-    job.done[i] = 1;
-    --job.remaining;
-    ++job.shards_cached;
-    ++job.result.shards_skipped;
-    ++skipped;
+    run.append_journal([&](campaign::JournalWriter& j) { j.append_shard(i, records); });
+    restore_shard(job, i, std::move(records));
   }
-  if (skipped > 0) job.metrics.counter("campaign.shards_skipped").add(skipped);
 }
 
 void Server::prepare_resumed(Job& job) {
-  const std::size_t n = job.spec.shards.size();
-  const campaign::JournalHeader header{job.spec.device.fault.seed, job.hash,
-                                       static_cast<std::uint64_t>(n)};
+  campaign::ShardRun& run = *job.run;
   try {
     bool reopened = false;
     std::error_code ec;
     if (std::filesystem::exists(job.journal_path, ec)) {
       try {
         campaign::JournalReader reader(job.journal_path);
-        reader.require_matches(header);
-        std::uint64_t skipped = 0;
-        for (const auto& [index, records] : reader.shards()) {
-          if (index >= n) continue;
-          cache_.insert(shard_cache_key(job.cache_prefix, job.spec.shards[index]), records);
-          job.metrics.counter("campaign.records").add(records.size());
-          job.result.per_shard[index] = records;
-          job.done[index] = 1;
-          --job.remaining;
-          ++job.shards_cached;
-          ++job.result.shards_skipped;
-          ++skipped;
-        }
-        if (skipped > 0) job.metrics.counter("campaign.shards_skipped").add(skipped);
+        reader.require_matches(journal_header(job));
+        restore_journaled(job, reader, cache_);
         // Quarantine-and-compact: corrupt mid-file lines move to the
         // .quarantine sidecar and exactly their shards stay pending.
-        job.journal = std::make_unique<campaign::JournalWriter>(job.journal_path, reader,
+        run.journal = std::make_unique<campaign::JournalWriter>(job.journal_path, reader,
                                                                 job.journal_injector.get());
         reopened = true;
       } catch (const common::ConfigError&) {
@@ -818,14 +801,14 @@ void Server::prepare_resumed(Job& job) {
       }
     }
     if (!reopened) {
-      job.journal = std::make_unique<campaign::JournalWriter>(job.journal_path, header,
-                                                              job.journal_injector.get());
+      run.journal = std::make_unique<campaign::JournalWriter>(
+          job.journal_path, journal_header(job), job.journal_injector.get());
     }
   } catch (const common::StorageError& e) {
-    note_job_storage_error(job, e);
-    job.journal_lost = true;
+    run.note_storage_error(e.what());
+    run.journal_lost = true;
   }
-  open_stream(job, n, options_);
+  open_stream(job, options_);
   job.state = JobState::kQueued;
 }
 
@@ -834,22 +817,8 @@ void Server::warm_cache_from_journal(Job& job) {
   if (!std::filesystem::exists(job.journal_path, ec)) return;
   try {
     campaign::JournalReader reader(job.journal_path);
-    const campaign::JournalHeader header{job.spec.device.fault.seed, job.hash,
-                                         static_cast<std::uint64_t>(job.spec.shards.size())};
-    reader.require_matches(header);
-    const std::size_t n = job.spec.shards.size();
-    for (const auto& [index, records] : reader.shards()) {
-      if (index >= n) continue;
-      cache_.insert(shard_cache_key(job.cache_prefix, job.spec.shards[index]), records);
-      job.metrics.counter("campaign.records").add(records.size());
-      job.result.per_shard[index] = records;
-      if (job.done[index] == 0) {
-        job.done[index] = 1;
-        --job.remaining;
-        ++job.shards_cached;
-        ++job.result.shards_skipped;
-      }
-    }
+    reader.require_matches(journal_header(job));
+    restore_journaled(job, reader, cache_);
   } catch (const common::Error&) {
     // A terminal job's journal that fails validation only costs cache
     // warmth — the job's report on disk is still served as-is.
@@ -941,7 +910,7 @@ void Server::on_finalized(const std::shared_ptr<Job>& job) {
     const std::lock_guard<std::mutex> jlock(job->mutex);
     tenant = job->tenant;
     state = to_string(job->state);
-    shards_run = job->result.shards_run;
+    shards_run = job->run->result.shards_run;
     cache_hits = job->shards_cached;
   }
   {

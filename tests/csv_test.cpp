@@ -22,7 +22,10 @@ protected:
     return os.str();
   }
 
-  std::string path_ = ::testing::TempDir() + "rh_csv_test.csv";
+  // One file per test case: ctest runs the cases as parallel processes, so a
+  // shared name lets one case's TearDown delete another's output mid-check.
+  std::string path_ = ::testing::TempDir() + "rh_csv_test_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
 };
 
 TEST_F(CsvTest, WritesRowsCommaSeparated) {

@@ -6,16 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/record_io.hpp"
 #include "profiling/report.hpp"
+#include "resilience/retry.hpp"
 #include "serve/config.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -79,11 +82,11 @@ std::string wait_terminal(Server& server, std::uint64_t id) {
 
 /// The bench CLI path in-process: the same spec through campaign::Campaign
 /// with a report-only telemetry sink, rendered as the deterministic report.
-std::string bench_det_report(const CampaignConfig& config, unsigned jobs) {
+/// `cc` carries the run's scheduling side: jobs, retry budget and policy,
+/// fault plan, metrics-stream path and cadence.
+std::string bench_det_report(const CampaignConfig& config, campaign::CampaignConfig cc) {
   const campaign::SweepSpec spec = to_sweep_spec(config);
-  campaign::CampaignConfig cc;
   cc.progress = false;
-  cc.jobs = jobs;
   telemetry::TelemetryConfig tc;
   tc.trace_enabled = false;
   telemetry::Telemetry sink(tc);
@@ -130,7 +133,9 @@ TEST(ServeServer, EndToEndMatchesTheBenchCliPath) {
   const HttpResponse report =
       server.handle(request("GET", "/jobs/" + std::to_string(id) + "/report?det=1"));
   ASSERT_EQ(report.status, 200);
-  EXPECT_EQ(report.body, bench_det_report(quick_config(), options.rigs));
+  campaign::CampaignConfig cc;
+  cc.jobs = options.rigs;
+  EXPECT_EQ(report.body, bench_det_report(quick_config(), cc));
 
   // The full report exists too, and the stream is a complete document.
   EXPECT_EQ(server.handle(request("GET", "/jobs/" + std::to_string(id) + "/report")).status,
@@ -215,6 +220,76 @@ TEST(ServeServer, FaultStormJobYieldsTheSameResults) {
   const std::string stormed = run_results(storm_dir.str(), storm);
   EXPECT_FALSE(clean.empty());
   EXPECT_EQ(stormed, clean);
+}
+
+/// The deterministic half of a metrics stream: its cycles-cadence samples,
+/// sorted (attempts interleave differently across runners and rig counts).
+std::vector<std::string> cycles_samples(const std::string& stream) {
+  std::vector<std::string> lines;
+  std::istringstream in(stream);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("{\"sample\":\"cycles\"", 0) == 0) lines.push_back(line);
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(ServeServer, StormRetriesAndFailuresMatchTheBenchCliPath) {
+  // The retry and failure paths, not only the happy path, must account
+  // identically under the service and the bench CLI: the same
+  // retried/failed/fatal counts, the same span tree and profile call
+  // counts in the deterministic report, and the same per-attempt cycles
+  // series. One rig against one worker keeps the rig rebuild sequence, and
+  // so every rig's fault stream, the same on both sides. A 2-attempt
+  // transport budget under a 5% storm makes some attempts fail transiently
+  // (retried on a fresh rig) and some shards exhaust their retry budget.
+  const TempDir dir("serve_server_test_storm_report");
+  CampaignConfig config = quick_config();
+  config.fault_rate = 0.05;
+  config.fault_seed = 0xB0071;
+  resilience::RetryPolicy policy;
+  policy.max_attempts = 2;
+  constexpr unsigned kRetries = 3;
+  constexpr std::uint64_t kCadence = 1ull << 22;
+
+  Server::Options options;
+  options.data_dir = dir.str() + "/serve";
+  options.rigs = 1;
+  options.retries = kRetries;
+  options.retry_policy = policy;
+  options.stream_cycle_cadence = kCadence;
+  Server server(options);
+  server.start();
+  const HttpResponse created = server.handle(request("POST", "/jobs", to_canonical_json(config)));
+  ASSERT_EQ(created.status, 201) << created.body;
+  const std::string id = std::to_string(parse(created).at("id").as_u64());
+  EXPECT_EQ(wait_terminal(server, std::stoull(id)), "failed");
+  const HttpResponse report = server.handle(request("GET", "/jobs/" + id + "/report?det=1"));
+  const HttpResponse stream = server.handle(request("GET", "/jobs/" + id + "/stream"));
+  server.drain();
+  ASSERT_EQ(report.status, 200);
+  ASSERT_EQ(stream.status, 200);
+
+  campaign::CampaignConfig cc;
+  cc.jobs = 1;
+  cc.retries = kRetries;
+  cc.retry_policy = policy;
+  cc.fault_plan = to_fault_plan(config);
+  cc.fail_on_shard_error = false;
+  cc.metrics_stream_path = dir.str() + "/bench.stream.jsonl";
+  cc.stream_cycle_cadence = kCadence;
+  EXPECT_EQ(report.body, bench_det_report(config, cc));
+  std::ifstream bench_stream(cc.metrics_stream_path);
+  std::ostringstream bench_text;
+  bench_text << bench_stream.rdbuf();
+  const std::vector<std::string> samples = cycles_samples(stream.body);
+  EXPECT_FALSE(samples.empty());
+  EXPECT_EQ(samples, cycles_samples(bench_text.str()));
+
+  // The storm really exercised the retry and the failure path.
+  const campaign::JsonValue shards = parse(report).at("shards");
+  EXPECT_GE(shards.at("retried").as_u64(), 1u);
+  EXPECT_GE(shards.at("failed").as_u64(), 1u);
 }
 
 TEST(ServeServer, AdmissionControl) {
