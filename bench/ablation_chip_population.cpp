@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
                    min_hc == ~0ULL ? "n/a" : std::to_string(min_hc)});
   }
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
 
   const auto stats = common::box_stats(ratios);
   std::cout << "\nch7/ch0 BER ratio across " << chips << " chips: median "

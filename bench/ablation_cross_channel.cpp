@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   }
 
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
   std::cout << "\nresult: no cross-channel disturbance (null result); the same-channel\n"
                "positive control flips as expected.\n";
   telem.finish();

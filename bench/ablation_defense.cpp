@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
                    common::fmt_percent(1.0 - aware / uniform, 1)});
   }
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
   std::cout << "\ntotal mitigation cost (normalized preventive-refresh rate): uniform "
             << common::fmt_double(total_uniform, 2) << " vs variation-aware "
             << common::fmt_double(total_aware, 2) << " ("

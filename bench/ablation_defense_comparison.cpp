@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   report(graphene_aware.name() + " aware", ch0, 1224, &graphene_aware);
 
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
   std::cout << "\nexpected shape: every defended run shows zero flips; the aware variants\n"
                "buy the same protection with visibly less preventive traffic on the\n"
                "stronger channel — the paper's variation-aware defense implication.\n";

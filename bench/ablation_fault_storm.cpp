@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     table.add_row({name, common::fmt_double(snapshot.value_or(name, 0.0), 0)});
   }
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
   telem.finish();
 
   const auto injected = static_cast<std::uint64_t>(snapshot.value_or("resilience.injected", 0.0));

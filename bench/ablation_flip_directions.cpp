@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
                    common::fmt_percent(census.zero_to_one_fraction(), 1)});
   }
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
 
   const double repeat = analyzer.repeatability(site, 416, core::DataPattern::kRowstripe0);
   std::cout << "\nper-cell repeatability of an identical repeated experiment: "

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
                    std::to_string(flipped[1]) + "/" + std::to_string(rows)});
   }
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
 
   std::cout << '\n';
   common::render_line(std::cout, curve7, 64, 10,

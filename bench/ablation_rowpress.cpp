@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
                    std::to_string(flipped_rows) + "/" + std::to_string(rows)});
   }
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
   std::cout << "\nexpected shape (RowPress): HC_first falls as on-time grows; per-hammer\n"
                "damage rises even though the timing budget allows fewer hammers.\n";
   telem.finish();

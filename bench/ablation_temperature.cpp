@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
                    common::fmt_percent(ber_sum / rows, 3)});
   }
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
   std::cout << "\nexpected shape: mild monotone increase of BER with temperature\n"
                "(the paper runs all headline experiments at 85 degC).\n";
   telem.finish();

@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
                    std::to_string(dense)});
   }
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
   std::cout << "\nexpected shape: interleaved REF engages the period-17 TRR sampler, which\n"
                "keeps resetting the victim's disturbance; denser REF -> fewer/no flips.\n";
   telem.finish();

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
                    std::to_string(naive.victim_flips), std::to_string(decoy.victim_flips)});
   }
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
 
   // TRRespass-style many-sided hammering, same activation budget: the
   // one-entry sampler can only cover the last aggressor's neighbourhood.

@@ -87,23 +87,16 @@ inline void banner(const std::string& artifact, const std::string& description) 
             << "==============================================================\n";
 }
 
-/// Writes a table to the CSV path from --csv, if given.
-inline void maybe_write_csv(const common::CliArgs& args, const common::Table& table) {
-  const std::string path = args.get("csv", "");
-  if (path.empty()) return;
-  std::ofstream out(path);
-  if (!out) throw common::ConfigError("cannot open CSV output file: " + path);
-  table.print_csv(out);
-  std::cout << "(csv written to " << path << ")\n";
-}
-
 /// The calibrated device seed (the fault model's default).
 inline const std::uint64_t kDefaultSeed = fault::FaultConfig{}.seed;
 
-/// Per-bench telemetry lifecycle: reads --metrics-json / --trace / --heatmap,
-/// attaches a Telemetry sink to the host's device when any is requested, and
-/// writes the requested outputs in finish(). When none of the flags is given
-/// no sink is constructed and the device keeps its zero-overhead null path.
+/// Per-bench output lifecycle: reads --csv / --metrics-json / --trace /
+/// --report / --heatmap up front (so an unwritable path fails before the
+/// sweep, and warn_unqueried never flags them), attaches a Telemetry sink to
+/// the host's device when any telemetry is requested, and writes the
+/// requested outputs in write_csv() / write_report() / finish(). When no
+/// telemetry flag is given no sink is constructed and the device keeps its
+/// zero-overhead null path.
 ///
 /// Campaign-backed benches pass sink() to the Campaign, which gives every
 /// worker host a private sink and absorbs them all back into this session's
@@ -119,11 +112,13 @@ public:
   /// Parses the flags only; call attach() for each host (population sweeps
   /// construct several devices; each feeds the same aggregating sink).
   explicit TelemetrySession(const common::CliArgs& args) {
+    csv_path_ = args.get("csv", "");
     metrics_path_ = args.get("metrics-json", "");
     trace_path_ = args.get("trace", "");
     report_path_ = args.get("report", "");
     heatmap_ = args.has("heatmap");
     // Fail on unwritable paths now, not after a multi-minute run.
+    probe_writable(csv_path_, "CSV");
     probe_writable(metrics_path_, "metrics");
     probe_writable(trace_path_, "trace");
     probe_writable(report_path_, "report");
@@ -153,6 +148,15 @@ public:
   }
   [[nodiscard]] telemetry::Telemetry* sink() { return telemetry_.get(); }
   [[nodiscard]] const std::string& report_path() const { return report_path_; }
+
+  /// Writes a table to the --csv path (no-op without the flag).
+  void write_csv(const common::Table& table) const {
+    if (csv_path_.empty()) return;
+    std::ofstream out(csv_path_);
+    if (!out) throw common::ConfigError("cannot open CSV output file: " + csv_path_);
+    table.print_csv(out);
+    std::cout << "(csv written to " << csv_path_ << ")\n";
+  }
 
   /// Writes the --report document for a finished campaign (no-op without the
   /// flag). run_survey_campaign calls this; benches that drive a Campaign by
@@ -213,6 +217,7 @@ private:
     }
   }
 
+  std::string csv_path_;
   std::string metrics_path_;
   std::string trace_path_;
   std::string report_path_;

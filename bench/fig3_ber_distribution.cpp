@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
                    std::to_string(s.stats.count)});
   }
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
 
   // Compact rendering of the figure: WCDP box per channel.
   std::vector<common::BoxRow> rows;

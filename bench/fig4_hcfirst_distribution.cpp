@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
                    std::to_string(s.stats.count)});
   }
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
 
   std::vector<common::BoxRow> rows;
   for (const auto& s : stats) {

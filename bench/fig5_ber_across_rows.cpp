@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(rec.site.channel), region, std::to_string(rec.physical_row),
                    std::string(to_string(rec.wcdp)), common::fmt_percent(rec.wcdp_ber().ber(), 3)});
   }
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
   std::cout << "(" << table.rows() << " rows measured; per-row table in --csv output)\n";
 
   // Render the per-region series for the first configured channel, the way

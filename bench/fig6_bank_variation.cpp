@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
                    std::to_string(p.site.bank), common::fmt_percent(p.mean_ber, 3),
                    common::fmt_double(p.cv, 3), std::to_string(p.rows_tested)});
   }
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
   std::cout << "(" << table.rows() << " banks measured; per-bank table in --csv output)\n\n";
 
   // Scatter: glyph = channel digit (color in the paper); the paper marks

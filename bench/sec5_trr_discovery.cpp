@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   table.add_row({"firings in 100 iterations", "~5",
                  std::to_string(result.refreshed_iterations.size())});
   table.print(std::cout);
-  benchutil::maybe_write_csv(args, table);
+  telem.write_csv(table);
   telem.finish();
   return 0;
 }

@@ -5,10 +5,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <ostream>
 
+#include "campaign/journal.hpp"
 #include "campaign/record_io.hpp"
+#include "campaign/tail.hpp"
 #include "common/error.hpp"
 #include "resilience/storage.hpp"
 
@@ -21,196 +22,6 @@ using common::ConfigError;
 bool ends_with(const std::string& text, std::string_view suffix) {
   return text.size() >= suffix.size() &&
          text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::string read_all(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ConfigError("cannot open file: " + path);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-struct SplitLines {
-  std::vector<std::string> lines;
-  bool final_newline = true;  ///< false when trailing bytes had no '\n'
-};
-
-SplitLines split_lines(const std::string& content) {
-  SplitLines out;
-  std::size_t start = 0;
-  while (start < content.size()) {
-    const std::size_t nl = content.find('\n', start);
-    if (nl == std::string::npos) {
-      out.lines.push_back(content.substr(start));
-      out.final_newline = false;
-      break;
-    }
-    out.lines.push_back(content.substr(start, nl - start));
-    start = nl + 1;
-  }
-  return out;
-}
-
-// --- payload validators (throw ConfigError; mirror the readers) ----------
-
-/// Field checks matter for their throws alone; the values are discarded.
-template <typename T>
-void require(const T& /*value*/) {}
-
-void validate_journal_header(const JsonValue& doc) {
-  const JsonValue* kind = doc.find("kind");
-  if (kind == nullptr || kind->text != "rh-campaign-journal") {
-    throw ConfigError("not a campaign journal header");
-  }
-  const std::uint64_t version = doc.at("version").as_u64();
-  if (version != 1 && version != 2) {
-    throw ConfigError("unsupported journal version " + std::to_string(version));
-  }
-  require(doc.at("seed").as_u64());
-  require(doc.at("config_hash"));
-  require(doc.at("shards").as_u64());
-}
-
-void validate_journal_record(const JsonValue& doc) {
-  require(doc.at("shard").as_u64());
-  if (const JsonValue* failed = doc.find("failed"); failed != nullptr) {
-    if (failed->kind != JsonValue::Kind::kString) {
-      throw ConfigError("journal failure line: \"failed\" is not a string");
-    }
-  } else {
-    for (const JsonValue& r : doc.at("records").items) require(parse_row_record(r));
-  }
-}
-
-void validate_stream_header(const JsonValue& doc) {
-  const JsonValue* kind = doc.find("kind");
-  if (kind == nullptr || kind->text != "rh-metrics-stream") {
-    throw ConfigError("not a metrics stream header");
-  }
-  require(doc.at("version").as_u64());
-  require(doc.at("seed").as_u64());
-  require(doc.at("config_hash"));
-  require(doc.at("shards").as_u64());
-  require(doc.at("jobs").as_u64());
-  require(doc.at("cycle_cadence").as_u64());
-  require(doc.at("wall_cadence_ms").as_double());
-}
-
-void validate_stream_record(const JsonValue& doc) {
-  const std::string& sample = doc.at("sample").text;
-  if (sample == "cycles") {
-    require(doc.at("shard").as_u64());
-    require(doc.at("attempt").as_u64());
-    require(doc.at("seq").as_u64());
-    require(doc.at("cycle").as_u64());
-    require(doc.at("deltas"));
-  } else if (sample == "wall") {
-    require(doc.at("t_ms").as_double());
-    require(doc.at("counters"));
-    for (const JsonValue& w : doc.at("workers").items) {
-      require(w.at("busy_ms").as_double());
-      require(w.at("done").as_u64());
-      require(w.at("shard"));
-    }
-  } else if (sample == "final") {
-    require(doc.at("t_ms").as_double());
-    require(doc.at("counters"));
-    const JsonValue& shards = doc.at("shards");
-    require(shards.at("done").as_u64());
-    require(shards.at("failed").as_u64());
-    require(shards.at("skipped").as_u64());
-    require(shards.at("total").as_u64());
-  } else {
-    throw ConfigError("unknown sample kind '" + sample + "'");
-  }
-}
-
-using Validator = void (*)(const JsonValue&);
-
-/// Full classification of one JSONL file, raw lines retained for repair.
-struct JsonlScan {
-  FsckVerdict verdict;
-  std::string raw_header;
-  std::vector<std::string> raw_intact;   ///< record lines, in file order
-  std::vector<std::string> corrupt_raw;  ///< parallel to verdict.issues
-};
-
-/// One line's classification attempt: CRC check, parse, validate.
-bool classify_line(const std::string& line, const std::string& path, std::size_t line_no,
-                   Validator validate, std::string& reason) {
-  std::string_view body;
-  if (resilience::check_frame(line, body) == resilience::FrameCheck::kMismatch) {
-    reason = "CRC mismatch";
-    return false;
-  }
-  try {
-    const JsonValue doc = parse_json(std::string(body), path + ":" + std::to_string(line_no));
-    validate(doc);
-  } catch (const ConfigError& e) {
-    reason = e.what();
-    return false;
-  }
-  return true;
-}
-
-/// The readers' damage taxonomy over one JSONL file: a damaged header is
-/// fatal (unrepairable), a damaged final line is a torn tail, a damaged
-/// mid-file line is corruption (quarantinable).
-JsonlScan scan_jsonl(const std::string& path, const std::string& content,
-                     FsckFileType type, Validator validate_header, Validator validate_record) {
-  JsonlScan scan;
-  FsckVerdict& v = scan.verdict;
-  v.path = path;
-  v.type = type;
-
-  const SplitLines split = split_lines(content);
-  std::string reason;
-  if (split.lines.empty() ||
-      !classify_line(split.lines[0], path, 1, validate_header, reason)) {
-    v.status = FsckStatus::kCorrupt;
-    v.repairable = false;
-    v.detail = split.lines.empty() ? "empty file (no header)"
-                                   : "damaged header — nothing below it can be trusted";
-    if (!split.lines.empty()) v.issues.push_back({1, reason});
-    return scan;
-  }
-  scan.raw_header = split.lines[0];
-  v.intact_bytes = split.lines[0].size() + 1;
-
-  bool damaged = false;
-  for (std::size_t i = 1; i < split.lines.size(); ++i) {
-    const std::string& line = split.lines[i];
-    const bool tail = i + 1 == split.lines.size();
-    if (line.empty()) {
-      if (!damaged) v.intact_bytes += 1;
-      continue;
-    }
-    if (classify_line(line, path, i + 1, validate_record, reason)) {
-      ++v.intact_lines;
-      scan.raw_intact.push_back(line);
-      if (!damaged) v.intact_bytes += line.size() + 1;
-      continue;
-    }
-    if (tail) {
-      v.torn_tail = true;
-      break;
-    }
-    v.issues.push_back({i + 1, reason});
-    scan.corrupt_raw.push_back(line);
-    damaged = true;
-  }
-  v.intact_bytes = std::min<std::uint64_t>(v.intact_bytes, content.size());
-
-  if (!v.issues.empty()) {
-    v.status = FsckStatus::kCorrupt;
-    v.repairable = true;
-    v.detail = std::to_string(v.issues.size()) + " corrupt mid-file line(s)";
-  } else if (v.torn_tail) {
-    v.status = FsckStatus::kTorn;
-    v.repairable = true;
-    v.detail = "torn trailing line (intact prefix: " + std::to_string(v.intact_bytes) +
-               " bytes)";
-  }
-  return scan;
 }
 
 bool is_descriptor_name(const std::string& name) {
@@ -247,8 +58,8 @@ FsckVerdict fsck_json(const std::string& path, const std::string& name,
     const std::string tag = schema != nullptr ? schema->text : "";
     if (tag == "rh-serve-job/v1") {
       v.type = FsckFileType::kDescriptor;
-      require(doc.at("id").as_u64());
-      require(doc.at("config"));
+      (void)doc.at("id").as_u64();
+      (void)doc.at("config");
       if (!valid_job_state(doc.at("state").text)) {
         throw ConfigError("unknown job state \"" + doc.at("state").text + "\"");
       }
@@ -268,41 +79,60 @@ FsckVerdict fsck_json(const std::string& path, const std::string& name,
   return v;
 }
 
-JsonlScan scan_jsonl_typed(const std::string& path, const std::string& content,
-                           FsckFileType type) {
-  return type == FsckFileType::kJournal
-             ? scan_jsonl(path, content, type, validate_journal_header,
-                          validate_journal_record)
-             : scan_jsonl(path, content, type, validate_stream_header,
-                          validate_stream_record);
-}
-
-/// Identifies a JSONL file's family: by header kind when the header is
-/// intact, by conventional name (.journal. / .stream. / a bare campaign
-/// checkpoint) when it is not.
-FsckFileType jsonl_type(const std::string& name, const std::string& content) {
-  const SplitLines split = split_lines(content);
-  if (!split.lines.empty()) {
-    std::string_view body;
-    if (resilience::check_frame(split.lines[0], body) != resilience::FrameCheck::kMismatch) {
-      try {
-        const JsonValue doc = parse_json(std::string(body), name);
-        if (const JsonValue* kind = doc.find("kind"); kind != nullptr) {
-          if (kind->text == "rh-campaign-journal") return FsckFileType::kJournal;
-          if (kind->text == "rh-metrics-stream") return FsckFileType::kStream;
-          return FsckFileType::kOther;
-        }
-      } catch (const ConfigError&) {
-        // Damaged header: fall through to the filename.
-      }
-    }
-  }
+/// Identifies a JSONL file's family by the kind its first line names, or
+/// by conventional name (.journal. / .stream.) when that line names
+/// neither. A bare checkpoint (bench --checkpoint=ck.jsonl) whose header
+/// no longer names its kind cannot be proven a journal, so it stays kOther.
+FsckFileType jsonl_type(const std::string& path, const std::string& name) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw ConfigError("cannot open file: " + path);
+  std::string first;
+  std::getline(in, first);
+  if (first.find("\"rh-campaign-journal\"") != std::string::npos) return FsckFileType::kJournal;
+  if (first.find("\"rh-metrics-stream\"") != std::string::npos) return FsckFileType::kStream;
   if (name.find(".journal.") != std::string::npos) return FsckFileType::kJournal;
   if (name.find(".stream.") != std::string::npos) return FsckFileType::kStream;
-  // A bare checkpoint (bench --checkpoint=ck.jsonl) is a journal by
-  // convention; with a destroyed header we cannot prove it, so only the
-  // explicit suffixes get typed.
   return FsckFileType::kOther;
+}
+
+/// The file's own reader classifies it: one definition of an intact line,
+/// and the reader's header policy. Throws where the reader throws.
+resilience::JsonlScan reader_scan(const std::string& path, FsckFileType type) {
+  if (type == FsckFileType::kJournal) return JournalReader(path).scan();
+  resilience::JsonlScan scan;
+  (void)read_metrics_stream(path, &scan);
+  return scan;
+}
+
+FsckVerdict fsck_jsonl(const std::string& path, FsckFileType type) {
+  FsckVerdict v;
+  v.path = path;
+  v.type = type;
+  resilience::JsonlScan scan;
+  try {
+    scan = reader_scan(path, type);
+  } catch (const ConfigError& e) {
+    v.status = FsckStatus::kCorrupt;
+    v.issues.push_back({1, e.what()});
+    v.detail = "damaged header — nothing below it can be trusted";
+    return v;
+  }
+  v.intact_lines = scan.intact_lines.size();
+  v.intact_bytes = scan.intact_bytes;
+  v.torn_tail = scan.torn_tail;
+  for (const resilience::CorruptLine& line : scan.corrupt_lines) {
+    v.issues.push_back({line.line_no, line.reason});
+  }
+  v.repairable = !v.issues.empty() || v.torn_tail;
+  if (!v.issues.empty()) {
+    v.status = FsckStatus::kCorrupt;
+    v.detail = std::to_string(v.issues.size()) + " corrupt mid-file line(s)";
+  } else if (v.torn_tail) {
+    v.status = FsckStatus::kTorn;
+    v.detail = "torn trailing line (intact prefix: " + std::to_string(v.intact_bytes) +
+               " bytes)";
+  }
+  return v;
 }
 
 }  // namespace
@@ -348,17 +178,16 @@ FsckVerdict fsck_file(const std::string& path) {
     return v;
   }
 
-  const std::string content = read_all(path);
   if (ends_with(name, ".jsonl")) {
-    const FsckFileType type = jsonl_type(name, content);
+    const FsckFileType type = jsonl_type(path, name);
     if (type == FsckFileType::kOther) {
       v.detail = "unrecognized jsonl (not validated)";
       return v;
     }
-    return scan_jsonl_typed(path, content, type).verdict;
+    return fsck_jsonl(path, type);
   }
   if (ends_with(name, ".json")) {
-    return fsck_json(path, name, content);
+    return fsck_json(path, name, resilience::read_file(path));
   }
   v.detail = "skipped";
   return v;
@@ -396,36 +225,18 @@ std::string fsck_repair(const FsckVerdict& verdict) {
       }
       return "removed orphaned tmp";
     }
-    case FsckStatus::kTorn: {
-      std::error_code ec;
-      std::filesystem::resize_file(verdict.path, verdict.intact_bytes, ec);
-      if (ec) throw ConfigError("cannot truncate torn tail: " + verdict.path);
-      return "truncated torn tail to " + std::to_string(verdict.intact_bytes) + " bytes";
-    }
+    case FsckStatus::kTorn:
     case FsckStatus::kCorrupt: {
-      // Re-scan for the raw lines (verdicts carry only the diagnosis):
-      // quarantine the damaged lines verbatim, then compact — exactly the
-      // repair a quarantining resume performs.
-      const JsonlScan scan = scan_jsonl_typed(verdict.path, read_all(verdict.path),
-                                              verdict.type);
-      if (!scan.verdict.repairable) {
-        throw ConfigError("unrepairable: " + verdict.path + " (changed since scan)");
+      // Re-classify (verdicts carry only the diagnosis), then apply the
+      // repair a resuming journal writer applies.
+      const resilience::JsonlScan scan = reader_scan(verdict.path, verdict.type);
+      resilience::repair_jsonl(verdict.path, scan, to_string(verdict.type));
+      if (scan.corrupt_lines.empty()) {
+        return "truncated torn tail to " + std::to_string(scan.intact_bytes) + " bytes";
       }
-      const std::string qpath = verdict.path + ".quarantine";
-      std::ofstream quarantine(qpath, std::ios::app | std::ios::binary);
-      if (!quarantine) throw ConfigError("cannot open quarantine file: " + qpath);
-      for (const std::string& line : scan.corrupt_raw) quarantine << line << '\n';
-      quarantine.flush();
-      if (!quarantine) throw ConfigError("cannot write quarantine file: " + qpath);
-      std::string compacted = scan.raw_header + '\n';
-      for (const std::string& line : scan.raw_intact) {
-        compacted += line;
-        compacted += '\n';
-      }
-      resilience::write_file_atomic(verdict.path, compacted, "repaired file");
-      std::string note = "quarantined " + std::to_string(scan.corrupt_raw.size()) +
-                         " corrupt line(s) to " + qpath;
-      if (scan.verdict.torn_tail) note += " and dropped the torn tail";
+      std::string note = "quarantined " + std::to_string(scan.corrupt_lines.size()) +
+                         " corrupt line(s) to " + verdict.path + ".quarantine";
+      if (scan.torn_tail) note += " and dropped the torn tail";
       return note;
     }
     case FsckStatus::kOk: break;

@@ -6,13 +6,16 @@
 // JSONL, CRC-framed since v2), job descriptors and run reports (whole-file
 // JSON, atomically replaced), plus two kinds of residue — orphaned `.tmp`
 // files from a kill between write and rename, and `.quarantine` sidecars
-// from past repairs. fsck classifies every file with exactly the readers'
-// damage taxonomy (ok / torn tail / corrupt / orphaned tmp) and can apply
-// the same repairs resume would: truncate a torn tail, quarantine corrupt
-// mid-file lines and compact, delete an orphaned tmp. Whole-file JSON
-// documents have no line structure to salvage, so a corrupt descriptor or
-// report — like a corrupt JSONL header — is reported as unrepairable: the
-// operator decides (the data may still be recoverable from the journal).
+// from past repairs. fsck has no line rules of its own: a journal is
+// classified by JournalReader and a stream by read_metrics_stream, both
+// through resilience::scan_jsonl, so a verdict (ok / torn tail / corrupt)
+// is the reader's own view, header policy included. Repair calls
+// resilience::repair_jsonl, the repair resume applies — truncate a torn
+// tail, quarantine corrupt lines and compact — and deletes orphaned tmps.
+// Whole-file JSON documents have no line structure to salvage, so a
+// corrupt descriptor or report — like a JSONL file its reader refuses — is
+// reported as unrepairable: the operator decides (the data may still be
+// recoverable from the journal).
 #pragma once
 
 #include <cstdint>
@@ -69,11 +72,13 @@ struct FsckVerdict {
 /// path. Throws common::ConfigError if the directory cannot be listed.
 [[nodiscard]] std::vector<FsckVerdict> fsck_scan(const std::string& data_dir);
 
-/// Applies the repair a verdict calls for: truncates a torn tail, moves
-/// corrupt mid-file lines to `path`.quarantine and compacts (atomic
-/// rewrite), deletes an orphaned tmp. Returns a one-line note of what was
-/// done ("" when the file needed nothing). Throws common::ConfigError when
-/// the verdict is unrepairable or the repair itself fails.
+/// Applies the repair a verdict calls for: resilience::repair_jsonl on the
+/// file reader's fresh scan of a torn or corrupt JSONL file (truncates a
+/// torn tail; moves corrupt lines to `path`.quarantine and compacts with
+/// an atomic rewrite), or deletes an orphaned tmp. Returns a one-line note
+/// of what was done ("" when the file needed nothing). Throws
+/// common::ConfigError when the verdict is unrepairable or the repair
+/// itself fails.
 std::string fsck_repair(const FsckVerdict& verdict);
 
 /// Human rendering: one verdict line per file plus a summary tally.

@@ -1,9 +1,7 @@
 #include "campaign/journal.hpp"
 
-#include <algorithm>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <cstdio>
+#include <cstdlib>
 #include <ostream>
 
 #include "campaign/record_io.hpp"
@@ -36,20 +34,6 @@ std::string header_line(const JournalHeader& header) {
          "}";
 }
 
-/// Drop the torn residue of a kill mid-append before writing anything new;
-/// appending after it would turn an ignorable trailing tear into mid-file
-/// corruption on the next read.
-void truncate_for_resume(const std::string& path, std::uint64_t keep_bytes) {
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  if (!ec && keep_bytes < size) {
-    std::filesystem::resize_file(path, keep_bytes, ec);
-  }
-  if (ec) {
-    throw common::ConfigError("cannot truncate checkpoint journal for resume: " + path);
-  }
-}
-
 }  // namespace
 
 std::uint64_t fnv1a(std::string_view text) {
@@ -69,44 +53,12 @@ JournalWriter::JournalWriter(const std::string& path, const JournalHeader& heade
   write_line(header_line(header));
 }
 
-JournalWriter::JournalWriter(const std::string& path, std::uint64_t keep_bytes,
-                             resilience::StorageFaultInjector* injector)
-    : path_(path) {
-  truncate_for_resume(path, keep_bytes);
-  file_ = std::make_unique<resilience::DurableFile>(path, "checkpoint journal",
-                                                    /*truncate=*/false, injector);
-}
-
 JournalWriter::JournalWriter(const std::string& path, const JournalReader& reader,
                              resilience::StorageFaultInjector* injector)
     : path_(path) {
-  if (reader.corrupt_lines().empty()) {
-    truncate_for_resume(path, reader.intact_bytes());
-  } else {
-    // Quarantine-and-compact: the damaged lines move verbatim to a sidecar
-    // (nothing is ever silently discarded), then the journal is rewritten
-    // atomically as header + every intact line. The quarantined shards are
-    // absent from reader.shards(), so the resume planner re-runs exactly
-    // them and the final results stay byte-identical.
-    const std::string qpath = path + ".quarantine";
-    std::ofstream quarantine(qpath, std::ios::app | std::ios::binary);
-    if (!quarantine) {
-      throw common::ConfigError("cannot open journal quarantine file: " + qpath);
-    }
-    for (const CorruptLine& line : reader.corrupt_lines()) {
-      quarantine << line.raw << '\n';
-    }
-    quarantine.flush();
-    if (!quarantine) {
-      throw common::ConfigError("cannot write journal quarantine file: " + qpath);
-    }
-    std::string compacted = reader.raw_header() + '\n';
-    for (const std::string& line : reader.raw_lines()) {
-      compacted += line;
-      compacted += '\n';
-    }
-    resilience::write_file_atomic(path, compacted, "checkpoint journal", injector);
-  }
+  // Quarantined shards are absent from reader.shards(), so the resume
+  // planner re-runs exactly them and the final results stay byte-identical.
+  resilience::repair_jsonl(path, reader.scan(), "checkpoint journal", injector);
   file_ = std::make_unique<resilience::DurableFile>(path, "checkpoint journal",
                                                     /*truncate=*/false, injector);
 }
@@ -143,118 +95,55 @@ void JournalWriter::append_failure(std::uint64_t shard, unsigned attempts,
 }
 
 JournalReader::JournalReader(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw common::ConfigError("cannot open checkpoint journal for resume: " + path);
-  }
-  std::string content((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-
-  // Split into lines, keeping track of whether the final one was
-  // newline-terminated: a partial tail is the classic kill-mid-append
-  // residue and may only ever be torn, never corrupt.
-  std::vector<std::string> lines;
-  bool final_newline = true;
-  std::size_t start = 0;
-  while (start < content.size()) {
-    const std::size_t nl = content.find('\n', start);
-    if (nl == std::string::npos) {
-      lines.push_back(content.substr(start));
-      final_newline = false;
-      break;
+  const auto header = [&](std::string_view payload, std::size_t) {
+    const JsonValue doc = parse_json(payload, path + " (header)");
+    const JsonValue* kind = doc.find("kind");
+    if (kind == nullptr || kind->text != kJournalKind) {
+      throw common::ConfigError("not a campaign journal");
     }
-    lines.push_back(content.substr(start, nl - start));
-    start = nl + 1;
-  }
-  if (lines.empty()) {
-    throw common::ConfigError("checkpoint journal is empty: " + path);
-  }
-
-  // The header is the trust anchor: damage here is fatal, because nothing
-  // below it can be proven to belong to this sweep.
-  std::string_view payload;
-  if (resilience::check_frame(lines[0], payload) == resilience::FrameCheck::kMismatch) {
-    throw common::ConfigError("corrupt checkpoint journal header (CRC mismatch): " + path);
-  }
-  const JsonValue header = parse_json(std::string(payload), path + " (header)");
-  const JsonValue* kind = header.find("kind");
-  if (kind == nullptr || kind->text != kJournalKind) {
-    throw common::ConfigError("not a campaign journal: " + path);
-  }
-  const std::uint64_t version = header.at("version").as_u64();
-  if (version != 1 && version != kJournalVersion) {
-    throw common::ConfigError("unsupported journal version in " + path);
-  }
-  header_.seed = header.at("seed").as_u64();
-  header_.config_hash = std::strtoull(header.at("config_hash").text.c_str(), nullptr, 16);
-  header_.shard_count = header.at("shards").as_u64();
-  raw_header_ = lines[0];
-  intact_bytes_ = lines[0].size() + 1;
-
-  bool damaged = false;  // a corrupt line ends the undamaged prefix
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
-    const std::size_t line_no = i + 1;
-    const bool tail = i + 1 == lines.size();
-    if (line.empty()) {
-      if (!damaged) intact_bytes_ += 1;
-      continue;
+    const std::uint64_t version = doc.at("version").as_u64();
+    if (version != 1 && version != kJournalVersion) {
+      throw common::ConfigError("unsupported journal version " + std::to_string(version));
     }
-
-    std::string reason;
+    header_.seed = doc.at("seed").as_u64();
+    header_.config_hash = std::strtoull(doc.at("config_hash").text.c_str(), nullptr, 16);
+    header_.shard_count = doc.at("shards").as_u64();
+  };
+  const auto record = [&](std::string_view payload, std::size_t line_no) {
+    const JsonValue entry = parse_json(payload, path + ":" + std::to_string(line_no));
     ShardOutcome outcome;
-    std::vector<core::RowRecord> records;
-    bool completed = false;
-    bool ok = false;
-    std::string_view body;
-    if (resilience::check_frame(line, body) == resilience::FrameCheck::kMismatch) {
-      reason = "CRC mismatch";
+    outcome.shard = entry.at("shard").as_u64();
+    if (const JsonValue* attempts = entry.find("attempts"); attempts != nullptr) {
+      outcome.attempts = static_cast<unsigned>(attempts->as_u64());
+    }
+    if (const JsonValue* wall = entry.find("wall_ms"); wall != nullptr) {
+      outcome.wall_ms = wall->as_double();
+    }
+    if (const JsonValue* failed = entry.find("failed"); failed != nullptr) {
+      // Failure annotation: report fodder only — the shard stays pending,
+      // so a resume re-runs it.
+      if (failed->kind != JsonValue::Kind::kString) {
+        throw common::ConfigError("journal failure line: \"failed\" is not a string");
+      }
+      outcome.ok = false;
+      outcome.error = failed->text;
     } else {
-      try {
-        const JsonValue entry = parse_json(std::string(body), path + ":" + std::to_string(line_no));
-        outcome.shard = entry.at("shard").as_u64();
-        if (const JsonValue* attempts = entry.find("attempts"); attempts != nullptr) {
-          outcome.attempts = static_cast<unsigned>(attempts->as_u64());
-        }
-        if (const JsonValue* wall = entry.find("wall_ms"); wall != nullptr) {
-          outcome.wall_ms = wall->as_double();
-        }
-        if (const JsonValue* failed = entry.find("failed"); failed != nullptr) {
-          // Failure annotation: report fodder only — the shard stays
-          // pending, so a resume re-runs it.
-          outcome.ok = false;
-          outcome.error = failed->text;
-        } else {
-          const JsonValue& array = entry.at("records");
-          records.reserve(array.items.size());
-          for (const JsonValue& r : array.items) records.push_back(parse_row_record(r));
-          outcome.records = records.size();
-          completed = true;
-        }
-        ok = true;
-      } catch (const common::ConfigError& e) {
-        reason = e.what();
-      }
+      const JsonValue& array = entry.at("records");
+      std::vector<core::RowRecord> records;
+      records.reserve(array.items.size());
+      for (const JsonValue& r : array.items) records.push_back(parse_row_record(r));
+      outcome.records = records.size();
+      shards_[outcome.shard] = std::move(records);
     }
-
-    if (!ok) {
-      if (tail) {
-        // The expected residue of a kill mid-append: ignorable.
-        torn_tail_ = true;
-        break;
-      }
-      corrupt_lines_.push_back({line_no, reason, line});
-      damaged = true;
-      continue;
-    }
-    if (completed) shards_[outcome.shard] = std::move(records);
     outcomes_.push_back(std::move(outcome));
-    raw_lines_.push_back(line);
-    if (!damaged) intact_bytes_ += line.size() + 1;
+  };
+  scan_ = resilience::scan_jsonl(path, "checkpoint journal", header, record);
+  // The header is the trust anchor: nothing below a damaged one can be
+  // proven to belong to this sweep.
+  if (!scan_.header_intact) {
+    throw common::ConfigError("unusable checkpoint journal header in " + path + ": " +
+                              scan_.header_error);
   }
-  // An intact partial tail has no newline on disk; never claim more bytes
-  // than the file holds.
-  (void)final_newline;
-  intact_bytes_ = std::min<std::uint64_t>(intact_bytes_, content.size());
 }
 
 void render_journal_summary(std::ostream& os, const std::string& path,

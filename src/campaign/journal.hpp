@@ -27,13 +27,15 @@
 //
 // Durability and damage tolerance: the header is fsync'd before any work
 // starts and every shard line is flushed+fsync'd when appended — a kill can
-// lose at most the shard in flight. The reader classifies each line as
-// ok / torn-tail / corrupt instead of throwing: a torn trailing line is
-// ignored (the expected residue of a kill mid-append), and a corrupt
-// mid-file line (bit rot, a torn line fused with its successor) is
-// quarantined — recorded, skipped, and its shard re-run on resume — rather
-// than aborting the whole journal. Only a damaged header is fatal: nothing
-// below it can be trusted to belong to this sweep.
+// lose at most the shard in flight. The reader classifies lines through
+// resilience::scan_jsonl, the one classifier rh_fsck and the metrics-stream
+// reader share, with the parse below as the journal's definition of an
+// intact line: a torn trailing line is ignored (the expected residue of a
+// kill mid-append), and a corrupt mid-file line (bit rot, a torn line
+// fused with its successor) is recorded, skipped, and its shard re-run on
+// resume — resume applies resilience::repair_jsonl, the same quarantine-
+// and-compact repair rh_fsck --repair applies. Only a damaged header is
+// fatal: nothing below it can be trusted to belong to this sweep.
 #pragma once
 
 #include <cstdint>
@@ -69,18 +71,12 @@ public:
   /// `injector` may be null and must outlive the writer.
   JournalWriter(const std::string& path, const JournalHeader& header,
                 resilience::StorageFaultInjector* injector = nullptr);
-  /// Reopens an existing journal for appending (resume), first truncating
-  /// it to `keep_bytes` — JournalReader::intact_bytes() — so a torn
-  /// trailing line from a kill never ends up *preceding* appended lines.
-  /// The caller is responsible for having validated the header.
-  JournalWriter(const std::string& path, std::uint64_t keep_bytes,
-                resilience::StorageFaultInjector* injector = nullptr);
-  /// Resume from a fully classified read: tail-only damage truncates (as
-  /// above); mid-file corrupt lines are appended verbatim to
-  /// `path`.quarantine and the journal is compacted — header plus every
-  /// intact line rewritten atomically — before reopening for append. The
-  /// quarantined shards are absent from reader.shards(), so resume re-runs
-  /// exactly them.
+  /// Reopens a journal for appending (resume) after repairing what
+  /// `reader` found (resilience::repair_jsonl): a torn tail is cut off, so
+  /// it never ends up *preceding* appended lines; corrupt mid-file lines
+  /// go verbatim to `path`.quarantine and the journal is compacted to
+  /// header plus every intact line. The quarantined shards are absent from
+  /// reader.shards(), so resume re-runs exactly them.
   JournalWriter(const std::string& path, const JournalReader& reader,
                 resilience::StorageFaultInjector* injector = nullptr);
   ~JournalWriter();
@@ -117,18 +113,14 @@ struct ShardOutcome {
 };
 
 /// One damaged (non-tail) journal line: quarantine fodder.
-struct CorruptLine {
-  std::size_t line_no = 0;  ///< 1-based position in the file
-  std::string reason;       ///< "CRC mismatch", parse error text, ...
-  std::string raw;          ///< the line exactly as it sits on disk
-};
+using CorruptLine = resilience::CorruptLine;
 
 /// Loads a journal: header plus every intact shard line, with per-line
-/// damage classification. A torn final line (kill mid-write) is ignored; a
-/// corrupt mid-file line is recorded in corrupt_lines() and skipped — its
-/// shard simply stays pending. Only an unreadable header throws
-/// (common::ConfigError): a journal whose identity line is damaged cannot
-/// be trusted at all.
+/// damage classification (resilience::scan_jsonl). A torn final line (kill
+/// mid-write) is ignored; a corrupt mid-file line is recorded in
+/// corrupt_lines() and skipped — its shard simply stays pending. Only a
+/// missing, damaged or foreign header throws (common::ConfigError): a
+/// journal whose identity line is damaged cannot be trusted at all.
 class JournalReader {
 public:
   explicit JournalReader(const std::string& path);
@@ -142,36 +134,33 @@ public:
   [[nodiscard]] const std::vector<ShardOutcome>& outcomes() const { return outcomes_; }
 
   /// Mid-file lines that failed their CRC or did not parse, in file order.
-  [[nodiscard]] const std::vector<CorruptLine>& corrupt_lines() const { return corrupt_lines_; }
+  [[nodiscard]] const std::vector<CorruptLine>& corrupt_lines() const {
+    return scan_.corrupt_lines;
+  }
   /// True when the final line was torn (ignored, not corruption).
-  [[nodiscard]] bool torn_tail() const { return torn_tail_; }
+  [[nodiscard]] bool torn_tail() const { return scan_.torn_tail; }
 
-  /// The header line exactly as it sits on disk (for compaction).
-  [[nodiscard]] const std::string& raw_header() const { return raw_header_; }
-  /// Every intact record line exactly as on disk, in file order (for
-  /// compaction; excludes the header, corrupt lines, and the torn tail).
-  [[nodiscard]] const std::vector<std::string>& raw_lines() const { return raw_lines_; }
+  /// The header line exactly as it sits on disk.
+  [[nodiscard]] const std::string& raw_header() const { return scan_.raw_header; }
+  /// Every intact record line exactly as on disk, in file order (excludes
+  /// the header, corrupt lines, and the torn tail).
+  [[nodiscard]] const std::vector<std::string>& raw_lines() const { return scan_.intact_lines; }
+  /// The full line classification (what resume repairs and rh_fsck reports).
+  [[nodiscard]] const resilience::JsonlScan& scan() const { return scan_; }
 
   /// Throws common::ConfigError naming the mismatched field if the journal
   /// was written for a different sweep than `expected`.
   void require_matches(const JournalHeader& expected) const;
 
   /// Byte length of the journal's undamaged prefix: the header plus every
-  /// intact line up to the first corrupt line or the torn tail. When
-  /// corrupt_lines() is empty a resume truncates the file to this length
-  /// before appending; otherwise the quarantining JournalWriter ctor
-  /// compacts instead.
-  [[nodiscard]] std::uint64_t intact_bytes() const { return intact_bytes_; }
+  /// intact line up to the first corrupt line or the torn tail.
+  [[nodiscard]] std::uint64_t intact_bytes() const { return scan_.intact_bytes; }
 
 private:
   JournalHeader header_;
   std::map<std::uint64_t, std::vector<core::RowRecord>> shards_;
   std::vector<ShardOutcome> outcomes_;
-  std::vector<CorruptLine> corrupt_lines_;
-  std::vector<std::string> raw_lines_;
-  std::string raw_header_;
-  bool torn_tail_ = false;
-  std::uint64_t intact_bytes_ = 0;
+  resilience::JsonlScan scan_;
 };
 
 /// Renders a human summary of a journal (shards done/failed/retried,

@@ -174,29 +174,29 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 const JsonValue& JsonValue::at(std::string_view key) const {
   const JsonValue* v = find(key);
   if (v == nullptr) {
-    throw common::ConfigError("journal record is missing field \"" + std::string(key) + "\"");
+    throw common::ConfigError("record is missing field \"" + std::string(key) + "\"");
   }
   return *v;
 }
 
 double JsonValue::as_double() const {
-  if (kind != Kind::kNumber) throw common::ConfigError("journal field is not a number");
+  if (kind != Kind::kNumber) throw common::ConfigError("field is not a number");
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || errno == ERANGE) {
-    throw common::ConfigError("journal field is not a valid number: " + text);
+    throw common::ConfigError("field is not a valid number: " + text);
   }
   return v;
 }
 
 std::uint64_t JsonValue::as_u64() const {
-  if (kind != Kind::kNumber) throw common::ConfigError("journal field is not a number");
+  if (kind != Kind::kNumber) throw common::ConfigError("field is not a number");
   errno = 0;
   char* end = nullptr;
   const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
   if (end == text.c_str() || *end != '\0' || errno == ERANGE || text[0] == '-') {
-    throw common::ConfigError("journal field is not a valid unsigned integer: " + text);
+    throw common::ConfigError("field is not a valid unsigned integer: " + text);
   }
   return v;
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iterator>
 #include <ostream>
 #include <set>
 
@@ -18,31 +16,19 @@ namespace rh::campaign {
 
 namespace {
 
-/// Whole-file read split into newline-terminated lines; trailing bytes with
-/// no newline are a torn tail (campaign mid-append), never an error.
-std::vector<std::string> intact_lines(const std::string& path, bool& torn) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw common::ConfigError("cannot open metrics stream: " + path);
-  const std::string content((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t nl = content.find('\n', start);
-    if (nl == std::string::npos) break;
-    lines.push_back(content.substr(start, nl - start));
-    start = nl + 1;
-  }
-  if (start < content.size()) torn = true;
-  return lines;
-}
-
 std::uint64_t hex_u64(const std::string& text) {
   return std::strtoull(text.c_str(), nullptr, 16);
 }
 
-void add_counters(std::map<std::string, std::uint64_t>& into, const JsonValue& object) {
-  for (const auto& [name, value] : object.members) into[name] += value.as_u64();
+std::map<std::string, std::uint64_t> counter_map(const JsonValue& object) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] : object.members) out[name] += value.as_u64();
+  return out;
+}
+
+void add_counters(std::map<std::string, std::uint64_t>& into,
+                  const std::map<std::string, std::uint64_t>& deltas) {
+  for (const auto& [name, value] : deltas) into[name] += value;
 }
 
 std::string pct_text(double fraction) {
@@ -59,96 +45,81 @@ std::string rate_text(double per_s) {
 
 }  // namespace
 
-MetricsStreamData read_metrics_stream(const std::string& path) {
+MetricsStreamData read_metrics_stream(const std::string& path, resilience::JsonlScan* scan) {
   MetricsStreamData data;
-  const std::vector<std::string> lines = intact_lines(path, data.torn);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    const bool tail = i + 1 == lines.size();
-
-    // v2 lines carry a CRC frame; v1 lines are bare payloads (kUnframed).
-    std::string_view body;
-    bool damaged =
-        resilience::check_frame(lines[i], body) == resilience::FrameCheck::kMismatch;
-    JsonValue doc;
-    if (!damaged) {
-      try {
-        doc = parse_json(std::string(body), path + " line " + std::to_string(i + 1));
-      } catch (const common::ConfigError&) {
-        damaged = true;
-      }
+  bool header_parsed = false;
+  const auto header = [&](std::string_view payload, std::size_t) {
+    const JsonValue doc = parse_json(payload, path + " (header)");
+    header_parsed = true;
+    const JsonValue* kind = doc.find("kind");
+    if (kind == nullptr || kind->text != "rh-metrics-stream") {
+      throw common::ConfigError("not an rh-metrics-stream file");
     }
-
-    if (!damaged && !data.has_header) {
-      const JsonValue* kind = doc.find("kind");
-      if (kind == nullptr || kind->text != "rh-metrics-stream") {
-        throw common::ConfigError("not an rh-metrics-stream file: " + path);
+    (void)doc.at("version").as_u64();
+    data.seed = doc.at("seed").as_u64();
+    data.config_hash = hex_u64(doc.at("config_hash").text);
+    data.shards = doc.at("shards").as_u64();
+    data.jobs = static_cast<unsigned>(doc.at("jobs").as_u64());
+    data.cycle_cadence = doc.at("cycle_cadence").as_u64();
+    data.wall_cadence_ms = doc.at("wall_cadence_ms").as_double();
+    data.has_header = true;
+  };
+  // Every field is checked before `data` changes, so a damaged line
+  // leaves no partial trace.
+  const auto sample = [&](std::string_view payload, std::size_t line_no) {
+    const JsonValue doc = parse_json(payload, path + " line " + std::to_string(line_no));
+    const std::string& kind = doc.at("sample").text;
+    if (kind == "cycles") {
+      for (const char* field : {"shard", "attempt", "seq", "cycle"}) (void)doc.at(field).as_u64();
+      const auto deltas = counter_map(doc.at("deltas"));
+      ++data.cycles_samples;
+      add_counters(data.device_counters, deltas);
+    } else if (kind == "wall") {
+      const double t_ms = doc.at("t_ms").as_double();
+      const auto deltas = counter_map(doc.at("counters"));
+      std::vector<MetricsStreamData::Worker> workers;
+      for (const JsonValue& w : doc.at("workers").items) {
+        workers.push_back({w.at("busy_ms").as_double(), w.at("done").as_u64(),
+                           static_cast<std::int64_t>(w.at("shard").as_double())});
       }
-      data.has_header = true;
-      data.seed = doc.at("seed").as_u64();
-      data.config_hash = hex_u64(doc.at("config_hash").text);
-      data.shards = doc.at("shards").as_u64();
-      data.jobs = static_cast<unsigned>(doc.at("jobs").as_u64());
-      data.cycle_cadence = doc.at("cycle_cadence").as_u64();
-      data.wall_cadence_ms = doc.at("wall_cadence_ms").as_double();
-      continue;
+      ++data.wall_samples;
+      data.last_t_ms = t_ms;
+      add_counters(data.counters, deltas);
+      data.workers = std::move(workers);
+    } else if (kind == "final") {
+      const double t_ms = doc.at("t_ms").as_double();
+      auto counters = counter_map(doc.at("counters"));
+      const JsonValue& shards = doc.at("shards");
+      const std::uint64_t done = shards.at("done").as_u64();
+      const std::uint64_t failed = shards.at("failed").as_u64();
+      const std::uint64_t skipped = shards.at("skipped").as_u64();
+      const std::uint64_t total = shards.at("total").as_u64();
+      data.finished = true;
+      data.last_t_ms = t_ms;
+      data.counters = std::move(counters);
+      data.final_done = done;
+      data.final_failed = failed;
+      data.final_skipped = skipped;
+      data.final_total = total;
+    } else {
+      // Well-formed JSON but not a sample we know: rot that kept the line
+      // parseable, or a future writer. Either way, skippable.
+      throw common::ConfigError("unknown sample kind '" + kind + "'");
     }
-
-    if (!damaged) {
-      try {
-        const std::string& sample = doc.at("sample").text;
-        if (sample == "cycles") {
-          ++data.cycles_samples;
-          add_counters(data.device_counters, doc.at("deltas"));
-        } else if (sample == "wall") {
-          ++data.wall_samples;
-          data.last_t_ms = doc.at("t_ms").as_double();
-          add_counters(data.counters, doc.at("counters"));
-          data.workers.clear();
-          for (const auto& w : doc.at("workers").items) {
-            MetricsStreamData::Worker worker;
-            worker.busy_ms = w.at("busy_ms").as_double();
-            worker.done = w.at("done").as_u64();
-            worker.shard = static_cast<std::int64_t>(w.at("shard").as_double());
-            data.workers.push_back(worker);
-          }
-        } else if (sample == "final") {
-          data.finished = true;
-          data.last_t_ms = doc.at("t_ms").as_double();
-          data.counters.clear();
-          add_counters(data.counters, doc.at("counters"));
-          const JsonValue& shards = doc.at("shards");
-          data.final_done = shards.at("done").as_u64();
-          data.final_failed = shards.at("failed").as_u64();
-          data.final_skipped = shards.at("skipped").as_u64();
-          data.final_total = shards.at("total").as_u64();
-        } else {
-          // Parsed JSON but not a sample we know: rot that kept the line
-          // well-formed, or a future writer. Either way, skippable.
-          damaged = true;
-        }
-      } catch (const common::ConfigError&) {
-        damaged = true;  // a known sample kind with fields missing/mistyped
-      }
-    }
-
-    if (damaged) {
-      // A complete-looking final line can still be half a write (the
-      // newline landed, the fsync didn't). Tolerate it exactly like the
-      // journal reader. Mid-file damage: no trusted header means nothing
-      // below is this stream's (foreign file) — fatal; under a good header
-      // it is bit rot on advisory telemetry — count it and keep going.
-      if (tail) {
-        data.torn = true;
-        break;
-      }
-      if (!data.has_header) {
-        throw common::ConfigError("corrupt metrics stream header: " + path);
-      }
-      ++data.corrupt_lines;
-      continue;
-    }
+  };
+  resilience::JsonlScan own;
+  if (scan == nullptr) scan = &own;
+  *scan = resilience::scan_jsonl(path, "metrics stream", header, sample);
+  // Header policy: the stream is advisory telemetry, so an empty file or a
+  // torn lone header is a stream with nothing to report yet. A foreign
+  // header, or a damaged one with lines below it, means nothing here is
+  // this stream's.
+  if (!scan->header_intact && (header_parsed || !scan->corrupt_lines.empty())) {
+    throw common::ConfigError("unusable metrics stream header in " + path + ": " +
+                              scan->header_error);
   }
+  data.torn = scan->torn_tail;
+  data.corrupt_lines = scan->corrupt_lines.size();
   return data;
 }
 

@@ -3,11 +3,12 @@
 // A running campaign leaves two append-only JSONL files behind: the
 // checkpoint journal (journal.hpp — per-shard outcomes) and the metrics
 // stream (telemetry/stream.hpp — periodic counter samples and per-worker
-// status). This module reads both with the same torn-tail tolerance the
-// journal reader pioneered — a kill can tear at most the trailing line, and
-// a monitor must never crash on a file the campaign is mid-append on — and
-// joins them into one TailStatus: progress/ETA, per-worker utilization,
-// shard outcome counts, fault/recovery rates, and a stall watchdog.
+// status). Both readers classify lines through resilience::scan_jsonl, the
+// classifier rh_fsck shares — a kill can tear at most the trailing line,
+// and a monitor must never crash on a file the campaign is mid-append on —
+// and this module joins them into one TailStatus: progress/ETA, per-worker
+// utilization, shard outcome counts, fault/recovery rates, and a stall
+// watchdog.
 //
 // The stall watchdog reasons from the last wall sample's in-flight shards:
 // any shard a worker had claimed but never journaled is *suspect*. In
@@ -24,13 +25,19 @@
 #include <string>
 #include <vector>
 
+namespace rh::resilience {
+struct JsonlScan;
+}
+
 namespace rh::campaign {
 
 /// One parsed rh-metrics-stream file (v1 bare lines or v2 CRC-framed).
-/// `torn` means the trailing line was incomplete or unparsable (campaign
-/// mid-append or killed mid-write); a damaged *mid-file* line (CRC
-/// mismatch, unparsable, unknown sample kind) is counted in corrupt_lines
-/// and skipped — telemetry is advisory, so the monitor keeps going.
+/// `torn` means the trailing line did not parse (campaign mid-append or
+/// killed mid-write); a final line without '\n' that parses is intact. A
+/// damaged *mid-file* line (CRC mismatch, unparsable, a known sample kind
+/// with a field missing or mistyped, unknown sample kind) is counted in
+/// corrupt_lines and skipped — telemetry is advisory, so the monitor keeps
+/// going.
 struct MetricsStreamData {
   bool has_header = false;
   std::uint64_t seed = 0;
@@ -64,10 +71,14 @@ struct MetricsStreamData {
 };
 
 /// Loads a metrics stream, tolerating a torn trailing line and skipping
-/// (while counting) corrupt mid-file lines. Throws common::ConfigError only
-/// when the file cannot be opened or its header line is damaged or foreign
-/// — with no trusted identity line, nothing below it means anything.
-[[nodiscard]] MetricsStreamData read_metrics_stream(const std::string& path);
+/// (while counting) corrupt mid-file lines. An empty file or a torn lone
+/// header reads as a stream with nothing in it yet (`torn` set for the
+/// latter). Throws common::ConfigError when the file cannot be opened, or
+/// its header is foreign or damaged with lines below it — with no trusted
+/// identity line, nothing below it means anything. `scan`, when given,
+/// receives the line classification (what rh_fsck reports and repairs).
+[[nodiscard]] MetricsStreamData read_metrics_stream(const std::string& path,
+                                                    resilience::JsonlScan* scan = nullptr);
 
 struct TailOptions {
   /// Quiet time (no file growth) after which an in-flight shard is declared

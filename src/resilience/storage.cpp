@@ -1,8 +1,11 @@
 #include "resilience/storage.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "common/assert.hpp"
 #include "common/error.hpp"
@@ -293,6 +296,96 @@ void write_file_atomic(const std::string& path, std::string_view text,
     }
   }
 #endif
+}
+
+std::string read_file(const std::string& path, const std::string& what) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw ConfigError("cannot open " + what + ": " + path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+JsonlScan scan_jsonl(const std::string& path, const std::string& what,
+                     const JsonlParse& parse_header, const JsonlParse& parse_record) {
+  const std::string content = read_file(path, what);
+  std::vector<std::string_view> lines;
+  for (std::size_t start = 0; start < content.size();) {
+    const std::size_t nl = std::min(content.find('\n', start), content.size());
+    lines.push_back(std::string_view(content).substr(start, nl - start));
+    start = nl + 1;
+  }
+  // "" when the line is intact, else why not.
+  const auto classify = [](std::string_view line, std::size_t line_no, const JsonlParse& parse) {
+    std::string_view payload;
+    if (check_frame(line, payload) == FrameCheck::kMismatch) return std::string("CRC mismatch");
+    try {
+      parse(payload, line_no);
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+
+  JsonlScan scan;
+  scan.header_error = lines.empty() ? "empty file" : classify(lines[0], 1, parse_header);
+  if (!scan.header_error.empty()) {
+    if (lines.size() == 1) {
+      scan.torn_tail = true;
+    } else if (lines.size() > 1) {
+      scan.corrupt_lines.push_back({1, scan.header_error, std::string(lines[0])});
+    }
+    return scan;
+  }
+  scan.header_intact = true;
+  scan.raw_header = lines[0];
+  scan.intact_bytes = lines[0].size() + 1;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const std::string_view line = lines[i];
+    const bool in_prefix = scan.corrupt_lines.empty();
+    std::string reason = line.empty() ? "" : classify(line, i + 1, parse_record);
+    if (reason.empty()) {
+      if (!line.empty()) scan.intact_lines.emplace_back(line);
+      if (in_prefix) scan.intact_bytes += line.size() + 1;
+    } else if (i + 1 == lines.size()) {
+      scan.torn_tail = true;
+    } else {
+      scan.corrupt_lines.push_back({i + 1, std::move(reason), std::string(line)});
+    }
+  }
+  // An intact final line without its '\n' is one byte short on disk.
+  scan.intact_bytes = std::min<std::uint64_t>(scan.intact_bytes, content.size());
+  return scan;
+}
+
+void repair_jsonl(const std::string& path, const JsonlScan& scan, const std::string& what,
+                  StorageFaultInjector* injector) {
+  RH_EXPECTS(scan.header_intact || scan.corrupt_lines.empty());
+  if (scan.corrupt_lines.empty()) {
+    std::error_code ec;
+    if (std::filesystem::file_size(path, ec) > scan.intact_bytes && !ec) {
+      std::filesystem::resize_file(path, scan.intact_bytes, ec);
+    }
+    if (ec) throw ConfigError("cannot truncate torn tail of " + what + ": " + path);
+    std::FILE* file = std::fopen(path.c_str(), "r+b");
+    if (file == nullptr) throw ConfigError("cannot reopen " + what + ": " + path);
+    const bool unterminated = std::fseek(file, -1, SEEK_END) == 0 && std::fgetc(file) != '\n';
+    const bool ok = !unterminated ||
+                    (std::fseek(file, 0, SEEK_END) == 0 && std::fputc('\n', file) != EOF);
+    if (std::fclose(file) != 0 || !ok) throw StorageError("cannot write " + what + ": " + path);
+    return;
+  }
+  // Nothing is ever silently discarded: the damaged lines move verbatim to
+  // a sidecar before the file is compacted.
+  const std::string qpath = path + ".quarantine";
+  std::ofstream quarantine(qpath, std::ios::app | std::ios::binary);
+  for (const CorruptLine& line : scan.corrupt_lines) quarantine << line.raw << '\n';
+  quarantine.flush();
+  if (!quarantine) throw ConfigError("cannot write " + what + " quarantine file: " + qpath);
+  std::string compacted = scan.raw_header + '\n';
+  for (const std::string& line : scan.intact_lines) {
+    compacted += line;
+    compacted += '\n';
+  }
+  write_file_atomic(path, compacted, what, injector);
 }
 
 }  // namespace rh::resilience

@@ -20,12 +20,15 @@
 //   frame_line/check_frame — CRC-32 per-line framing (the v2 record format)
 //   DurableFile           — append-one-line-then-fsync with injection points
 //   write_file_atomic     — write-tmp / fsync-tmp / rename / fsync-dir
+//   scan_jsonl/repair_jsonl — the one damage classifier and the one repair
+//                           for CRC-framed JSONL files (journals, streams)
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -215,5 +218,61 @@ private:
 /// problems throw common::ConfigError.
 void write_file_atomic(const std::string& path, std::string_view text,
                        const std::string& what, StorageFaultInjector* injector = nullptr);
+
+/// Reads all of `path`. Throws common::ConfigError when it cannot be opened.
+[[nodiscard]] std::string read_file(const std::string& path, const std::string& what = "file");
+
+// ---------------------------------------------------------------------------
+// Damage classification and repair for CRC-framed JSONL files: a header
+// line, then one record per line. The journal reader, the metrics-stream
+// reader and rh_fsck all classify through scan_jsonl, so "intact" has one
+// definition: the CRC frame holds (or the line is a bare v1 payload) and
+// the reader's parse function accepts the payload. A damaged line is a
+// torn tail when it is the file's last line (the residue of a kill
+// mid-append; a final line without '\n' that parses is intact) and
+// corruption otherwise. A damaged header stops the scan: nothing below it
+// can be trusted. What a damaged header means is each reader's call.
+// ---------------------------------------------------------------------------
+
+/// One damaged line with a successor: quarantine fodder.
+struct CorruptLine {
+  std::size_t line_no = 0;  ///< 1-based position in the file
+  std::string reason;       ///< "CRC mismatch", parse error text, ...
+  std::string raw;          ///< the line exactly as it sits on disk
+};
+
+/// One JSONL file's damage taxonomy.
+struct JsonlScan {
+  bool header_intact = false;
+  std::string header_error;               ///< why not, when !header_intact
+  std::string raw_header;                 ///< as on disk, when intact
+  std::vector<std::string> intact_lines;  ///< record lines as on disk, in file order
+  /// Damaged lines with a successor, in file order. A damaged header with
+  /// lines below it is line 1 here (and the scan stops there).
+  std::vector<CorruptLine> corrupt_lines;
+  bool torn_tail = false;                 ///< the last line (maybe the header) is damaged
+  /// The undamaged prefix: header plus every line before the first damage.
+  std::uint64_t intact_bytes = 0;
+};
+
+/// Parses one line's payload (line_no is 1-based); throws
+/// common::ConfigError when the line is malformed.
+using JsonlParse = std::function<void(std::string_view payload, std::size_t line_no)>;
+
+/// Reads and classifies `path`: `parse_header` sees line 1, `parse_record`
+/// every later non-empty line whose frame holds, in file order. Throws
+/// common::ConfigError only when the file cannot be opened.
+[[nodiscard]] JsonlScan scan_jsonl(const std::string& path, const std::string& what,
+                                   const JsonlParse& parse_header,
+                                   const JsonlParse& parse_record);
+
+/// Restores `path` to the intact lines `scan` found. Tail-only damage is
+/// cut back to intact_bytes, and a kept final line lacking its '\n' gets
+/// one, so the next append starts a line of its own. Corrupt lines are
+/// appended verbatim to `path`.quarantine and the file is rewritten
+/// atomically (through `injector`) as header plus intact lines. A scan
+/// with a damaged header and lines below it is beyond repair (precondition).
+void repair_jsonl(const std::string& path, const JsonlScan& scan, const std::string& what,
+                  StorageFaultInjector* injector = nullptr);
 
 }  // namespace rh::resilience

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -19,14 +18,6 @@
 namespace rh::serve {
 
 namespace {
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw common::ConfigError("cannot open file: " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
 
 HttpResponse json_response(int status, std::string body) {
   HttpResponse resp;
@@ -514,7 +505,7 @@ HttpResponse Server::file_response(const std::string& path, const char* content_
   HttpResponse resp;
   resp.status = 200;
   resp.content_type = content_type;
-  resp.body = read_text_file(path);
+  resp.body = resilience::read_file(path);
   return resp;
 }
 
@@ -861,7 +852,7 @@ void Server::recover() {
     std::shared_ptr<Job> job;
     try {
       const campaign::JsonValue doc =
-          campaign::parse_json(read_text_file(path), "job descriptor " + path);
+          campaign::parse_json(resilience::read_file(path), "job descriptor " + path);
       const CampaignConfig config = config_from_json(doc.at("config"), "job descriptor");
       const JobState state = job_state_from_string(doc.at("state").text);
       std::string tenant = "anonymous";

@@ -73,7 +73,7 @@ TEST(HeaderOnly, ResumeFromHeaderOnlyJournalKeepsTheHeader) {
   const TempPath path("header_only_test_resume.jsonl");
   { const JournalWriter writer(path.str(), JournalHeader{7, 8, 4}); }
   const JournalReader before(path.str());
-  { const JournalWriter resumed(path.str(), before.intact_bytes()); }
+  { const JournalWriter resumed(path.str(), before); }
   const JournalReader after(path.str());
   EXPECT_EQ(after.header().seed, 7u);
   EXPECT_EQ(after.header().shard_count, 4u);

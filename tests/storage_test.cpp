@@ -347,7 +347,7 @@ TEST(JournalDamage, MixedV1PrefixWithV2AppendsReads) {
             "{\"shard\":0,\"records\":[]}\n");
   {
     const JournalReader before(path.str());
-    JournalWriter writer(path.str(), before.intact_bytes());
+    JournalWriter writer(path.str(), before);
     writer.append_shard(1, {minimal_record(3)}, 10.0, 1);
   }
   const JournalReader reader(path.str());
@@ -373,7 +373,7 @@ TEST(JournalDamage, TornTailIsIgnoredAndDroppedOnResume) {
 
   // Resume truncates the tear; the next append must not fuse onto it.
   {
-    JournalWriter writer(path.str(), reader.intact_bytes());
+    JournalWriter writer(path.str(), reader);
     writer.append_shard(1, {minimal_record(2)}, 5.0, 1);
   }
   const JournalReader after(path.str());
@@ -680,6 +680,143 @@ TEST(Fsck, ReportNamesEveryFileAndTalliesTheDamage) {
   EXPECT_NE(text.find("summary:"), std::string::npos);
   EXPECT_NE(text.find("1 torn"), std::string::npos) << text;
   EXPECT_NE(text.find("3 corrupt (2 unrepairable)"), std::string::npos) << text;
+}
+
+/// A file's damage as its own reader sees it.
+struct ReaderView {
+  bool fatal = false;                     ///< the reader throws
+  std::vector<std::size_t> corrupt_lines; ///< journals: 1-based line numbers
+  std::size_t corrupt_count = 0;          ///< streams report a count only
+  bool torn = false;
+};
+
+ReaderView reader_view(const FsckVerdict& v) {
+  ReaderView view;
+  try {
+    if (v.type == FsckFileType::kJournal) {
+      const JournalReader reader(v.path);
+      for (const CorruptLine& line : reader.corrupt_lines()) {
+        view.corrupt_lines.push_back(line.line_no);
+      }
+      view.corrupt_count = view.corrupt_lines.size();
+      view.torn = reader.torn_tail();
+    } else {
+      const MetricsStreamData data = read_metrics_stream(v.path);
+      view.corrupt_count = data.corrupt_lines;
+      view.torn = data.torn;
+    }
+  } catch (const common::ConfigError&) {
+    view.fatal = true;
+  }
+  return view;
+}
+
+TEST(Fsck, VerdictsAgreeWithTheReaders) {
+  const TempDir dir("storage_test_fsck_agree");
+  const TempDir resumed("storage_test_fsck_agree_resumed");
+  build_damaged_dir(dir.str());
+
+  const std::string journal_v1 =
+      "{\"kind\":\"rh-campaign-journal\",\"version\":1,\"seed\":5,"
+      "\"config_hash\":\"00000000000000aa\",\"shards\":2}\n";
+  const std::string stream_v1 =
+      "{\"kind\":\"rh-metrics-stream\",\"version\":1,\"seed\":5,"
+      "\"config_hash\":\"00000000000000aa\",\"shards\":2,\"jobs\":1,"
+      "\"cycle_cadence\":16,\"wall_cadence_ms\":200.000}\n";
+  std::string unterminated_journal;
+  {
+    JournalWriter writer(dir.str() + "/job-8.journal.jsonl", JournalHeader{1, 2, 4});
+    writer.append_shard(0, {minimal_record(1)}, 5.0, 1);
+  }
+  std::string unterminated_stream;
+  {
+    telemetry::MetricsStreamWriter writer(dir.str() + "/job-8.stream.jsonl",
+                                          telemetry::MetricsStreamHeader{});
+    writer.append(telemetry::format_cycles_sample(0, 1, 0, 10, {}));
+  }
+  unterminated_journal = read_file(dir.str() + "/job-8.journal.jsonl");
+  unterminated_journal.pop_back();  // intact, but its '\n' never landed
+  unterminated_stream = read_file(dir.str() + "/job-8.stream.jsonl");
+  unterminated_stream.pop_back();
+
+  // Beyond build_damaged_dir's lesions: a field only one side used to
+  // check, in a journal and in a stream; a final line that parses but has
+  // no newline; and a torn lone stream header.
+  const std::vector<std::pair<std::string, std::string>> lesions = {
+      {"job-7.journal.jsonl",
+       journal_v1 + "{\"shard\":0,\"attempts\":\"x\",\"wall_ms\":1.0,\"records\":[]}\n" +
+           "{\"shard\":1,\"records\":[]}\n"},
+      {"job-7.stream.jsonl",
+       stream_v1 +
+           "{\"sample\":\"cycles\",\"shard\":0,\"attempt\":1,\"cycle\":16,\"deltas\":{}}\n" +
+           "{\"sample\":\"final\",\"t_ms\":5.000,\"counters\":{},"
+           "\"shards\":{\"done\":2,\"failed\":0,\"skipped\":0,\"total\":2}}\n"},
+      {"job-8.journal.jsonl", unterminated_journal},
+      {"job-8.stream.jsonl", unterminated_stream},
+      {"job-9.stream.jsonl", "{\"kind\":\"rh-metrics-stream\",\"vers"},
+  };
+  for (const auto& [name, bytes] : lesions) write_raw(dir.str() + "/" + name, bytes);
+
+  std::size_t checked = 0;
+  for (const FsckVerdict& v : fsck_scan(dir.str())) {
+    if (v.type != FsckFileType::kJournal && v.type != FsckFileType::kStream) continue;
+    const std::string name = std::filesystem::path(v.path).filename().string();
+    ++checked;
+    const ReaderView view = reader_view(v);
+    std::vector<std::size_t> issue_lines;
+    for (const FsckIssue& issue : v.issues) issue_lines.push_back(issue.line_no);
+    if (view.fatal) {
+      EXPECT_EQ(v.status, FsckStatus::kCorrupt) << name << ": " << v.detail;
+      EXPECT_FALSE(v.repairable) << name;
+      continue;
+    }
+    if (v.type == FsckFileType::kJournal) {
+      EXPECT_EQ(issue_lines, view.corrupt_lines) << name;
+    } else {
+      EXPECT_EQ(issue_lines.size(), view.corrupt_count) << name;
+    }
+    const FsckStatus expected = view.corrupt_count > 0 ? FsckStatus::kCorrupt
+                                : view.torn            ? FsckStatus::kTorn
+                                                       : FsckStatus::kOk;
+    EXPECT_EQ(v.status, expected) << name << ": " << v.detail;
+    EXPECT_EQ(v.torn_tail, view.torn) << name;
+    if (name.rfind("job-7.", 0) == 0) {
+      EXPECT_EQ(issue_lines, std::vector<std::size_t>{2}) << name;
+    }
+
+    // The same repair on both paths: fsck --repair and a resuming writer.
+    if (v.type != FsckFileType::kJournal || v.status == FsckStatus::kOk) continue;
+    ASSERT_TRUE(v.repairable) << name;
+    const std::string copy = resumed.str() + "/" + name;
+    std::filesystem::copy_file(v.path, copy);
+    { const JournalWriter writer(copy, JournalReader(copy)); }
+    EXPECT_FALSE(fsck_repair(v).empty()) << name;
+    EXPECT_EQ(read_file(v.path), read_file(copy)) << name;
+    EXPECT_EQ(read_file(v.path + ".quarantine"), read_file(copy + ".quarantine")) << name;
+  }
+  EXPECT_EQ(checked, 10u) << "every journal and stream in the dir was compared";
+}
+
+TEST(JournalDamage, ResumeAfterAnUnterminatedIntactLineStartsANewLine) {
+  const TempPath path("storage_test_unterminated.jsonl");
+  {
+    JournalWriter writer(path.str(), JournalHeader{1, 2, 4});
+    writer.append_shard(0, {minimal_record(1)}, 5.0, 1);
+  }
+  std::string content = read_file(path.str());
+  content.pop_back();  // the write was cut just before its '\n'
+  write_raw(path.str(), content);
+  {
+    const JournalReader reader(path.str());
+    EXPECT_FALSE(reader.torn_tail());
+    EXPECT_EQ(reader.shards().count(0), 1u) << "a final line that parses is intact";
+    JournalWriter writer(path.str(), reader);
+    writer.append_shard(1, {minimal_record(2)}, 5.0, 1);
+  }
+  const JournalReader after(path.str());
+  EXPECT_FALSE(after.torn_tail());
+  EXPECT_TRUE(after.corrupt_lines().empty());
+  EXPECT_EQ(after.shards().size(), 2u) << "the append must not fuse onto the unterminated line";
 }
 
 }  // namespace

@@ -123,7 +123,7 @@ TEST(TailStatusTest, JournaledShardIsNeverASuspect) {
   const Scene scene;
   {
     // The campaign journals shard 5 (the write raced the wall sample).
-    JournalWriter writer(scene.journal.str(), JournalReader(scene.journal.str()).intact_bytes());
+    JournalWriter writer(scene.journal.str(), JournalReader(scene.journal.str()));
     writer.append_shard(5, {minimal_record(9)}, 120.0, 1);
   }
   const TailStatus status = tail_status(scene.journal.str(), scene.stream.str(), TailOptions{});
