@@ -1,10 +1,21 @@
-// The FPGA-side program executor.
+// The FPGA-side program executor: the one Bender interpreter.
 //
 // Runs one Bender program against one pseudo channel of the device, with the
 // exact cycle accounting the ProgramBuilder assumes: one cycle per
 // instruction, 1+imm for SLEEP, and the unrolled-equivalent duration for the
 // HAMMER macro-ops. Collects RD bursts into a readback FIFO that the host
 // drains after the run (the PCIe DMA path of the real infrastructure).
+//
+// Both engines (common/engine.hpp) run through this interpreter; it reads
+// the engine from Device::engine(). kInterp steps every instruction. kFast
+// also decodes fast-forwardable loops up front and retires them in closed
+// form: registers advance by n times their per-iteration effect, the clock
+// by n times the body's duration, and only the loop's device commands are
+// replayed, through the same dispatch stepping uses, at the pc, cycle and
+// executed count stepping would have reached. So results, device side
+// effects and error strings are the same on both engines; a budget that
+// runs out mid-loop retires the whole iterations that fit and lets
+// stepping raise the error.
 #pragma once
 
 #include <cstdint>

@@ -69,29 +69,13 @@ std::size_t program_upload_bytes(const Program& program) {
 BenderHost::BenderHost(hbm::DeviceConfig device_config, ThermalConfig thermal_config)
     : device_(std::make_unique<hbm::Device>(std::move(device_config))),
       executor_(*device_),
-      trace_engine_(*device_),
       thermal_(thermal_config) {
   // The rig starts at ambient; the device config's initial temperature is
   // honoured until the first set_chip_temperature call.
   thermal_.set_target(device_->temperature());
   // The fast engine is the production default; set_engine(kInterp) restores
   // the reference interpreter (the differential rig runs both).
-  device_->set_engine(engine_);
-}
-
-void BenderHost::set_engine(common::EngineKind kind, common::PlantedBug bug) {
-  engine_ = kind;
-  if (kind != common::EngineKind::kFast) bug = common::PlantedBug::kNone;
-  trace_engine_.set_planted_bug(bug);
-  device_->set_engine(kind, bug);
-}
-
-ExecutionResult BenderHost::execute_program(const Program& program, std::uint32_t channel,
-                                            std::uint32_t pseudo_channel) {
-  if (engine_ == common::EngineKind::kFast) {
-    return trace_engine_.run(program, channel, pseudo_channel, now_);
-  }
-  return executor_.run(program, channel, pseudo_channel, now_);
+  device_->set_engine(common::EngineKind::kFast);
 }
 
 void BenderHost::set_fault_injector(resilience::FaultInjector* injector) {
@@ -205,35 +189,8 @@ bool BenderHost::download_with_verify(const std::vector<std::uint8_t>& readback,
 
 ExecutionResult BenderHost::run(const Program& program, std::uint32_t channel,
                                 std::uint32_t pseudo_channel) {
+  if (injector_ != nullptr) enforce_temperature_guard(channel, pseudo_channel);
   const std::size_t upload = program_upload_bytes(program);
-
-  if (injector_ == nullptr) {
-    // Zero-overhead fast path: the exact pre-resilience behaviour (one
-    // infallible upload, run, one infallible drain — no CRC framing cost).
-    // Phase accounting rides along: the executor already timed itself, so
-    // the execute phase reuses RunMetrics instead of a second clock pair.
-    {
-      const profiling::PhaseTimer timer(profile_, profiling::Phase::kUpload);
-      const telemetry::SpanScope span(span_ctx_, telemetry::SpanKind::kUpload, &now_);
-      link_.record_upload(upload);
-    }
-    std::uint64_t exec_span = 0;
-    if (span_ctx_ != nullptr) exec_span = span_ctx_->open(telemetry::SpanKind::kExecute, now_);
-    ExecutionResult result = execute_program(program, channel, pseudo_channel);
-    now_ = result.end_cycle;
-    if (span_ctx_ != nullptr) span_ctx_->close(exec_span, now_);
-    profile_.record(profiling::Phase::kExecute, result.cycles(),
-                    result.metrics.host_seconds * 1e3);
-    if (!result.readback.empty()) {
-      const profiling::PhaseTimer timer(profile_, profiling::Phase::kDrain);
-      const telemetry::SpanScope span(span_ctx_, telemetry::SpanKind::kDrain, &now_);
-      link_.record_download(result.readback.size());
-    }
-    if (sampler_ != nullptr) sampler_->sample_if_due(now_);
-    return result;
-  }
-
-  enforce_temperature_guard(channel, pseudo_channel);
   const std::uint64_t op = op_serial_++;
   const unsigned budget = std::max(1u, policy_.max_attempts);
 
@@ -244,7 +201,7 @@ ExecutionResult BenderHost::run(const Program& program, std::uint32_t channel,
       upload_with_retry(upload, op, channel, pseudo_channel);
     }
 
-    if (injector_->should_fire(FaultKind::kExecutorStall)) {
+    if (injector_ != nullptr && injector_->should_fire(FaultKind::kExecutorStall)) {
       // The doorbell was lost: the program never started, so no DRAM
       // command was issued and a re-ship is unconditionally safe. The
       // watchdog wait is host wall time only.
@@ -265,25 +222,27 @@ ExecutionResult BenderHost::run(const Program& program, std::uint32_t channel,
       continue;
     }
 
+    // The executor already timed itself, so the execute phase reuses
+    // RunMetrics instead of a second clock pair.
     std::uint64_t exec_span = 0;
     if (span_ctx_ != nullptr) exec_span = span_ctx_->open(telemetry::SpanKind::kExecute, now_);
-    ExecutionResult result = execute_program(program, channel, pseudo_channel);
+    ExecutionResult result = executor_.run(program, channel, pseudo_channel, now_);
     now_ = result.end_cycle;
     if (span_ctx_ != nullptr) span_ctx_->close(exec_span, now_);
     profile_.record(profiling::Phase::kExecute, result.cycles(),
                     result.metrics.host_seconds * 1e3);
-    if (result.readback.empty()) {
-      if (sampler_ != nullptr) sampler_->sample_if_due(now_);
-      return result;
-    }
 
     // The executor's FIFO copy is authoritative; what faults is the wire
     // copy. A verified drain therefore returns the pristine readback.
-    bool drained = false;
-    {
+    bool drained = true;
+    if (!result.readback.empty()) {
       const profiling::PhaseTimer timer(profile_, profiling::Phase::kDrain);
       const telemetry::SpanScope span(span_ctx_, telemetry::SpanKind::kDrain, &now_);
-      drained = download_with_verify(result.readback, op, channel, pseudo_channel);
+      if (injector_ == nullptr) {
+        link_.record_download(result.readback.size());
+      } else {
+        drained = download_with_verify(result.readback, op, channel, pseudo_channel);
+      }
     }
     if (drained) {
       if (sampler_ != nullptr) sampler_->sample_if_due(now_);

@@ -16,6 +16,10 @@
 // recovery is wall-clock-only — the device clock and DRAM state are never
 // touched — which is what keeps campaign results byte-identical to a
 // fault-free run.
+//
+// Every program takes one upload -> execute -> drain sequence. Without an
+// injector the transport cannot fail, so that sequence skips the guard and
+// the stall draw and drains unframed: the link counts the payload bytes only.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +31,6 @@
 #include "bender/executor.hpp"
 #include "bender/program.hpp"
 #include "bender/thermal.hpp"
-#include "bender/trace_engine.hpp"
 #include "bender/transport.hpp"
 #include "hbm/device.hpp"
 #include "profiling/profile.hpp"
@@ -71,14 +74,17 @@ public:
   ExecutionResult run(const Program& program, std::uint32_t channel,
                       std::uint32_t pseudo_channel);
 
-  /// Selects the program engine: kFast (default) runs programs through the
-  /// TraceEngine with the cached fault kernel; kInterp runs the reference
-  /// Executor with the reference fault scan. Both are bit-identical by
-  /// contract (see common/engine.hpp); `bug` deliberately breaks the fast
-  /// path for differential-rig sensitivity tests and is ignored for kInterp.
+  /// Selects the program engine on the device: kFast (default) lets the
+  /// Executor fast-forward loops and uses the cached fault kernel; kInterp
+  /// steps every instruction with the reference fault scan. Both are
+  /// bit-identical by contract (see common/engine.hpp); `bug` deliberately
+  /// breaks the fast path for differential-rig sensitivity tests and is
+  /// ignored for kInterp.
   void set_engine(common::EngineKind kind,
-                  common::PlantedBug bug = common::PlantedBug::kNone);
-  [[nodiscard]] common::EngineKind engine() const { return engine_; }
+                  common::PlantedBug bug = common::PlantedBug::kNone) {
+    device_->set_engine(kind, bug);
+  }
+  [[nodiscard]] common::EngineKind engine() const { return device_->engine(); }
 
   /// Advances the global clock without issuing commands (host-side delay;
   /// retention keeps accruing, exactly like real wall-clock waiting).
@@ -185,14 +191,8 @@ private:
   /// Charges one backoff wait (wall clock only) for retry `attempt` of `op`.
   void charge_backoff(std::uint64_t op, unsigned attempt);
 
-  /// Engine dispatch for one program run (both host run paths route here).
-  ExecutionResult execute_program(const Program& program, std::uint32_t channel,
-                                  std::uint32_t pseudo_channel);
-
   std::unique_ptr<hbm::Device> device_;
   Executor executor_;
-  TraceEngine trace_engine_;
-  common::EngineKind engine_ = common::EngineKind::kFast;
   ThermalRig thermal_;
   PcieLink link_;
   hbm::Cycle now_ = 0;

@@ -178,81 +178,52 @@ constexpr std::uint8_t kScratchRow = 31;
 constexpr std::uint8_t kScratchCol = 30;
 }  // namespace
 
-ProgramBuilder& ProgramBuilder::init_row(std::uint8_t bank, std::uint32_t row,
-                                         std::uint8_t wide_reg) {
-  const auto pad_until = [this](hbm::Cycle target) {
-    if (t_ >= target) return;
-    const hbm::Cycle gap = target - t_;
-    if (gap == 1) {
-      nop();
-    } else {
-      sleep(static_cast<std::int64_t>(gap - 1));
-    }
-  };
+void ProgramBuilder::pad_until(hbm::Cycle target) {
+  if (t_ >= target) return;
+  const hbm::Cycle gap = target - t_;
+  if (gap == 1) {
+    nop();
+  } else {
+    sleep(static_cast<std::int64_t>(gap - 1));
+  }
+}
 
+ProgramBuilder& ProgramBuilder::sweep_columns(std::uint8_t bank, std::uint32_t row, Opcode op,
+                                              std::uint8_t wide_reg) {
   ldi(kScratchRow, row);
   const hbm::Cycle act_t = t_;
   act(bank, kScratchRow);
   hbm::Cycle last_col = 0;
-  bool any_col = false;
   for (std::uint32_t col = 0; col < geometry_.columns_per_row; ++col) {
     ldi(kScratchCol, col);
     hbm::Cycle target = act_t + timings_.tRCD;
-    if (any_col) target = std::max(target, last_col + timings_.tCCD);
+    if (col > 0) target = std::max(target, last_col + timings_.tCCD);
     pad_until(target);
     last_col = t_;
-    any_col = true;
-    wr(bank, kScratchCol, wide_reg);
+    if (op == Opcode::kWr) {
+      wr(bank, kScratchCol, wide_reg);
+    } else {
+      rd(bank, kScratchCol);
+    }
   }
-  pad_until(std::max(act_t + timings_.tRAS, last_col + timings_.tWR));
+  const hbm::Cycle recovery = op == Opcode::kWr ? timings_.tWR : timings_.tRTP;
+  pad_until(std::max(act_t + timings_.tRAS, last_col + recovery));
   const hbm::Cycle pre_t = t_;
   pre(bank);
   pad_until(pre_t + timings_.tRP);
   return *this;
+}
+
+ProgramBuilder& ProgramBuilder::init_row(std::uint8_t bank, std::uint32_t row,
+                                         std::uint8_t wide_reg) {
+  return sweep_columns(bank, row, Opcode::kWr, wide_reg);
 }
 
 ProgramBuilder& ProgramBuilder::read_row(std::uint8_t bank, std::uint32_t row) {
-  const auto pad_until = [this](hbm::Cycle target) {
-    if (t_ >= target) return;
-    const hbm::Cycle gap = target - t_;
-    if (gap == 1) {
-      nop();
-    } else {
-      sleep(static_cast<std::int64_t>(gap - 1));
-    }
-  };
-
-  ldi(kScratchRow, row);
-  const hbm::Cycle act_t = t_;
-  act(bank, kScratchRow);
-  hbm::Cycle last_col = 0;
-  bool any_col = false;
-  for (std::uint32_t col = 0; col < geometry_.columns_per_row; ++col) {
-    ldi(kScratchCol, col);
-    hbm::Cycle target = act_t + timings_.tRCD;
-    if (any_col) target = std::max(target, last_col + timings_.tCCD);
-    pad_until(target);
-    last_col = t_;
-    any_col = true;
-    rd(bank, kScratchCol);
-  }
-  pad_until(std::max(act_t + timings_.tRAS, last_col + timings_.tRTP));
-  const hbm::Cycle pre_t = t_;
-  pre(bank);
-  pad_until(pre_t + timings_.tRP);
-  return *this;
+  return sweep_columns(bank, row, Opcode::kRd, 0);
 }
 
 ProgramBuilder& ProgramBuilder::touch_row(std::uint8_t bank, std::uint32_t row) {
-  const auto pad_until = [this](hbm::Cycle target) {
-    if (t_ >= target) return;
-    const hbm::Cycle gap = target - t_;
-    if (gap == 1) {
-      nop();
-    } else {
-      sleep(static_cast<std::int64_t>(gap - 1));
-    }
-  };
   ldi(kScratchRow, row);
   const hbm::Cycle act_t = t_;
   act(bank, kScratchRow);
@@ -269,15 +240,6 @@ ProgramBuilder& ProgramBuilder::hammer_loop_raw(std::uint8_t bank, std::uint32_t
   // Register plan: r29 = i, r28 = count, r27 = row_a, r26 = row_b.
   // Builder virtual time models the FIRST iteration; the loop body is padded
   // so every iteration has identical, legal spacing.
-  const auto pad_until = [this](hbm::Cycle target) {
-    if (t_ >= target) return;
-    const hbm::Cycle gap = target - t_;
-    if (gap == 1) {
-      nop();
-    } else {
-      sleep(static_cast<std::int64_t>(gap - 1));
-    }
-  };
   const hbm::Cycle on = std::max<hbm::Cycle>(static_cast<hbm::Cycle>(on_time), timings_.tRAS);
 
   ldi(29, 0);

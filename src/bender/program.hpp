@@ -110,6 +110,12 @@ public:
 
 private:
   ProgramBuilder& emit(const Instruction& instruction, hbm::Cycle cycles);
+  /// Pads with one NOP or SLEEP until virtual time reaches `target`.
+  void pad_until(hbm::Cycle target);
+  /// Shared body of init_row / read_row: opens `row`, issues `op` (WR from
+  /// `wide_reg`, or RD) to every column with minimal spacing, precharges.
+  ProgramBuilder& sweep_columns(std::uint8_t bank, std::uint32_t row, Opcode op,
+                                std::uint8_t wide_reg);
 
   hbm::Geometry geometry_;
   hbm::TimingParams timings_;

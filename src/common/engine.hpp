@@ -1,24 +1,26 @@
 // Engine selection for the simulation stack.
 //
-// The repo ships two device-core engines that must be bit-for-bit
-// indistinguishable from the outside:
+// Both engines run every Bender program through one interpreter
+// (bender::Executor) and must be bit-for-bit indistinguishable from the
+// outside:
 //
-//   kInterp — the reference interpreter: Executor steps every Bender
-//             instruction and the fault model re-derives each cell's
-//             threshold on every row settle. Slow, simple, the ground truth.
-//   kFast   — the production engine: programs are pre-decoded into timed
-//             command traces, tight hammer loops fast-forward in closed
-//             form, per-row disturbance is accumulated structure-of-arrays,
-//             and the fault kernel evaluates rows from a per-row sorted
-//             threshold cache. Every observable (reports, journals, metrics
-//             streams, flip sets, error strings) must match kInterp exactly
-//             at the same seed; tests/engine_diff_test.cpp and the
+//   kInterp — the reference: the executor steps every instruction, with no
+//             decode, and the fault model re-derives each cell's threshold
+//             on every row settle. Slow, simple, the ground truth.
+//   kFast   — the production engine: the executor also decodes
+//             fast-forwardable loops up front and retires them in closed
+//             form, replaying their device commands through the same
+//             dispatch, and the fault kernel evaluates rows from a per-row
+//             sorted threshold cache. Every observable (reports, journals,
+//             metrics streams, flip sets, error strings) must match kInterp
+//             exactly at the same seed; tests/engine_diff_test.cpp and the
 //             verify::Property campaign identities enforce the contract.
 //
 // PlantedBug deliberately breaks the fast path in one of the three ways the
 // closed-form math most plausibly goes wrong, so the differential rig can
 // prove it *would* catch a real regression (the same pattern as rh_fuzz's
-// --disable-rule knob for the timing oracle).
+// --disable-rule knob for the timing oracle). Device::set_engine arms a bug
+// only under kFast.
 #pragma once
 
 #include <string>
@@ -29,7 +31,7 @@
 namespace rh::common {
 
 enum class EngineKind : std::uint8_t {
-  kFast,    ///< pre-decoded traces + batched kernels (default)
+  kFast,    ///< loop fast-forward + cached fault kernel (default)
   kInterp,  ///< reference interpreter
 };
 

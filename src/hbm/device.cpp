@@ -47,8 +47,9 @@ void Device::set_engine(common::EngineKind kind, common::PlantedBug bug) {
   rh_model_->set_fast_kernel(fast);
   // Planted bugs deliberately break the fast path only: the interp engine
   // stays ground truth so the differential rig can convict the fast one.
-  const bool skip_trr = fast && bug == common::PlantedBug::kSkipTrrSample;
-  const bool stale_flush = fast && bug == common::PlantedBug::kStaleDisturbanceFlush;
+  bug_ = fast ? bug : common::PlantedBug::kNone;
+  const bool skip_trr = bug_ == common::PlantedBug::kSkipTrrSample;
+  const bool stale_flush = bug_ == common::PlantedBug::kStaleDisturbanceFlush;
   for (auto& channel : channels_) {
     for (auto& pc : channel.pseudo_channels) {
       pc.set_skip_trr_sample_bug(skip_trr);

@@ -93,10 +93,11 @@ public:
   /// rescans) and the fast one (kFast: cached sorted-threshold fault kernel).
   /// Both are bit-identical by contract; `bug` deliberately breaks the fast
   /// path for differential-rig sensitivity tests and is only honoured when
-  /// `kind == kFast`.
+  /// `kind == kFast`. The executor reads both to pick its engine.
   void set_engine(common::EngineKind kind,
                   common::PlantedBug bug = common::PlantedBug::kNone);
   [[nodiscard]] common::EngineKind engine() const { return engine_; }
+  [[nodiscard]] common::PlantedBug planted_bug() const { return bug_; }
 
   // --- Observability ------------------------------------------------------
   /// Attaches (or detaches, with nullptr) a telemetry sink observing the
@@ -138,6 +139,7 @@ private:
   double temperature_c_ = 85.0;
   telemetry::Telemetry* telemetry_ = nullptr;
   common::EngineKind engine_ = common::EngineKind::kInterp;
+  common::PlantedBug bug_ = common::PlantedBug::kNone;
 };
 
 }  // namespace rh::hbm

@@ -115,6 +115,7 @@ std::string job_meta_json(Job& job) {
   std::string out = "{";
   out += "\"config\":" + to_canonical_json(job.config);
   out += ",\"config_hash\":\"" + hash_hex(job.hash) + "\"";
+  out += ",\"error\":\"" + telemetry::json_escape(job.error) + "\"";
   out += ",\"id\":" + std::to_string(job.id);
   out += ",\"schema\":\"rh-serve-job/v1\"";
   out += ",\"state\":\"" + std::string(to_string(job.state)) + "\"";

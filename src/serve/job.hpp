@@ -92,7 +92,8 @@ void finalize_job(Job& job);
 /// One-line JSON descriptor for GET /jobs/<id> (and the jobs list).
 [[nodiscard]] std::string job_status_json(Job& job);
 
-/// Persisted job-<id>.json descriptor (canonical config embedded).
+/// Persisted job-<id>.json descriptor (canonical config embedded; the error
+/// too, so a job failed before a restart still says why).
 [[nodiscard]] std::string job_meta_json(Job& job);
 
 }  // namespace rh::serve

@@ -862,6 +862,10 @@ void Server::recover() {
       }
       job = make_job(id, tenant, config);
       job->state = state;
+      if (const campaign::JsonValue* e = doc.find("error");
+          e != nullptr && e->kind == campaign::JsonValue::Kind::kString) {
+        job->error = e->text;
+      }
       if (job_state_active(state)) {
         prepare_resumed(*job);
       } else {

@@ -1,8 +1,9 @@
 // The differential engine rig: every program that runs through the fast
-// engine (pre-decoded traces, closed-form loop fast-forward, cached fault
-// kernel) must be observationally identical to the reference interpreter —
-// readback bytes, clocks, command mix, device state, TRR sampler state,
-// telemetry counters, flip events, and error strings.
+// engine (closed-form loop fast-forward, cached fault kernel) must be
+// observationally identical to the reference engine, which steps every
+// instruction of the same interpreter — readback bytes, clocks, command
+// mix, device state, TRR sampler state, telemetry counters, flip events,
+// and error strings.
 //
 // Inputs come from three directions so the rig is not testing what it
 // generated itself: the committed .rhcs corpus (timing repros and boundary
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bender/executor.hpp"
 #include "bender/host.hpp"
 #include "bender/program.hpp"
 #include "common/engine.hpp"
@@ -299,6 +301,39 @@ TEST(EngineDiff, HammerLoopFastForwardBoundaries) {
     const bender::Program program = b.take();
     expect_identical(run_one(config, program, common::EngineKind::kFast),
                      run_one(config, program, common::EngineKind::kInterp));
+  }
+}
+
+TEST(EngineDiff, BudgetOverrunInsideAFastForwardedLoopMatches) {
+  // A budget that runs out inside a fast-forwardable loop: the fast engine
+  // retires the whole iterations that fit and lets stepping raise the
+  // budget error, which must carry the interpreter's exact context. The
+  // budgets land in the loop setup, on and beside iteration boundaries,
+  // and deep into the loop.
+  const hbm::DeviceConfig config;
+  bender::ProgramBuilder b(config.geometry, config.timings);
+  b.hammer_loop_raw(0, 100, 102, 4096);
+  const bender::Program program = b.take();
+  const auto overrun = [&](bender::Executor& engine, std::uint64_t budget) {
+    try {
+      (void)engine.run(program, kChannel, kPseudoChannel, 0, budget);
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  for (const std::uint64_t budget : {5ull, 100ull, 1000ull, 1001ull, 1003ull, 7777ull, 40000ull}) {
+    SCOPED_TRACE(budget);
+    hbm::Device fast_device(config);
+    fast_device.set_engine(common::EngineKind::kFast);
+    hbm::Device interp_device(config);
+    interp_device.set_engine(common::EngineKind::kInterp);
+    bender::Executor fast(fast_device);
+    bender::Executor interp(interp_device);
+    const std::string fast_error = overrun(fast, budget);
+    EXPECT_NE(fast_error.find("instruction budget exceeded"), std::string::npos) << fast_error;
+    EXPECT_EQ(fast_error, overrun(interp, budget));
+    EXPECT_EQ(digest_device(fast_device), digest_device(interp_device));
   }
 }
 

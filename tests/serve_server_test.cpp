@@ -292,6 +292,44 @@ TEST(ServeServer, StormRetriesAndFailuresMatchTheBenchCliPath) {
   EXPECT_GE(shards.at("failed").as_u64(), 1u);
 }
 
+TEST(ServeServer, FailedJobKeepsItsErrorAcrossARestart) {
+  // The storm above fails its job. A server restarted on the same data dir
+  // must still say why: the descriptor carries the error, not only the
+  // state.
+  const TempDir dir("serve_server_test_failed_restart");
+  CampaignConfig config = quick_config();
+  config.fault_rate = 0.05;
+  config.fault_seed = 0xB0071;
+  Server::Options options;
+  options.data_dir = dir.str() + "/serve";
+  options.rigs = 1;
+  options.retries = 3;
+  options.retry_policy.max_attempts = 2;
+
+  std::string path;
+  std::string error;
+  {
+    Server server(options);
+    server.start();
+    const HttpResponse created =
+        server.handle(request("POST", "/jobs", to_canonical_json(config)));
+    ASSERT_EQ(created.status, 201) << created.body;
+    path = "/jobs/" + std::to_string(parse(created).at("id").as_u64());
+    ASSERT_EQ(wait_terminal(server, parse(created).at("id").as_u64()), "failed");
+    error = parse(server.handle(request("GET", path))).at("error").text;
+    server.drain();
+  }
+  EXPECT_FALSE(error.empty());
+
+  Server restarted(options);
+  restarted.start();
+  const HttpResponse status = restarted.handle(request("GET", path));
+  restarted.drain();
+  ASSERT_EQ(status.status, 200) << status.body;
+  EXPECT_EQ(parse(status).at("state").text, "failed");
+  EXPECT_EQ(parse(status).at("error").text, error);
+}
+
 TEST(ServeServer, AdmissionControl) {
   // No start(): the scheduler has no rig threads, so admitted jobs stay
   // queued and admission decisions are deterministic.
