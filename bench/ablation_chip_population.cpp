@@ -3,9 +3,10 @@
 // The paper tested a single stack and plans a population study for
 // statistical significance. Here every seed is a different simulated chip
 // (fresh process-variation and per-cell lotteries around the same physics);
-// this harness characterizes a small population and reports how the
-// headline metrics vary chip to chip — the qualitative claims must hold for
-// every chip, while the exact numbers move.
+// this harness characterizes a small population (chip k has device seed
+// --seed + k * 0x9e37) and reports how the headline metrics vary chip to
+// chip — the qualitative claims must hold for every chip, while the exact
+// numbers move.
 #include <iostream>
 #include <vector>
 
@@ -16,15 +17,11 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+namespace {
+
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   const auto chips = static_cast<std::uint32_t>(args.get_positive_int("chips", 6));
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 16));
-
-  benchutil::banner("Ablation A8 (chip population)",
-                    "headline metrics across simulated chips (seeds)");
-
-  benchutil::TelemetrySession telem(args);
 
   common::Table table({"chip (seed)", "ch0 mean BER", "ch7 mean BER", "ch7/ch0",
                        "min HC_first (sampled)"});
@@ -32,14 +29,13 @@ int main(int argc, char** argv) {
   bool ordering_holds = true;
 
   for (std::uint32_t chip = 0; chip < chips; ++chip) {
-    const std::uint64_t seed = benchutil::kDefaultSeed + chip * 0x9e37ULL;
-    bender::BenderHost host(benchutil::paper_device_config(seed));
-    telem.attach(host);
-    host.device().set_temperature(85.0);
-    const core::RowMap map = core::RowMap::from_device(host.device());
+    const std::uint64_t seed = bench.seed() + chip * 0x9e37ULL;
+    const auto host = bench.chip(seed);
+    host->device().set_temperature(85.0);
+    const core::RowMap map = core::RowMap::from_device(host->device());
     core::CharacterizerConfig ccfg;
     ccfg.wcdp_tolerance = 2048;
-    core::Characterizer chr(host, map, ccfg);
+    core::Characterizer chr(*host, map, ccfg);
 
     double ber0 = 0.0;
     double ber7 = 0.0;
@@ -68,8 +64,7 @@ int main(int argc, char** argv) {
                    common::fmt_double(ratio, 2) + "x",
                    min_hc == ~0ULL ? "n/a" : std::to_string(min_hc)});
   }
-  table.print(std::cout);
-  telem.write_csv(table);
+  bench.print_table(table);
 
   const auto stats = common::box_stats(ratios);
   std::cout << "\nch7/ch0 BER ratio across " << chips << " chips: median "
@@ -77,6 +72,12 @@ int main(int argc, char** argv) {
             << common::fmt_double(stats.min, 2) << "x, " << common::fmt_double(stats.max, 2)
             << "x]\nworst-die ordering (ch7 > ch0) held on "
             << (ordering_holds ? "every chip" : "NOT every chip — investigate!") << '\n';
-  telem.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Ablation A8 (chip population)",
+                              "headline metrics across simulated chips (seeds)", bench_main);
 }

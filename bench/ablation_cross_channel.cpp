@@ -31,24 +31,12 @@ std::uint64_t read_flips(bender::BenderHost& host, std::uint32_t channel, std::u
   return flips;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
-
-  benchutil::banner("Ablation A3 (cross-channel)",
-                    "hammering one channel, checking rows in the others");
-
-  bender::BenderHost host(benchutil::paper_device_config(seed));
-  benchutil::TelemetrySession telem(args, host);
-  host.set_chip_temperature(85.0);
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
+  const auto hammers = static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
+  bender::BenderHost& host = bench.paper_chip();
   const core::RowMap map = core::RowMap::from_device(host.device());
   const auto& geometry = host.device().geometry();
   const std::uint32_t victim = 2048;
-  const auto hammers = static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
-  benchutil::warn_unqueried(args);
 
   common::Table table({"victim channel", "aggressor channel", "victim flips"});
   for (std::uint32_t victim_ch = 0; victim_ch < geometry.channels; ++victim_ch) {
@@ -93,10 +81,15 @@ int main(int argc, char** argv) {
                    std::to_string(read_flips(host, ch, victim, map))});
   }
 
-  table.print(std::cout);
-  telem.write_csv(table);
+  bench.print_table(table);
   std::cout << "\nresult: no cross-channel disturbance (null result); the same-channel\n"
                "positive control flips as expected.\n";
-  telem.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Ablation A3 (cross-channel)",
+                              "hammering one channel, checking rows in the others", bench_main);
 }

@@ -22,20 +22,12 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+namespace {
 
-  benchutil::banner("Ablation A4 (variation-aware defense)",
-                    "per-channel HC_first profiling -> mitigation cost");
-
-  bender::BenderHost host(benchutil::paper_device_config(seed));
-  benchutil::TelemetrySession telem(args, host);
-  host.set_chip_temperature(85.0);
-  const core::RowMap map = core::RowMap::from_device(host.device());
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 24));
-  benchutil::warn_unqueried(args);
+  bender::BenderHost& host = bench.paper_chip();
+  const core::RowMap map = core::RowMap::from_device(host.device());
 
   core::CharacterizerConfig ccfg;
   ccfg.wcdp_tolerance = 1024;
@@ -71,12 +63,17 @@ int main(int argc, char** argv) {
                    common::fmt_double(uniform, 3), common::fmt_double(aware, 3),
                    common::fmt_percent(1.0 - aware / uniform, 1)});
   }
-  table.print(std::cout);
-  telem.write_csv(table);
+  bench.print_table(table);
   std::cout << "\ntotal mitigation cost (normalized preventive-refresh rate): uniform "
             << common::fmt_double(total_uniform, 2) << " vs variation-aware "
             << common::fmt_double(total_aware, 2) << " ("
             << common::fmt_percent(1.0 - total_aware / total_uniform, 1) << " saved)\n";
-  telem.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Ablation A4 (variation-aware defense)",
+                              "per-channel HC_first profiling -> mitigation cost", bench_main);
 }

@@ -17,18 +17,11 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+namespace {
+
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   const auto hammers = static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
-
-  benchutil::banner("Ablation A10 (defenses)",
-                    "PARA / Graphene vs a 256K double-sided attack");
-
-  bender::BenderHost host(benchutil::paper_device_config(seed));
-  benchutil::TelemetrySession telem(args, host);
-  host.set_chip_temperature(85.0);
+  bender::BenderHost& host = bench.paper_chip();
   const core::RowMap map = core::RowMap::from_device(host.device());
   defense::DefenseHarness harness(host, map);
 
@@ -78,11 +71,16 @@ int main(int argc, char** argv) {
   defense::Graphene graphene_aware(map, {defense::Graphene::provision_threshold(ch0_hc), 64});
   report(graphene_aware.name() + " aware", ch0, 1224, &graphene_aware);
 
-  table.print(std::cout);
-  telem.write_csv(table);
+  bench.print_table(table);
   std::cout << "\nexpected shape: every defended run shows zero flips; the aware variants\n"
                "buy the same protection with visibly less preventive traffic on the\n"
                "stronger channel — the paper's variation-aware defense implication.\n";
-  telem.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Ablation A10 (defenses)",
+                              "PARA / Graphene vs a 256K double-sided attack", bench_main);
 }

@@ -26,19 +26,8 @@ std::string serialize(const std::vector<core::RowRecord>& records) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   const double fault_rate = args.get_fraction("fault-rate", 0.05);
-
-  benchutil::banner("Fault storm",
-                    "survey under transport-fault injection vs fault-free baseline");
-
-  benchutil::TelemetrySession telem(args);
-
   core::SurveyConfig survey;
   survey.row_stride = static_cast<std::uint32_t>(args.get_positive_int("stride", 2048));
   survey.characterizer.max_hammers =
@@ -47,35 +36,34 @@ int main(int argc, char** argv) {
   survey.characterizer.wcdp_tolerance =
       static_cast<std::uint64_t>(args.get_positive_int("tolerance", 512));
   const campaign::SweepSpec spec =
-      campaign::survey_sweep(benchutil::paper_device_config(seed), survey);
+      campaign::survey_sweep(benchutil::paper_device_config(bench.seed()), survey);
 
-  campaign::CampaignConfig config = benchutil::campaign_config(args);
-  benchutil::warn_unqueried(args);
+  campaign::CampaignConfig config = bench.campaign_config();
 
   // Baseline: same spec, same jobs, no injector.
   campaign::CampaignConfig baseline_config = config;
   baseline_config.fault_plan = resilience::FaultPlan{};
   std::cout << "baseline sweep (fault-free, " << spec.shards.size() << " shards, --jobs="
             << config.jobs << ") ...\n";
-  campaign::Campaign baseline(baseline_config, telem.sink());
-  const std::string baseline_records = serialize(baseline.run(spec).flat());
+  const std::string baseline_records =
+      serialize(bench.campaign_run(spec, baseline_config).flat());
 
-  // Storm: every transport fault armed at --fault-rate.
+  // Storm: every transport fault armed at --fault-rate; --report describes
+  // this run.
   config.fault_plan.set_transport_rates(fault_rate);
   std::cout << "storm sweep   (transport fault rate " << fault_rate << " per opportunity) ...\n";
-  campaign::Campaign storm(config, telem.sink());
-  const std::string storm_records = serialize(storm.run(spec).flat());
+  const campaign::CampaignResult storm = bench.campaign_run(spec, config);
+  bench.write_report("fault_storm", spec, storm);
+  const std::string storm_records = serialize(storm.flat());
 
-  const auto snapshot = storm.metrics().snapshot();
+  const auto snapshot = bench.last_campaign().metrics().snapshot();
   common::Table table({"counter", "value"});
   for (const char* name : {"resilience.injected", "resilience.recovered",
                            "resilience.aborted", "campaign.shards_retried",
                            "campaign.shards_fatal", "campaign.records"}) {
     table.add_row({name, common::fmt_double(snapshot.value_or(name, 0.0), 0)});
   }
-  table.print(std::cout);
-  telem.write_csv(table);
-  telem.finish();
+  bench.print_table(table);
 
   const auto injected = static_cast<std::uint64_t>(snapshot.value_or("resilience.injected", 0.0));
   if (fault_rate > 0.0 && injected == 0) {
@@ -91,4 +79,12 @@ int main(int argc, char** argv) {
             << baseline_records.size()
             << " bytes of merged records byte-identical to the fault-free run\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Fault storm",
+                              "survey under transport-fault injection vs fault-free baseline",
+                              bench_main);
 }

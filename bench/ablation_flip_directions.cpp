@@ -13,18 +13,11 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+namespace {
+
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 12));
-
-  benchutil::banner("Ablation A9 (flip directions)",
-                    "0->1 vs 1->0 bitflip anatomy per data pattern");
-
-  bender::BenderHost host(benchutil::paper_device_config(seed));
-  benchutil::TelemetrySession telem(args, host);
-  host.set_chip_temperature(85.0);
+  bender::BenderHost& host = bench.paper_chip();
   const core::RowMap map = core::RowMap::from_device(host.device());
   core::BitflipAnalyzer analyzer(host, map);
   const core::Site site{7, 0, 0};
@@ -38,8 +31,7 @@ int main(int argc, char** argv) {
                    std::to_string(census.zero_to_one), std::to_string(census.one_to_zero),
                    common::fmt_percent(census.zero_to_one_fraction(), 1)});
   }
-  table.print(std::cout);
-  telem.write_csv(table);
+  bench.print_table(table);
 
   const double repeat = analyzer.repeatability(site, 416, core::DataPattern::kRowstripe0);
   std::cout << "\nper-cell repeatability of an identical repeated experiment: "
@@ -47,6 +39,12 @@ int main(int argc, char** argv) {
             << "\n(RowHammer flips are per-cell deterministic — the property memory\n"
                "templating attacks rely on; checkered rows flip in both directions\n"
                "because both cell orientations hold charge somewhere in the row.)\n";
-  telem.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Ablation A9 (flip directions)",
+                              "0->1 vs 1->0 bitflip anatomy per data pattern", bench_main);
 }

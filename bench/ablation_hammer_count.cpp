@@ -12,16 +12,10 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+namespace {
+
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 10));
-
-  benchutil::banner("Ablation A12 (onset curve)", "BER vs hammer count, ch0 vs ch7");
-
-  benchutil::TelemetrySession telem(args);
-
   const std::vector<std::uint64_t> counts{8'192,  16'384,  32'768,  65'536,
                                           98'304, 131'072, 196'608, 262'144};
   const std::uint32_t channels[2] = {0, 7};
@@ -30,7 +24,7 @@ int main(int argc, char** argv) {
   // row 410, every 23rd row, one Rowstripe0 measure_ber each. Each point of
   // the onset curve is an independent, journal-able unit of work.
   campaign::SweepSpec spec;
-  spec.device = benchutil::paper_device_config(seed);
+  spec.device = benchutil::paper_device_config(bench.seed());
   for (const std::uint64_t hammers : counts) {
     for (const std::uint32_t channel : channels) {
       core::ShardSpec shard;
@@ -46,9 +40,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  campaign::Campaign campaign(benchutil::campaign_config(args), telem.sink());
-  const auto result = campaign.run(spec);
-  benchutil::warn_unqueried(args);
+  const auto result = bench.run_campaign("hammer_count", spec);
 
   common::Table table({"hammers", "ch0 mean BER", "ch7 mean BER", "ch0 rows flipped",
                        "ch7 rows flipped"});
@@ -69,14 +61,19 @@ int main(int argc, char** argv) {
                    std::to_string(flipped[0]) + "/" + std::to_string(rows),
                    std::to_string(flipped[1]) + "/" + std::to_string(rows)});
   }
-  table.print(std::cout);
-  telem.write_csv(table);
+  bench.print_table(table);
 
   std::cout << '\n';
   common::render_line(std::cout, curve7, 64, 10,
                       "ch7 mean BER % vs hammer count (8K -> 256K)");
   std::cout << "\nexpected shape: zero below the per-row HC_first tail (~13-20K), then\n"
                "super-linear growth — the regime the paper samples at 256K hammers.\n";
-  telem.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Ablation A12 (onset curve)",
+                              "BER vs hammer count, ch0 vs ch7", bench_main);
 }

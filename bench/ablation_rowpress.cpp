@@ -13,23 +13,14 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+namespace {
 
-  benchutil::banner("Ablation A1 (RowPress)", "BER / HC_first vs aggressor row on-time");
-
-  bender::BenderHost host(benchutil::paper_device_config(seed));
-  benchutil::TelemetrySession telem(args, host);
-  host.set_chip_temperature(85.0);
-  const auto& timings = host.device().timings();
-
-  const core::Site site{0, 0, 0};
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 8));
   const auto base_row = static_cast<std::uint32_t>(args.get_int("base-row", 1024));
-  benchutil::warn_unqueried(args);
-
+  bender::BenderHost& host = bench.paper_chip();
+  const auto& timings = host.device().timings();
+  const core::Site site{0, 0, 0};
   const core::RowMap map = core::RowMap::from_device(host.device());
 
   // On-times: minimal (tRAS) and multiples of it. Long on-times slow the
@@ -72,10 +63,15 @@ int main(int argc, char** argv) {
                    hc_count > 0 ? common::fmt_double(hc_sum / hc_count, 0) : "n/a",
                    std::to_string(flipped_rows) + "/" + std::to_string(rows)});
   }
-  table.print(std::cout);
-  telem.write_csv(table);
+  bench.print_table(table);
   std::cout << "\nexpected shape (RowPress): HC_first falls as on-time grows; per-hammer\n"
                "damage rises even though the timing budget allows fewer hammers.\n";
-  telem.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Ablation A1 (RowPress)",
+                              "BER / HC_first vs aggressor row on-time", bench_main);
 }

@@ -54,24 +54,12 @@ std::uint64_t hammer_with_refresh(bender::BenderHost& host, const core::RowMap& 
   return flips;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
-
-  benchutil::banner("Ablation A5 (TRR efficacy)",
-                    "256K-hammer attack with vs without interleaved REF");
-
-  bender::BenderHost host(benchutil::paper_device_config(seed));
-  benchutil::TelemetrySession telem(args, host);
-  host.set_chip_temperature(85.0);
-  const core::RowMap map = core::RowMap::from_device(host.device());
-  const core::Site site{7, 0, 0};  // most vulnerable channel
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   const auto hammers = static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 6));
-  benchutil::warn_unqueried(args);
+  bender::BenderHost& host = bench.paper_chip();
+  const core::RowMap map = core::RowMap::from_device(host.device());
+  const core::Site site{7, 0, 0};  // most vulnerable channel
 
   common::Table table({"victim row", "flips, REF off", "flips, 64 REFs", "flips, 512 REFs"});
   for (std::uint32_t i = 0; i < rows; ++i) {
@@ -82,10 +70,15 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(victim), std::to_string(off), std::to_string(sparse),
                    std::to_string(dense)});
   }
-  table.print(std::cout);
-  telem.write_csv(table);
+  bench.print_table(table);
   std::cout << "\nexpected shape: interleaved REF engages the period-17 TRR sampler, which\n"
                "keeps resetting the victim's disturbance; denser REF -> fewer/no flips.\n";
-  telem.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Ablation A5 (TRR efficacy)",
+                              "256K-hammer attack with vs without interleaved REF", bench_main);
 }

@@ -14,22 +14,14 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+namespace {
 
-  benchutil::banner("Ablation A6 (TRR evasion)",
-                    "decoy activations poison the period-17 sampler");
-
-  bender::BenderHost host(benchutil::paper_device_config(seed));
-  benchutil::TelemetrySession telem(args, host);
-  host.set_chip_temperature(85.0);
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
+  const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 6));
+  bender::BenderHost& host = bench.paper_chip();
   const core::RowMap map = core::RowMap::from_device(host.device());
   core::AttackRunner attacker(host, map);
   const core::Site site{7, 0, 0};
-  const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 6));
-  benchutil::warn_unqueried(args);
 
   core::AttackConfig no_ref;
   no_ref.refs = 0;
@@ -50,8 +42,7 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(victim), std::to_string(baseline.victim_flips),
                    std::to_string(naive.victim_flips), std::to_string(decoy.victim_flips)});
   }
-  table.print(std::cout);
-  telem.write_csv(table);
+  bench.print_table(table);
 
   // TRRespass-style many-sided hammering, same activation budget: the
   // one-entry sampler can only cover the last aggressor's neighbourhood.
@@ -64,6 +55,12 @@ int main(int argc, char** argv) {
             << blocked << " flips total) but the sampler-poisoning variant recovers "
             << evaded << " flips —\n"
                "knowing the mechanism (paper §5) is knowing how to defeat it.\n";
-  telem.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Ablation A6 (TRR evasion)",
+                              "decoy activations poison the period-17 sampler", bench_main);
 }

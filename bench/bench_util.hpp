@@ -1,23 +1,30 @@
-// Shared scaffolding for the figure/table bench harnesses.
+// The bench driver: the one front end of every figure and ablation bench.
 //
 // Every bench binary reproduces one artifact of the paper's evaluation and
 // prints (a) the series the figure plots as an aligned table, (b) a compact
 // ASCII rendering of the figure's shape, and (c) optional CSV via --csv.
-// Flags shared by all benches:
+//
+// A bench main is one call, `return benchutil::run_bench(argc, argv,
+// "Figure 6", "what it shows", bench_main);`: see run_bench and Bench. The
+// body, bench_main(Bench&, const CliArgs&), reads its own flags from the
+// args, then starts device work through the Bench, which rejects unknown
+// flags before the first DRAM command.
+//
+// Flags every bench takes:
 //   --seed=N            device seed (default: the calibrated seed)
-//   --stride=N          row-sampling stride (1 = the paper's full methodology)
-//   --hammers=N         hammer count for BER tests (default 262144 = 256 K)
 //   --csv=PATH          also write machine-readable CSV
 //   --metrics-json=PATH write a telemetry metrics snapshot (counters, per-bank
 //                       ACT heatmap, trace stats) as JSON
 //   --trace=PATH        write the command trace as Chrome trace-event JSON
 //                       (load in chrome://tracing or Perfetto)
 //   --heatmap           print the per-bank ACT heatmap after the run
+// Each bench adds its own knobs (e.g. --stride=N row-sampling stride, 1 =
+// the paper's full methodology; --hammers=N, default 262144 = 256 K).
+// Campaign-backed benches (fig3/fig4/fig5, ablation_hammer_count,
+// ablation_fault_storm), and only they, also take:
 //   --report=PATH       write the campaign run report (phase profile, shard
 //                       latencies, throughput, fault summary) as JSON; also
 //                       forces a telemetry sink on so cmd.* counters exist
-//                       (campaign-backed benches only)
-// Campaign-backed benches (fig3/fig4/fig5, ablation_hammer_count) also take:
 //   --jobs=N            worker threads, each with a private device clone;
 //                       merged output is byte-identical for any N
 //   --checkpoint=PATH   JSONL results journal written per completed shard
@@ -48,10 +55,11 @@
 #pragma once
 
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "bender/host.hpp"
 #include "campaign/campaign.hpp"
@@ -74,12 +82,6 @@ inline hbm::DeviceConfig paper_device_config(std::uint64_t seed) {
   return config;
 }
 
-inline void warn_unqueried(const common::CliArgs& args) {
-  for (const auto& flag : args.unqueried_flags()) {
-    std::cerr << "warning: unknown flag --" << flag << " ignored\n";
-  }
-}
-
 /// Prints the standard bench banner.
 inline void banner(const std::string& artifact, const std::string& description) {
   std::cout << "==============================================================\n"
@@ -89,143 +91,6 @@ inline void banner(const std::string& artifact, const std::string& description) 
 
 /// The calibrated device seed (the fault model's default).
 inline const std::uint64_t kDefaultSeed = fault::FaultConfig{}.seed;
-
-/// Per-bench output lifecycle: reads --csv / --metrics-json / --trace /
-/// --report / --heatmap up front (so an unwritable path fails before the
-/// sweep, and warn_unqueried never flags them), attaches a Telemetry sink to
-/// the host's device when any telemetry is requested, and writes the
-/// requested outputs in write_csv() / write_report() / finish(). When no
-/// telemetry flag is given no sink is constructed and the device keeps its
-/// zero-overhead null path.
-///
-/// Campaign-backed benches pass sink() to the Campaign, which gives every
-/// worker host a private sink and absorbs them all back into this session's
-/// aggregate after the run — so the exported metrics/heatmap cover the whole
-/// worker fleet, not just the main thread's host.
-///
-/// Usage:
-///   TelemetrySession telem(args, host);   // right after constructing host
-///   ... run the bench ...
-///   telem.finish();                       // before process exit
-class TelemetrySession {
-public:
-  /// Parses the flags only; call attach() for each host (population sweeps
-  /// construct several devices; each feeds the same aggregating sink).
-  explicit TelemetrySession(const common::CliArgs& args) {
-    csv_path_ = args.get("csv", "");
-    metrics_path_ = args.get("metrics-json", "");
-    trace_path_ = args.get("trace", "");
-    report_path_ = args.get("report", "");
-    heatmap_ = args.has("heatmap");
-    // Fail on unwritable paths now, not after a multi-minute run.
-    probe_writable(csv_path_, "CSV");
-    probe_writable(metrics_path_, "metrics");
-    probe_writable(trace_path_, "trace");
-    probe_writable(report_path_, "report");
-    if (enabled()) {
-      telemetry::TelemetryConfig config;
-      config.trace_enabled = !trace_path_.empty();
-      telemetry_ = std::make_unique<telemetry::Telemetry>(config);
-    }
-  }
-
-  TelemetrySession(const common::CliArgs& args, bender::BenderHost& host)
-      : TelemetrySession(args) {
-    attach(host);
-  }
-
-  TelemetrySession(const TelemetrySession&) = delete;
-  TelemetrySession& operator=(const TelemetrySession&) = delete;
-
-  /// Attaches the sink to a host's device. The session must outlive every
-  /// command issued on the host (declare it after the host in main()).
-  void attach(bender::BenderHost& host) {
-    if (telemetry_) host.set_telemetry(telemetry_.get());
-  }
-
-  [[nodiscard]] bool enabled() const {
-    return !metrics_path_.empty() || !trace_path_.empty() || !report_path_.empty() || heatmap_;
-  }
-  [[nodiscard]] telemetry::Telemetry* sink() { return telemetry_.get(); }
-  [[nodiscard]] const std::string& report_path() const { return report_path_; }
-
-  /// Writes a table to the --csv path (no-op without the flag).
-  void write_csv(const common::Table& table) const {
-    if (csv_path_.empty()) return;
-    std::ofstream out(csv_path_);
-    if (!out) throw common::ConfigError("cannot open CSV output file: " + csv_path_);
-    table.print_csv(out);
-    std::cout << "(csv written to " << csv_path_ << ")\n";
-  }
-
-  /// Writes the --report document for a finished campaign (no-op without the
-  /// flag). run_survey_campaign calls this; benches that drive a Campaign by
-  /// hand call it themselves before finish().
-  void write_report(const std::string& label, const campaign::SweepSpec& spec,
-                    const campaign::Campaign& campaign, const campaign::CampaignResult& result) {
-    if (report_path_.empty()) return;
-    const profiling::RunReport report =
-        campaign::build_report(label, spec, campaign, result, telemetry_.get());
-    std::ofstream out(report_path_);
-    if (!out) throw common::ConfigError("cannot open report output file: " + report_path_);
-    profiling::write_report_json(out, report);
-    out << '\n';
-    std::cout << "(report written to " << report_path_ << ")\n";
-  }
-
-  /// Hands the session a finished campaign's span forest (copied): the
-  /// --trace export then carries the campaign -> shard -> attempt -> phase
-  /// tree alongside the command slices. run_survey_campaign calls this.
-  void set_spans(const telemetry::SpanSheet& spans) {
-    spans_.clear();
-    spans_.merge_from(spans);
-    have_spans_ = true;
-  }
-
-  /// Writes the requested artifacts and prints one status line per file.
-  void finish() {
-    if (!telemetry_) return;
-    if (!metrics_path_.empty()) {
-      std::ofstream out(metrics_path_);
-      if (!out) throw common::ConfigError("cannot open metrics output file: " + metrics_path_);
-      telemetry_->write_metrics_json(out);
-      std::cout << "(metrics written to " << metrics_path_ << ")\n";
-    }
-    if (!trace_path_.empty()) {
-      std::ofstream out(trace_path_);
-      if (!out) throw common::ConfigError("cannot open trace output file: " + trace_path_);
-      telemetry_->write_chrome_trace(out, have_spans_ ? &spans_ : nullptr);
-      std::cout << "(trace written to " << trace_path_ << ")\n";
-    }
-    if (heatmap_) telemetry_->render_act_heatmap(std::cout);
-    if (const std::uint64_t dropped = telemetry_->trace_dropped_total(); dropped > 0) {
-      std::cerr << "warning: " << dropped << " command-trace events dropped (ring capacity "
-                << telemetry_->config().trace_capacity
-                << "); the telemetry.trace_dropped counter carries the total\n";
-    }
-  }
-
-private:
-  static void probe_writable(const std::string& path, const char* what) {
-    if (path.empty()) return;
-    // Probe in append mode: a truncating open would destroy an existing
-    // file here, before the run has produced anything to replace it with.
-    std::ofstream out(path, std::ios::app);
-    if (!out) {
-      throw common::ConfigError(std::string("cannot open ") + what +
-                                " output file: " + path);
-    }
-  }
-
-  std::string csv_path_;
-  std::string metrics_path_;
-  std::string trace_path_;
-  std::string report_path_;
-  bool heatmap_ = false;
-  std::unique_ptr<telemetry::Telemetry> telemetry_;
-  telemetry::SpanSheet spans_;
-  bool have_spans_ = false;
-};
 
 /// Parses the shared campaign flags: --jobs=N, --checkpoint=PATH, --resume,
 /// --retries=N (shard retry budget), plus the fault-injection knobs
@@ -262,21 +127,183 @@ inline campaign::CampaignConfig campaign_config(const common::CliArgs& args) {
   return config;
 }
 
-/// Runs a SpatialSurvey row sweep as a sharded campaign: identical records
-/// in identical order to SpatialSurvey::survey_rows() on one host, but
-/// spread over --jobs worker devices with checkpoint/resume. Worker
-/// telemetry is aggregated into `telem`'s sink.
-inline std::vector<core::RowRecord> run_survey_campaign(const common::CliArgs& args,
-                                                        std::uint64_t seed,
-                                                        const core::SurveyConfig& survey,
-                                                        TelemetrySession& telem,
-                                                        const std::string& label = "survey") {
-  const campaign::SweepSpec spec = campaign::survey_sweep(paper_device_config(seed), survey);
-  campaign::Campaign campaign(campaign_config(args), telem.sink());
-  const campaign::CampaignResult result = campaign.run(spec);
-  telem.set_spans(campaign.spans());
-  telem.write_report(label, spec, campaign, result);
-  return result.flat();
+/// One bench run: the flags, the device seed, the only ways to start device
+/// work (paper_chip() / chip() for a host, run_campaign() / campaign_run()
+/// for a campaign; each rejects unknown flags first), and the output
+/// session. Output paths are probed up front. A telemetry sink exists only
+/// when --metrics-json, --trace, --heatmap or --report asks for one; every
+/// host gets it, and a campaign absorbs its workers' sinks into it, so the
+/// exported metrics and heatmap cover the whole fleet.
+class Bench {
+public:
+  /// Reads --seed and the output-session flags.
+  explicit Bench(common::CliArgs& args)
+      : args_(args),
+        seed_(static_cast<std::uint64_t>(
+            args.get_int("seed", static_cast<std::int64_t>(kDefaultSeed)))),
+        csv_path_(writable(args.get("csv", ""), "CSV")),
+        metrics_path_(writable(args.get("metrics-json", ""), "metrics")),
+        trace_path_(writable(args.get("trace", ""), "trace")),
+        heatmap_(args.has("heatmap")) {
+    if (!metrics_path_.empty() || !trace_path_.empty() || heatmap_) require_sink();
+  }
+
+  [[nodiscard]] std::uint64_t seed() const { return seed_; }
+
+  /// Rejects unknown flags, then builds a paper chip of device seed `seed`
+  /// with the sink attached. Nothing is settled: population sweeps pin each
+  /// chip's temperature, and the thermal ablation drives the rig from its
+  /// starting point.
+  [[nodiscard]] std::unique_ptr<bender::BenderHost> chip(std::uint64_t seed) {
+    args_.reject_unqueried();
+    auto host = std::make_unique<bender::BenderHost>(paper_device_config(seed));
+    if (sink_) host->set_telemetry(sink_.get());
+    return host;
+  }
+
+  /// The paper chip under --seed, settled at 85 degC by the thermal rig:
+  /// the operating point of every headline experiment. Built on first call.
+  bender::BenderHost& paper_chip() {
+    if (!paper_chip_) {
+      paper_chip_ = chip(seed_);
+      paper_chip_->set_chip_temperature(85.0);
+    }
+    return *paper_chip_;
+  }
+
+  /// Reads the campaign flags (benchutil::campaign_config) and --report,
+  /// the last flags a campaign bench reads, then rejects unknown flags.
+  const campaign::CampaignConfig& campaign_config() {
+    if (!campaign_config_) {
+      campaign_config_ = benchutil::campaign_config(args_);
+      report_path_ = writable(args_.get("report", ""), "report");
+      if (!report_path_.empty()) require_sink();
+      args_.reject_unqueried();
+    }
+    return *campaign_config_;
+  }
+
+  /// Rejects unknown flags, then runs `spec` as a campaign under `config`
+  /// with the sink. The finished campaign (its counters, and the span
+  /// forest the --trace export carries) stays readable as last_campaign()
+  /// until the next run.
+  campaign::CampaignResult campaign_run(const campaign::SweepSpec& spec,
+                                        const campaign::CampaignConfig& config) {
+    args_.reject_unqueried();
+    campaign_ = std::make_unique<campaign::Campaign>(config, sink_.get());
+    return campaign_->run(spec);
+  }
+  [[nodiscard]] const campaign::Campaign& last_campaign() const { return *campaign_; }
+
+  /// Writes the --report document for the last campaign run, which gave
+  /// `result` (no-op without the flag).
+  void write_report(const std::string& label, const campaign::SweepSpec& spec,
+                    const campaign::CampaignResult& result) const {
+    if (report_path_.empty()) return;
+    const profiling::RunReport report =
+        campaign::build_report(label, spec, *campaign_, result, sink_.get());
+    std::ofstream out(report_path_);
+    if (!out) throw common::ConfigError("cannot open report output file: " + report_path_);
+    profiling::write_report_json(out, report);
+    out << '\n';
+    std::cout << "(report written to " << report_path_ << ")\n";
+  }
+
+  /// The campaign path: `spec` under the campaign flags, reported to
+  /// --report under `label`.
+  campaign::CampaignResult run_campaign(const std::string& label,
+                                        const campaign::SweepSpec& spec) {
+    campaign::CampaignResult result = campaign_run(spec, campaign_config());
+    write_report(label, spec, result);
+    return result;
+  }
+
+  /// Prints `table` and writes it to --csv.
+  void print_table(const common::Table& table) const {
+    table.print(std::cout);
+    write_csv(table);
+  }
+
+  /// Writes `table` to --csv (no-op without the flag).
+  void write_csv(const common::Table& table) const {
+    if (csv_path_.empty()) return;
+    std::ofstream out(csv_path_);
+    if (!out) throw common::ConfigError("cannot open CSV output file: " + csv_path_);
+    table.print_csv(out);
+    std::cout << "(csv written to " << csv_path_ << ")\n";
+  }
+
+  /// Writes --metrics-json and --trace, prints --heatmap, one status line
+  /// per file. run_bench calls it after the body.
+  void finish() const {
+    if (!sink_) return;
+    if (!metrics_path_.empty()) {
+      std::ofstream out(metrics_path_);
+      if (!out) throw common::ConfigError("cannot open metrics output file: " + metrics_path_);
+      sink_->write_metrics_json(out);
+      std::cout << "(metrics written to " << metrics_path_ << ")\n";
+    }
+    if (!trace_path_.empty()) {
+      std::ofstream out(trace_path_);
+      if (!out) throw common::ConfigError("cannot open trace output file: " + trace_path_);
+      sink_->write_chrome_trace(out, campaign_ ? &campaign_->spans() : nullptr);
+      std::cout << "(trace written to " << trace_path_ << ")\n";
+    }
+    if (heatmap_) sink_->render_act_heatmap(std::cout);
+    if (const std::uint64_t dropped = sink_->trace_dropped_total(); dropped > 0) {
+      std::cerr << "warning: " << dropped << " command-trace events dropped (ring capacity "
+                << sink_->config().trace_capacity
+                << "); the telemetry.trace_dropped counter carries the total\n";
+    }
+  }
+
+private:
+  /// Returns `path` once it is known to be writable ("" passes): an
+  /// unwritable output fails now, not after a multi-minute run.
+  static std::string writable(std::string path, const char* what) {
+    // Probe in append mode: a truncating open would destroy an existing
+    // file here, before the run has produced anything to replace it with.
+    if (!path.empty() && !std::ofstream(path, std::ios::app)) {
+      throw common::ConfigError(std::string("cannot open ") + what + " output file: " + path);
+    }
+    return path;
+  }
+
+  /// Creates the sink if no flag has yet; hosts built earlier lack it.
+  void require_sink() {
+    if (sink_) return;
+    telemetry::TelemetryConfig config;
+    config.trace_enabled = !trace_path_.empty();
+    sink_ = std::make_unique<telemetry::Telemetry>(config);
+  }
+
+  common::CliArgs& args_;
+  std::uint64_t seed_;
+  std::string csv_path_;
+  std::string metrics_path_;
+  std::string trace_path_;
+  bool heatmap_;
+  std::string report_path_;
+  std::optional<campaign::CampaignConfig> campaign_config_;
+  std::unique_ptr<telemetry::Telemetry> sink_;
+  std::unique_ptr<campaign::Campaign> campaign_;     // after sink_: destroyed first
+  std::unique_ptr<bender::BenderHost> paper_chip_;  // ditto
+};
+
+/// The entry point of every figure and ablation bench: prints the banner,
+/// builds the Bench (reading --seed and the output-session flags), runs
+/// `body(bench, args)`, writes the outputs and returns the body's exit
+/// status. Errors exit 1 with "<bench>: <message>" (common::run_main).
+inline int run_bench(int argc, char** argv, const std::string& artifact,
+                     const std::string& description,
+                     const std::function<int(Bench&, const common::CliArgs&)>& body) {
+  return common::run_main(argc, argv, [&](common::CliArgs& args) {
+    banner(artifact, description);
+    Bench bench(args);
+    const int status = body(bench, args);
+    bench.finish();
+    return status;
+  });
 }
 
 }  // namespace rh::benchutil

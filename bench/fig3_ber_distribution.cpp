@@ -17,22 +17,17 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+namespace {
 
-  benchutil::banner("Figure 3", "BER across rows, channels, and data patterns");
-
-  benchutil::TelemetrySession telem(args);
-
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   core::SurveyConfig config;
   config.row_stride = static_cast<std::uint32_t>(args.get_positive_int("stride", 256));
   config.characterizer.ber_hammers =
       static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
   config.characterizer.max_hammers = config.characterizer.ber_hammers;
-  const auto records = benchutil::run_survey_campaign(args, seed, config, telem, "fig3");
-  benchutil::warn_unqueried(args);
+  const campaign::SweepSpec spec =
+      campaign::survey_sweep(benchutil::paper_device_config(bench.seed()), config);
+  const auto records = bench.run_campaign("fig3", spec).flat();
   const auto stats = core::aggregate_ber(records);
 
   common::Table table({"channel", "pattern", "min", "q1", "median", "q3", "max", "mean", "rows"});
@@ -43,8 +38,7 @@ int main(int argc, char** argv) {
                    common::fmt_percent(s.stats.max), common::fmt_percent(s.stats.mean),
                    std::to_string(s.stats.count)});
   }
-  table.print(std::cout);
-  telem.write_csv(table);
+  bench.print_table(table);
 
   // Compact rendering of the figure: WCDP box per channel.
   std::vector<common::BoxRow> rows;
@@ -70,6 +64,12 @@ int main(int argc, char** argv) {
                      wcdp_mean[7] / wcdp_mean[0], 2)
               << "x\n";
   }
-  telem.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Figure 3",
+                              "BER across rows, channels, and data patterns", bench_main);
 }

@@ -17,15 +17,9 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+namespace {
 
-  benchutil::banner("Figure 4", "HC_first across rows, channels, and data patterns");
-
-  benchutil::TelemetrySession telem(args);
-
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   core::SurveyConfig config;
   config.row_stride = static_cast<std::uint32_t>(args.get_positive_int("stride", 256));
   config.characterizer.max_hammers =
@@ -33,8 +27,9 @@ int main(int argc, char** argv) {
   config.characterizer.ber_hammers = config.characterizer.max_hammers;
   config.characterizer.wcdp_tolerance =
       static_cast<std::uint64_t>(args.get_positive_int("tolerance", 512));
-  const auto records = benchutil::run_survey_campaign(args, seed, config, telem, "fig4");
-  benchutil::warn_unqueried(args);
+  const campaign::SweepSpec spec =
+      campaign::survey_sweep(benchutil::paper_device_config(bench.seed()), config);
+  const auto records = bench.run_campaign("fig4", spec).flat();
   const auto stats = core::aggregate_hc_first(records);
 
   common::Table table({"channel", "pattern", "min", "q1", "median", "q3", "max", "mean", "rows"});
@@ -45,8 +40,7 @@ int main(int argc, char** argv) {
                    common::fmt_double(s.stats.max, 0), common::fmt_double(s.stats.mean, 0),
                    std::to_string(s.stats.count)});
   }
-  table.print(std::cout);
-  telem.write_csv(table);
+  bench.print_table(table);
 
   std::vector<common::BoxRow> rows;
   for (const auto& s : stats) {
@@ -71,6 +65,12 @@ int main(int argc, char** argv) {
   std::cout << "paper: ch0 mean HC_first RS0 57925 / RS1 79179  |  measured: "
             << common::fmt_double(ch0_mean[0], 0) << " / " << common::fmt_double(ch0_mean[1], 0)
             << '\n';
-  telem.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Figure 4",
+                              "HC_first across rows, channels, and data patterns", bench_main);
 }

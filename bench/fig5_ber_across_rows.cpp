@@ -16,20 +16,13 @@
 #include "common/stats.hpp"
 #include "core/row_map.hpp"
 #include "core/spatial.hpp"
+#include "hbm/subarray.hpp"
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+namespace {
 
-  benchutil::banner("Figure 5", "BER for different rows across a bank (per-row WCDP)");
-
-  bender::BenderHost host(benchutil::paper_device_config(seed));
-  benchutil::TelemetrySession telem(args, host);
-  host.set_chip_temperature(85.0);
-
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   core::SurveyConfig config;
   config.row_stride = static_cast<std::uint32_t>(args.get_positive_int("stride", 16));
   config.wcdp_by_ber = true;  // Fig. 5 only needs the per-row WCDP BER
@@ -38,13 +31,15 @@ int main(int argc, char** argv) {
   config.characterizer.ber_hammers =
       static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
   config.characterizer.max_hammers = config.characterizer.ber_hammers;
+  const bool probe_boundaries = !args.has("skip-boundaries");
 
   // The survey itself runs as a sharded campaign (--jobs/--checkpoint/
-  // --resume); `host` stays around for the layout queries and the
-  // single-sided boundary probe below, which are cheap and serial.
-  const auto records = benchutil::run_survey_campaign(args, seed, config, telem, "fig5");
-  benchutil::warn_unqueried(args);
-  const auto regions = core::paper_regions(host.device().geometry(), config.region_rows);
+  // --resume); the layout queries read the spec's geometry, and only the
+  // single-sided boundary probe below, cheap and serial, needs a host.
+  const campaign::SweepSpec spec =
+      campaign::survey_sweep(benchutil::paper_device_config(bench.seed()), config);
+  const auto records = bench.run_campaign("fig5", spec).flat();
+  const auto regions = core::paper_regions(spec.device.geometry, config.region_rows);
 
   common::Table table({"channel", "region", "physical row", "WCDP", "BER"});
   for (const auto& rec : records) {
@@ -57,7 +52,7 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(rec.site.channel), region, std::to_string(rec.physical_row),
                    std::string(to_string(rec.wcdp)), common::fmt_percent(rec.wcdp_ber().ber(), 3)});
   }
-  telem.write_csv(table);
+  bench.write_csv(table);
   std::cout << "(" << table.rows() << " rows measured; per-row table in --csv output)\n";
 
   // Render the per-region series for the first configured channel, the way
@@ -77,7 +72,7 @@ int main(int argc, char** argv) {
   }
 
   // Last-subarray attenuation (paper: last 832 rows).
-  const auto& layout = host.device().subarray_layout();
+  const auto layout = hbm::SubarrayLayout::paper_layout(spec.device.geometry.rows_per_bank);
   std::vector<double> last_sa;
   std::vector<double> rest;
   for (const auto& rec : records) {
@@ -90,7 +85,8 @@ int main(int argc, char** argv) {
 
   // Reverse engineer the subarray boundaries in the middle region via the
   // paper's single-sided probe (footnote 3) and report the subarray sizes.
-  if (!args.has("skip-boundaries")) {
+  if (probe_boundaries) {
+    bender::BenderHost& host = bench.paper_chip();
     const core::RowMap map = core::RowMap::from_device(host.device());
     const core::Site site{render_channel, 0, 0};
     const auto middle = regions[1];
@@ -102,6 +98,12 @@ int main(int argc, char** argv) {
     for (std::size_t i = 1; i < starts.size(); ++i) std::cout << ' ' << starts[i] - starts[i - 1];
     std::cout << "  (paper: 832 and 768)\n";
   }
-  telem.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Figure 5",
+                              "BER for different rows across a bank (per-row WCDP)", bench_main);
 }

@@ -18,17 +18,9 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+namespace {
 
-  benchutil::banner("Figure 6", "BER variation across banks (mean vs CV, 256 banks)");
-
-  bender::BenderHost host(benchutil::paper_device_config(seed));
-  benchutil::TelemetrySession telem(args, host);
-  host.set_chip_temperature(85.0);
-
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   core::SurveyConfig config;
   config.wcdp_by_ber = true;
   config.characterizer.ber_hammers =
@@ -37,9 +29,8 @@ int main(int argc, char** argv) {
   const auto rows_per_region =
       static_cast<std::uint32_t>(args.get_positive_int("rows-per-region", 100));
   const auto stride = static_cast<std::uint32_t>(args.get_positive_int("row-stride", 8));
-  benchutil::warn_unqueried(args);
 
-  core::SpatialSurvey survey(host, config);
+  core::SpatialSurvey survey(bench.paper_chip(), config);
   const auto points = survey.survey_banks(rows_per_region, stride);
 
   common::Table table({"channel", "pc", "bank", "mean BER", "CV", "rows"});
@@ -48,7 +39,7 @@ int main(int argc, char** argv) {
                    std::to_string(p.site.bank), common::fmt_percent(p.mean_ber, 3),
                    common::fmt_double(p.cv, 3), std::to_string(p.rows_tested)});
   }
-  telem.write_csv(table);
+  bench.write_csv(table);
   std::cout << "(" << table.rows() << " banks measured; per-bank table in --csv output)\n\n";
 
   // Scatter: glyph = channel digit (color in the paper); the paper marks
@@ -100,6 +91,12 @@ int main(int argc, char** argv) {
             << " pp vs max within-channel bank spread: "
             << common::fmt_double(max_within * 100.0, 3)
             << " pp (paper: channel-level variation dominates)\n";
-  telem.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Figure 6",
+                              "BER variation across banks (mean vs CV, 256 banks)", bench_main);
 }

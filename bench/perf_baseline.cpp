@@ -25,14 +25,11 @@
 using namespace rh;
 
 int main(int argc, char** argv) {
-  try {
-    const common::CliArgs args(argc, argv);
+  return common::run_main(argc, argv, [](common::CliArgs& args) {
     const auto seed = static_cast<std::uint64_t>(
         args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
     const auto stride = static_cast<std::uint32_t>(args.get_positive_int("stride", 2048));
     const std::string out_path = args.get("out", "BENCH_campaign.json");
-
-    benchutil::banner("perf baseline", "campaign throughput (fig4-style sweep)");
 
     core::SurveyConfig config;
     config.row_stride = stride;
@@ -45,8 +42,9 @@ int main(int argc, char** argv) {
     campaign::CampaignConfig run_config;
     run_config.jobs = static_cast<unsigned>(args.get_positive_int("jobs", 2));
     run_config.engine = common::parse_engine_kind(args.get("engine", "fast"));
-    benchutil::warn_unqueried(args);
+    args.reject_unqueried();
 
+    benchutil::banner("perf baseline", "campaign throughput (fig4-style sweep)");
     const campaign::SweepSpec spec =
         campaign::survey_sweep(benchutil::paper_device_config(seed), config);
     // Throughput needs the fleet's cmd.* counters; the per-command trace
@@ -72,8 +70,5 @@ int main(int argc, char** argv) {
               << " s on " << report.jobs << " workers\n"
               << "(baseline written to " << out_path << ")\n";
     return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "perf_baseline: " << e.what() << '\n';
-    return 1;
-  }
+  });
 }

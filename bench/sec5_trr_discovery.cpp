@@ -13,25 +13,17 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(benchutil::kDefaultSeed)));
+namespace {
 
-  benchutil::banner("Section 5", "U-TRR: uncovering the undisclosed in-DRAM TRR");
-
-  bender::BenderHost host(benchutil::paper_device_config(seed));
-  benchutil::TelemetrySession telem(args, host);
-  host.set_chip_temperature(85.0);
-
+int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   const core::Site site{static_cast<std::uint32_t>(args.get_int("channel", 0)), 0,
                         static_cast<std::uint32_t>(args.get_int("bank", 0))};
   // Pick a probe row away from the REF-pointer sweep (2 rows advance per
   // REF; 100 iterations sweep rows 0..199).
   const auto probe_row = static_cast<std::uint32_t>(args.get_int("row", 4096));
   const auto iterations = static_cast<std::uint32_t>(args.get_positive_int("iterations", 100));
-  benchutil::warn_unqueried(args);
 
+  bender::BenderHost& host = bench.paper_chip();
   const core::RowMap map = core::RowMap::from_device(host.device());
   core::UtrrConfig config;
   config.iterations = iterations;
@@ -66,8 +58,13 @@ int main(int argc, char** argv) {
                  result.inferred_period ? std::to_string(*result.inferred_period) : "n/a"});
   table.add_row({"firings in 100 iterations", "~5",
                  std::to_string(result.refreshed_iterations.size())});
-  table.print(std::cout);
-  telem.write_csv(table);
-  telem.finish();
+  bench.print_table(table);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::run_bench(argc, argv, "Section 5",
+                              "U-TRR: uncovering the undisclosed in-DRAM TRR", bench_main);
 }

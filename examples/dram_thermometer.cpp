@@ -20,9 +20,10 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
-  (void)args;
+namespace {
+
+int example_main(common::CliArgs& args) {
+  args.reject_unqueried();
 
   std::cout << "== DRAM-as-thermometer (retention side channel) ==\n\n";
 
@@ -52,3 +53,7 @@ int main(int argc, char** argv) {
                "degrees — handy for testing rigs, worrying for isolation.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return common::run_main(argc, argv, example_main); }

@@ -16,10 +16,12 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+namespace {
+
+int example_main(common::CliArgs& args) {
   const auto channel = static_cast<std::uint32_t>(args.get_int("channel", 7));
   const auto row = static_cast<std::uint32_t>(args.get_int("row", 416));
+  args.reject_unqueried();
 
   std::cout << "== hbm2-rowhammer-lab quickstart ==\n\n";
 
@@ -61,3 +63,7 @@ int main(int argc, char** argv) {
             << " ms of DRAM time — inside the paper's 27 ms retention-safety bound.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return common::run_main(argc, argv, example_main); }

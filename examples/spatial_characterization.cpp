@@ -16,18 +16,19 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+namespace {
+
+int example_main(common::CliArgs& args) {
+  core::SurveyConfig config;
+  config.channels = {0, 6, 7};
+  config.row_stride = static_cast<std::uint32_t>(args.get_positive_int("stride", 384));
+  config.characterizer.wcdp_tolerance = 4096;
+  args.reject_unqueried();
 
   std::cout << "== spatial variation study (paper §4, condensed) ==\n\n";
 
   bender::BenderHost host{hbm::DeviceConfig{}};
   host.set_chip_temperature(85.0);
-
-  core::SurveyConfig config;
-  config.channels = {0, 6, 7};
-  config.row_stride = static_cast<std::uint32_t>(args.get_positive_int("stride", 384));
-  config.characterizer.wcdp_tolerance = 4096;
 
   core::SpatialSurvey survey(host, config);
   std::cout << "surveying channels 0, 6, 7 (stride " << config.row_stride
@@ -74,3 +75,7 @@ int main(int argc, char** argv) {
   std::cout << "rows (the paper finds 832- and 768-row subarrays)\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return common::run_main(argc, argv, example_main); }

@@ -51,11 +51,9 @@ TemplatingRun scan_channel(bender::BenderHost& host, const core::RowMap& map,
   return run;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+int example_main(common::CliArgs& args) {
   const auto targets = static_cast<std::uint64_t>(args.get_positive_int("targets", 2000));
+  args.reject_unqueried();
 
   std::cout << "== memory templating: naive vs vulnerability-aware channel choice ==\n\n";
 
@@ -88,3 +86,7 @@ int main(int argc, char** argv) {
                "(fewer activations needed per induced flip), as §4 of the paper notes.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return common::run_main(argc, argv, example_main); }

@@ -18,9 +18,11 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+namespace {
+
+int example_main(common::CliArgs& args) {
   const auto iterations = static_cast<std::uint32_t>(args.get_positive_int("iterations", 100));
+  args.reject_unqueried();
 
   std::cout << "== uncovering the proprietary TRR (paper §5) ==\n\n";
 
@@ -67,3 +69,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return common::run_main(argc, argv, example_main); }

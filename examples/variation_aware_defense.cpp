@@ -23,9 +23,11 @@
 
 using namespace rh;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+namespace {
+
+int example_main(common::CliArgs& args) {
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 16));
+  args.reject_unqueried();
 
   std::cout << "== variation-aware RowHammer defense sizing ==\n\n";
 
@@ -89,3 +91,7 @@ int main(int argc, char** argv) {
                "beyond what any attacker can accumulate inside a refresh window.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return common::run_main(argc, argv, example_main); }

@@ -135,7 +135,6 @@ public:
   /// recoveries become marks. The campaign attaches a per-shard context
   /// around each attempt; detached hosts pay one pointer test per phase.
   void set_trace_context(telemetry::TraceContext* ctx) { span_ctx_ = ctx; }
-  [[nodiscard]] telemetry::TraceContext* trace_context() const { return span_ctx_; }
 
   /// Attaches a cycles-cadence metrics sampler (nullptr detaches). The host
   /// offers it a sampling opportunity after every program — the

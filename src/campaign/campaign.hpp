@@ -27,7 +27,7 @@
 //   * progress — a live progress/ETA line fed from campaign.* counters in
 //     the telemetry metrics registry,
 //   * observability — each worker host gets its own telemetry sink, all
-//     absorbed into the caller's aggregate sink (TelemetrySession) so
+//     absorbed into the caller's aggregate sink (the bench's session) so
 //     --metrics-json / --heatmap cover the whole fleet.
 //
 // Who owns what: the per-shard work (rig bring-up, attempts, spans,
@@ -196,7 +196,7 @@ class ShardRun;
 class Campaign {
 public:
   /// `aggregate` (may be null) receives every worker's telemetry after the
-  /// run plus the campaign.* counters; pass TelemetrySession::sink().
+  /// run plus the campaign.* counters (a bench passes its session sink).
   explicit Campaign(CampaignConfig config, telemetry::Telemetry* aggregate = nullptr);
 
   /// Overrides worker host construction, make_default_host by default
@@ -232,7 +232,7 @@ private:
 
 /// Joins a finished campaign into one RunReport: the fleet profile, the
 /// campaign.*/resilience.* counters, per-shard timings, and — when `sink`
-/// (the TelemetrySession aggregate the workers reported into) is non-null —
+/// (the session aggregate the workers reported into) is non-null —
 /// the full fleet metrics snapshot and trace-ring accounting. With a null
 /// sink the report still carries the campaign's own counters; cmd.*-derived
 /// throughput is simply absent.

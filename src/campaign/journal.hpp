@@ -142,9 +142,6 @@ public:
 
   /// The header line exactly as it sits on disk.
   [[nodiscard]] const std::string& raw_header() const { return scan_.raw_header; }
-  /// Every intact record line exactly as on disk, in file order (excludes
-  /// the header, corrupt lines, and the torn tail).
-  [[nodiscard]] const std::vector<std::string>& raw_lines() const { return scan_.intact_lines; }
   /// The full line classification (what resume repairs and rh_fsck reports).
   [[nodiscard]] const resilience::JsonlScan& scan() const { return scan_; }
 

@@ -2,11 +2,21 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
+#include <iostream>
 #include <stdexcept>
 
 #include "common/error.hpp"
 
 namespace rh::common {
+namespace {
+
+/// The error every getter throws for a value outside its flag's domain.
+CliError bad_value(const std::string& name, const std::string& value, const char* expected) {
+  return CliError("flag --" + name + " expects " + expected + ", got '" + value + "'");
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -31,18 +41,18 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
 }
 
 bool CliArgs::has(const std::string& name) const {
-  queried_[name] = true;
+  query(name);
   return flags_.count(name) > 0;
 }
 
 std::string CliArgs::get(const std::string& name, const std::string& def) const {
-  queried_[name] = true;
+  query(name);
   const auto it = flags_.find(name);
   return it == flags_.end() ? def : it->second;
 }
 
 std::int64_t CliArgs::get_int(const std::string& name, std::int64_t def) const {
-  queried_[name] = true;
+  query(name);
   const auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   try {
@@ -51,12 +61,12 @@ std::int64_t CliArgs::get_int(const std::string& name, std::int64_t def) const {
     if (pos != it->second.size()) throw std::invalid_argument("trailing chars");
     return v;
   } catch (const std::exception&) {
-    throw CliError("flag --" + name + " expects an integer, got '" + it->second + "'");
+    throw bad_value(name, it->second, "an integer");
   }
 }
 
 double CliArgs::get_double(const std::string& name, double def) const {
-  queried_[name] = true;
+  query(name);
   const auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   try {
@@ -65,24 +75,20 @@ double CliArgs::get_double(const std::string& name, double def) const {
     if (pos != it->second.size()) throw std::invalid_argument("trailing chars");
     return v;
   } catch (const std::exception&) {
-    throw CliError("flag --" + name + " expects a number, got '" + it->second + "'");
+    throw bad_value(name, it->second, "a number");
   }
 }
 
 std::int64_t CliArgs::get_positive_int(const std::string& name, std::int64_t def) const {
   const std::int64_t v = get_int(name, def);
-  if (has(name) && v < 1) {
-    throw CliError("flag --" + name + " expects a positive integer, got '" +
-                   get(name, "") + "'");
-  }
+  if (has(name) && v < 1) throw bad_value(name, get(name, ""), "a positive integer");
   return v;
 }
 
 double CliArgs::get_positive_double(const std::string& name, double def) const {
   const double v = get_double(name, def);
   if (has(name) && (!std::isfinite(v) || v <= 0.0)) {
-    throw CliError("flag --" + name + " expects a positive finite number, got '" +
-                   get(name, "") + "'");
+    throw bad_value(name, get(name, ""), "a positive finite number");
   }
   return v;
 }
@@ -90,8 +96,7 @@ double CliArgs::get_positive_double(const std::string& name, double def) const {
 double CliArgs::get_fraction(const std::string& name, double def) const {
   const double v = get_double(name, def);
   if (has(name) && (!std::isfinite(v) || v < 0.0 || v > 1.0)) {
-    throw CliError("flag --" + name + " expects a fraction in [0, 1], got '" +
-                   get(name, "") + "'");
+    throw bad_value(name, get(name, ""), "a fraction in [0, 1]");
   }
   return v;
 }
@@ -100,9 +105,33 @@ std::vector<std::string> CliArgs::unqueried_flags() const {
   std::vector<std::string> out;
   for (const auto& [key, value] : flags_) {
     (void)value;
-    if (queried_.find(key) == queried_.end()) out.push_back(key);
+    if (queried_.count(key) == 0) out.push_back(key);
   }
   return out;
+}
+
+void CliArgs::query(const std::string& name) const {
+  if (queried_.insert(name).second && sealed_) {
+    throw std::logic_error("flag --" + name + " is read after the unknown-flag check");
+  }
+}
+
+void CliArgs::reject_unqueried() {
+  std::string unknown;
+  for (const auto& flag : unqueried_flags()) unknown += (unknown.empty() ? "--" : ", --") + flag;
+  if (!unknown.empty()) throw CliError("unknown flag " + unknown);
+  sealed_ = true;
+}
+
+int run_main(int argc, const char* const* argv, const std::function<int(CliArgs&)>& body) {
+  try {
+    CliArgs args(argc, argv);
+    return body(args);
+  } catch (const std::exception& e) {
+    std::cerr << std::filesystem::path(argc > 0 ? argv[0] : "").filename().string() << ": "
+              << e.what() << '\n';
+    return 1;
+  }
 }
 
 }  // namespace rh::common

@@ -1,18 +1,21 @@
-// Minimal command-line flag parsing for bench harnesses and examples.
-// Supports --key=value, --key value, and boolean --flag forms.
+// The command-line front end of every bench, tool and example: flag parsing
+// (--key=value, --key value, and boolean --flag forms), the unknown-flag
+// rule, and the one entry point.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 namespace rh::common {
 
-/// Parsed command line. Unknown flags are kept and can be rejected by the
-/// caller via unknown_flags(); positional arguments are preserved in order.
-/// All parse/validation failures throw CliError (a ConfigError), naming the
-/// offending flag and value.
+/// Parsed command line. Every getter records the flag it asked about, so
+/// reject_unqueried() can name the flags nobody read; positional arguments
+/// are preserved in order. All parse/validation failures throw CliError (a
+/// ConfigError), naming the offending flag and value.
 class CliArgs {
 public:
   /// Parses argv[1..). Throws CliError on malformed input (e.g. "--=3").
@@ -50,13 +53,28 @@ public:
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 
   /// Flags seen on the command line that the program never queried.
-  /// Call at the end of flag handling to catch typos.
   [[nodiscard]] std::vector<std::string> unqueried_flags() const;
 
+  /// The unknown-flag rule, for once all flags are read and before any
+  /// device work: throws CliError naming every flag nobody read, else seals
+  /// the arguments. A flag first read after that throws std::logic_error,
+  /// given or not, so a misplaced read fails every run.
+  void reject_unqueried();
+
 private:
+  /// Records that `name` was asked about (throws once sealed, see above).
+  void query(const std::string& name) const;
+
   std::map<std::string, std::string> flags_;
-  mutable std::map<std::string, bool> queried_;
+  mutable std::set<std::string> queried_;
   std::vector<std::string> positional_;
+  bool sealed_ = false;
 };
+
+/// The one entry point of every bench, tool and example main: parses argv
+/// and returns `body`'s exit status. Any exception becomes one
+/// "<program>: <message>" line on stderr (program = argv[0]'s file name)
+/// and exit status 1.
+int run_main(int argc, const char* const* argv, const std::function<int(CliArgs&)>& body);
 
 }  // namespace rh::common

@@ -77,20 +77,4 @@ BoxStats box_stats(std::span<const double> xs) {
   return s;
 }
 
-Histogram::Histogram(double lo_, double hi_, std::size_t bins) : lo(lo_), hi(hi_), counts(bins, 0) {
-  RH_EXPECTS(bins > 0);
-  RH_EXPECTS(hi_ > lo_);
-}
-
-void Histogram::add(double x) {
-  const double frac = (x - lo) / (hi - lo);
-  auto idx = static_cast<std::ptrdiff_t>(frac * static_cast<double>(counts.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts.size()) - 1);
-  ++counts[static_cast<std::size_t>(idx)];
-}
-
-std::size_t Histogram::total() const {
-  return std::accumulate(counts.begin(), counts.end(), std::size_t{0});
-}
-
 }  // namespace rh::common

@@ -1,6 +1,6 @@
 // Descriptive statistics used throughout the characterization study:
-// box-and-whiskers summaries (Figs. 3 and 4 of the paper), coefficient of
-// variation (Fig. 6), and simple histograms for reports.
+// box-and-whiskers summaries (Figs. 3 and 4 of the paper) and coefficient of
+// variation (Fig. 6).
 #pragma once
 
 #include <cstddef>
@@ -38,17 +38,5 @@ struct BoxStats {
 /// Quartile convention matches the paper's caption: q1/q3 are the medians of
 /// the lower and upper halves of the ordered data (Tukey hinges).
 [[nodiscard]] BoxStats box_stats(std::span<const double> xs);
-
-/// Fixed-width histogram over [lo, hi] with `bins` buckets; values outside
-/// the range are clamped into the edge buckets.
-struct Histogram {
-  double lo = 0.0;
-  double hi = 1.0;
-  std::vector<std::size_t> counts;
-
-  Histogram(double lo_, double hi_, std::size_t bins);
-  void add(double x);
-  [[nodiscard]] std::size_t total() const;
-};
 
 }  // namespace rh::common

@@ -57,14 +57,6 @@ enum class Stream : std::uint64_t {
   return common::to_unit_double(h) < anti_fraction;
 }
 
-/// The logical value this cell holds when charged (1 for true cells, 0 for
-/// anti cells).
-[[nodiscard]] inline int charged_value(std::uint64_t master, const BankContext& b,
-                                       std::uint32_t physical_row, std::uint32_t bit,
-                                       double anti_fraction) {
-  return is_anti_cell(master, b, physical_row, bit, anti_fraction) ? 0 : 1;
-}
-
 /// Fills `out` with the row's power-on (never-written) content: fixed
 /// pseudo-random bytes, deterministic in (seed, bank, row). Real DRAM
 /// powers on with effectively random but stable data; experiments always

@@ -77,7 +77,6 @@ public:
   /// candidate selection is a conservative superset). Off by default — the
   /// interp engine keeps the reference scan as ground truth.
   void set_fast_kernel(bool enabled);
-  [[nodiscard]] bool fast_kernel() const { return cache_ != nullptr; }
 
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }
   [[nodiscard]] const hbm::SubarrayLayout& layout() const { return layout_; }

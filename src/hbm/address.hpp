@@ -45,14 +45,4 @@ struct RowAddress {
   }
 };
 
-/// Identifies one column burst within a row.
-struct ColumnAddress {
-  RowAddress row;
-  std::uint32_t column = 0;
-
-  [[nodiscard]] bool valid(const Geometry& g) const {
-    return row.valid(g) && column < g.columns_per_row;
-  }
-};
-
 }  // namespace rh::hbm

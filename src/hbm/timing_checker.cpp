@@ -49,12 +49,6 @@ void BankTiming::on_write(Cycle now) {
   ever_written_ = true;
 }
 
-void BankTiming::force_closed(Cycle now) {
-  open_ = false;
-  last_pre_ = now;
-  ever_precharged_ = true;
-}
-
 void BankTiming::note_batch_end(Cycle end) {
   if (open_) throw common::ProtocolError("batch hammer requires the bank to be precharged");
   last_act_ = end > t_->tRC ? end - t_->tRC : 0;

@@ -23,7 +23,6 @@ public:
 
   [[nodiscard]] bool open() const { return open_; }
   [[nodiscard]] std::uint32_t open_row() const { return open_row_; }
-  [[nodiscard]] Cycle last_activate() const { return last_act_; }
 
   /// Validates and records an ACT at `now` opening `logical_row`.
   void on_activate(Cycle now, std::uint32_t logical_row);
@@ -33,8 +32,6 @@ public:
   void on_read(Cycle now);
   /// Validates and records a WR at `now`.
   void on_write(Cycle now);
-  /// Forces closed state (REF, PREA, batch ops).
-  void force_closed(Cycle now);
 
   /// Records the end of a batch hammer macro-op: the bank finished its last
   /// ACT/PRE pair at `end`, so subsequent ACTs respect tRC/tRP from there.

@@ -43,11 +43,6 @@ void ServiceMetrics::add(const std::string& name, std::uint64_t n) {
   registry_.counter(name).add(n);
 }
 
-void ServiceMetrics::set_gauge(const std::string& name, double value) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  registry_.gauge(name).set(value);
-}
-
 void ServiceMetrics::observe(const std::string& name, double value) {
   const std::lock_guard<std::mutex> lock(mutex_);
   // Bounds are ignored on a re-request; every histogram must come from the

@@ -48,7 +48,6 @@ public:
   ServiceMetrics();
 
   void add(const std::string& name, std::uint64_t n = 1);
-  void set_gauge(const std::string& name, double value);
   /// Observes into a histogram registered by the constructor.
   void observe(const std::string& name, double value);
   [[nodiscard]] telemetry::MetricsSnapshot snapshot() const;

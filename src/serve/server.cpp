@@ -722,7 +722,7 @@ std::shared_ptr<Job> Server::make_job(std::uint64_t id, const std::string& tenan
     job->meta_injector = std::make_unique<resilience::StorageFaultInjector>(std::move(splan));
   }
   job->remaining = job->spec.shards.size();
-  // Same sink configuration as the bench CLI's report-only TelemetrySession:
+  // Same sink configuration as a bench run with only --report:
   // report byte-identity depends on the aggregate snapshot matching.
   telemetry::TelemetryConfig tc;
   tc.trace_enabled = false;

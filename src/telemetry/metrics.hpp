@@ -65,8 +65,8 @@ struct HistogramSummary {
                                         const std::vector<std::uint64_t>& buckets, double q);
 
 /// Fixed-width-bucket histogram over [lo, hi); samples outside the range are
-/// clamped into the edge buckets (mirrors common::Histogram, but with the
-/// integer counts and bucket introspection the export path needs). The sum
+/// clamped into the edge buckets, with the integer counts and bucket
+/// introspection the export path needs. The sum
 /// accumulates the *observed* values (pre-clamp), so mean = sum/total is
 /// faithful even when samples land in the edge buckets.
 class FixedHistogram {

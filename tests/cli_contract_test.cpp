@@ -1,0 +1,163 @@
+// The command-line contract of every bench, tool and example binary, run
+// as a real process: exit status 0 on success and 1 with one
+// "<binary>: <message>" line on stderr for any usage, config or runtime
+// error; an unknown flag is such an error and stops the binary before any
+// device work; and --report is written exactly where a campaign runs.
+//
+// The binaries' directories arrive as compile definitions (RH_BENCH_DIR,
+// RH_TOOLS_DIR, RH_EXAMPLES_DIR), the way serve_resume_test gets its
+// RH_SERVE_BIN.
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <ostream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "campaign/record_io.hpp"
+#include "scratch_dir.hpp"
+
+namespace rh {
+namespace {
+
+struct Outcome {
+  int status = -1;
+  std::string out;
+  std::string err;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// Runs `binary` with `args` (no stdin), capturing stdout and stderr into
+/// `dir`. A binary killed by a signal reports 128 + the signal, as a shell
+/// would (an abort() is 134).
+Outcome run(const test::ScratchDir& dir, const std::string& binary,
+            const std::vector<std::string>& args) {
+  std::string command = binary;
+  for (const std::string& arg : args) command += " '" + arg + "'";
+  command += " </dev/null >" + dir.file("stdout") + " 2>" + dir.file("stderr");
+  const int raw = std::system(command.c_str());
+  Outcome outcome;
+  outcome.status = WIFEXITED(raw) ? WEXITSTATUS(raw) : 128 + WTERMSIG(raw);
+  outcome.out = slurp(dir.file("stdout"));
+  outcome.err = slurp(dir.file("stderr"));
+  return outcome;
+}
+
+std::string bench(const std::string& name) { return std::string(RH_BENCH_DIR) + "/" + name; }
+
+TEST(CliContract, OutOfDomainFlagValueExitsOneWithTheMessage) {
+  const test::ScratchDir dir;
+  const Outcome got = run(dir, bench("fig3_ber_distribution"), {"--stride=0"});
+  EXPECT_EQ(got.status, 1);
+  EXPECT_EQ(got.err,
+            "fig3_ber_distribution: flag --stride expects a positive integer, got '0'\n");
+}
+
+TEST(CliContract, TypoedFlagFailsBeforeTheSweepStarts) {
+  const test::ScratchDir dir;
+  const std::string journal = dir.file("ck.jsonl");
+  const Outcome got =
+      run(dir, bench("fig3_ber_distribution"), {"--stirde=4", "--checkpoint=" + journal});
+  EXPECT_EQ(got.status, 1);
+  EXPECT_EQ(got.err, "fig3_ber_distribution: unknown flag --stirde\n");
+  EXPECT_FALSE(std::filesystem::exists(journal)) << "the campaign started";
+}
+
+TEST(CliContract, CampaignBenchWritesItsReport) {
+  const test::ScratchDir dir;
+  const std::string report = dir.file("r.json");
+  const Outcome got = run(dir, bench("ablation_hammer_count"), {"--rows=1", "--report=" + report});
+  ASSERT_EQ(got.status, 0) << got.err;
+  const campaign::JsonValue doc = campaign::parse_json(slurp(report), report);
+  EXPECT_EQ(doc.at("schema").text, "rh-run-report/v1");
+  EXPECT_EQ(doc.at("shards").at("total").as_u64(), 16u);
+  EXPECT_EQ(doc.at("records").as_u64(), 16u);
+}
+
+TEST(CliContract, HostOnlyBenchRejectsReport) {
+  const test::ScratchDir dir;
+  const std::string report = dir.file("r.json");
+  const Outcome got = run(dir, bench("ablation_temperature"), {"--report=" + report});
+  EXPECT_EQ(got.status, 1);
+  EXPECT_EQ(got.err, "ablation_temperature: unknown flag --report\n");
+  EXPECT_FALSE(std::filesystem::exists(report));
+}
+
+struct Binary {
+  const char* dir;
+  const char* name;
+  bool banner;  ///< prints the three-line bench banner before reading device flags
+};
+
+// Names each case after its binary (ctest lists ".../<binary>").
+void PrintTo(const Binary& binary, std::ostream* os) { *os << binary.name; }
+
+class UnknownFlag : public ::testing::TestWithParam<Binary> {};
+
+TEST_P(UnknownFlag, ExitsOneBeforeAnyDeviceWork) {
+  const Binary& binary = GetParam();
+  const test::ScratchDir dir;
+  const Outcome got =
+      run(dir, std::string(binary.dir) + "/" + binary.name, {"--no-such-flag"});
+  EXPECT_EQ(got.status, 1);
+  EXPECT_EQ(got.err, std::string(binary.name) + ": unknown flag --no-such-flag\n");
+  // Nothing but the banner reached stdout: no result line, no listening
+  // line, no progress.
+  if (binary.banner) {
+    const std::string rule(62, '=');
+    EXPECT_EQ(std::count(got.out.begin(), got.out.end(), '\n'), 3) << got.out;
+    EXPECT_EQ(got.out.rfind(rule + "\n", 0), 0u) << got.out;
+    EXPECT_TRUE(got.out.ends_with(rule + "\n")) << got.out;
+  } else {
+    EXPECT_EQ(got.out, "");
+  }
+}
+
+const Binary kBinaries[] = {
+    {RH_BENCH_DIR, "fig3_ber_distribution", true},
+    {RH_BENCH_DIR, "fig4_hcfirst_distribution", true},
+    {RH_BENCH_DIR, "fig5_ber_across_rows", true},
+    {RH_BENCH_DIR, "fig6_bank_variation", true},
+    {RH_BENCH_DIR, "sec5_trr_discovery", true},
+    {RH_BENCH_DIR, "ablation_chip_population", true},
+    {RH_BENCH_DIR, "ablation_cross_channel", true},
+    {RH_BENCH_DIR, "ablation_defense", true},
+    {RH_BENCH_DIR, "ablation_defense_comparison", true},
+    {RH_BENCH_DIR, "ablation_fault_storm", true},
+    {RH_BENCH_DIR, "ablation_flip_directions", true},
+    {RH_BENCH_DIR, "ablation_hammer_count", true},
+    {RH_BENCH_DIR, "ablation_rowpress", true},
+    {RH_BENCH_DIR, "ablation_temperature", true},
+    {RH_BENCH_DIR, "ablation_trr_efficacy", true},
+    {RH_BENCH_DIR, "ablation_trr_evasion", true},
+    {RH_BENCH_DIR, "perf_baseline", false},
+    {RH_TOOLS_DIR, "rh_report", false},
+    {RH_TOOLS_DIR, "rh_fuzz", false},
+    {RH_TOOLS_DIR, "rh_tail", false},
+    {RH_TOOLS_DIR, "rh_fsck", false},
+    {RH_TOOLS_DIR, "rh_serve", false},
+    {RH_TOOLS_DIR, "rh_top", false},
+    {RH_EXAMPLES_DIR, "quickstart", false},
+    {RH_EXAMPLES_DIR, "spatial_characterization", false},
+    {RH_EXAMPLES_DIR, "uncover_trr", false},
+    {RH_EXAMPLES_DIR, "templating_attack", false},
+    {RH_EXAMPLES_DIR, "variation_aware_defense", false},
+    {RH_EXAMPLES_DIR, "dram_thermometer", false},
+};
+
+INSTANTIATE_TEST_SUITE_P(Binaries, UnknownFlag, ::testing::ValuesIn(kBinaries));
+
+}  // namespace
+}  // namespace rh

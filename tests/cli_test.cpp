@@ -108,5 +108,37 @@ TEST(Cli, FractionEnforcesUnitInterval) {
   EXPECT_THROW((void)make({"--fault-rate=nan"}).get_fraction("fault-rate", 0.0), CliError);
 }
 
+TEST(Cli, RejectUnqueriedNamesEveryUnreadFlag) {
+  auto args = make({"--used=1", "--typo=2", "--other"});
+  (void)args.get_int("used", 0);
+  try {
+    args.reject_unqueried();
+    FAIL() << "unknown flags passed the check";
+  } catch (const CliError& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --other, --typo");
+  }
+}
+
+TEST(Cli, ReadingANewFlagAfterTheCheckFailsWhetherOrNotItWasGiven) {
+  auto args = make({"--used=1", "--late=2"});
+  (void)args.get_int("used", 0);
+  (void)args.has("late");
+  args.reject_unqueried();
+  EXPECT_EQ(args.get_int("used", 0), 1);  // read before the check: still fine
+  EXPECT_EQ(args.get("late", ""), "2");
+  EXPECT_THROW((void)args.has("absent"), std::logic_error);
+  EXPECT_THROW((void)args.get_int("never", 3), std::logic_error);
+}
+
+TEST(Cli, RunMainReturnsTheBodysStatusOrOneOnAnyError) {
+  const auto read_n = [](CliArgs& args) { return static_cast<int>(args.get_int("n", 0)); };
+  const char* good[] = {"prog", "--n=7"};
+  EXPECT_EQ(run_main(2, good, read_n), 7);
+  const char* bad[] = {"prog", "--n=abc"};
+  EXPECT_EQ(run_main(2, bad, read_n), 1);
+  const char* malformed[] = {"prog", "--=3"};
+  EXPECT_EQ(run_main(2, malformed, read_n), 1);
+}
+
 }  // namespace
 }  // namespace rh::common

@@ -2,19 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "scratch_dir.hpp"
 
 namespace rh::common {
 namespace {
 
 class CsvTest : public ::testing::Test {
 protected:
-  void TearDown() override { std::remove(path_.c_str()); }
-
   std::string read_back() const {
     std::ifstream in(path_);
     std::ostringstream os;
@@ -22,10 +20,8 @@ protected:
     return os.str();
   }
 
-  // One file per test case: ctest runs the cases as parallel processes, so a
-  // shared name lets one case's TearDown delete another's output mid-check.
-  std::string path_ = ::testing::TempDir() + "rh_csv_test_" +
-                      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
+  test::ScratchDir dir_;
+  std::string path_ = dir_.file("out.csv");
 };
 
 TEST_F(CsvTest, WritesRowsCommaSeparated) {

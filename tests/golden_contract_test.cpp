@@ -18,6 +18,7 @@
 #include "campaign/journal.hpp"
 #include "profiling/report.hpp"
 #include "resilience/storage.hpp"
+#include "scratch_dir.hpp"
 #include "serve/config.hpp"
 #include "serve/observe.hpp"
 #include "serve/server.hpp"
@@ -177,11 +178,9 @@ TEST(GoldenContract, MetricsStreamV1) {
 /// populated array pins its element shape where an empty one would not).
 class ServeFixture {
 public:
-  ServeFixture() : dir_("golden_contract_serve") {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+  ServeFixture() {
     serve::Server::Options options;
-    options.data_dir = dir_;
+    options.data_dir = dir_.str();
     server_ = std::make_unique<serve::Server>(options);
     serve::HttpRequest req;
     req.method = "POST";
@@ -190,14 +189,10 @@ public:
     req.headers["x-tenant"] = "alice";
     EXPECT_EQ(server_->handle(req).status, 201);
   }
-  ~ServeFixture() {
-    server_.reset();
-    std::filesystem::remove_all(dir_);
-  }
   [[nodiscard]] serve::Server& server() { return *server_; }
 
 private:
-  std::string dir_;
+  test::ScratchDir dir_;  // outlives the server, which writes into it
   std::unique_ptr<serve::Server> server_;
 };
 

@@ -20,6 +20,7 @@
 #include "campaign/record_io.hpp"
 #include "campaign/tail.hpp"
 #include "common/error.hpp"
+#include "scratch_dir.hpp"
 #include "serve/config.hpp"
 #include "serve/server.hpp"
 #include "telemetry/stream.hpp"
@@ -216,18 +217,6 @@ TEST(DamageMatrix, CorruptMidFileJournalLineLeavesItsShardPending) {
 namespace rh::serve {
 namespace {
 
-class TempDir {
-public:
-  explicit TempDir(std::string path) : path_(std::move(path)) {
-    std::filesystem::remove_all(path_);
-  }
-  ~TempDir() { std::filesystem::remove_all(path_); }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
-private:
-  std::string path_;
-};
-
 CampaignConfig quick_config() {
   CampaignConfig config;
   config.label = "boot-recovery";
@@ -304,7 +293,7 @@ void reopen_descriptor(const std::string& dir, std::uint64_t id) {
 }
 
 TEST(ServeBootRecovery, QuarantinesMidFileRotReRunsTheShardAndMatches) {
-  const TempDir dir("boot_recovery_rot_data");
+  const test::ScratchDir dir;
   const auto [id, clean_results] = run_clean_job(dir.str());
   ASSERT_FALSE(clean_results.empty());
 
@@ -351,7 +340,7 @@ TEST(ServeBootRecovery, QuarantinesMidFileRotReRunsTheShardAndMatches) {
 }
 
 TEST(ServeBootRecovery, DestroyedJournalHeaderStartsOverAndStillFinishes) {
-  const TempDir dir("boot_recovery_header_data");
+  const test::ScratchDir dir;
   const auto [id, clean_results] = run_clean_job(dir.str());
 
   reopen_descriptor(dir.str(), id);

@@ -23,24 +23,12 @@
 
 #include "campaign/record_io.hpp"
 #include "resilience/storage.hpp"
+#include "scratch_dir.hpp"
 #include "serve/config.hpp"
 #include "serve/server.hpp"
 
 namespace rh::serve {
 namespace {
-
-class TempDir {
-public:
-  explicit TempDir(std::string path) : path_(std::move(path)) {
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~TempDir() { std::filesystem::remove_all(path_); }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
-private:
-  std::string path_;
-};
 
 /// serve_server_test's quick sweep: 2 channels x 512-stride BER-only survey
 /// in 2-row shards -> 18 fast shards.
@@ -135,7 +123,7 @@ std::string unframe(const std::string& line) {
 }
 
 TEST(ServeMetrics, FixedRequestSequenceYieldsExactCountsAndStableScrapes) {
-  const TempDir dir("serve_metrics_test_seq");
+  const test::ScratchDir dir;
   Server::Options options;
   options.data_dir = dir.str();
   options.rigs = 2;
@@ -202,7 +190,7 @@ TEST(ServeMetrics, FixedRequestSequenceYieldsExactCountsAndStableScrapes) {
 }
 
 TEST(ServeMetrics, AccessLogRecordsEveryRequestWithFramedLines) {
-  const TempDir dir("serve_metrics_test_log");
+  const test::ScratchDir dir;
   const std::string log_path = dir.str() + "/access-log.jsonl";
   {
     Server::Options options;
@@ -247,7 +235,7 @@ TEST(ServeMetrics, AccessLogRecordsEveryRequestWithFramedLines) {
 }
 
 TEST(ServeMetrics, MalformedFramingIsAnswered400AndLoggedAsMalformed) {
-  const TempDir dir("serve_metrics_test_garbage");
+  const test::ScratchDir dir;
   Server::Options options;
   options.data_dir = dir.str();
   options.rigs = 1;
@@ -299,7 +287,7 @@ TEST(ServeMetrics, MalformedFramingIsAnswered400AndLoggedAsMalformed) {
 }
 
 TEST(ServeMetrics, StealCounterAgreesWithTheStealHistogramAndRigRows) {
-  const TempDir dir("serve_metrics_test_steal");
+  const test::ScratchDir dir;
   Server::Options options;
   options.data_dir = dir.str();
   options.rigs = 2;
@@ -365,7 +353,7 @@ TEST(ServeMetrics, StealCounterAgreesWithTheStealHistogramAndRigRows) {
 }
 
 TEST(ServeMetrics, TenantAccountingAndRetryAfterOnBothRejectPaths) {
-  const TempDir dir("serve_metrics_test_tenants");
+  const test::ScratchDir dir;
   Server::Options options;
   options.data_dir = dir.str();
   options.queue_limit = 2;
@@ -447,7 +435,7 @@ TEST(ServeMetrics, FlightRecorderRingDropsOldestAndCountsDropped) {
 }
 
 TEST(ServeMetrics, ServerDumpsTheFlightRecorderOnDemand) {
-  const TempDir dir("serve_metrics_test_dump");
+  const test::ScratchDir dir;
   Server::Options options;
   options.data_dir = dir.str();
   options.rigs = 2;
@@ -496,7 +484,7 @@ TEST(ServeMetrics, ServerDumpsTheFlightRecorderOnDemand) {
 }
 
 TEST(ServeMetrics, AccessLogGoesDarkOnStorageFailureInsteadOfThrowing) {
-  const TempDir dir("serve_metrics_test_dark");
+  const test::ScratchDir dir;
   resilience::StorageFaultPlan plan;
   plan.script.push_back({resilience::StorageFaultKind::kEnospc, 1});
   resilience::StorageFaultInjector injector(std::move(plan));

@@ -22,23 +22,12 @@
 #include <vector>
 
 #include "campaign/record_io.hpp"
+#include "scratch_dir.hpp"
 #include "serve/config.hpp"
 #include "serve/http.hpp"
 
 namespace rh::serve {
 namespace {
-
-class TempDir {
-public:
-  explicit TempDir(std::string path) : path_(std::move(path)) {
-    std::filesystem::remove_all(path_);
-  }
-  ~TempDir() { std::filesystem::remove_all(path_); }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
-private:
-  std::string path_;
-};
 
 CampaignConfig quick_config() {
   CampaignConfig config;
@@ -107,8 +96,8 @@ std::string wait_done(std::uint16_t port, std::uint64_t id) {
 }
 
 TEST(ServeResume, KilledServerResumesAndMatchesUninterruptedRun) {
-  const TempDir data("serve_resume_test_data");
-  const TempDir reference("serve_resume_test_reference");
+  const test::ScratchDir data("data");
+  const test::ScratchDir reference("reference");
   const std::string port_file = data.str() + ".port";
   const std::string config_json = to_canonical_json(quick_config());
 

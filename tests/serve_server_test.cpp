@@ -19,23 +19,12 @@
 #include "campaign/record_io.hpp"
 #include "profiling/report.hpp"
 #include "resilience/retry.hpp"
+#include "scratch_dir.hpp"
 #include "serve/config.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace rh::serve {
 namespace {
-
-class TempDir {
-public:
-  explicit TempDir(std::string path) : path_(std::move(path)) {
-    std::filesystem::remove_all(path_);
-  }
-  ~TempDir() { std::filesystem::remove_all(path_); }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
-private:
-  std::string path_;
-};
 
 /// The resilience_test storm sweep expressed as a service config: 2
 /// channels x 512-stride BER-only survey in 2-row shards -> 18 fast shards.
@@ -101,7 +90,7 @@ std::string bench_det_report(const CampaignConfig& config, campaign::CampaignCon
 }
 
 TEST(ServeServer, EndToEndMatchesTheBenchCliPath) {
-  const TempDir dir("serve_server_test_e2e");
+  const test::ScratchDir dir;
   Server::Options options;
   options.data_dir = dir.str();
   options.rigs = 2;
@@ -191,8 +180,8 @@ TEST(ServeServer, FaultStormJobYieldsTheSameResults) {
   // transport fault storm changes nothing about the journaled bytes. Run
   // the storm in a fresh server (fresh cache — the fault plan is not part
   // of the cache identity, deliberately) and diff against the clean run.
-  const TempDir clean_dir("serve_server_test_storm_clean");
-  const TempDir storm_dir("serve_server_test_storm");
+  const test::ScratchDir clean_dir("clean");
+  const test::ScratchDir storm_dir("storm");
 
   const auto run_results = [](const std::string& dir, const CampaignConfig& config) {
     Server::Options options;
@@ -243,7 +232,7 @@ TEST(ServeServer, StormRetriesAndFailuresMatchTheBenchCliPath) {
   // so every rig's fault stream, the same on both sides. A 2-attempt
   // transport budget under a 5% storm makes some attempts fail transiently
   // (retried on a fresh rig) and some shards exhaust their retry budget.
-  const TempDir dir("serve_server_test_storm_report");
+  const test::ScratchDir dir;
   CampaignConfig config = quick_config();
   config.fault_rate = 0.05;
   config.fault_seed = 0xB0071;
@@ -296,7 +285,7 @@ TEST(ServeServer, FailedJobKeepsItsErrorAcrossARestart) {
   // The storm above fails its job. A server restarted on the same data dir
   // must still say why: the descriptor carries the error, not only the
   // state.
-  const TempDir dir("serve_server_test_failed_restart");
+  const test::ScratchDir dir;
   CampaignConfig config = quick_config();
   config.fault_rate = 0.05;
   config.fault_seed = 0xB0071;
@@ -333,7 +322,7 @@ TEST(ServeServer, FailedJobKeepsItsErrorAcrossARestart) {
 TEST(ServeServer, AdmissionControl) {
   // No start(): the scheduler has no rig threads, so admitted jobs stay
   // queued and admission decisions are deterministic.
-  const TempDir dir("serve_server_test_admission");
+  const test::ScratchDir dir;
   Server::Options options;
   options.data_dir = dir.str();
   options.queue_limit = 3;
@@ -391,7 +380,7 @@ TEST(ServeServer, CancelWhileRunningIsSafe) {
   // writer out from under a rig's in-flight sampler (use-after-free). The
   // writers now stay open until the last rig retires; this hammers the
   // cancel path at varying points in the run.
-  const TempDir dir("serve_server_test_cancel");
+  const test::ScratchDir dir;
   Server::Options options;
   options.data_dir = dir.str();
   options.rigs = 2;
@@ -433,7 +422,7 @@ TEST(ServeServer, CancelWhileRunningIsSafe) {
 }
 
 TEST(ServeServer, HealthzAndStatzShapes) {
-  const TempDir dir("serve_server_test_statz");
+  const test::ScratchDir dir;
   Server::Options options;
   options.data_dir = dir.str();
   Server server(options);

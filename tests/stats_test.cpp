@@ -96,22 +96,6 @@ TEST(BoxStats, IsPermutationInvariant) {
   EXPECT_DOUBLE_EQ(sa.q3, sb.q3);
 }
 
-TEST(Histogram, ClampsOutOfRangeIntoEdgeBuckets) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(0.1);
-  h.add(0.9);
-  h.add(5.0);
-  EXPECT_EQ(h.counts[0], 2u);
-  EXPECT_EQ(h.counts[3], 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, RejectsDegenerateConfig) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 4), PreconditionError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
-}
-
 class BoxStatsOrdering : public ::testing::TestWithParam<int> {};
 
 TEST_P(BoxStatsOrdering, QuantilesAreMonotone) {

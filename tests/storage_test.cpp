@@ -21,6 +21,7 @@
 #include "campaign/tail.hpp"
 #include "common/error.hpp"
 #include "core/spatial.hpp"
+#include "scratch_dir.hpp"
 #include "telemetry/stream.hpp"
 
 namespace rh::resilience {
@@ -265,19 +266,6 @@ class TempPath {
 public:
   explicit TempPath(std::string path) : path_(std::move(path)) { std::remove(path_.c_str()); }
   ~TempPath() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
-private:
-  std::string path_;
-};
-
-class TempDir {
-public:
-  explicit TempDir(std::string path) : path_(std::move(path)) {
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~TempDir() { std::filesystem::remove_all(path_); }
   [[nodiscard]] const std::string& str() const { return path_; }
 
 private:
@@ -604,7 +592,7 @@ std::map<std::string, FsckStatus> build_damaged_dir(const std::string& dir) {
 }
 
 TEST(Fsck, DetectsEveryInjectedLesion) {
-  const TempDir dir("storage_test_fsck_detect");
+  const test::ScratchDir dir;
   const auto expected = build_damaged_dir(dir.str());
 
   const std::vector<FsckVerdict> verdicts = fsck_scan(dir.str());
@@ -628,7 +616,7 @@ TEST(Fsck, DetectsEveryInjectedLesion) {
 }
 
 TEST(Fsck, RepairRestoresEveryRepairableFile) {
-  const TempDir dir("storage_test_fsck_repair");
+  const test::ScratchDir dir;
   build_damaged_dir(dir.str());
 
   for (const FsckVerdict& v : fsck_scan(dir.str())) {
@@ -659,7 +647,7 @@ TEST(Fsck, RepairRestoresEveryRepairableFile) {
 }
 
 TEST(Fsck, RepairingAnUnrepairableVerdictThrows) {
-  const TempDir dir("storage_test_fsck_refuse");
+  const test::ScratchDir dir;
   write_raw(dir.str() + "/job-1.json", "not json at all");
   const std::vector<FsckVerdict> verdicts = fsck_scan(dir.str());
   ASSERT_EQ(verdicts.size(), 1u);
@@ -668,7 +656,7 @@ TEST(Fsck, RepairingAnUnrepairableVerdictThrows) {
 }
 
 TEST(Fsck, ReportNamesEveryFileAndTalliesTheDamage) {
-  const TempDir dir("storage_test_fsck_render");
+  const test::ScratchDir dir;
   build_damaged_dir(dir.str());
   const std::vector<FsckVerdict> verdicts = fsck_scan(dir.str());
   std::ostringstream os;
@@ -712,8 +700,8 @@ ReaderView reader_view(const FsckVerdict& v) {
 }
 
 TEST(Fsck, VerdictsAgreeWithTheReaders) {
-  const TempDir dir("storage_test_fsck_agree");
-  const TempDir resumed("storage_test_fsck_agree_resumed");
+  const test::ScratchDir dir;
+  const test::ScratchDir resumed("resumed");
   build_damaged_dir(dir.str());
 
   const std::string journal_v1 =

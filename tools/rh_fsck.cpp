@@ -30,14 +30,11 @@
 
 int main(int argc, char** argv) {
   using namespace rh;
-  try {
-    const common::CliArgs args(argc, argv);
+  return common::run_main(argc, argv, [](common::CliArgs& args) {
     const std::string data_dir = args.get("data-dir", "");
     const bool repair = args.has("repair");
     const std::vector<std::string> files = args.positional();
-    for (const auto& flag : args.unqueried_flags()) {
-      std::cerr << "warning: unknown flag --" << flag << " ignored\n";
-    }
+    args.reject_unqueried();
     if (data_dir.empty() && files.empty()) {
       throw common::CliError("usage: rh_fsck --data-dir=DIR [--repair], or rh_fsck FILE...");
     }
@@ -75,8 +72,5 @@ int main(int argc, char** argv) {
     }
     std::cout << (damaged ? "rh_fsck: all damage repaired\n" : "rh_fsck: clean\n");
     return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "rh_fsck: " << e.what() << '\n';
-    return 1;
-  }
+  });
 }

@@ -72,9 +72,7 @@ int replay_file(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const common::CliArgs args(argc, argv);
-
+  return common::run_main(argc, argv, [](common::CliArgs& args) {
     const std::string replay = args.get("replay", "");
     verify::FuzzConfig cfg;
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -85,18 +83,11 @@ int main(int argc, char** argv) {
     cfg.shrink = args.get_int("shrink", 1) != 0;
     cfg.corpus_dir = args.get("corpus", "");
     cfg.disable_rule = args.get("disable-rule", "");
-
-    for (const auto& flag : args.unqueried_flags()) {
-      std::cerr << "rh_fuzz: unknown flag --" << flag << '\n';
-      return 1;
-    }
+    args.reject_unqueried();
 
     if (!replay.empty()) return replay_file(replay);
 
     const verify::FuzzStats stats = verify::run_fuzz(cfg, std::cout);
     return stats.disagreements == 0 ? 0 : 2;
-  } catch (const std::exception& e) {
-    std::cerr << "rh_fuzz: " << e.what() << '\n';
-    return 1;
-  }
+  });
 }

@@ -28,12 +28,10 @@
 using namespace rh;
 
 int main(int argc, char** argv) {
-  try {
-    const common::CliArgs args(argc, argv);
-
+  return common::run_main(argc, argv, [](common::CliArgs& args) {
     const std::string journal_path = args.get("journal", "");
     if (!journal_path.empty()) {
-      benchutil::warn_unqueried(args);
+      args.reject_unqueried();
       const campaign::JournalReader reader(journal_path);
       campaign::render_journal_summary(std::cout, journal_path, reader);
       return 0;
@@ -55,16 +53,18 @@ int main(int argc, char** argv) {
     config.characterizer.wcdp_tolerance =
         static_cast<std::uint64_t>(args.get_positive_int("tolerance", 512));
 
+    const campaign::CampaignConfig run_config = benchutil::campaign_config(args);
+    args.reject_unqueried();
+
     const campaign::SweepSpec spec =
         campaign::survey_sweep(benchutil::paper_device_config(seed), config);
     // The sink is always on here — the report's throughput axes come from
     // the fleet's cmd.* counters.
     telemetry::Telemetry sink;
-    campaign::Campaign campaign(benchutil::campaign_config(args), &sink);
+    campaign::Campaign campaign(run_config, &sink);
     const campaign::CampaignResult result = campaign.run(spec);
     const profiling::RunReport report =
         campaign::build_report(label, spec, campaign, result, &sink);
-    benchutil::warn_unqueried(args);
 
     std::ofstream out(report_path);
     if (!out) throw common::ConfigError("cannot open report output file: " + report_path);
@@ -74,8 +74,5 @@ int main(int argc, char** argv) {
     profiling::render_report_text(std::cout, report);
     std::cout << "(report written to " << report_path << ")\n";
     return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "rh_report: " << e.what() << '\n';
-    return 1;
-  }
+  });
 }

@@ -57,9 +57,7 @@ void handle_dump_signal(int) { g_dump = 1; }
 
 int main(int argc, char** argv) {
   using namespace rh;
-  try {
-    const common::CliArgs args(argc, argv);
-
+  return common::run_main(argc, argv, [](common::CliArgs& args) {
     serve::Server::Options options;
     const std::int64_t port = args.get_int("port", 0);
     if (port < 0 || port > 65535) {
@@ -86,9 +84,7 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get_positive_int("flightrec-size", 256));
     const double max_seconds = args.get_positive_double("max-seconds", 0.0);
     const std::string port_file = args.get("port-file", "");
-    for (const auto& flag : args.unqueried_flags()) {
-      std::cerr << "warning: unknown flag --" << flag << " ignored\n";
-    }
+    args.reject_unqueried();
 
     std::signal(SIGTERM, handle_signal);
     std::signal(SIGINT, handle_signal);
@@ -126,8 +122,5 @@ int main(int argc, char** argv) {
     });
     std::cout << "rh_serve: drained, exiting" << std::endl;
     return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "rh_serve: " << e.what() << '\n';
-    return 1;
-  }
+  });
 }

@@ -48,8 +48,7 @@ std::uintmax_t monitored_bytes(const std::string& journal, const std::string& st
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const common::CliArgs args(argc, argv);
+  return common::run_main(argc, argv, [](common::CliArgs& args) {
     const std::string journal = args.get("journal", "");
     const std::string stream = args.get("stream", "");
     const bool follow = args.has("follow");
@@ -58,10 +57,7 @@ int main(int argc, char** argv) {
     campaign::TailOptions opts;
     opts.stall_ms = static_cast<double>(args.get_positive_int("stall-ms", 2000));
     const double max_seconds = args.get_double("max-seconds", 0.0);
-    const auto unknown = args.unqueried_flags();
-    if (!unknown.empty()) {
-      throw common::ConfigError("unknown flag --" + unknown.front());
-    }
+    args.reject_unqueried();
     if (journal.empty() && stream.empty()) {
       throw common::ConfigError("rh_tail needs --journal=PATH and/or --stream=PATH");
     }
@@ -113,8 +109,5 @@ int main(int argc, char** argv) {
       }
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(interval_ms));
     }
-  } catch (const std::exception& e) {
-    std::cerr << "rh_tail: " << e.what() << '\n';
-    return 1;
-  }
+  });
 }

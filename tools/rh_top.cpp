@@ -273,17 +273,13 @@ std::string once_json(const campaign::JsonValue& statz, const Exposition& metric
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const common::CliArgs args(argc, argv);
+  return common::run_main(argc, argv, [](common::CliArgs& args) {
     std::int64_t port_num = args.get_int("port", 0);
     const std::string port_file = args.get("port-file", "");
     const double interval_ms = static_cast<double>(args.get_positive_int("interval-ms", 1000));
     const bool once = args.has("once");
     const double max_seconds = args.get_positive_double("max-seconds", 0.0);
-    const auto unknown = args.unqueried_flags();
-    if (!unknown.empty()) {
-      throw common::ConfigError("unknown flag --" + unknown.front());
-    }
+    args.reject_unqueried();
     if (port_num == 0 && port_file.empty()) {
       throw common::ConfigError("rh_top needs --port=N or --port-file=PATH");
     }
@@ -330,8 +326,5 @@ int main(int argc, char** argv) {
       }
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(interval_ms));
     }
-  } catch (const std::exception& e) {
-    std::cerr << "rh_top: " << e.what() << '\n';
-    return 1;
-  }
+  });
 }
