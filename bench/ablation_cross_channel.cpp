@@ -6,7 +6,6 @@
 // disturbance mechanism is wordline-local, so cross-channel flips do not
 // occur; this harness runs the experiment and confirms the null result,
 // with a same-channel positive control.
-#include <bit>
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -23,12 +22,7 @@ std::uint64_t read_flips(bender::BenderHost& host, std::uint32_t channel, std::u
                          const core::RowMap& map) {
   bender::ProgramBuilder b(host.device().geometry(), host.device().timings());
   b.read_row(0, map.physical_to_logical(row));
-  const auto result = host.run(b.take(), channel, 0);
-  std::uint64_t flips = 0;
-  for (const std::uint8_t byte : result.readback) {
-    flips += static_cast<std::uint64_t>(std::popcount(static_cast<unsigned>(byte)));
-  }
-  return flips;
+  return core::count_flips(host.run(b.take(), channel, 0).readback, 0x00).total;
 }
 
 int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {

@@ -46,12 +46,7 @@ std::uint64_t hammer_with_refresh(bender::BenderHost& host, const core::RowMap& 
   }
   b.read_row(bank, map.physical_to_logical(victim));
   const auto result = host.run(b.take(), site.channel, site.pseudo_channel);
-
-  std::uint64_t flips = 0;
-  for (const std::uint8_t byte : result.readback) {
-    flips += static_cast<std::uint64_t>(std::popcount(static_cast<unsigned>(byte)));
-  }
-  return flips;
+  return core::count_flips(result.readback, 0x00).total;
 }
 
 int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {

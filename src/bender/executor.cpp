@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <span>
 #include <string>
 
 #include "common/engine.hpp"
@@ -18,10 +19,14 @@ hbm::Cycle hammer_on_time(const Instruction& ins, const hbm::TimingParams& timin
 
 /// Cycles one instruction occupies the interface; all Bender costs are
 /// static per instruction.
-hbm::Cycle cycle_cost(const Instruction& ins, const hbm::TimingParams& timings) {
+hbm::Cycle cycle_cost(const Instruction& ins, const hbm::Geometry& geometry,
+                      const hbm::TimingParams& timings) {
   switch (ins.op) {
     case Opcode::kSleep:
       return 1 + static_cast<hbm::Cycle>(ins.imm);
+    case Opcode::kWrRow:
+    case Opcode::kRdRow:
+      return row_burst_cycles(geometry, ins.imm);
     case Opcode::kHammer:
     case Opcode::kHammerSingle: {
       const hbm::Cycle period =
@@ -41,6 +46,8 @@ bool is_device_op(Opcode op) {
     case Opcode::kPreA:
     case Opcode::kRd:
     case Opcode::kWr:
+    case Opcode::kRdRow:
+    case Opcode::kWrRow:
     case Opcode::kRef:
     case Opcode::kHammer:
     case Opcode::kHammerSingle:
@@ -89,7 +96,8 @@ struct Loops {
 /// identical except for the induction value, so the iteration count
 /// N = ceil((bound - induction) / step) is exact, and replaying the device
 /// records at base + k*delta_t reproduces the stepped execution verbatim.
-Loops decode_loops(const std::vector<Instruction>& code, const hbm::TimingParams& timings) {
+Loops decode_loops(const std::vector<Instruction>& code, const hbm::Geometry& geometry,
+                   const hbm::TimingParams& timings) {
   Loops d;
   for (std::size_t p = 0; p < code.size(); ++p) {
     const Instruction& blt = code[p];
@@ -163,7 +171,7 @@ Loops decode_loops(const std::vector<Instruction>& code, const hbm::TimingParams
             (ins.op != Opcode::kHammer && ins.op != Opcode::kHammerSingle) || ins.imm > 0;
         if (issues) info.records.push_back({q, off});
       }
-      off += cycle_cost(ins, timings);
+      off += cycle_cost(ins, geometry, timings);
     }
     if (!viable || info.induction_step <= 0) continue;
     info.delta_t = off;
@@ -185,8 +193,9 @@ ExecutionResult Executor::run(const Program& program, std::uint32_t channel,
   const auto& timings = device_->timings();
   // Only the fast engine decodes; the reference steps every instruction.
   const Loops decoded = device_->engine() == common::EngineKind::kFast
-                            ? decode_loops(code, timings)
+                            ? decode_loops(code, geometry, timings)
                             : Loops{};
+  const bool row_kernel = device_->engine() == common::EngineKind::kFast;
   const bool drop_last_iteration =
       device_->planted_bug() == common::PlantedBug::kOffByOneFastForward;
 
@@ -218,6 +227,17 @@ ExecutionResult Executor::run(const Program& program, std::uint32_t channel,
       throw common::ProgramError("column register value out of range: " + std::to_string(col));
     }
     return static_cast<std::uint32_t>(col);
+  };
+  // One WR or RD column command: the whole of WR/RD, and the reference
+  // engine's row burst one column at a time.
+  const auto write_column = [&](const Instruction& ins, std::uint32_t col, hbm::Cycle now) {
+    const std::size_t off = static_cast<std::size_t>(col) * geometry.bytes_per_column;
+    device_->write(bank_addr(ins.bank), col,
+                   program.wide_register(ins.wide).subspan(off, geometry.bytes_per_column), now);
+  };
+  const auto read_column = [&](const Instruction& ins, std::uint32_t col, hbm::Cycle now) {
+    device_->read(bank_addr(ins.bank), col, now, burst);
+    result.readback.insert(result.readback.end(), burst.begin(), burst.end());
   };
 
   // The one dispatch over the instruction set: executes `ins` at cycle t,
@@ -258,19 +278,36 @@ ExecutionResult Executor::run(const Program& program, std::uint32_t channel,
         device_->precharge_all(channel, pseudo_channel, t);
         ++metrics.precharges;
         break;
-      case Opcode::kWr: {
-        const std::uint32_t col = reg_col(ins.rs1);
-        const auto wide = program.wide_register(ins.wide);
-        const std::size_t off = static_cast<std::size_t>(col) * geometry.bytes_per_column;
-        device_->write(bank_addr(ins.bank), col, wide.subspan(off, geometry.bytes_per_column), t);
+      case Opcode::kWr:
+        write_column(ins, reg_col(ins.rs1), t);
         ++metrics.writes;
         break;
-      }
-      case Opcode::kRd: {
-        const std::uint32_t col = reg_col(ins.rs1);
-        device_->read(bank_addr(ins.bank), col, t, burst);
-        result.readback.insert(result.readback.end(), burst.begin(), burst.end());
+      case Opcode::kRd:
+        read_column(ins, reg_col(ins.rs1), t);
         ++metrics.reads;
+        break;
+      case Opcode::kWrRow:
+      case Opcode::kRdRow: {
+        const bool is_write = ins.op == Opcode::kWrRow;
+        const auto spacing = static_cast<hbm::Cycle>(ins.imm);
+        if (row_kernel && is_write) {
+          device_->write_row(bank_addr(ins.bank), program.wide_register(ins.wide), t, spacing);
+        } else if (row_kernel) {
+          const std::size_t at = result.readback.size();
+          result.readback.resize(at + geometry.row_bytes());
+          device_->read_row(bank_addr(ins.bank), t, spacing,
+                            std::span<std::uint8_t>(result.readback).subspan(at));
+        } else {
+          for (std::uint32_t col = 0; col < geometry.columns_per_row; ++col) {
+            const hbm::Cycle now = t + col * spacing;
+            if (is_write) {
+              write_column(ins, col, now);
+            } else {
+              read_column(ins, col, now);
+            }
+          }
+        }
+        (is_write ? metrics.writes : metrics.reads) += geometry.columns_per_row;
         break;
       }
       case Opcode::kRef:
@@ -285,7 +322,7 @@ ExecutionResult Executor::run(const Program& program, std::uint32_t channel,
         if (ins.imm > 0) {
           device_->hammer_pair(bank_addr(ins.bank), reg_row(ins.rs1), reg_row(ins.rs2),
                                static_cast<std::uint64_t>(ins.imm), hammer_on_time(ins, timings),
-                               t + cycle_cost(ins, timings));
+                               t + cycle_cost(ins, geometry, timings));
           metrics.acts += 2 * static_cast<std::uint64_t>(ins.imm);
           metrics.precharges += 2 * static_cast<std::uint64_t>(ins.imm);
         }
@@ -294,7 +331,8 @@ ExecutionResult Executor::run(const Program& program, std::uint32_t channel,
         if (ins.imm > 0) {
           device_->hammer_single(bank_addr(ins.bank), reg_row(ins.rs1),
                                  static_cast<std::uint64_t>(ins.imm),
-                                 hammer_on_time(ins, timings), t + cycle_cost(ins, timings));
+                                 hammer_on_time(ins, timings),
+                                 t + cycle_cost(ins, geometry, timings));
           metrics.acts += static_cast<std::uint64_t>(ins.imm);
           metrics.precharges += static_cast<std::uint64_t>(ins.imm);
         }
@@ -384,7 +422,7 @@ ExecutionResult Executor::run(const Program& program, std::uint32_t channel,
       result.metrics = metrics;
       return result;
     }
-    t += cycle_cost(ins, timings);
+    t += cycle_cost(ins, geometry, timings);
     pc = next;
   }
   throw common::ProgramError("program ran off the end without END");

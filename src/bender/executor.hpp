@@ -3,11 +3,14 @@
 // Runs one Bender program against one pseudo channel of the device, with the
 // exact cycle accounting the ProgramBuilder assumes: one cycle per
 // instruction, 1+imm for SLEEP, and the unrolled-equivalent duration for the
-// HAMMER macro-ops. Collects RD bursts into a readback FIFO that the host
-// drains after the run (the PCIe DMA path of the real infrastructure).
+// HAMMER macro-ops and the WRROW / RDROW row bursts. Collects RD bursts into
+// a readback FIFO that the host drains after the run (the PCIe DMA path of
+// the real infrastructure).
 //
 // Both engines (common/engine.hpp) run through this interpreter; it reads
-// the engine from Device::engine(). kInterp steps every instruction. kFast
+// the engine from Device::engine(). kInterp steps every instruction and
+// issues a row burst column by column through Device::write / read. kFast
+// hands each row burst to one Device::write_row / read_row kernel, and
 // also decodes fast-forwardable loops up front and retires them in closed
 // form: registers advance by n times their per-iteration effect, the clock
 // by n times the body's duration, and only the loop's device commands are

@@ -9,13 +9,21 @@
 // Execution timing: every instruction occupies exactly one interface-clock
 // cycle at issue; SLEEP occupies 1 + imm cycles; the HAMMER macro-ops occupy
 // the cycles their unrolled ACT/PRE streams would (count * per-hammer
-// period). The executor never inserts spacing on its own — programs that
-// violate DRAM timing raise TimingError, which is the point: the paper's
-// methodology depends on precise, verified command schedules.
+// period); the row bursts WRROW / RDROW issue their first column at their
+// own cycle and one more every imm cycles, occupying
+// (columns - 1) * imm + 1 cycles (bender::row_burst_cycles). The executor
+// never inserts spacing on its own — programs that violate DRAM timing
+// raise TimingError, which is the point: the paper's methodology depends
+// on precise, verified command schedules.
 //
 // HAMMER / HAMMER_SINGLE are macro-ops for the innermost hammer loops:
 // semantically identical to the equivalent ACT+PRE loop (a test proves the
 // equivalence) but executed in O(1) simulator work instead of O(count).
+// WRROW / RDROW are the same idea for the row initialization and readback
+// around every hammer: one instruction per row sweep instead of one WR or
+// RD (plus the LDI feeding its column register) per column. Each column
+// is still a timed, counted and traced command at the cycle the unrolled
+// stream would have issued it.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +42,10 @@ enum class Opcode : std::uint8_t {
   kPreA,    ///< PREA (all banks in the pseudo channel)
   kWr,      ///< WR bank, column = regs[rs1], data = wide[wide][col slice]
   kRd,      ///< RD bank, column = regs[rs1]; pushes a burst to the readback FIFO
+  kWrRow,   ///< WRROW bank: every column of the open row from wide[wide], in
+            ///< column order, one column every imm cycles
+  kRdRow,   ///< RDROW bank: every column of the open row to the readback
+            ///< FIFO, in column order, one column every imm cycles
   kRef,     ///< REF (this pseudo channel)
   kMrs,     ///< mode register rd <- imm (channel-level)
   kSleep,   ///< advance time by imm extra cycles
@@ -57,6 +69,8 @@ enum class Opcode : std::uint8_t {
     case Opcode::kPreA: return "PREA";
     case Opcode::kWr: return "WR";
     case Opcode::kRd: return "RD";
+    case Opcode::kWrRow: return "WRROW";
+    case Opcode::kRdRow: return "RDROW";
     case Opcode::kRef: return "REF";
     case Opcode::kMrs: return "MRS";
     case Opcode::kSleep: return "SLEEP";
@@ -77,8 +91,8 @@ struct Instruction {
   std::uint8_t rs1 = 0;   ///< source register 1
   std::uint8_t rs2 = 0;   ///< source register 2
   std::uint8_t bank = 0;  ///< bank operand for DRAM commands
-  std::uint8_t wide = 0;  ///< wide (pattern) register for WR
-  std::int64_t imm = 0;   ///< immediate / jump target / hammer count
+  std::uint8_t wide = 0;  ///< wide (pattern) register for WR / WRROW
+  std::int64_t imm = 0;   ///< immediate / jump target / hammer count / column spacing
   std::int64_t imm2 = 0;  ///< secondary immediate (hammer on-time)
 };
 

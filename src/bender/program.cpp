@@ -36,6 +36,8 @@ void Program::validate(const hbm::Geometry& geometry) const {
       case Opcode::kPre:
       case Opcode::kWr:
       case Opcode::kRd:
+      case Opcode::kWrRow:
+      case Opcode::kRdRow:
       case Opcode::kHammer:
       case Opcode::kHammerSingle:
         if (ins.bank >= geometry.banks_per_pseudo_channel) fail("bank out of range");
@@ -45,10 +47,15 @@ void Program::validate(const hbm::Geometry& geometry) const {
     }
     switch (ins.op) {
       case Opcode::kWr:
+      case Opcode::kWrRow:
         if (ins.wide >= kWideRegisters) fail("wide register out of range");
         if (wide_[ins.wide].size() != geometry.row_bytes()) {
           fail("wide register not preloaded with a full row image");
         }
+        if (ins.op == Opcode::kWrRow && ins.imm < 1) fail("column spacing needs at least 1 cycle");
+        break;
+      case Opcode::kRdRow:
+        if (ins.imm < 1) fail("column spacing needs at least 1 cycle");
         break;
       case Opcode::kBlt:
       case Opcode::kJmp:
@@ -127,6 +134,22 @@ ProgramBuilder& ProgramBuilder::rd(std::uint8_t bank, std::uint8_t col_reg) {
   return emit({.op = Opcode::kRd, .rs1 = col_reg, .bank = bank}, 1);
 }
 
+hbm::Cycle row_burst_cycles(const hbm::Geometry& geometry, std::int64_t spacing) {
+  return static_cast<hbm::Cycle>(geometry.columns_per_row - 1) * static_cast<hbm::Cycle>(spacing) +
+         1;
+}
+
+ProgramBuilder& ProgramBuilder::wr_row(std::uint8_t bank, std::uint8_t wide_reg,
+                                       std::int64_t spacing) {
+  return emit({.op = Opcode::kWrRow, .bank = bank, .wide = wide_reg, .imm = spacing},
+              row_burst_cycles(geometry_, spacing));
+}
+
+ProgramBuilder& ProgramBuilder::rd_row(std::uint8_t bank, std::int64_t spacing) {
+  return emit({.op = Opcode::kRdRow, .bank = bank, .imm = spacing},
+              row_burst_cycles(geometry_, spacing));
+}
+
 ProgramBuilder& ProgramBuilder::ref() { return emit({.op = Opcode::kRef}, 1); }
 
 ProgramBuilder& ProgramBuilder::mrs(std::uint8_t mode_register, std::int64_t value) {
@@ -175,7 +198,6 @@ Label ProgramBuilder::here() const { return Label{program_.instructions().size()
 
 namespace {
 constexpr std::uint8_t kScratchRow = 31;
-constexpr std::uint8_t kScratchCol = 30;
 }  // namespace
 
 void ProgramBuilder::pad_until(hbm::Cycle target) {
@@ -193,20 +215,20 @@ ProgramBuilder& ProgramBuilder::sweep_columns(std::uint8_t bank, std::uint32_t r
   ldi(kScratchRow, row);
   const hbm::Cycle act_t = t_;
   act(bank, kScratchRow);
-  hbm::Cycle last_col = 0;
-  for (std::uint32_t col = 0; col < geometry_.columns_per_row; ++col) {
-    ldi(kScratchCol, col);
-    hbm::Cycle target = act_t + timings_.tRCD;
-    if (col > 0) target = std::max(target, last_col + timings_.tCCD);
-    pad_until(target);
-    last_col = t_;
-    if (op == Opcode::kWr) {
-      wr(bank, kScratchCol, wide_reg);
-    } else {
-      rd(bank, kScratchCol);
-    }
+  // The schedule of a register-fed column stream (each WR/RD preceded by
+  // the LDI of its column register): the first column no sooner than two
+  // cycles after the ACT, the rest at least two apart. Program cycles feed
+  // retention and the reported device-cycle figures, so this schedule is
+  // part of the measurement, not only a legality bound.
+  pad_until(act_t + std::max<hbm::Cycle>(timings_.tRCD, 2));
+  const auto spacing = static_cast<std::int64_t>(std::max<hbm::Cycle>(timings_.tCCD, 2));
+  const hbm::Cycle last_col = t_ + row_burst_cycles(geometry_, spacing) - 1;
+  if (op == Opcode::kWrRow) {
+    wr_row(bank, wide_reg, spacing);
+  } else {
+    rd_row(bank, spacing);
   }
-  const hbm::Cycle recovery = op == Opcode::kWr ? timings_.tWR : timings_.tRTP;
+  const hbm::Cycle recovery = op == Opcode::kWrRow ? timings_.tWR : timings_.tRTP;
   pad_until(std::max(act_t + timings_.tRAS, last_col + recovery));
   const hbm::Cycle pre_t = t_;
   pre(bank);
@@ -216,11 +238,11 @@ ProgramBuilder& ProgramBuilder::sweep_columns(std::uint8_t bank, std::uint32_t r
 
 ProgramBuilder& ProgramBuilder::init_row(std::uint8_t bank, std::uint32_t row,
                                          std::uint8_t wide_reg) {
-  return sweep_columns(bank, row, Opcode::kWr, wide_reg);
+  return sweep_columns(bank, row, Opcode::kWrRow, wide_reg);
 }
 
 ProgramBuilder& ProgramBuilder::read_row(std::uint8_t bank, std::uint32_t row) {
-  return sweep_columns(bank, row, Opcode::kRd, 0);
+  return sweep_columns(bank, row, Opcode::kRdRow, 0);
 }
 
 ProgramBuilder& ProgramBuilder::touch_row(std::uint8_t bank, std::uint32_t row) {
@@ -282,6 +304,7 @@ bool is_idempotent(const Program& program) {
   for (const Instruction& ins : program.instructions()) {
     switch (ins.op) {
       case Opcode::kWr:
+      case Opcode::kWrRow:
       case Opcode::kHammer:
       case Opcode::kHammerSingle:
       case Opcode::kRef:
@@ -324,6 +347,13 @@ std::string disassemble(const Instruction& ins) {
       break;
     case Opcode::kRd:
       out += "b" + std::to_string(ins.bank) + ", col=" + reg(ins.rs1);
+      break;
+    case Opcode::kWrRow:
+      out += "b" + std::to_string(ins.bank) + ", w" + std::to_string(ins.wide) +
+             ", every=" + std::to_string(ins.imm);
+      break;
+    case Opcode::kRdRow:
+      out += "b" + std::to_string(ins.bank) + ", every=" + std::to_string(ins.imm);
       break;
     case Opcode::kMrs:
       out += "mr" + std::to_string(ins.rd) + " <- " + std::to_string(ins.imm);

@@ -64,6 +64,10 @@ public:
   ProgramBuilder& prea();
   ProgramBuilder& wr(std::uint8_t bank, std::uint8_t col_reg, std::uint8_t wide_reg);
   ProgramBuilder& rd(std::uint8_t bank, std::uint8_t col_reg);
+  /// Row bursts: WR (from `wide_reg`) or RD of every column of the open
+  /// row, one column every `spacing` cycles.
+  ProgramBuilder& wr_row(std::uint8_t bank, std::uint8_t wide_reg, std::int64_t spacing);
+  ProgramBuilder& rd_row(std::uint8_t bank, std::int64_t spacing);
   ProgramBuilder& ref();
   ProgramBuilder& mrs(std::uint8_t mode_register, std::int64_t value);
   ProgramBuilder& sleep(std::int64_t cycles);
@@ -80,12 +84,12 @@ public:
   [[nodiscard]] Label here() const;
 
   // --- timing-aware high-level emitters ---------------------------------
-  /// Opens `row`, writes the full image from `wide_reg` across all columns,
-  /// and precharges — with minimal legal spacing. Uses scratch registers
-  /// r30/r31.
+  /// Opens `row`, writes the full image from `wide_reg` across all columns
+  /// (one WRROW), and precharges — with minimal legal spacing. Uses scratch
+  /// register r31.
   ProgramBuilder& init_row(std::uint8_t bank, std::uint32_t row, std::uint8_t wide_reg);
-  /// Opens `row`, reads every column to the readback FIFO, precharges.
-  /// Uses scratch registers r30/r31.
+  /// Opens `row`, reads every column to the readback FIFO (one RDROW),
+  /// precharges. Uses scratch register r31.
   ProgramBuilder& read_row(std::uint8_t bank, std::uint32_t row);
   /// Refreshes the row once (ACT + PRE with minimal spacing).
   ProgramBuilder& touch_row(std::uint8_t bank, std::uint32_t row);
@@ -112,8 +116,9 @@ private:
   ProgramBuilder& emit(const Instruction& instruction, hbm::Cycle cycles);
   /// Pads with one NOP or SLEEP until virtual time reaches `target`.
   void pad_until(hbm::Cycle target);
-  /// Shared body of init_row / read_row: opens `row`, issues `op` (WR from
-  /// `wide_reg`, or RD) to every column with minimal spacing, precharges.
+  /// Shared body of init_row / read_row: opens `row`, issues the row burst
+  /// `op` (WRROW from `wide_reg`, or RDROW) with minimal spacing,
+  /// precharges.
   ProgramBuilder& sweep_columns(std::uint8_t bank, std::uint32_t row, Opcode op,
                                 std::uint8_t wide_reg);
 
@@ -124,9 +129,14 @@ private:
   bool ended_ = false;
 };
 
+/// Interface cycles one WRROW / RDROW occupies: its first column issues at
+/// the burst's own cycle and each later one `spacing` cycles after the
+/// previous, so the next instruction follows the last column by one cycle.
+[[nodiscard]] hbm::Cycle row_burst_cycles(const hbm::Geometry& geometry, std::int64_t spacing);
+
 /// True when the host may transparently re-run the whole program as a
 /// recovery action: no instruction writes DRAM contents or device mode
-/// state (WR, HAMMER*, REF, MRS, self-refresh). Re-running a read-only
+/// state (WR, WRROW, HAMMER*, REF, MRS, self-refresh). Re-running a read-only
 /// program re-reads the same cells — the way the real rig recovers a lost
 /// readback — at the cost of extra activations, which the methodology
 /// already tolerates as measurement noise. Anything stateful must instead

@@ -5,22 +5,26 @@
 // outside:
 //
 //   kInterp — the reference: the executor steps every instruction, with no
-//             decode, and the fault model re-derives each cell's threshold
-//             on every row settle. Slow, simple, the ground truth.
+//             decode, issues a row burst (WRROW / RDROW) column by column
+//             through Device::write / read, and the fault model re-derives
+//             each cell's threshold on every row settle. Slow, simple, the
+//             ground truth.
 //   kFast   — the production engine: the executor also decodes
 //             fast-forwardable loops up front and retires them in closed
 //             form, replaying their device commands through the same
-//             dispatch, and the fault kernel evaluates rows from a per-row
-//             sorted threshold cache. Every observable (reports, journals,
-//             metrics streams, flip sets, error strings) must match kInterp
-//             exactly at the same seed; tests/engine_diff_test.cpp and the
-//             verify::Property campaign identities enforce the contract.
+//             dispatch, hands each row burst to one Device::write_row /
+//             read_row kernel, and the fault kernel evaluates rows from a
+//             per-row sorted threshold cache. Every observable (reports,
+//             journals, metrics streams, flip sets, error strings) must
+//             match kInterp exactly at the same seed;
+//             tests/engine_diff_test.cpp and the verify::Property campaign
+//             identities enforce the contract.
 //
-// PlantedBug deliberately breaks the fast path in one of the three ways the
-// closed-form math most plausibly goes wrong, so the differential rig can
-// prove it *would* catch a real regression (the same pattern as rh_fuzz's
-// --disable-rule knob for the timing oracle). Device::set_engine arms a bug
-// only under kFast.
+// PlantedBug deliberately breaks the fast path in one of the four ways the
+// closed-form math or a batched kernel most plausibly goes wrong, so the
+// differential rig can prove it *would* catch a real regression (the same
+// pattern as rh_fuzz's --disable-rule knob for the timing oracle).
+// Device::set_engine arms a bug only under kFast.
 #pragma once
 
 #include <string>
@@ -46,6 +50,9 @@ enum class PlantedBug : std::uint8_t {
   /// The batched hammer macro-op forgets that each aggressor's final ACT
   /// re-settles it, leaving stale disturbance on the aggressor rows.
   kStaleDisturbanceFlush,
+  /// The batched row-burst kernel (WRROW / RDROW) moves one column fewer
+  /// than it checks, counts and traces.
+  kShortRowBurst,
 };
 
 [[nodiscard]] constexpr std::string_view to_string(EngineKind kind) {
@@ -57,6 +64,7 @@ enum class PlantedBug : std::uint8_t {
     case PlantedBug::kOffByOneFastForward: return "off-by-one-fast-forward";
     case PlantedBug::kSkipTrrSample: return "skip-trr-sample";
     case PlantedBug::kStaleDisturbanceFlush: return "stale-disturbance-flush";
+    case PlantedBug::kShortRowBurst: return "short-row-burst";
     case PlantedBug::kNone: break;
   }
   return "none";
@@ -71,12 +79,12 @@ enum class PlantedBug : std::uint8_t {
 [[nodiscard]] inline PlantedBug parse_planted_bug(std::string_view text) {
   for (const PlantedBug bug :
        {PlantedBug::kNone, PlantedBug::kOffByOneFastForward, PlantedBug::kSkipTrrSample,
-        PlantedBug::kStaleDisturbanceFlush}) {
+        PlantedBug::kStaleDisturbanceFlush, PlantedBug::kShortRowBurst}) {
     if (text == to_string(bug)) return bug;
   }
   throw ConfigError("unknown engine bug '" + std::string(text) +
                     "' (expected none|off-by-one-fast-forward|skip-trr-sample|"
-                    "stale-disturbance-flush)");
+                    "stale-disturbance-flush|short-row-burst)");
 }
 
 }  // namespace rh::common

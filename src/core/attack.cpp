@@ -1,6 +1,6 @@
 #include "core/attack.hpp"
 
-#include <bit>
+#include <span>
 
 #include "bender/program.hpp"
 #include "common/assert.hpp"
@@ -67,11 +67,8 @@ ManySidedResult AttackRunner::many_sided(const Site& site, std::uint32_t first_p
   out.dram_time_ms = result.elapsed_ms();
   const std::size_t row_bytes = geometry.row_bytes();
   for (std::size_t v = 0; v < victims.size(); ++v) {
-    std::uint64_t flips = 0;
-    for (std::size_t i = 0; i < row_bytes; ++i) {
-      flips += static_cast<std::uint64_t>(
-          std::popcount(static_cast<unsigned>(result.readback[v * row_bytes + i])));
-    }
+    const std::uint64_t flips =
+        count_flips(std::span(result.readback).subspan(v * row_bytes, row_bytes), 0x00).total;
     out.per_victim_flips.push_back(flips);
     out.total_victim_flips += flips;
   }
@@ -123,9 +120,7 @@ AttackResult AttackRunner::run(const Site& site, std::uint32_t victim_physical,
 
   AttackResult out;
   out.dram_time_ms = result.elapsed_ms();
-  for (const std::uint8_t byte : result.readback) {
-    out.victim_flips += static_cast<std::uint64_t>(std::popcount(static_cast<unsigned>(byte)));
-  }
+  out.victim_flips = count_flips(result.readback, 0x00).total;
   return out;
 }
 

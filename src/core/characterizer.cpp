@@ -1,7 +1,6 @@
 #include "core/characterizer.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <string>
 
 #include "common/assert.hpp"
@@ -82,15 +81,11 @@ BerResult Characterizer::hammer_and_read(const Site& site, std::uint32_t victim_
   BerResult out;
   out.bits_tested = geometry.row_bits();
   out.elapsed_ms = result.elapsed_ms();
-  const std::uint8_t expected = victim_byte(pattern);
   RH_ENSURES(result.readback.size() == geometry.row_bytes());
-  for (const std::uint8_t got : result.readback) {
-    const auto diff = static_cast<unsigned>(got ^ expected);
-    out.bit_errors += static_cast<std::uint64_t>(std::popcount(diff));
-    out.ones_to_zeros += static_cast<std::uint64_t>(std::popcount(diff & expected));
-    out.zeros_to_ones +=
-        static_cast<std::uint64_t>(std::popcount(diff & static_cast<unsigned>(~expected & 0xff)));
-  }
+  const FlipCount flips = count_flips(result.readback, victim_byte(pattern));
+  out.bit_errors = flips.total;
+  out.ones_to_zeros = flips.ones_to_zeros;
+  out.zeros_to_ones = flips.zeros_to_ones;
   return out;
 }
 

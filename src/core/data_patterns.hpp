@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -70,5 +71,18 @@ inline constexpr std::array<DataPattern, 4> kAllPatterns{
 /// Builds a full row image filled with `value`.
 [[nodiscard]] std::vector<std::uint8_t> make_row_image(const hbm::Geometry& geometry,
                                                        std::uint8_t value);
+
+/// Bit flips in a readback of rows that were written with `expected` in
+/// every byte.
+struct FlipCount {
+  std::uint64_t total = 0;
+  std::uint64_t ones_to_zeros = 0;  ///< written 1, read 0
+  std::uint64_t zeros_to_ones = 0;  ///< written 0, read 1
+};
+
+/// Counts the flips in `readback` against `expected`, a 64-bit word at a
+/// time (any length; a tail shorter than a word is counted too).
+[[nodiscard]] FlipCount count_flips(std::span<const std::uint8_t> readback,
+                                    std::uint8_t expected);
 
 }  // namespace rh::core

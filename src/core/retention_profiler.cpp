@@ -1,7 +1,5 @@
 #include "core/retention_profiler.hpp"
 
-#include <bit>
-
 #include "bender/program.hpp"
 #include "common/assert.hpp"
 #include "core/data_patterns.hpp"
@@ -38,12 +36,7 @@ std::uint64_t RetentionProfiler::flips_after(const Site& site, std::uint32_t phy
   read.read_row(bank, logical);
   const auto result = host_->run(read.take(), site.channel, site.pseudo_channel);
 
-  std::uint64_t flips = 0;
-  for (const std::uint8_t b : result.readback) {
-    flips += static_cast<std::uint64_t>(
-        std::popcount(static_cast<unsigned>(b ^ kProfileByte)));
-  }
-  return flips;
+  return count_flips(result.readback, kProfileByte).total;
 }
 
 std::optional<RetentionProfile> RetentionProfiler::profile(const Site& site,

@@ -42,18 +42,6 @@ void RowMap::set(std::uint32_t logical, std::uint32_t physical) {
   phys_to_log_[physical] = logical;
 }
 
-namespace {
-
-std::size_t count_mismatch(std::span<const std::uint8_t> data, std::uint8_t expected) {
-  std::size_t flips = 0;
-  for (std::uint8_t b : data) {
-    flips += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(b ^ expected)));
-  }
-  return flips;
-}
-
-}  // namespace
-
 AdjacencyProbe probe_adjacency(bender::BenderHost& host, const Site& site,
                                std::uint32_t aggressor_logical, std::uint32_t window,
                                std::uint64_t hammers) {
@@ -89,7 +77,7 @@ AdjacencyProbe probe_adjacency(bender::BenderHost& host, const Site& site,
   const std::size_t row_bytes = geometry.row_bytes();
   for (std::size_t i = 0; i < read_order.size(); ++i) {
     const std::span<const std::uint8_t> row(result.readback.data() + i * row_bytes, row_bytes);
-    if (count_mismatch(row, 0x00) > 0) probe.victims_logical.push_back(read_order[i]);
+    if (count_flips(row, 0x00).total > 0) probe.victims_logical.push_back(read_order[i]);
   }
   return probe;
 }
@@ -272,7 +260,7 @@ std::vector<std::uint32_t> find_subarray_boundaries(bender::BenderHost& host, co
     } flips;
     for (std::size_t i = 0; i < victims.size(); ++i) {
       const std::span<const std::uint8_t> row(result.readback.data() + i * row_bytes, row_bytes);
-      const bool flipped = count_mismatch(row, 0x00) > 0;
+      const bool flipped = count_flips(row, 0x00).total > 0;
       if (victims[i] + 1 == agg) flips.above = flipped;
       if (victims[i] == agg + 1) flips.below = flipped;
     }

@@ -1,6 +1,5 @@
 #include "core/utrr.hpp"
 
-#include <bit>
 #include <map>
 
 #include "bender/program.hpp"
@@ -67,12 +66,9 @@ UtrrResult UtrrExperiment::run(const Site& site, std::uint32_t physical_row) {
     b.mrs(hbm::ModeRegisters::kEccRegister, 0x0);
     b.read_row(bank, logical_r);
     const auto readback = host_->run(b.take(), site.channel, site.pseudo_channel);
-    std::uint64_t flips = 0;
-    for (const std::uint8_t byte : readback.readback) {
-      flips += static_cast<std::uint64_t>(
-          std::popcount(static_cast<unsigned>(byte ^ kProfileByte)));
+    if (count_flips(readback.readback, kProfileByte).total == 0) {
+      result.refreshed_iterations.push_back(iter);
     }
-    if (flips == 0) result.refreshed_iterations.push_back(iter);
   }
 
   // Infer the period: the most common gap between consecutive firings.

@@ -1,7 +1,5 @@
 #include "defense/harness.hpp"
 
-#include <bit>
-
 #include "bender/program.hpp"
 #include "common/assert.hpp"
 #include "core/data_patterns.hpp"
@@ -75,10 +73,7 @@ DefenseRunResult DefenseHarness::run_double_sided(const core::Site& site,
   bender::ProgramBuilder b(geometry, timings);
   b.read_row(static_cast<std::uint8_t>(site.bank), map_->physical_to_logical(victim_physical));
   const auto readback = host_->run(b.take(), site.channel, site.pseudo_channel);
-  for (const std::uint8_t byte : readback.readback) {
-    result.victim_flips +=
-        static_cast<std::uint64_t>(std::popcount(static_cast<unsigned>(byte)));
-  }
+  result.victim_flips = core::count_flips(readback.readback, 0x00).total;
   return result;
 }
 

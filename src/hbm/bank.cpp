@@ -55,13 +55,7 @@ void Bank::read(std::uint32_t column, Cycle now, bool ecc_enabled, std::span<std
   RH_EXPECTS(column < geometry_->columns_per_row);
   RH_EXPECTS(out.size() == geometry_->bytes_per_column);
   timing_.on_read(now);
-  RowState& rs = ensure_materialized(open_physical_);
-  const std::size_t off = static_cast<std::size_t>(column) * geometry_->bytes_per_column;
-  std::copy_n(rs.raw.begin() + static_cast<std::ptrdiff_t>(off), out.size(), out.begin());
-  if (ecc_enabled) {
-    stats_.ecc_corrections += ecc_correct_read(
-        out, std::span<const std::uint8_t>(rs.written).subspan(off, out.size()));
-  }
+  load(column, ecc_enabled, out);
   ++stats_.reads;
 }
 
@@ -69,11 +63,54 @@ void Bank::write(std::uint32_t column, std::span<const std::uint8_t> data, Cycle
   RH_EXPECTS(column < geometry_->columns_per_row);
   RH_EXPECTS(data.size() == geometry_->bytes_per_column);
   timing_.on_write(now);
-  RowState& rs = ensure_materialized(open_physical_);
-  const std::size_t off = static_cast<std::size_t>(column) * geometry_->bytes_per_column;
-  std::copy(data.begin(), data.end(), rs.raw.begin() + static_cast<std::ptrdiff_t>(off));
-  std::copy(data.begin(), data.end(), rs.written.begin() + static_cast<std::ptrdiff_t>(off));
+  store(column, data);
   ++stats_.writes;
+}
+
+void Bank::check_column(Cycle now, bool is_write) {
+  if (is_write) {
+    timing_.on_write(now);
+  } else {
+    timing_.on_read(now);
+  }
+}
+
+void Bank::write_columns(std::span<const std::uint8_t> image, std::uint32_t columns) {
+  RH_EXPECTS(columns <= geometry_->columns_per_row);
+  RH_EXPECTS(image.size() == geometry_->row_bytes());
+  if (columns == 0) return;  // nothing issued: the row stays untouched
+  const std::uint32_t moved = short_burst_bug_ ? columns - 1 : columns;
+  store(0, image.first(static_cast<std::size_t>(moved) * geometry_->bytes_per_column));
+  stats_.writes += columns;
+}
+
+void Bank::read_columns(std::uint32_t columns, bool ecc_enabled, std::span<std::uint8_t> out) {
+  RH_EXPECTS(columns <= geometry_->columns_per_row);
+  RH_EXPECTS(out.size() == geometry_->row_bytes());
+  if (columns == 0) return;
+  const std::uint32_t moved = short_burst_bug_ ? columns - 1 : columns;
+  load(0, ecc_enabled, out.first(static_cast<std::size_t>(moved) * geometry_->bytes_per_column));
+  stats_.reads += columns;
+}
+
+void Bank::store(std::uint32_t first_column, std::span<const std::uint8_t> data) {
+  RowState& rs = ensure_materialized(open_physical_);
+  const auto off = static_cast<std::ptrdiff_t>(static_cast<std::size_t>(first_column) *
+                                               geometry_->bytes_per_column);
+  std::copy(data.begin(), data.end(), rs.raw.begin() + off);
+  std::copy(data.begin(), data.end(), rs.written.begin() + off);
+}
+
+void Bank::load(std::uint32_t first_column, bool ecc_enabled, std::span<std::uint8_t> out) {
+  const RowState& rs = ensure_materialized(open_physical_);
+  const std::size_t bytes = geometry_->bytes_per_column;
+  const std::size_t off = static_cast<std::size_t>(first_column) * bytes;
+  std::copy_n(rs.raw.begin() + static_cast<std::ptrdiff_t>(off), out.size(), out.begin());
+  if (!ecc_enabled) return;
+  const auto written = std::span<const std::uint8_t>(rs.written).subspan(off, out.size());
+  for (std::size_t at = 0; at < out.size(); at += bytes) {
+    stats_.ecc_corrections += ecc_correct_read(out.subspan(at, bytes), written.subspan(at, bytes));
+  }
 }
 
 void Bank::refresh_physical_row(std::uint32_t physical_row, Cycle now, double temperature_c) {

@@ -63,6 +63,16 @@ public:
   /// Writes one column burst into the open row.
   void write(std::uint32_t column, std::span<const std::uint8_t> data, Cycle now);
 
+  // --- Row bursts (WRROW / RDROW kernel; caller = pseudo channel) -------
+  /// The BankTiming half of read()/write(): validates and records one
+  /// column command at `now` without moving data.
+  void check_column(Cycle now, bool is_write);
+  /// Moves the first `columns` columns of a checked burst in one pass and
+  /// counts them: writes them from the row image `image`, or reads them
+  /// into `out` (row_bytes long) with per-column ECC correction.
+  void write_columns(std::span<const std::uint8_t> image, std::uint32_t columns);
+  void read_columns(std::uint32_t columns, bool ecc_enabled, std::span<std::uint8_t> out);
+
   [[nodiscard]] bool is_open() const { return timing_.open(); }
   [[nodiscard]] std::uint32_t open_logical_row() const { return timing_.open_row(); }
 
@@ -105,6 +115,10 @@ public:
   /// hammer macro-ops skip the final own-ACT re-settle of the aggressors,
   /// leaving stale disturbance behind. Wired through Device::set_engine.
   void set_stale_flush_bug(bool enabled) { stale_flush_bug_ = enabled; }
+  /// Planted bug (differential-rig sensitivity tests only): the row-burst
+  /// kernel moves one column fewer than it checks and counts. Wired
+  /// through Device::set_engine.
+  void set_short_burst_bug(bool enabled) { short_burst_bug_ = enabled; }
 
 private:
   struct RowState {
@@ -180,6 +194,13 @@ private:
   /// RowPress disturbance multiplier for an aggressor held open `on_time`.
   [[nodiscard]] double press_factor(Cycle on_time) const;
   RowState& ensure_materialized(std::uint32_t physical_row);
+  /// Data movement of write()/write_columns(): copies `data` into the open
+  /// row's raw and written images from `first_column` on.
+  void store(std::uint32_t first_column, std::span<const std::uint8_t> data);
+  /// Data movement of read()/read_columns(): copies the open row's raw image
+  /// from `first_column` on into `out`, correcting each column with on-die
+  /// ECC when enabled.
+  void load(std::uint32_t first_column, bool ecc_enabled, std::span<std::uint8_t> out);
   /// Adds `scale` activations' worth of disturbance around physical row
   /// `aggressor` (distance-1 and distance-2 neighbours, same subarray only).
   void add_act_disturbance(std::uint32_t aggressor, double scale);
@@ -211,6 +232,7 @@ private:
   DisturbanceMap disturbance_;
   std::unordered_map<std::uint32_t, Cycle> last_refresh_;
   bool stale_flush_bug_ = false;
+  bool short_burst_bug_ = false;
   /// Refresh timestamp for rows with no explicit last_refresh_ entry
   /// (power-up = 0; advanced by full-refresh events like self-refresh).
   Cycle epoch_ = 0;

@@ -7,6 +7,33 @@ namespace rh::hbm {
 
 using telemetry::TraceCommand;
 
+namespace {
+
+/// The one body of write_row / read_row: checks the burst's columns, then
+/// `move`s the data of the legal ones and traces them — before a failing
+/// column's error propagates, too.
+template <typename Move>
+void row_burst(PseudoChannel& pc, telemetry::Telemetry* sink, const BankAddress& addr,
+               TraceCommand cmd, Cycle start, Cycle spacing, Move&& move) {
+  std::uint32_t issued = 0;
+  const auto commit = [&] {
+    move(pc.bank(addr.bank), issued);
+    for (std::uint32_t col = 0; col < issued; ++col) {
+      RH_TELEM(sink, on_command(cmd, start + col * spacing, addr.channel, addr.pseudo_channel,
+                                addr.bank, 0, col));
+    }
+  };
+  try {
+    pc.check_row_burst(addr.bank, cmd == TraceCommand::kWr, start, spacing, issued);
+  } catch (...) {
+    commit();
+    throw;
+  }
+  commit();
+}
+
+}  // namespace
+
 DeviceConfig vendor_b_profile() {
   DeviceConfig config;
   config.scramble = ScrambleKind::kXorFold;
@@ -50,11 +77,14 @@ void Device::set_engine(common::EngineKind kind, common::PlantedBug bug) {
   bug_ = fast ? bug : common::PlantedBug::kNone;
   const bool skip_trr = bug_ == common::PlantedBug::kSkipTrrSample;
   const bool stale_flush = bug_ == common::PlantedBug::kStaleDisturbanceFlush;
+  const bool short_burst = bug_ == common::PlantedBug::kShortRowBurst;
   for (auto& channel : channels_) {
     for (auto& pc : channel.pseudo_channels) {
       pc.set_skip_trr_sample_bug(skip_trr);
       for (std::uint32_t b = 0; b < pc.bank_count(); ++b) {
-        pc.bank(b).set_stale_flush_bug(stale_flush);
+        Bank& bank = pc.bank(b);
+        bank.set_stale_flush_bug(stale_flush);
+        bank.set_short_burst_bug(short_burst);
       }
     }
   }
@@ -128,6 +158,23 @@ void Device::write(const BankAddress& addr, std::uint32_t column,
   pseudo_channel(addr.channel, addr.pseudo_channel).write(addr.bank, column, data, now);
   RH_TELEM(telemetry_, on_command(TraceCommand::kWr, now, addr.channel, addr.pseudo_channel,
                                   addr.bank, 0, column));
+}
+
+void Device::write_row(const BankAddress& addr, std::span<const std::uint8_t> image, Cycle start,
+                       Cycle spacing) {
+  RH_EXPECTS(addr.valid(config_.geometry));
+  row_burst(pseudo_channel(addr.channel, addr.pseudo_channel), telemetry_, addr, TraceCommand::kWr,
+            start, spacing,
+            [&](Bank& bank, std::uint32_t columns) { bank.write_columns(image, columns); });
+}
+
+void Device::read_row(const BankAddress& addr, Cycle start, Cycle spacing,
+                      std::span<std::uint8_t> out) {
+  RH_EXPECTS(addr.valid(config_.geometry));
+  const bool ecc = channels_[addr.channel].mode_registers.ecc_enabled();
+  row_burst(pseudo_channel(addr.channel, addr.pseudo_channel), telemetry_, addr, TraceCommand::kRd,
+            start, spacing,
+            [&](Bank& bank, std::uint32_t columns) { bank.read_columns(columns, ecc, out); });
 }
 
 void Device::refresh(std::uint32_t channel, std::uint32_t pc, Cycle now) {

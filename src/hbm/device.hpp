@@ -2,10 +2,10 @@
 //
 // Owns the geometry, the fault-physics models, the row scrambler, per-channel
 // mode registers, and the channel/pseudo-channel/bank hierarchy. The public
-// surface is the HBM2 command set plus two batch "macro-op" entry points that
-// the Bender executor uses for tight hammer loops (equivalent to, but far
-// faster to simulate than, the unrolled ACT/PRE stream — an equivalence the
-// test suite verifies).
+// surface is the HBM2 command set plus batch "macro-op" entry points that
+// the Bender executor uses for tight hammer loops and whole-row column
+// bursts (equivalent to, but far faster to simulate than, the unrolled
+// ACT/PRE or WR/RD stream — an equivalence the test suite verifies).
 //
 // A single global cycle clock (advanced by the executor) timestamps all
 // commands; retention is evaluated against it.
@@ -79,6 +79,17 @@ public:
   void mode_register_set(std::uint32_t channel, std::uint32_t reg, std::uint32_t value, Cycle now);
 
   // --- Batch macro-ops (executor fast path) -----------------------------
+  /// Row bursts (WRROW / RDROW): the write()/read() column command to every
+  /// column of the open row in column order, column k at
+  /// `start + k * spacing`, each checked, counted and traced at its cycle;
+  /// the row's data moves in one pass. `image` and `out` are row_bytes
+  /// long. When a column fails its check, the columns before it are
+  /// written (read), counted and traced before the error propagates, as
+  /// the per-column commands would have left them.
+  void write_row(const BankAddress& bank, std::span<const std::uint8_t> image, Cycle start,
+                 Cycle spacing);
+  void read_row(const BankAddress& bank, Cycle start, Cycle spacing,
+                std::span<std::uint8_t> out);
   void hammer_pair(const BankAddress& bank, std::uint32_t row_a, std::uint32_t row_b,
                    std::uint64_t count, Cycle on_time, Cycle end);
   void hammer_single(const BankAddress& bank, std::uint32_t row, std::uint64_t count, Cycle on_time,

@@ -95,6 +95,17 @@ void PseudoChannel::write(std::uint32_t bank_idx, std::uint32_t column,
   bank(bank_idx).write(column, data, now);
 }
 
+void PseudoChannel::check_row_burst(std::uint32_t bank_idx, bool is_write, Cycle start,
+                                    Cycle spacing, std::uint32_t& issued) {
+  check_not_self_refreshing();
+  Bank& b = bank(bank_idx);
+  for (; issued < geometry_->columns_per_row; ++issued) {
+    const Cycle now = start + issued * spacing;
+    channel_timing_.on_column(now, is_write);
+    b.check_column(now, is_write);
+  }
+}
+
 void PseudoChannel::refresh(Cycle now, double temperature_c) {
   check_not_self_refreshing();
   for (const auto& b : banks_) {

@@ -40,6 +40,14 @@ public:
             std::span<std::uint8_t> out);
   void write(std::uint32_t bank, std::uint32_t column, std::span<const std::uint8_t> data,
              Cycle now);
+  /// Row-burst checks (WRROW / RDROW): validates the column command of
+  /// read()/write() for every column of `bank`'s open row in column order,
+  /// column k at `start + k * spacing`, counting each legal one in
+  /// `issued`. Throws at the first illegal column, with `issued` holding
+  /// the columns before it; no data moves here (Bank::write_columns /
+  /// read_columns do that once the count is known).
+  void check_row_burst(std::uint32_t bank, bool is_write, Cycle start, Cycle spacing,
+                       std::uint32_t& issued);
 
   /// One periodic REF: advances the refresh pointer over every bank and
   /// gives both TRR engines their trigger opportunity. All banks must be

@@ -11,10 +11,10 @@
 // and hand-built hammer programs that exercise the fast-forward and macro-op
 // paths at their boundaries.
 //
-// The rig also proves its own sensitivity: each PlantedBug (the three ways
-// the closed-form math most plausibly goes wrong) must produce a divergence
-// the comparison catches — a differential test that cannot see a planted
-// off-by-one would also miss a real one.
+// The rig also proves its own sensitivity: each PlantedBug (the four ways
+// the closed-form math or a batched kernel most plausibly goes wrong) must
+// produce a divergence the comparison catches — a differential test that
+// cannot see a planted off-by-one would also miss a real one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -381,6 +381,79 @@ TEST(EngineDiff, ErrorPathsMatchExactly) {
   expect_identical(fast, interp);
 }
 
+/// Opens `row` of bank 0 and waits out tRCD, so a row burst can follow.
+void open_row(bender::ProgramBuilder& b, const hbm::TimingParams& timings, std::uint32_t row) {
+  b.ldi(1, row).act(0, 1).sleep(static_cast<std::int64_t>(timings.tRCD));
+}
+
+TEST(EngineDiff, RowBurstsFailingMidRowMatchExactly) {
+  // A burst spaced 1 < tCCD: column 0 issues, column 1 violates tCCD. The
+  // kernel must leave column 0 written (read), counted and traced, as the
+  // reference's per-column commands do, and raise the same what(): the
+  // burst's pc and start cycle as context, the column's cycle in the
+  // TimingError.
+  const hbm::DeviceConfig config;
+  for (const bool write : {true, false}) {
+    SCOPED_TRACE(write ? "WRROW" : "RDROW");
+    bender::ProgramBuilder b(config.geometry, config.timings);
+    b.program().set_wide_register(0, row_pattern(config.geometry));
+    open_row(b, config.timings, 33);
+    if (write) {
+      b.wr_row(0, 0, 1);
+    } else {
+      b.rd_row(0, 1);
+    }
+    const bender::Program program = b.take();
+    const EngineRun fast = run_one(config, program, common::EngineKind::kFast);
+    const EngineRun interp = run_one(config, program, common::EngineKind::kInterp);
+    EXPECT_NE(fast.error.find("tCCD"), std::string::npos) << fast.error;
+    EXPECT_NE(fast.device_digest.find(write ? " wr=1 " : " rd=1 "), std::string::npos)
+        << fast.device_digest;
+    expect_identical(fast, interp);
+  }
+}
+
+TEST(EngineDiff, ReadBurstInsideTheWriteTurnaroundMatchesExactly) {
+  // An RDROW whose first column clears tCCD but not tWTR after a WRROW's
+  // last column.
+  const hbm::DeviceConfig config;
+  ASSERT_GT(config.timings.tWTR, config.timings.tCCD + 1);
+  bender::ProgramBuilder b(config.geometry, config.timings);
+  b.program().set_wide_register(0, row_pattern(config.geometry));
+  open_row(b, config.timings, 44);
+  b.wr_row(0, 0, 2).nop().rd_row(0, 2);
+  const bender::Program program = b.take();
+  const EngineRun fast = run_one(config, program, common::EngineKind::kFast);
+  const EngineRun interp = run_one(config, program, common::EngineKind::kInterp);
+  EXPECT_NE(fast.error.find("tWTR"), std::string::npos) << fast.error;
+  expect_identical(fast, interp);
+}
+
+TEST(EngineDiff, RowBurstsInsideAFastForwardedLoopMatch) {
+  // A register loop that rewrites and rereads one row per iteration: the
+  // fast engine retires it in closed form and replays both bursts as
+  // device records at the cycles stepping would reach.
+  const hbm::DeviceConfig config;
+  const hbm::TimingParams& t = config.timings;
+  bender::ProgramBuilder b(config.geometry, t);
+  b.program().set_wide_register(0, row_pattern(config.geometry));
+  b.ldi(2, 0).ldi(3, 6).ldi(1, 77);
+  const bender::Label loop = b.here();
+  b.act(0, 1).sleep(static_cast<std::int64_t>(t.tRCD));
+  b.wr_row(0, 0, 2).sleep(static_cast<std::int64_t>(t.tWTR));
+  b.rd_row(0, 2).sleep(static_cast<std::int64_t>(t.tRTP + t.tWR));
+  b.pre(0).sleep(static_cast<std::int64_t>(t.tRP + t.tRC));
+  b.addi(2, 2, 1).blt(2, 3, loop);
+  const bender::Program program = b.take();
+  const EngineRun fast = run_one(config, program, common::EngineKind::kFast);
+  const EngineRun interp = run_one(config, program, common::EngineKind::kInterp);
+  EXPECT_TRUE(fast.error.empty()) << fast.error;
+  ASSERT_TRUE(fast.result.has_value());
+  EXPECT_EQ(fast.result->readback.size(), 6u * config.geometry.row_bytes());
+  EXPECT_EQ(fast.result->metrics.writes, 6u * config.geometry.columns_per_row);
+  expect_identical(fast, interp);
+}
+
 TEST(EngineDiff, InterpEngineIgnoresPlantedBugs) {
   // Bugs are fast-path-only by contract: requesting one alongside kInterp
   // must leave the reference interpreter untouched.
@@ -389,7 +462,7 @@ TEST(EngineDiff, InterpEngineIgnoresPlantedBugs) {
   const EngineRun clean = run_one(config, program, common::EngineKind::kInterp);
   for (const common::PlantedBug bug :
        {common::PlantedBug::kOffByOneFastForward, common::PlantedBug::kSkipTrrSample,
-        common::PlantedBug::kStaleDisturbanceFlush}) {
+        common::PlantedBug::kStaleDisturbanceFlush, common::PlantedBug::kShortRowBurst}) {
     SCOPED_TRACE(to_string(bug));
     expect_identical(run_one(config, program, common::EngineKind::kInterp, bug), clean);
   }
@@ -436,6 +509,24 @@ TEST(EngineDiff, PlantedStaleDisturbanceFlushIsCaught) {
   EXPECT_TRUE(runs_differ(buggy, reference))
       << "buggy digest:\n" << buggy.device_digest
       << "reference digest:\n" << reference.device_digest;
+}
+
+TEST(EngineDiff, PlantedShortRowBurstIsCaught) {
+  // The row-burst kernel moves one column fewer than it checks, counts and
+  // traces: the command mix and bank counters still agree, but the last
+  // column of the written row keeps its power-on content and the last
+  // column of the readback never arrives.
+  const hbm::DeviceConfig config;
+  bender::ProgramBuilder b(config.geometry, config.timings);
+  b.init_row(0, 201, 0);
+  b.read_row(0, 201);
+  b.program().set_wide_register(0, row_pattern(config.geometry));
+  const bender::Program program = b.take();
+  const EngineRun buggy =
+      run_one(config, program, common::EngineKind::kFast, common::PlantedBug::kShortRowBurst);
+  const EngineRun reference = run_one(config, program, common::EngineKind::kInterp);
+  EXPECT_EQ(buggy.telemetry_digest, reference.telemetry_digest);
+  EXPECT_TRUE(runs_differ(buggy, reference));
 }
 
 }  // namespace

@@ -244,6 +244,7 @@ TEST(VerifyProperties, PlantedEngineBugsDivergeFromTheReference) {
                      common::PlantedBug::kOffByOneFastForward,
                      common::PlantedBug::kSkipTrrSample,
                      common::PlantedBug::kStaleDisturbanceFlush,
+                     common::PlantedBug::kShortRowBurst,
                  };
                  const common::PlantedBug bug = kBugs[rng.below(std::size(kBugs))];
                  const bool use_macro = bug != common::PlantedBug::kOffByOneFastForward;
