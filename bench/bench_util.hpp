@@ -12,6 +12,10 @@
 //
 // Flags every bench takes:
 //   --seed=N            device seed (default: the calibrated seed)
+//   --engine=fast|interp  program engine for every host and campaign worker
+//                       (default fast; results byte-identical)
+//   --engine-bug=NAME   plant a fast-path bug (differential-rig sensitivity
+//                       tests only; see common/engine.hpp)
 //   --csv=PATH          also write machine-readable CSV
 //   --metrics-json=PATH write a telemetry metrics snapshot (counters, per-bank
 //                       ACT heatmap, trace stats) as JSON
@@ -42,10 +46,6 @@
 //                       results stay byte-identical, durability degrades
 //   --storage-fault-seed=N  storage-fault-plan seed
 //   --retry-attempts=N  per-host transport retry budget (RetryPolicy)
-//   --engine=fast|interp         program engine for every worker host
-//                                (default fast; results byte-identical)
-//   --engine-bug=NAME            plant a fast-path bug (differential-rig
-//                                sensitivity tests only; see common/engine.hpp)
 //   --metrics-stream=PATH        live rh-metrics-stream/v1 JSONL (fsync'd per
 //                                sample; follow with tools/rh_tail)
 //   --stream-cycle-cadence=N     device cycles between per-worker samples
@@ -136,11 +136,13 @@ inline campaign::CampaignConfig campaign_config(const common::CliArgs& args) {
 /// exported metrics and heatmap cover the whole fleet.
 class Bench {
 public:
-  /// Reads --seed and the output-session flags.
+  /// Reads --seed, --engine, --engine-bug and the output-session flags.
   explicit Bench(common::CliArgs& args)
       : args_(args),
         seed_(static_cast<std::uint64_t>(
             args.get_int("seed", static_cast<std::int64_t>(kDefaultSeed)))),
+        engine_(common::parse_engine_kind(args.get("engine", "fast"))),
+        engine_bug_(common::parse_planted_bug(args.get("engine-bug", "none"))),
         csv_path_(writable(args.get("csv", ""), "CSV")),
         metrics_path_(writable(args.get("metrics-json", ""), "metrics")),
         trace_path_(writable(args.get("trace", ""), "trace")),
@@ -151,12 +153,13 @@ public:
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   /// Rejects unknown flags, then builds a paper chip of device seed `seed`
-  /// with the sink attached. Nothing is settled: population sweeps pin each
-  /// chip's temperature, and the thermal ablation drives the rig from its
-  /// starting point.
+  /// on the --engine, with the sink attached. Nothing is settled: population
+  /// sweeps pin each chip's temperature, and the thermal ablation drives the
+  /// rig from its starting point.
   [[nodiscard]] std::unique_ptr<bender::BenderHost> chip(std::uint64_t seed) {
     args_.reject_unqueried();
     auto host = std::make_unique<bender::BenderHost>(paper_device_config(seed));
+    host->set_engine(engine_, engine_bug_);
     if (sink_) host->set_telemetry(sink_.get());
     return host;
   }
@@ -279,6 +282,8 @@ private:
 
   common::CliArgs& args_;
   std::uint64_t seed_;
+  common::EngineKind engine_;
+  common::PlantedBug engine_bug_;
   std::string csv_path_;
   std::string metrics_path_;
   std::string trace_path_;

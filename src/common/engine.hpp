@@ -6,15 +6,17 @@
 //
 //   kInterp — the reference: the executor steps every instruction, with no
 //             decode, issues a row burst (WRROW / RDROW) column by column
-//             through Device::write / read, and the fault model re-derives
-//             each cell's threshold on every row settle. Slow, simple, the
-//             ground truth.
+//             through Device::write / read, and both fault models (RowHammer
+//             and retention) re-derive each cell's threshold on every row
+//             settle. Slow, simple, the ground truth.
 //   kFast   — the production engine: the executor also decodes
 //             fast-forwardable loops up front and retires them in closed
 //             form, replaying their device commands through the same
 //             dispatch, hands each row burst to one Device::write_row /
-//             read_row kernel, and the fault kernel evaluates rows from a
-//             per-row sorted threshold cache. Every observable (reports,
+//             read_row kernel, and both fault models evaluate a settle
+//             from the row's cached weak tail (fault/row_fault_cache.hpp:
+//             the cells with z <= kTierZ, in bit order) whenever the
+//             settle's threshold lies inside it. Every observable (reports,
 //             journals, metrics streams, flip sets, error strings) must
 //             match kInterp exactly at the same seed;
 //             tests/engine_diff_test.cpp and the verify::Property campaign

@@ -53,21 +53,55 @@ namespace rh::common {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+/// Irwin-Hall lane sum of a 64-bit hash: the sum of its four 16-bit lanes,
+/// an integer in [0, kMaxLaneSum]. approx_normal is a monotone function of
+/// it, so a cut on z is exactly a cut on this integer
+/// (max_lane_sum_at_most), and a kernel can filter cells without converting
+/// them to double.
+[[nodiscard]] constexpr std::uint32_t lane_sum(std::uint64_t h) noexcept {
+  // Add the lanes pairwise in place, then fold the two 32-bit halves.
+  const std::uint64_t pairs = (h & 0x0000ffff0000ffffULL) + ((h >> 16) & 0x0000ffff0000ffffULL);
+  return static_cast<std::uint32_t>((pairs & 0xffffffffULL) + (pairs >> 32));
+}
+
+inline constexpr std::uint32_t kMaxLaneSum = 4 * 0xffffU;
+
+/// The approximate standard normal of lane sum `sum`: the sum of four
+/// U(0,1) (mean 2, variance 4/12 = 1/3), centered and scaled by sqrt(3).
+[[nodiscard]] constexpr double approx_normal_of_lane_sum(std::uint32_t sum) noexcept {
+  constexpr double inv = 1.0 / 65536.0;
+  constexpr double sqrt3 = 1.7320508075688772;
+  return (static_cast<double>(sum) * inv - 2.0) * sqrt3;
+}
+
 /// Approximate standard normal from a single 64-bit hash via the Irwin-Hall
 /// construction (sum of four 16-bit uniforms, centered and scaled).
 /// Max abs error vs a true normal is small in the central region; tails are
 /// bounded at ~±3.46 sigma, which is adequate (and convenient) for modelling
 /// bounded physical parameter variation.
 [[nodiscard]] constexpr double approx_normal(std::uint64_t h) noexcept {
-  // Four independent 16-bit lanes of the hash.
-  const double u0 = static_cast<double>(h & 0xffffULL);
-  const double u1 = static_cast<double>((h >> 16) & 0xffffULL);
-  const double u2 = static_cast<double>((h >> 32) & 0xffffULL);
-  const double u3 = static_cast<double>((h >> 48) & 0xffffULL);
-  // Sum of 4 U(0,1): mean 2, variance 4/12 = 1/3  =>  scale by sqrt(3).
-  constexpr double inv = 1.0 / 65536.0;
-  constexpr double sqrt3 = 1.7320508075688772;
-  return ((u0 + u1 + u2 + u3) * inv - 2.0) * sqrt3;
+  return approx_normal_of_lane_sum(lane_sum(h));
+}
+
+/// The lower bound of approx_normal, -2 * sqrt(3) (all four lanes zero).
+inline constexpr double kApproxNormalMin = approx_normal_of_lane_sum(0);
+
+/// The largest lane sum whose approx normal is <= z, for z >=
+/// kApproxNormalMin: `lane_sum(h) <= max_lane_sum_at_most(z)` holds exactly
+/// when `approx_normal(h) <= z`. A bisection, valid because the map is
+/// monotone (rng_test checks every sum).
+[[nodiscard]] constexpr std::uint32_t max_lane_sum_at_most(double z) noexcept {
+  std::uint32_t lo = 0;  // approx_normal_of_lane_sum(lo) <= z throughout
+  std::uint32_t hi = kMaxLaneSum;
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo + 1) / 2;
+    if (approx_normal_of_lane_sum(mid) <= z) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
 }
 
 /// xoshiro256** sequential PRNG for host-side sampling decisions.

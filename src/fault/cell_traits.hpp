@@ -37,16 +37,27 @@ enum class Stream : std::uint64_t {
   return common::splitmix64(master ^ static_cast<std::uint64_t>(s));
 }
 
-/// Per-cell hash for (bank, physical row, bit) under stream `s`.
-/// Derivation: chained combines over (stream seed, flat bank, row, bit) —
-/// exactly the chain the models' per-row hash cursors use, so a trait
-/// queried here matches what apply() used internally.
+/// Per-row hash cursor under stream `s`: folds (stream seed, flat bank,
+/// physical row) once, then derives each cell's hash with a single combine,
+/// so a row scan costs one SplitMix64 evaluation per cell and stream.
+struct RowHash {
+  std::uint64_t base;
+
+  RowHash(std::uint64_t master, Stream s, const BankContext& b, std::uint32_t physical_row)
+      : base(common::hash_combine(common::hash_combine(stream_seed(master, s), b.flat_bank),
+                                  physical_row)) {}
+
+  [[nodiscard]] std::uint64_t at(std::uint64_t index) const {
+    return common::hash_combine(base, index);
+  }
+};
+
+/// Per-cell hash for (bank, physical row, bit) under stream `s`: the hash
+/// the models' row scans derive with RowHash, so a trait queried here
+/// matches what apply() used internally.
 [[nodiscard]] inline std::uint64_t cell_hash(std::uint64_t master, Stream s, const BankContext& b,
                                              std::uint32_t physical_row, std::uint32_t bit) {
-  return common::hash_combine(
-      common::hash_combine(common::hash_combine(stream_seed(master, s), b.flat_bank),
-                           physical_row),
-      bit);
+  return RowHash(master, s, b, physical_row).at(bit);
 }
 
 /// True if the cell is an anti cell (charged state stores logical 0).
@@ -64,10 +75,9 @@ enum class Stream : std::uint64_t {
 /// be unwritten.
 inline void fill_default_data(std::uint64_t master, const BankContext& b,
                               std::uint32_t physical_row, std::span<std::uint8_t> out) {
-  const std::uint64_t base = common::hash_combine(
-      common::hash_combine(stream_seed(master, Stream::kDefaultData), b.flat_bank), physical_row);
+  const RowHash hash(master, Stream::kDefaultData, b, physical_row);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = static_cast<std::uint8_t>(common::hash_combine(base, i) & 0xffu);
+    out[i] = static_cast<std::uint8_t>(hash.at(i) & 0xffu);
   }
 }
 

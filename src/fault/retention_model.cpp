@@ -4,16 +4,27 @@
 
 #include "common/assert.hpp"
 #include "fault/cell_traits.hpp"
+#include "fault/row_fault_cache.hpp"
 
 namespace rh::fault {
 
 namespace {
-constexpr double kZMin = -3.4641016151377544;
+constexpr double kZMin = common::kApproxNormalMin;
 }
 
 RetentionModel::RetentionModel(const FaultConfig& cfg, const hbm::Geometry& geometry)
     : cfg_(cfg), geometry_(geometry) {
   RH_EXPECTS(cfg_.retention_median_s > 0 && cfg_.retention_sigma > 0);
+}
+
+RetentionModel::~RetentionModel() = default;
+
+void RetentionModel::set_fast_kernel(bool enabled) {
+  if (enabled && cache_ == nullptr) {
+    cache_ = std::make_unique<RowFaultCache>(cfg_, geometry_, Stream::kRetentionZ);
+  } else if (!enabled) {
+    cache_.reset();
+  }
 }
 
 double RetentionModel::temp_scale(double temperature_c) const {
@@ -56,12 +67,28 @@ std::size_t RetentionModel::apply(const BankContext& b, std::uint32_t physical_r
       cfg_.retention_sigma;
   if (z_max < kZMin) return 0;
 
-  const std::uint64_t z_base = common::hash_combine(
-      common::hash_combine(stream_seed(cfg_.seed, Stream::kRetentionZ), b.flat_bank),
-      physical_row);
-  const std::uint64_t o_base = common::hash_combine(
-      common::hash_combine(stream_seed(cfg_.seed, Stream::kOrientation), b.flat_bank),
-      physical_row);
+  if (cache_ != nullptr && z_max <= RowFaultCache::kTierZ) {
+    // Fast kernel: a cell that decays has z < z_max <= kTierZ, so it is in
+    // the row's weak tail. Each cell's decision reads only its own bit, so
+    // flipping in place leaves every later decision as the scan makes it.
+    const RowFaultCache::Entry& entry = cache_->get(b, physical_row);
+    if (z_max <= entry.z_min) return 0;
+    std::size_t flips = 0;
+    for (std::size_t s = 0; s < entry.tail_bit.size(); ++s) {
+      if (!(entry.tail_z[s] < z_max)) continue;
+      std::uint8_t& byte = data[entry.tail_bit[s] >> 3];
+      const auto mask = static_cast<std::uint8_t>(1u << (entry.tail_bit[s] & 7u));
+      const bool charged = ((byte & mask) != 0) == (entry.tail_anti[s] == 0);
+      if (charged) {
+        byte ^= mask;
+        ++flips;
+      }
+    }
+    return flips;
+  }
+
+  const RowHash z_hash(cfg_.seed, Stream::kRetentionZ, b, physical_row);
+  const RowHash orient_hash(cfg_.seed, Stream::kOrientation, b, physical_row);
 
   std::size_t flips = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -70,11 +97,10 @@ std::size_t RetentionModel::apply(const BankContext& b, std::uint32_t physical_r
       const std::uint32_t bit = static_cast<std::uint32_t>(i) * 8 + j;
       const int vb = (data[i] >> j) & 1;
       const int anti =
-          common::to_unit_double(common::hash_combine(o_base, bit)) < cfg_.anti_cell_fraction ? 1
-                                                                                              : 0;
+          common::to_unit_double(orient_hash.at(bit)) < cfg_.anti_cell_fraction ? 1 : 0;
       const int charged = (vb == (anti != 0 ? 0 : 1)) ? 1 : 0;
       if (charged == 0) continue;
-      const double z = common::approx_normal(common::hash_combine(z_base, bit));
+      const double z = common::approx_normal(z_hash.at(bit));
       if (z < z_max) {
         flipped |= static_cast<std::uint8_t>(1u << j);
         ++flips;

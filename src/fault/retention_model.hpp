@@ -13,9 +13,20 @@
 //      mechanism (§5): a row is profiled for its retention time T, and
 //      whether bitflips appear after T tells the host whether *anything*
 //      (e.g. an in-DRAM TRR) refreshed the row in between.
+//
+// The fast kernel (set_fast_kernel, selected by Device::set_engine under
+// kFast) serves role 2. A U-TRR wait of about T decays only the row's
+// weakest few cells, so its decay threshold lies deep in the lower tail of
+// z. A settle whose threshold is at most RowFaultCache::kTierZ walks the
+// row's cached weak tail (row_fault_cache.hpp) in bit order, with the
+// reference's strict compare, and returns at once when the threshold is at
+// or below the row's weakest cell; it never rehashes the 8,192 cells.
+// Longer waits (past about 0.8 s at 85 degC) and every settle under kInterp
+// take the reference scan, which stays the ground truth.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "fault/config.hpp"
@@ -24,9 +35,12 @@
 
 namespace rh::fault {
 
+class RowFaultCache;
+
 class RetentionModel {
 public:
   RetentionModel(const FaultConfig& cfg, const hbm::Geometry& geometry);
+  ~RetentionModel();
 
   /// Applies retention decay to the stored row image after `elapsed_s`
   /// seconds without refresh at `temperature_c`. Returns bits flipped now.
@@ -46,6 +60,12 @@ public:
   /// bound for the per-ACT hot path, in seconds at `temperature_c`.
   [[nodiscard]] double global_min_retention_s(double temperature_c) const;
 
+  /// Selects the fast kernel (see the header comment): a decay whose
+  /// threshold is at most RowFaultCache::kTierZ walks the row's cached weak
+  /// tail instead of rescanning every cell. Bit-for-bit identical to the
+  /// reference scan. Off by default.
+  void set_fast_kernel(bool enabled);
+
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }
 
 private:
@@ -53,6 +73,9 @@ private:
 
   FaultConfig cfg_;
   hbm::Geometry geometry_;
+  /// Present iff the fast kernel is selected. mutable: the cache memoizes
+  /// pure per-cell hashes, so filling it does not change observable state.
+  mutable std::unique_ptr<RowFaultCache> cache_;
 };
 
 }  // namespace rh::fault

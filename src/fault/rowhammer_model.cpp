@@ -3,125 +3,25 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <unordered_map>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "fault/cell_traits.hpp"
+#include "fault/row_fault_cache.hpp"
 
 namespace rh::fault {
 
 namespace {
 
-/// Irwin-Hall(4) approximate normals are bounded: |z| <= 2 * sqrt(3).
-constexpr double kZMin = -3.4641016151377544;
-
-/// Per-row hash cursor: folds (stream, bank, row) once, then derives each
-/// bit's hash with a single combine. Keeps the per-bit path at ~two
-/// SplitMix64 evaluations total (threshold z + orientation).
-struct RowHashBase {
-  std::uint64_t base;
-
-  RowHashBase(std::uint64_t master, Stream s, const BankContext& b, std::uint32_t row)
-      : base(common::hash_combine(
-            common::hash_combine(stream_seed(master, s), b.flat_bank), row)) {}
-
-  [[nodiscard]] std::uint64_t at(std::uint32_t bit) const {
-    return common::hash_combine(base, bit);
-  }
-};
+/// Irwin-Hall(4) approximate normals are bounded: z >= -2 * sqrt(3).
+constexpr double kZMin = common::kApproxNormalMin;
 
 }  // namespace
-
-/// Fast-kernel memo: every cell's threshold z and orientation are pure
-/// functions of (seed, flat bank, physical row, bit), so a row that settles
-/// repeatedly (every probe of a hammer bisection re-senses the same victim)
-/// can skip the 8192-bit rescan. Per row we keep only the *weak tail* —
-/// cells with z <= kTierZ, the only ones a batch taking the cached path can
-/// flip — in natural bit order with threshold and orientation per slot.
-/// apply() walks the tail filtering on the batch's most permissive
-/// threshold: bit order already matches the reference scan, so no sorting
-/// happens anywhere, at build time or per batch. A batch whose threshold
-/// exceeds kTierZ (extreme disturbance; absent from every bench workload)
-/// takes the reference scan instead, so the cache never needs the strong
-/// cells at all. Entries are evicted least-recently-used.
-class RowFaultCache {
-public:
-  /// Weak-tail cut. A cached batch satisfies z_cap <= kTierZ, so every
-  /// flippable cell (z <= z_cap) is in the tail; batches above the tier
-  /// fall back to the reference scan. P(z <= -1) ~ 16% under the
-  /// Irwin-Hall(4) normal, so the tail carries ~1/6 of the row's bits.
-  static constexpr double kTierZ = -1.0;
-
-  struct Entry {
-    std::vector<std::uint16_t> tail_bit;  ///< weak-tail bit indices, ascending
-    std::vector<double> tail_z;           ///< threshold z per tail slot
-    std::vector<std::uint8_t> tail_anti;  ///< orientation per tail slot
-    /// Weakest cell in the row; a batch with z_cap below it flips nothing.
-    double z_min = 0.0;
-    std::uint64_t last_use = 0;
-  };
-
-  const Entry& get(const FaultConfig& cfg, const hbm::Geometry& geometry, const BankContext& b,
-                   std::uint32_t physical_row) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(b.flat_bank) << 32) | physical_row;
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      if (entries_.size() >= kMaxEntries) evict_lru();
-      it = entries_.emplace(key, build(cfg, geometry, b, physical_row)).first;
-    }
-    it->second.last_use = ++tick_;
-    return it->second;
-  }
-
-private:
-  /// Weak-tail entries are ~15 KiB; 512 of them cover several shards'
-  /// working sets (victims, aggressors, blast-radius neighbours) without
-  /// LRU thrash — a fig4-style shard set touches ~140 distinct rows.
-  static constexpr std::size_t kMaxEntries = 512;
-
-  static Entry build(const FaultConfig& cfg, const hbm::Geometry& geometry, const BankContext& b,
-                     std::uint32_t physical_row) {
-    const RowHashBase z_hash(cfg.seed, Stream::kRowHammerZ, b, physical_row);
-    const RowHashBase orient_hash(cfg.seed, Stream::kOrientation, b, physical_row);
-    const auto bits = static_cast<std::uint32_t>(geometry.row_bytes() * 8);
-    Entry e;
-    e.z_min = 1e300;
-    e.tail_bit.reserve(bits / 4);
-    e.tail_z.reserve(bits / 4);
-    e.tail_anti.reserve(bits / 4);
-    // One pass in bit order; the orientation hash runs only for tail bits.
-    for (std::uint32_t bit = 0; bit < bits; ++bit) {
-      const double z = common::approx_normal(z_hash.at(bit));
-      e.z_min = std::min(e.z_min, z);
-      if (z <= kTierZ) {
-        e.tail_bit.push_back(static_cast<std::uint16_t>(bit));
-        e.tail_z.push_back(z);
-        e.tail_anti.push_back(
-            common::to_unit_double(orient_hash.at(bit)) < cfg.anti_cell_fraction ? 1 : 0);
-      }
-    }
-    return e;
-  }
-
-  void evict_lru() {
-    auto victim = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second.last_use < victim->second.last_use) victim = it;
-    }
-    entries_.erase(victim);
-  }
-
-  std::unordered_map<std::uint64_t, Entry> entries_;
-  std::uint64_t tick_ = 0;
-};
 
 RowHammerModel::~RowHammerModel() = default;
 
 void RowHammerModel::set_fast_kernel(bool enabled) {
   if (enabled && cache_ == nullptr) {
-    cache_ = std::make_unique<RowFaultCache>();
+    cache_ = std::make_unique<RowFaultCache>(cfg_, geometry_, Stream::kRowHammerZ);
   } else if (!enabled) {
     cache_.reset();
   }
@@ -263,7 +163,7 @@ std::size_t RowHammerModel::apply(const BankContext& b, std::uint32_t physical_r
       // read — exactly as the reference scan would. z_cap is within the
       // cached tier, so the weak tail holds every candidate, and it is
       // already in the reference scan's bit order.
-      const RowFaultCache::Entry& entry = cache_->get(cfg_, geometry_, b, physical_row);
+      const RowFaultCache::Entry& entry = cache_->get(b, physical_row);
       if (z_cap < entry.z_min) return 0;
       const std::size_t m = entry.tail_bit.size();
       for (std::size_t s = 0; s < m;) {
@@ -297,8 +197,8 @@ std::size_t RowHammerModel::apply(const BankContext& b, std::uint32_t physical_r
     // cells could flip too, so take the reference scan below.
   }
 
-  const RowHashBase z_hash(cfg_.seed, Stream::kRowHammerZ, b, physical_row);
-  const RowHashBase orient_hash(cfg_.seed, Stream::kOrientation, b, physical_row);
+  const RowHash z_hash(cfg_.seed, Stream::kRowHammerZ, b, physical_row);
+  const RowHash orient_hash(cfg_.seed, Stream::kOrientation, b, physical_row);
 
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint8_t v = data[i];

@@ -69,13 +69,15 @@ public:
   /// Temperature multiplier on vulnerability (mild; ablation A2).
   [[nodiscard]] double temperature_factor(double temperature_c) const;
 
-  /// Selects the fast kernel: per-(bank,row) cell thresholds (z, orientation)
-  /// are hashed once, sorted by threshold, and cached, so apply() evaluates
-  /// only the candidate bits whose z can possibly clear the batch's weakest
-  /// threshold class instead of rescanning all 8192 bits. Bit-for-bit
-  /// identical to the reference scan (the thresholds are the same hashes;
-  /// candidate selection is a conservative superset). Off by default — the
-  /// interp engine keeps the reference scan as ground truth.
+  /// Selects the fast kernel: a batch whose most permissive threshold class
+  /// is at most RowFaultCache::kTierZ is evaluated from the row's cached
+  /// weak tail (row_fault_cache.hpp: the cells with z <= kTierZ, in bit
+  /// order, with threshold and orientation per slot) instead of rescanning
+  /// all 8192 bits; a stronger batch takes the reference scan. Bit-for-bit
+  /// identical to the reference scan: the thresholds are the same hashes,
+  /// every cell that can flip is in the tail, and the tail is in the scan's
+  /// bit order. Off by default — the interp engine keeps the reference scan
+  /// as ground truth.
   void set_fast_kernel(bool enabled);
 
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }

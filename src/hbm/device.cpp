@@ -72,6 +72,7 @@ void Device::set_engine(common::EngineKind kind, common::PlantedBug bug) {
   engine_ = kind;
   const bool fast = kind == common::EngineKind::kFast;
   rh_model_->set_fast_kernel(fast);
+  retention_model_->set_fast_kernel(fast);
   // Planted bugs deliberately break the fast path only: the interp engine
   // stays ground truth so the differential rig can convict the fast one.
   bug_ = fast ? bug : common::PlantedBug::kNone;

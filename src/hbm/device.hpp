@@ -101,7 +101,8 @@ public:
 
   // --- Engine selection ---------------------------------------------------
   /// Selects between the reference device core (kInterp: per-bit fault
-  /// rescans) and the fast one (kFast: cached sorted-threshold fault kernel).
+  /// rescans) and the fast one (kFast: both fault models evaluate settles
+  /// from cached per-row weak tails, fault/row_fault_cache.hpp).
   /// Both are bit-identical by contract; `bug` deliberately breaks the fast
   /// path for differential-rig sensitivity tests and is only honoured when
   /// `kind == kFast`. The executor reads both to pick its engine.

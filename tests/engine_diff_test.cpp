@@ -8,8 +8,9 @@
 // Inputs come from three directions so the rig is not testing what it
 // generated itself: the committed .rhcs corpus (timing repros and boundary
 // streams, compiled into Bender programs), seeded verify::generator streams,
-// and hand-built hammer programs that exercise the fast-forward and macro-op
-// paths at their boundaries.
+// and hand-built programs that exercise the fast-forward, macro-op and
+// row-burst paths at their boundaries, plus a U-TRR-shaped retention
+// session whose idle waits drive the cached retention kernel.
 //
 // The rig also proves its own sensitivity: each PlantedBug (the four ways
 // the closed-form math or a batched kernel most plausibly goes wrong) must
@@ -20,7 +21,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,7 +32,11 @@
 #include "bender/host.hpp"
 #include "bender/program.hpp"
 #include "common/engine.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/data_patterns.hpp"
+#include "core/retention_profiler.hpp"
+#include "core/row_map.hpp"
 #include "hbm/device.hpp"
 #include "telemetry/telemetry.hpp"
 #include "verify/command_stream.hpp"
@@ -179,8 +186,11 @@ struct EngineRun {
   std::string telemetry_digest;
 };
 
-EngineRun run_one(const hbm::DeviceConfig& config, const bender::Program& program,
-                  common::EngineKind kind, common::PlantedBug bug = common::PlantedBug::kNone) {
+/// Runs `session` on a fresh host of `config` under `kind`, with a
+/// telemetry sink attached; the session's result is the run's result.
+EngineRun run_session(const hbm::DeviceConfig& config, common::EngineKind kind,
+                      const std::function<bender::ExecutionResult(bender::BenderHost&)>& session,
+                      common::PlantedBug bug = common::PlantedBug::kNone) {
   bender::BenderHost host(config);
   host.set_engine(kind, bug);
   telemetry::TelemetryConfig sink_config;
@@ -189,7 +199,7 @@ EngineRun run_one(const hbm::DeviceConfig& config, const bender::Program& progra
   host.set_telemetry(&sink);
   EngineRun out;
   try {
-    out.result = host.run(program, kChannel, kPseudoChannel);
+    out.result = session(host);
   } catch (const std::exception& e) {
     out.error = e.what();
   }
@@ -197,6 +207,13 @@ EngineRun run_one(const hbm::DeviceConfig& config, const bender::Program& progra
   out.telemetry_digest = digest_telemetry(sink);
   host.set_telemetry(nullptr);
   return out;
+}
+
+EngineRun run_one(const hbm::DeviceConfig& config, const bender::Program& program,
+                  common::EngineKind kind, common::PlantedBug bug = common::PlantedBug::kNone) {
+  return run_session(
+      config, kind,
+      [&](bender::BenderHost& host) { return host.run(program, kChannel, kPseudoChannel); }, bug);
 }
 
 /// The equivalence contract, observable by observable. Wall-clock metrics
@@ -365,6 +382,91 @@ TEST(EngineDiff, HammerMacroOpWithTrrAndRefreshIdentical) {
     expect_identical(run_one(config, program, common::EngineKind::kFast),
                      run_one(config, program, common::EngineKind::kInterp));
   }
+}
+
+/// A U-TRR-shaped session (§5) on physical row `probe` of bank 0: profile
+/// the row's retention time T, then, for `iterations` iterations, write the
+/// row, idle 0.75 T, touch the aggressor and issue one REF, idle 0.75 T
+/// and read the row; last, one read after an idle of `long_wait_ms`. Every
+/// read settles the probe row's decay; a TRR victim refresh settles it
+/// mid-wait. The result is the last read's, carrying every readback in
+/// order; T goes to `retention_ms`.
+bender::ExecutionResult utrr_session(bender::BenderHost& host, std::uint32_t probe,
+                                     std::uint32_t iterations, double long_wait_ms,
+                                     double& retention_ms) {
+  const hbm::Device& device = host.device();
+  const core::RowMap map = core::RowMap::from_device(device);
+  const core::Site site{kChannel, kPseudoChannel, 0};
+  const auto profile = core::RetentionProfiler(host, map).profile(site, probe);
+  if (!profile) throw common::Error("probe row has no measurable retention time");
+  retention_ms = profile->retention_ms;
+  const double half_wait = 0.75 * retention_ms;
+  const std::uint32_t logical_probe = map.physical_to_logical(probe);
+  const std::uint32_t logical_aggressor = map.physical_to_logical(probe + 1);
+  const auto init = [&] {
+    bender::ProgramBuilder b(device.geometry(), device.timings());
+    b.program().set_wide_register(0, core::make_row_image(device.geometry(), 0x00));
+    b.init_row(0, logical_probe, 0);
+    host.run(b.take(), kChannel, kPseudoChannel);
+  };
+  std::vector<std::uint8_t> readbacks;
+  bender::ExecutionResult last;
+  const auto read = [&] {
+    bender::ProgramBuilder b(device.geometry(), device.timings());
+    b.mrs(hbm::ModeRegisters::kEccRegister, 0x0).read_row(0, logical_probe);
+    last = host.run(b.take(), kChannel, kPseudoChannel);
+    readbacks.insert(readbacks.end(), last.readback.begin(), last.readback.end());
+  };
+  for (std::uint32_t iter = 0; iter < iterations; ++iter) {
+    init();
+    host.idle_ms(half_wait);
+    bender::ProgramBuilder touch(device.geometry(), device.timings());
+    touch.touch_row(0, logical_aggressor).ref();
+    touch.sleep(static_cast<std::int64_t>(device.timings().tRFC));
+    host.run(touch.take(), kChannel, kPseudoChannel);
+    host.idle_ms(half_wait);
+    read();
+  }
+  init();
+  host.idle_ms(long_wait_ms);
+  read();
+  last.readback = std::move(readbacks);
+  return last;
+}
+
+TEST(EngineDiff, RetentionSideChannelSessionIdentical) {
+  // Retention decay through a whole U-TRR session. Under kFast the
+  // profiler's waits and every iteration's settles (a mid-wait TRR refresh
+  // below the row's weakest cell, the read just above it) walk the cached
+  // retention tail; the final 4 s wait reaches past the cached tier and
+  // takes the reference scan. 20 iterations span one 17-REF TRR period.
+  const hbm::DeviceConfig config;
+  constexpr std::uint32_t kProbe = 4096;
+  constexpr std::uint32_t kIterations = 20;
+  constexpr double kLongWaitMs = 4000.0;
+  double fast_ms = 0.0;
+  double interp_ms = 0.0;
+  const EngineRun fast = run_session(config, common::EngineKind::kFast, [&](auto& host) {
+    return utrr_session(host, kProbe, kIterations, kLongWaitMs, fast_ms);
+  });
+  const EngineRun interp = run_session(config, common::EngineKind::kInterp, [&](auto& host) {
+    return utrr_session(host, kProbe, kIterations, kLongWaitMs, interp_ms);
+  });
+  ASSERT_TRUE(fast.error.empty()) << fast.error;
+  EXPECT_EQ(fast_ms, interp_ms);
+  expect_identical(fast, interp);
+  // The session exercised both outcomes: reads that decayed, and at least
+  // one read the TRR refresh kept clean.
+  const std::size_t row_bytes = config.geometry.row_bytes();
+  ASSERT_EQ(fast.result->readback.size(), (kIterations + 1) * row_bytes);
+  std::uint32_t clean = 0;
+  for (std::uint32_t iter = 0; iter < kIterations; ++iter) {
+    const std::span<const std::uint8_t> row(fast.result->readback.data() + iter * row_bytes,
+                                            row_bytes);
+    if (core::count_flips(row, 0x00).total == 0) ++clean;
+  }
+  EXPECT_GE(clean, 1u);
+  EXPECT_LT(clean, kIterations);
 }
 
 TEST(EngineDiff, ErrorPathsMatchExactly) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "fault/cell_traits.hpp"
+#include "fault/row_fault_cache.hpp"
+#include "fault_kernel_inputs.hpp"
 #include "hbm/geometry.hpp"
 
 namespace rh::fault {
@@ -124,6 +129,132 @@ TEST_F(RetentionModelTest, ApplyIsDeterministic) {
   model_.apply(bank(), 77, b, 3.0, 85.0);
   EXPECT_EQ(a, b);
 }
+
+/// A reference model and a fast-kernel model of one device, fed identical
+/// inputs. The parameter seeds both the device (FaultConfig::seed) and the
+/// input draws.
+class RetentionFastKernel : public ::testing::TestWithParam<std::uint64_t> {
+protected:
+  RetentionFastKernel() : cfg_(seeded(GetParam())) { fast_.set_fast_kernel(true); }
+
+  static FaultConfig seeded(std::uint64_t seed) {
+    FaultConfig cfg;
+    cfg.seed = seed;
+    return cfg;
+  }
+
+  /// Decays both models' own copies of the row image by `elapsed_s`,
+  /// expects the same flips, and advances both copies.
+  void expect_same(const BankContext& b, std::uint32_t row, std::vector<std::uint8_t>& ref_data,
+                   std::vector<std::uint8_t>& fast_data, double elapsed_s, double temp) {
+    SCOPED_TRACE(::testing::Message() << "bank " << b.flat_bank << " row " << row << " elapsed "
+                                      << std::hexfloat << elapsed_s << " at " << temp);
+    const std::size_t want = reference_.apply(b, row, ref_data, elapsed_s, temp);
+    EXPECT_EQ(fast_.apply(b, row, fast_data, elapsed_s, temp), want);
+    EXPECT_EQ(fast_data, ref_data);
+  }
+
+  void expect_same(const BankContext& b, std::uint32_t row, std::vector<std::uint8_t> data,
+                   double elapsed_s, double temp) {
+    std::vector<std::uint8_t> fast_data = data;
+    expect_same(b, row, data, fast_data, elapsed_s, temp);
+  }
+
+  /// The decay threshold of a wait at the reference temperature, computed
+  /// as apply() does (the temperature scale there is exactly 1).
+  double z_max(double elapsed_s) const {
+    return std::log(elapsed_s / (cfg_.retention_median_s * 1.0)) / cfg_.retention_sigma;
+  }
+
+  /// The waits whose threshold lands just below, on and just above `z`.
+  std::vector<double> waits_at(double z) const {
+    return test::crossing([&](double e) { return z_max(e); }, z,
+                    cfg_.retention_median_s * std::exp(z * cfg_.retention_sigma));
+  }
+
+  hbm::Geometry geometry_ = hbm::paper_geometry();
+  FaultConfig cfg_;
+  RetentionModel reference_{cfg_, geometry_};
+  RetentionModel fast_{cfg_, geometry_};
+};
+
+TEST_P(RetentionFastKernel, MatchesTheReferenceOnRandomDraws) {
+  // Waits from under the global bound to far past the cached tier, at
+  // three temperatures.
+  common::Xoshiro256 rng(GetParam());
+  for (int draw = 0; draw < 96; ++draw) {
+    const BankContext b = test::random_bank(geometry_, rng);
+    const auto r = static_cast<std::uint32_t>(rng.below(geometry_.rows_per_bank));
+    const double elapsed_s = 0.03 * std::pow(1000.0, rng.uniform());
+    const double temp = 65.0 + 15.0 * static_cast<double>(rng.below(3));
+    expect_same(b, r, test::random_row(geometry_, rng), elapsed_s, temp);
+  }
+}
+
+TEST_P(RetentionFastKernel, MatchesTheReferenceAtTheTierAndTheWeakestCells) {
+  // The cached path is taken iff z_max <= kTierZ and returns early iff
+  // z_max <= z_min, and a charged cell decays iff z < z_max (strict). Each
+  // row drawn holds a cell on one side of the tail's edge: the last lane
+  // sum inside the tail (kTierLaneSum, decayed just below the tier) or the
+  // first outside it. Sweep z_max ulp by ulp across the tier, the first z
+  // outside it and the row's two weakest z, for both polarities of the row.
+  const double z_outside = common::approx_normal_of_lane_sum(RowFaultCache::kTierLaneSum + 1);
+  const double temp = cfg_.retention_ref_temp_c;
+  common::Xoshiro256 rng(GetParam());
+  for (int draw = 0; draw < 4; ++draw) {
+    const BankContext b = test::random_bank(geometry_, rng);
+    auto r = static_cast<std::uint32_t>(rng.below(geometry_.rows_per_bank));
+    const std::uint32_t edge = RowFaultCache::kTierLaneSum + (draw % 2 == 0 ? 0 : 1);
+    std::vector<std::uint32_t> sums;
+    for (;; r = (r + 1) % geometry_.rows_per_bank) {
+      sums = test::lane_sums(cfg_.seed, Stream::kRetentionZ, b, r, geometry_.row_bits());
+      if (std::count(sums.begin(), sums.end(), edge) > 0) break;
+    }
+    std::vector<double> waits = waits_at(RowFaultCache::kTierZ);
+    ASSERT_LT(z_max(waits.front()), RowFaultCache::kTierZ);
+    ASSERT_GT(z_max(waits.back()), RowFaultCache::kTierZ);
+    std::vector<double> targets = test::weakest_two_z(sums);
+    targets.push_back(z_outside);
+    for (const double z : targets) {
+      const std::vector<double> at = waits_at(z);
+      waits.insert(waits.end(), at.begin(), at.end());
+    }
+    waits.push_back(waits.back() * 1.05);  // a few weak cells over the edge
+    for (const std::uint8_t value : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+      for (const double wait : waits) {
+        expect_same(b, r, std::vector<std::uint8_t>(geometry_.row_bytes(), value), wait, temp);
+      }
+    }
+  }
+}
+
+TEST_P(RetentionFastKernel, MatchesTheReferenceOnRepeatedAppliesToOneRow) {
+  // U-TRR's probe row: every settle after the first is a cache hit, below,
+  // at and above the row's retention time, and past the tier.
+  common::Xoshiro256 rng(GetParam());
+  const BankContext b = test::random_bank(geometry_, rng);
+  const auto r = static_cast<std::uint32_t>(rng.below(geometry_.rows_per_bank));
+  const double t = reference_.row_min_retention_s(b, r, 85.0);
+  std::vector<std::uint8_t> ref_data = test::random_row(geometry_, rng);
+  std::vector<std::uint8_t> fast_data = ref_data;
+  for (const double wait : {0.75 * t, 1.5 * t, 1.5 * t, 3.0 * t, 0.75 * t, 8.0, 1.5 * t}) {
+    expect_same(b, r, ref_data, fast_data, wait, 85.0);
+  }
+}
+
+TEST_P(RetentionFastKernel, MatchesTheReferenceAcrossLruEviction) {
+  // More distinct rows than the cache holds (512), then the first rows
+  // again: evicted entries are rebuilt to the same tails.
+  common::Xoshiro256 rng(GetParam());
+  const BankContext b = test::random_bank(geometry_, rng);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::uint32_t r = 0; r < (pass == 0 ? 600u : 64u); ++r) {
+      expect_same(b, r, std::vector<std::uint8_t>(geometry_.row_bytes(), 0x00), 0.3, 85.0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RetentionFastKernel, ::testing::Values(0x5AFA2123ULL, 1ULL));
 
 }  // namespace
 }  // namespace rh::fault

@@ -6,6 +6,8 @@
 #include <set>
 #include <vector>
 
+#include "fault/row_fault_cache.hpp"
+
 namespace rh::common {
 namespace {
 
@@ -80,6 +82,33 @@ TEST(ApproxNormal, IsBoundedByIrwinHallSupport) {
     const double z = approx_normal(splitmix64(static_cast<std::uint64_t>(i)));
     EXPECT_LE(std::abs(z), bound);
   }
+}
+
+TEST(ApproxNormal, IsTheLaneSumMap) {
+  for (int i = 0; i < 100'000; ++i) {
+    const std::uint64_t h = splitmix64(static_cast<std::uint64_t>(i));
+    const std::uint64_t sum =
+        (h & 0xffffULL) + ((h >> 16) & 0xffffULL) + ((h >> 32) & 0xffffULL) + (h >> 48);
+    ASSERT_EQ(lane_sum(h), sum);
+    ASSERT_EQ(approx_normal(h), approx_normal_of_lane_sum(lane_sum(h)));
+  }
+  EXPECT_EQ(lane_sum(~0ULL), kMaxLaneSum);
+  EXPECT_EQ(approx_normal(0), kApproxNormalMin);
+}
+
+TEST(ApproxNormal, LaneSumCutIsExactlyTheZCut) {
+  // Over every lane sum: the map to z is monotone, so a cut on the integer
+  // sum selects exactly the cells a cut on z selects, and the weak-tail
+  // cut is the largest sum whose z is <= kTierZ.
+  const double tier = fault::RowFaultCache::kTierZ;
+  std::uint32_t largest_in_tier = 0;
+  for (std::uint32_t sum = 1; sum <= kMaxLaneSum; ++sum) {
+    ASSERT_LT(approx_normal_of_lane_sum(sum - 1), approx_normal_of_lane_sum(sum)) << sum;
+    if (approx_normal_of_lane_sum(sum) <= tier) largest_in_tier = sum;
+  }
+  EXPECT_EQ(fault::RowFaultCache::kTierLaneSum, largest_in_tier);
+  EXPECT_EQ(max_lane_sum_at_most(kApproxNormalMin), 0u);
+  EXPECT_EQ(max_lane_sum_at_most(approx_normal_of_lane_sum(kMaxLaneSum)), kMaxLaneSum);
 }
 
 TEST(Xoshiro256, IsDeterministicPerSeed) {

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "fault/cell_traits.hpp"
 #include "fault/process_variation.hpp"
+#include "fault/row_fault_cache.hpp"
+#include "fault_kernel_inputs.hpp"
 #include "hbm/geometry.hpp"
 #include "hbm/subarray.hpp"
 
@@ -170,6 +176,167 @@ TEST_F(RowHammerModelTest, MissingNeighbourMeansNoOppositeBoost) {
   EXPECT_GT(both, none);
 }
 
+/// A reference model and a fast-kernel model of one device, fed identical
+/// inputs. The parameter seeds both the device (FaultConfig::seed) and the
+/// input draws.
+class FastKernel : public ::testing::TestWithParam<std::uint64_t> {
+protected:
+  FastKernel()
+      : cfg_(seeded(GetParam())),
+        layout_(hbm::SubarrayLayout::paper_layout(geometry_.rows_per_bank)),
+        variation_(cfg_, geometry_),
+        reference_(cfg_, geometry_, layout_, variation_),
+        fast_(cfg_, geometry_, layout_, variation_) {
+    fast_.set_fast_kernel(true);
+  }
+
+  static FaultConfig seeded(std::uint64_t seed) {
+    FaultConfig cfg;
+    cfg.seed = seed;
+    return cfg;
+  }
+
+  /// Applies `disturbance` through both models to their own copies of the
+  /// victim image, expects the same flips, and advances both copies.
+  void expect_same(const BankContext& b, std::uint32_t row, std::vector<std::uint8_t>& ref_data,
+                   std::vector<std::uint8_t>& fast_data, std::span<const std::uint8_t> above,
+                   std::span<const std::uint8_t> below, double disturbance) {
+    SCOPED_TRACE(::testing::Message() << "bank " << b.flat_bank << " row " << row
+                                      << " d=" << std::hexfloat << disturbance);
+    const std::size_t want =
+        reference_.apply(b, row, ref_data, above, below, disturbance, 85.0);
+    EXPECT_EQ(fast_.apply(b, row, fast_data, above, below, disturbance, 85.0), want);
+    EXPECT_EQ(fast_data, ref_data);
+  }
+
+  void expect_same(const BankContext& b, std::uint32_t row, std::vector<std::uint8_t> data,
+                   std::span<const std::uint8_t> above, std::span<const std::uint8_t> below,
+                   double disturbance) {
+    std::vector<std::uint8_t> fast_data = data;
+    expect_same(b, row, data, fast_data, above, below, disturbance);
+  }
+
+  /// The batch's most permissive threshold at `disturbance`, computed as
+  /// apply() does: the strongest class under the default coupling is a
+  /// charged anti cell between two opposite aggressors, undamped.
+  double z_cap(const BankContext& b, std::uint32_t row, double disturbance) const {
+    const double coupling = (cfg_.coupling_base + 2 * cfg_.coupling_opposite_aggressor) *
+                            cfg_.anti_cell_relative;
+    return (std::log(disturbance * reference_.row_vulnerability(b, row, 85.0)) +
+            std::log(coupling) - std::log(cfg_.hc0)) /
+           cfg_.sigma_cell;
+  }
+
+  /// The disturbances whose z_cap lands just below, on and just above `z`.
+  std::vector<double> disturbances_at(const BankContext& b, std::uint32_t row, double z) const {
+    const double guess = std::exp((z - z_cap(b, row, 1.0)) * cfg_.sigma_cell);
+    return test::crossing([&](double d) { return z_cap(b, row, d); }, z, guess);
+  }
+
+  std::vector<std::uint8_t> row(std::uint8_t value) const {
+    return std::vector<std::uint8_t>(geometry_.row_bytes(), value);
+  }
+
+  hbm::Geometry geometry_ = hbm::paper_geometry();
+  FaultConfig cfg_;
+  hbm::SubarrayLayout layout_;
+  ProcessVariation variation_;
+  RowHammerModel reference_;
+  RowHammerModel fast_;
+};
+
+TEST_P(FastKernel, MatchesTheReferenceOnRandomDraws) {
+  // Disturbances span the cached tier and the reference fallback above it;
+  // one neighbour in eight is missing, as at a bank edge.
+  common::Xoshiro256 rng(GetParam());
+  for (int draw = 0; draw < 96; ++draw) {
+    const BankContext b = test::random_bank(geometry_, rng);
+    const auto r = static_cast<std::uint32_t>(rng.below(geometry_.rows_per_bank));
+    const std::vector<std::uint8_t> data = test::random_row(geometry_, rng);
+    const std::vector<std::uint8_t> above = rng.below(8) == 0 ? std::vector<std::uint8_t>{}
+                                                              : test::random_row(geometry_, rng);
+    const std::vector<std::uint8_t> below = rng.below(8) == 0 ? std::vector<std::uint8_t>{}
+                                                              : test::random_row(geometry_, rng);
+    const double d = 1e5 * std::pow(100.0, rng.uniform());
+    expect_same(b, r, data, above, below, d);
+  }
+}
+
+TEST_P(FastKernel, MatchesTheReferenceAtTheTierAndTheWeakestCells) {
+  // The cached path is taken iff z_cap <= kTierZ and returns early iff
+  // z_cap < z_min, and a cell flips iff its z is <= its class's threshold.
+  // Each row drawn holds an anti cell, which the strongest class flips, on
+  // one side of the tail's edge: the last lane sum inside the tail
+  // (kTierLaneSum, flipped just below the tier) or the first outside it.
+  // Sweep z_cap ulp by ulp across the tier, the first z outside it and the
+  // row's two weakest z, for both victim polarities.
+  const double z_outside = common::approx_normal_of_lane_sum(RowFaultCache::kTierLaneSum + 1);
+  common::Xoshiro256 rng(GetParam());
+  for (int draw = 0; draw < 4; ++draw) {
+    const BankContext b = test::random_bank(geometry_, rng);
+    auto r = static_cast<std::uint32_t>(rng.below(geometry_.rows_per_bank));
+    const std::uint32_t edge = RowFaultCache::kTierLaneSum + (draw % 2 == 0 ? 0 : 1);
+    std::vector<std::uint32_t> sums;
+    const auto anti_on_edge = [&] {
+      for (std::uint32_t bit = 0; bit < sums.size(); ++bit) {
+        if (sums[bit] == edge && is_anti_cell(cfg_.seed, b, r, bit, cfg_.anti_cell_fraction)) {
+          return true;
+        }
+      }
+      return false;
+    };
+    for (;; r = (r + 1) % geometry_.rows_per_bank) {
+      sums = test::lane_sums(cfg_.seed, Stream::kRowHammerZ, b, r, geometry_.row_bits());
+      if (anti_on_edge()) break;
+    }
+    std::vector<double> ds = disturbances_at(b, r, RowFaultCache::kTierZ);
+    ASSERT_LT(z_cap(b, r, ds.front()), RowFaultCache::kTierZ);
+    ASSERT_GT(z_cap(b, r, ds.back()), RowFaultCache::kTierZ);
+    std::vector<double> targets = test::weakest_two_z(sums);
+    targets.push_back(z_outside);
+    for (const double z : targets) {
+      const std::vector<double> at = disturbances_at(b, r, z);
+      ds.insert(ds.end(), at.begin(), at.end());
+    }
+    ds.push_back(ds.back() * 1.02);  // a few weak cells over the edge
+    for (const std::uint8_t victim : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+      const auto aggressor = static_cast<std::uint8_t>(~victim);
+      for (const double d : ds) expect_same(b, r, row(victim), row(aggressor), row(aggressor), d);
+    }
+  }
+}
+
+TEST_P(FastKernel, MatchesTheReferenceOnRepeatedAppliesToOneRow) {
+  // Every apply after the first is a cache hit on the same entry; flipped
+  // cells stay flipped on both sides.
+  common::Xoshiro256 rng(GetParam());
+  const BankContext b = test::random_bank(geometry_, rng);
+  const auto r = static_cast<std::uint32_t>(rng.below(geometry_.rows_per_bank));
+  std::vector<std::uint8_t> ref_data = test::random_row(geometry_, rng);
+  std::vector<std::uint8_t> fast_data = ref_data;
+  const std::vector<std::uint8_t> above = test::random_row(geometry_, rng);
+  const std::vector<std::uint8_t> below = test::random_row(geometry_, rng);
+  for (const double d : {3e5, 3e5, 6e5, 1.2e6, 2.4e6, 1e7, 2.4e6}) {
+    expect_same(b, r, ref_data, fast_data, above, below, d);
+  }
+}
+
+TEST_P(FastKernel, MatchesTheReferenceAcrossLruEviction) {
+  // More distinct rows than the cache holds (512), then the first rows
+  // again: evicted entries are rebuilt to the same tails.
+  common::Xoshiro256 rng(GetParam());
+  const BankContext b = test::random_bank(geometry_, rng);
+  const std::vector<std::uint8_t> victim = row(0x00);
+  const std::vector<std::uint8_t> aggressor = row(0xFF);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::uint32_t r = 0; r < (pass == 0 ? 600u : 64u); ++r) {
+      expect_same(b, 2 * r + 1, victim, aggressor, aggressor, 8e5);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FastKernel, ::testing::Values(0x5AFA2123ULL, 1ULL));
+
 class DisturbanceSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(DisturbanceSweep, FlipFractionIsSane) {
@@ -185,6 +352,13 @@ TEST_P(DisturbanceSweep, FlipFractionIsSane) {
   // Even at very large disturbance, discharged cells can't flip in the
   // charge-loss direction — the fraction must stay well below 100%.
   EXPECT_LT(flips, geometry.row_bits());
+  // The fast kernel flips the same cells at every level: cached below the
+  // tier, the reference scan above it.
+  RowHammerModel fast(cfg, geometry, layout, variation);
+  fast.set_fast_kernel(true);
+  std::vector<std::uint8_t> fast_data(geometry.row_bytes(), 0x00);
+  EXPECT_EQ(fast.apply(b, 416, fast_data, agg, agg, GetParam(), 85.0), flips);
+  EXPECT_EQ(fast_data, data);
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, DisturbanceSweep, ::testing::Values(1e5, 1e6, 1e7, 1e8));
