@@ -49,9 +49,9 @@
 //   --metrics-stream=PATH        live rh-metrics-stream/v1 JSONL (fsync'd per
 //                                sample; follow with tools/rh_tail)
 //   --stream-cycle-cadence=N     device cycles between per-worker samples
-//                                (default 2^24, deterministic series)
-//   --stream-wall-cadence-ms=F   wall ms between campaign-aggregate samples
-//                                (default 200)
+//                                (default 2^24, deterministic series); the
+//                                campaign-aggregate wall samples come at
+//                                every shard claim and commit
 #pragma once
 
 #include <fstream>
@@ -117,8 +117,6 @@ inline campaign::CampaignConfig campaign_config(const common::CliArgs& args) {
   config.stream_cycle_cadence = static_cast<std::uint64_t>(
       args.get_positive_int("stream-cycle-cadence",
                             static_cast<std::int64_t>(config.stream_cycle_cadence)));
-  config.stream_wall_cadence_ms =
-      args.get_positive_double("stream-wall-cadence-ms", config.stream_wall_cadence_ms);
   config.engine = common::parse_engine_kind(args.get("engine", "fast"));
   config.engine_bug = common::parse_planted_bug(args.get("engine-bug", "none"));
   if (config.resume && config.checkpoint_path.empty()) {

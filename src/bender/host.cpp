@@ -265,10 +265,14 @@ ExecutionResult BenderHost::run(const Program& program, std::uint32_t channel,
   }
 }
 
-bool BenderHost::settle_loop(double timeout_s) {
+long BenderHost::settle_steps(double timeout_s) const {
+  return static_cast<long>(timeout_s / thermal_.config().dt_s);
+}
+
+bool BenderHost::settle_loop(long& steps) {
   const double dt = thermal_.config().dt_s;
-  const auto max_steps = static_cast<long>(timeout_s / dt);
-  for (long step = 0; step < max_steps; ++step) {
+  while (steps > 0) {
+    --steps;
     thermal_.step();
     idle_cycles(hbm::ms_to_cycles(dt * 1e3));
     device_->set_temperature(thermal_.temperature());
@@ -318,7 +322,8 @@ void BenderHost::enforce_temperature_guard(std::uint32_t channel,
   ++stats_.guard_pauses;
   RH_TELEM(telemetry_, metrics().counter("resilience.guard_pauses").add());
   if (guard_) guard_(target, device_->temperature());
-  if (!settle_loop(600.0)) {
+  long steps = settle_steps(600.0);
+  if (!settle_loop(steps)) {
     if (excursion) {
       fault_aborted(FaultKind::kThermalExcursion, channel, pseudo_channel,
                     "rig failed to re-settle");
@@ -339,9 +344,8 @@ void BenderHost::set_chip_temperature(double celsius, double timeout_s) {
   // One thermal-fault opportunity per settle request: an excursion fires
   // after the first convergence (forcing a re-settle inside the same
   // budget); drift shifts the plant's ambient before the climb.
-  bool excursion_pending =
+  const bool excursion =
       injector_ != nullptr && injector_->should_fire(FaultKind::kThermalExcursion);
-  bool excursion_fired = false;
   if (injector_ != nullptr && injector_->should_fire(FaultKind::kThermalDrift)) {
     const double sign = (injector_->shape() & 1u) != 0 ? 1.0 : -1.0;
     thermal_.shift_ambient(sign * injector_->plan().drift_c);
@@ -350,30 +354,20 @@ void BenderHost::set_chip_temperature(double celsius, double timeout_s) {
                     "PID settles against shifted ambient");
   }
 
-  const double dt = thermal_.config().dt_s;
-  const auto max_steps = static_cast<long>(timeout_s / dt);
-  for (long step = 0; step < max_steps; ++step) {
-    thermal_.step();
-    idle_cycles(hbm::ms_to_cycles(dt * 1e3));
+  long steps = settle_steps(timeout_s);
+  bool settled = settle_loop(steps);
+  if (settled && excursion) {
+    const double sign = (injector_->shape() & 1u) != 0 ? 1.0 : -1.0;
+    thermal_.perturb(sign * injector_->plan().excursion_c);
     device_->set_temperature(thermal_.temperature());
-    if (thermal_.settled()) {
-      if (excursion_pending) {
-        excursion_pending = false;
-        excursion_fired = true;
-        const double sign = (injector_->shape() & 1u) != 0 ? 1.0 : -1.0;
-        thermal_.perturb(sign * injector_->plan().excursion_c);
-        device_->set_temperature(thermal_.temperature());
-        fault_detected(FaultKind::kThermalExcursion, 0, 0);
-        continue;  // re-settle within the remaining budget
-      }
-      if (excursion_fired) {
-        fault_recovered(FaultKind::kThermalExcursion, 0, 0,
-                        "re-settled after mid-settle excursion");
-      }
-      return;
+    fault_detected(FaultKind::kThermalExcursion, 0, 0);
+    settled = settle_loop(steps);  // re-settle within the remaining budget
+    if (settled) {
+      fault_recovered(FaultKind::kThermalExcursion, 0, 0, "re-settled after mid-settle excursion");
     }
   }
-  if (excursion_pending || excursion_fired) {
+  if (settled) return;
+  if (excursion) {
     // The injection already sits pending in the log (should_fire records
     // at draw time); close it out before surfacing the failure.
     fault_aborted(FaultKind::kThermalExcursion, 0, 0, "settle budget exhausted");

@@ -177,9 +177,13 @@ private:
                             std::uint32_t channel, std::uint32_t pseudo_channel);
   /// Thermal fault opportunities + out-of-band re-settle (guard).
   void enforce_temperature_guard(std::uint32_t channel, std::uint32_t pseudo_channel);
-  /// PID settle loop shared by set_chip_temperature and the guard. Returns
-  /// true once settled within `timeout_s` of simulated plant time.
-  bool settle_loop(double timeout_s);
+  /// Plant steps in `timeout_s` of simulated time: a settle budget.
+  [[nodiscard]] long settle_steps(double timeout_s) const;
+  /// The one PID settle loop, shared by set_chip_temperature and the
+  /// guard: steps the plant until it settles, spending `steps` from the
+  /// caller's budget. Returns true once settled, false when the budget ran
+  /// out.
+  bool settle_loop(long& steps);
 
   void fault_detected(resilience::FaultKind kind, std::uint32_t channel,
                       std::uint32_t pseudo_channel);

@@ -1,16 +1,14 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <iostream>
 #include <mutex>
-#include <thread>
 
 #include "campaign/journal.hpp"
 #include "campaign/progress.hpp"
 #include "campaign/record_io.hpp"
+#include "campaign/rig_pool.hpp"
 #include "campaign/shard_runner.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -88,7 +86,9 @@ CampaignResult Campaign::run(const SweepSpec& spec) {
   }
   const JournalHeader header{spec.device.fault.seed, sweep_config_hash(spec),
                              static_cast<std::uint64_t>(n)};
-  ShardRun run(spec, config_, factory_, aggregate_);
+  const auto job = std::make_shared<PoolJob>();
+  job->run = std::make_unique<ShardRun>(spec, config_, factory_, aggregate_);
+  ShardRun& run = *job->run;
 
   // Storage fault injection: the journal and the stream draw independent,
   // reproducible fault streams decorrelated from the plan seed (and from
@@ -124,20 +124,20 @@ CampaignResult Campaign::run(const SweepSpec& spec) {
     run.note_storage_error(e.what());  // checkpointing lost; the sweep still runs
   }
 
-  const auto pending =
+  job->remaining =
       static_cast<std::size_t>(std::count(run.done.begin(), run.done.end(), char{0}));
   unsigned jobs = std::max(1u, config_.jobs);
-  jobs = static_cast<unsigned>(std::min<std::size_t>(jobs, std::max<std::size_t>(pending, 1)));
+  jobs = static_cast<unsigned>(
+      std::min<std::size_t>(jobs, std::max<std::size_t>(job->remaining, 1)));
   run.workers.resize(jobs);
 
   // Live metrics stream: header first (fsync'd, like the journal), then
-  // per-worker cycles samples during shards, wall samples from the monitor
-  // thread, and exactly one final sample after the pool drains.
+  // per-worker cycles samples during shards, a wall sample at every claim
+  // and commit, and exactly one final sample once the last rig retired.
   if (!config_.metrics_stream_path.empty()) {
     run.open_stream(config_.metrics_stream_path,
                     {spec.device.fault.seed, header.config_hash, static_cast<std::uint64_t>(n),
-                     jobs, std::max<std::uint64_t>(1, config_.stream_cycle_cadence),
-                     config_.stream_wall_cadence_ms},
+                     jobs, std::max<std::uint64_t>(1, config_.stream_cycle_cadence), 0.0},
                     stream_injector.get());
   }
 
@@ -150,77 +150,21 @@ CampaignResult Campaign::run(const SweepSpec& spec) {
                          run.metrics.counter("campaign.shards_skipped"),
                          run.metrics.counter("campaign.shards_failed"), jobs);
 
-  std::atomic<std::size_t> next{0};
-  std::mutex mutex;  // guards run, progress and aggregate_, and the monitor's wait
-
-  auto worker = [&](unsigned widx) {
-    WorkerRig rig;
-    // Each worker accounts its campaign-level phases into a private profile
-    // and its spans into a private sheet, both merged under the lock at
-    // thread exit; its hosts' phases travel with ShardRun::retire.
-    profiling::Profile wprof;
-    telemetry::SpanSheet wsheet;
-    const auto worker_start = std::chrono::steady_clock::now();
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n) break;
-      if (run.done[i] != 0) continue;
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        run.claim(widx, i);
-      }
-      ExecutedShard outcome = run.execute(rig, i, mutex, wprof, wsheet);
-      const std::lock_guard<std::mutex> lock(mutex);
-      run.commit(widx, i, std::move(outcome), wprof);
-      progress.update();
-    }
-    run.retire(rig, mutex);
-    // Queue wait + scheduling gaps: whatever worker lifetime no phase claims.
-    const double lifetime_ms = std::chrono::duration<double, std::milli>(
-                                   std::chrono::steady_clock::now() - worker_start)
-                                   .count();
-    const double busy_ms = wprof.stat(profiling::Phase::kRigBuild).wall_ms +
-                           wprof.stat(profiling::Phase::kShardRun).wall_ms +
-                           wprof.stat(profiling::Phase::kCheckpoint).wall_ms;
-    wprof.record(profiling::Phase::kIdle, 0, std::max(0.0, lifetime_ms - busy_ms));
-    const std::lock_guard<std::mutex> lock(mutex);
-    run.profile.merge_from(wprof);
-    run.spans.merge_from(wsheet);
+  // The sweep is one job on a pool of `jobs` rigs; run() waits for the
+  // pool to finalize it. The pool destructs (joining the rigs) before the
+  // condition variable its finalize hook signals.
+  std::condition_variable finished;
+  PoolHooks hooks;
+  hooks.committed = [&](PoolJob&, std::uint64_t, bool, const std::string&) {
+    progress.update();
   };
-
-  if (pending > 0) {
-    // Wall-cadence monitor: samples under the lock, appends outside it
-    // (fsync is slow; workers must not block on it).
-    std::condition_variable monitor_cv;
-    bool monitor_stop = false;
-    std::thread monitor;
-    if (run.stream != nullptr) {
-      monitor = std::thread([&]() {
-        std::unique_lock<std::mutex> lock(mutex);
-        while (!monitor_stop) {
-          monitor_cv.wait_for(
-              lock, std::chrono::duration<double, std::milli>(config_.stream_wall_cadence_ms),
-              [&] { return monitor_stop; });
-          if (monitor_stop) break;
-          const std::string line = run.wall_sample();
-          lock.unlock();
-          run.stream->append(line);
-          lock.lock();
-        }
-      });
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned w = 0; w < jobs; ++w) pool.emplace_back(worker, w);
-    for (auto& t : pool) t.join();
-    if (monitor.joinable()) {
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        monitor_stop = true;
-      }
-      monitor_cv.notify_all();
-      monitor.join();
-    }
+  hooks.finalize = [&](PoolJob&) { finished.notify_all(); };
+  {
+    RigPool pool(jobs, std::move(hooks));
+    pool.start();
+    pool.enqueue(job);
+    std::unique_lock<std::mutex> lock(job->mutex);
+    finished.wait(lock, [&] { return job->finalized; });
   }
 
   run.finish();

@@ -1,10 +1,10 @@
 // The experiment-campaign runner: shards a characterization sweep across a
-// pool of worker threads and merges the results deterministically.
+// pool of rigs and merges the results deterministically.
 //
 // Why this is sound: the fault model is a pure function of (seed, bank,
 // row, bit) — there is no sequential RNG in the device — and every per-row
 // test re-initializes its own neighbourhood with refresh (and therefore
-// TRR) disabled. So *each worker constructs its own BenderHost from the
+// TRR) disabled. So *each rig constructs its own BenderHost from the
 // same DeviceConfig* and runs disjoint shards on it, and the merged result
 // (ordered by shard index) is bitwise-identical to the serial sweep
 // regardless of how shards were scheduled. `--jobs=8` and `--jobs=1`
@@ -26,16 +26,18 @@
 //     results under a 5 % transport-fault rate),
 //   * progress — a live progress/ETA line fed from campaign.* counters in
 //     the telemetry metrics registry,
-//   * observability — each worker host gets its own telemetry sink, all
+//   * observability — each rig's host gets its own telemetry sink, all
 //     absorbed into the caller's aggregate sink (the bench's session) so
 //     --metrics-json / --heatmap cover the whole fleet.
 //
 // Who owns what: the per-shard work (rig bring-up, attempts, spans,
-// sampler, retry/fatal split, outcome bookkeeping) and the per-run state
-// live in the shard-execution core, ShardRun (shard_runner.hpp), which the
-// campaign service's rig pool runs too. Campaign::run owns only the
-// journal/stream prologue (resume included), the worker pool, the
-// wall-cadence monitor, progress, and the fail-on-shard-error policy.
+// sampler, retry/fatal split, outcome bookkeeping, wall samples) and the
+// per-run state live in the shard-execution core, ShardRun
+// (shard_runner.hpp); the rigs, their deques and their attachments live in
+// RigPool (rig_pool.hpp), the pool the campaign service runs too.
+// Campaign::run submits its sweep as one job on a pool of `jobs` rigs and
+// waits for it; it owns only the journal/stream prologue (resume
+// included), progress, and the fail-on-shard-error policy.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +67,7 @@ namespace rh::campaign {
 /// in SweepSpec). The bench flags --jobs / --checkpoint / --resume map
 /// one-to-one onto the first three fields.
 struct CampaignConfig {
-  /// Worker threads, each owning a private BenderHost clone.
+  /// Rigs in the pool, each owning a private BenderHost clone.
   unsigned jobs = 1;
   /// JSONL results journal; empty disables checkpointing.
   std::string checkpoint_path;
@@ -106,11 +108,9 @@ struct CampaignConfig {
   /// checkpoint journal so tools/rh_tail can follow a running campaign.
   std::string metrics_stream_path;
   /// Device cycles between cycles-cadence samples within one shard attempt
-  /// (the deterministic per-worker series). ~28 ms of device time.
+  /// (the deterministic per-worker series). ~28 ms of device time. Wall
+  /// samples come at every shard claim and commit, not on a cadence.
   std::uint64_t stream_cycle_cadence = 1ull << 24;
-  /// Wall milliseconds between campaign-aggregate samples (the monitor
-  /// thread's cadence; not deterministic).
-  double stream_wall_cadence_ms = 200.0;
   /// Program engine for every worker host (see common/engine.hpp). Both
   /// engines produce byte-identical results, journals, and metrics streams
   /// at the same seed, so the choice is *not* part of the sweep fingerprint
@@ -161,9 +161,10 @@ struct CampaignResult {
   /// shards absent), sorted by shard index. device_cycles and attempts are
   /// deterministic; wall_ms is real host time.
   std::vector<profiling::ShardTiming> timings;
-  /// Whole-campaign host wall clock (journal restore through pool join).
+  /// Whole-campaign host wall clock (journal restore through the last
+  /// rig's retirement).
   double elapsed_wall_ms = 0.0;
-  /// Worker threads actually used (after clamping to pending shards).
+  /// Rigs actually used (after clamping to pending shards).
   unsigned jobs = 1;
 
   /// Durable-output write failures survived (journal dropped mid-run,

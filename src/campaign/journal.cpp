@@ -1,6 +1,5 @@
 #include "campaign/journal.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 
@@ -18,20 +17,12 @@ constexpr std::string_view kJournalKind = "rh-campaign-journal";
 // v2 = CRC-framed lines. Readers accept v1 (bare payloads) forever.
 constexpr std::uint64_t kJournalVersion = 2;
 
-/// The header hash travels as fixed-width hex so the header line is
-/// byte-stable across platforms.
-std::string hash_hex(std::uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
-
 std::string header_line(const JournalHeader& header) {
   return std::string("{\"kind\":\"") + std::string(kJournalKind) +
          "\",\"version\":" + std::to_string(kJournalVersion) +
          ",\"seed\":" + std::to_string(header.seed) + ",\"config_hash\":\"" +
-         hash_hex(header.config_hash) + "\",\"shards\":" + std::to_string(header.shard_count) +
-         "}";
+         common::hash_hex(header.config_hash) +
+         "\",\"shards\":" + std::to_string(header.shard_count) + "}";
 }
 
 }  // namespace
@@ -74,9 +65,8 @@ void JournalWriter::append_shard(std::uint64_t shard,
                                  unsigned attempts) {
   std::string line = "{\"shard\":" + std::to_string(shard);
   if (wall_ms >= 0.0) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.3f", wall_ms);
-    line += ",\"attempts\":" + std::to_string(attempts) + ",\"wall_ms\":" + buf;
+    line += ",\"attempts\":" + std::to_string(attempts) +
+            ",\"wall_ms\":" + common::fmt_double(wall_ms, 3);
   }
   line += ",\"records\":[";
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -150,7 +140,7 @@ void render_journal_summary(std::ostream& os, const std::string& path,
                             const JournalReader& reader) {
   const JournalHeader& h = reader.header();
   os << "=== checkpoint journal: " << path << " ===\n";
-  os << "sweep: seed " << h.seed << ", config " << hash_hex(h.config_hash) << ", "
+  os << "sweep: seed " << h.seed << ", config " << common::hash_hex(h.config_hash) << ", "
      << h.shard_count << " shards planned\n";
 
   std::size_t done = 0;
@@ -221,8 +211,8 @@ void JournalReader::require_matches(const JournalHeader& expected) const {
   }
   if (header_.config_hash != expected.config_hash) {
     throw common::ConfigError(
-        "checkpoint journal config hash " + hash_hex(header_.config_hash) +
-        " does not match this campaign's " + hash_hex(expected.config_hash) +
+        "checkpoint journal config hash " + common::hash_hex(header_.config_hash) +
+        " does not match this campaign's " + common::hash_hex(expected.config_hash) +
         " (different stride, patterns, geometry, or characterizer settings); "
         "refusing to resume");
   }

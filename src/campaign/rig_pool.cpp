@@ -1,30 +1,34 @@
-#include "serve/scheduler.hpp"
+#include "campaign/rig_pool.hpp"
 
 #include <algorithm>
 
-namespace rh::serve {
+namespace rh::campaign {
 
-Scheduler::Scheduler(Options options, ResultCache& cache)
-    : options_(std::move(options)), cache_(cache) {
-  options_.rigs = std::max(1u, options_.rigs);
-  deques_.resize(options_.rigs);
-  rig_stats_.resize(options_.rigs);
+namespace {
+
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
 }
 
-Scheduler::~Scheduler() { stop(); }
+}  // namespace
 
-void Scheduler::set_on_finalized(std::function<void(const std::shared_ptr<Job>&)> cb) {
-  on_finalized_ = std::move(cb);
+RigPool::RigPool(unsigned rigs, PoolHooks hooks, PoolObserver* observer)
+    : hooks_(std::move(hooks)), observer_(observer) {
+  deques_.resize(std::max(1u, rigs));
+  rig_stats_.resize(deques_.size());
 }
 
-void Scheduler::start() {
-  rigs_.reserve(options_.rigs);
-  for (unsigned r = 0; r < options_.rigs; ++r) {
-    rigs_.emplace_back([this, r] { rig_loop(r); });
+RigPool::~RigPool() { stop(); }
+
+void RigPool::start() {
+  threads_.reserve(deques_.size());
+  for (unsigned r = 0; r < deques_.size(); ++r) {
+    threads_.emplace_back([this, r] { rig_loop(r); });
   }
 }
 
-void Scheduler::enqueue(const std::shared_ptr<Job>& job) {
+void RigPool::enqueue(const std::shared_ptr<PoolJob>& job) {
   std::vector<std::uint64_t> pending;
   {
     const std::lock_guard<std::mutex> lock(job->mutex);
@@ -34,8 +38,8 @@ void Scheduler::enqueue(const std::shared_ptr<Job>& job) {
     }
   }
   if (pending.empty()) {
-    // Fully cache-served (or resumed complete): there is nothing for a rig
-    // to do, so the enqueue itself completes the job.
+    // Fully restored: there is nothing for a rig to do, so the enqueue
+    // itself completes the job.
     finalize_if_complete(job);
     return;
   }
@@ -50,25 +54,25 @@ void Scheduler::enqueue(const std::shared_ptr<Job>& job) {
   cv_.notify_all();
 }
 
-void Scheduler::stop() {
+void RigPool::stop() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stop_) return;
     stop_ = true;
   }
   cv_.notify_all();
-  for (std::thread& t : rigs_) t.join();
-  rigs_.clear();
+  for (std::thread& t : threads_) t.join();
+  threads_.clear();
 }
 
-std::size_t Scheduler::queue_depth() const {
+std::size_t RigPool::queue_depth() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::size_t depth = 0;
   for (const auto& dq : deques_) depth += dq.size();
   return depth;
 }
 
-std::vector<Scheduler::RigStatus> Scheduler::rig_status() const {
+std::vector<RigPool::RigStatus> RigPool::rig_status() const {
   const auto now = std::chrono::steady_clock::now();
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<RigStatus> out;
@@ -82,7 +86,7 @@ std::vector<Scheduler::RigStatus> Scheduler::rig_status() const {
   return out;
 }
 
-bool Scheduler::pop_task(unsigned rig_index, Task& task) {
+bool RigPool::pop_task(unsigned rig_index, Task& task) {
   auto& own = deques_[rig_index];
   if (!own.empty()) {
     task = std::move(own.front());
@@ -105,7 +109,7 @@ bool Scheduler::pop_task(unsigned rig_index, Task& task) {
   return false;
 }
 
-void Scheduler::rig_loop(unsigned rig_index) {
+void RigPool::rig_loop(unsigned rig_index) {
   Rig rig;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -133,17 +137,11 @@ void Scheduler::rig_loop(unsigned rig_index) {
     const double wait_ms =
         std::chrono::duration<double, std::milli>(claim - task.enqueued).count();
     rig_stats_[rig_index].shard = static_cast<std::int64_t>(task.shard);
-    rig_stats_[rig_index].job = task.job->id;
+    rig_stats_[rig_index].job = task.job;
     rig_stats_[rig_index].claim = claim;
     lock.unlock();
-    if (options_.metrics != nullptr) {
-      options_.metrics->observe("serve.queue_wait_ms", wait_ms);
-      if (task.stolen) options_.metrics->observe("serve.steal_wait_ms", wait_ms);
-    }
-    if (task.stolen && options_.flightrec != nullptr) {
-      options_.flightrec->record(ServiceEventKind::kSteal, task.job->id, task.job->tenant,
-                                 "rig " + std::to_string(rig_index) + " stole shard " +
-                                     std::to_string(task.shard));
+    if (observer_ != nullptr) {
+      observer_->claimed(*task.job, rig_index, task.shard, wait_ms, task.stolen);
     }
     if (!task.job->cancel.load(std::memory_order_relaxed)) {
       if (rig.job != task.job) {
@@ -153,33 +151,40 @@ void Scheduler::rig_loop(unsigned rig_index) {
       run_task(rig_index, rig, task);
     }
     lock.lock();
-    rig_stats_[rig_index].busy_ms +=
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - claim)
-            .count();
+    rig_stats_[rig_index].busy_ms += ms_since(claim);
     rig_stats_[rig_index].done += 1;
     rig_stats_[rig_index].shard = -1;
-    rig_stats_[rig_index].job = 0;
+    rig_stats_[rig_index].job = nullptr;
   }
 }
 
-void Scheduler::attach(Rig& rig, const std::shared_ptr<Job>& job) {
+void RigPool::attach(Rig& rig, const std::shared_ptr<PoolJob>& job) {
   rig.job = job;
+  rig.attached = std::chrono::steady_clock::now();
   const std::lock_guard<std::mutex> lock(job->mutex);
   ++job->rigs_attached;
 }
 
-void Scheduler::retire(Rig& rig) {
+void RigPool::retire(Rig& rig) {
   if (rig.job == nullptr) return;
-  const std::shared_ptr<Job> job = std::move(rig.job);
-  campaign::ShardRun& run = *job->run;
+  const std::shared_ptr<PoolJob> job = std::move(rig.job);
+  ShardRun& run = *job->run;
   run.retire(rig.hardware, job->mutex);
+  // Queue waits and scheduling gaps: whatever of the attachment no phase
+  // claims.
+  const double busy_ms = rig.profile.stat(profiling::Phase::kRigBuild).wall_ms +
+                         rig.profile.stat(profiling::Phase::kShardRun).wall_ms +
+                         rig.profile.stat(profiling::Phase::kCheckpoint).wall_ms;
+  rig.profile.record(profiling::Phase::kIdle, 0,
+                     std::max(0.0, ms_since(rig.attached) - busy_ms));
   {
     const std::lock_guard<std::mutex> lock(job->mutex);
     run.profile.merge_from(rig.profile);
     run.spans.merge_from(rig.sheet);
     --job->rigs_attached;
-    if (job->rigs_attached == 0 && !job_state_active(job->state) && !job->finalized) {
-      // Cancelled while rigs were in flight: cancel_job left the writers
+    if (job->rigs_attached == 0 && job->cancel.load(std::memory_order_relaxed) &&
+        !job->finalized) {
+      // Cancelled while rigs were in flight: the canceller left the writers
       // open (this rig's sampler may have been appending) — the last rig
       // out closes them, completing the on-disk record.
       run.journal.reset();
@@ -190,64 +195,51 @@ void Scheduler::retire(Rig& rig) {
   finalize_if_complete(job);
 }
 
-void Scheduler::finalize_if_complete(const std::shared_ptr<Job>& job) {
+void RigPool::finalize_if_complete(const std::shared_ptr<PoolJob>& job) {
   bool finalized_now = false;
   {
     const std::lock_guard<std::mutex> lock(job->mutex);
-    if (job->remaining == 0 && job->rigs_attached == 0 && job_state_active(job->state) &&
-        !job->finalized) {
-      finalize_job(*job);
+    if (job->remaining == 0 && job->rigs_attached == 0 &&
+        !job->cancel.load(std::memory_order_relaxed) && !job->finalized) {
+      job->finalized = true;
+      if (hooks_.finalize) hooks_.finalize(*job);
       finalized_now = true;
     }
   }
-  if (finalized_now && on_finalized_) on_finalized_(job);
+  if (finalized_now && hooks_.finalized) hooks_.finalized(job);
 }
 
-void Scheduler::run_task(unsigned rig_index, Rig& rig, const Task& task) {
-  Job& job = *task.job;
-  campaign::ShardRun& run = *job.run;
+void RigPool::run_task(unsigned rig_index, Rig& rig, const Task& task) {
+  PoolJob& job = *task.job;
+  ShardRun& run = *job.run;
   const std::uint64_t i = task.shard;
   {
     const std::lock_guard<std::mutex> lock(job.mutex);
-    if (run.done[i] != 0 || !job_state_active(job.state)) return;
-    job.state = JobState::kRunning;
+    if (run.done[i] != 0 || job.cancel.load(std::memory_order_relaxed)) return;
     run.claim(rig_index, i);
   }
 
   const auto on_retry = [&](const std::string& error) {
-    if (options_.flightrec != nullptr) {
-      options_.flightrec->record(ServiceEventKind::kRetry, job.id, job.tenant,
-                                 "shard " + std::to_string(i) + ": " + error);
-    }
+    if (observer_ != nullptr) observer_->retried(job, i, error);
   };
-  campaign::ExecutedShard outcome =
+  ExecutedShard outcome =
       run.execute(rig.hardware, i, job.mutex, rig.profile, rig.sheet, on_retry);
-  if (options_.metrics != nullptr) {
-    options_.metrics->observe("serve.shard_exec_ms", outcome.wall_ms);
-  }
+  if (observer_ != nullptr) observer_->executed(outcome.wall_ms);
 
   bool finished = false;
   {
     const std::lock_guard<std::mutex> lock(job.mutex);
-    if (outcome.ok) {
-      cache_.insert(shard_cache_key(job.cache_prefix, job.spec.shards[i]), outcome.records);
-      shards_run_.fetch_add(1);
-    }
+    const bool ok = outcome.ok;
+    if (ok) shards_run_.fetch_add(1);
     // A journal that dies here must not unwind and kill the rig thread:
-    // the run drops it and keeps results in memory, and finalize marks the
-    // job failed with the storage reason.
+    // the run drops it, keeps results in memory and returns the reason.
     const std::string dropped = run.commit(rig_index, i, std::move(outcome), rig.profile);
-    if (!dropped.empty() && options_.flightrec != nullptr) {
-      options_.flightrec->record(ServiceEventKind::kStorageError, job.id, job.tenant, dropped);
-    }
-    --job.remaining;
-    finished = job.remaining == 0;
-    // Wall samples come at shard completions here, not on a timer.
-    if (run.stream != nullptr) run.stream->append(run.wall_sample());
+    if (hooks_.committed) hooks_.committed(job, i, ok, dropped);
+    finished = --job.remaining == 0;
   }
   // The last shard retires the rig immediately: finalize must not wait for
   // this rig to go idle or switch jobs.
   if (finished) retire(rig);
 }
 
-}  // namespace rh::serve
+}  // namespace rh::campaign

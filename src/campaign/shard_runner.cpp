@@ -88,6 +88,7 @@ std::string ShardRun::append_journal(const std::function<void(JournalWriter&)>& 
 void ShardRun::claim(std::size_t worker, std::uint64_t shard) {
   workers[worker].shard = static_cast<std::int64_t>(shard);
   workers[worker].claim = std::chrono::steady_clock::now();
+  append_wall_sample();
 }
 
 std::string ShardRun::commit(std::size_t worker, std::uint64_t shard, ExecutedShard outcome,
@@ -117,10 +118,12 @@ std::string ShardRun::commit(std::size_t worker, std::uint64_t shard, ExecutedSh
   ++status.done;
   status.shard = -1;
   done[shard] = 1;
+  append_wall_sample();
   return dropped;
 }
 
-std::string ShardRun::wall_sample() {
+void ShardRun::append_wall_sample() {
+  if (stream == nullptr) return;
   const telemetry::CounterValues now_values = telemetry::counter_values(metrics);
   telemetry::CounterValues deltas;
   for (const auto& [name, value] : now_values) {
@@ -142,7 +145,7 @@ std::string ShardRun::wall_sample() {
     w.shard = s.shard;
     samples.push_back(w);
   }
-  return telemetry::format_wall_sample(ms_since(epoch), deltas, samples);
+  stream->append(telemetry::format_wall_sample(ms_since(epoch), deltas, samples));
 }
 
 void ShardRun::finish() {

@@ -1,28 +1,30 @@
-// The shard-execution core shared by both campaign runners: Campaign::run
-// (the bench CLI path: one sweep, a private worker pool) and the campaign
-// service's rig pool (serve::Scheduler: many jobs, shared rigs). Both run
-// shards through this one code path, which is why a service job's
-// deterministic report, journal and cycles series are byte-identical to
-// the bench path's on the same sweep.
+// The shard-execution core of the campaign rig pool (rig_pool.hpp), which
+// both campaign runners use: Campaign::run (the bench CLI path: one sweep
+// as one job on a pool of --jobs rigs) and the campaign service (many jobs
+// on one pool of --rigs). Every shard of either runs through this one code
+// path, which is why a service job's deterministic report, journal and
+// cycles series are byte-identical to the bench path's on the same sweep.
 //
 // A ShardRun owns one sweep run's state: its CampaignResult, the
 // campaign.*/resilience.* counter set, the fleet profile, the span sheet,
 // the journal and metrics-stream writers, per-worker status, the span
-// epoch and the rig serial that decorrelates per-rig fault streams. The
-// runners own only what differs between them:
-//   Campaign::run   journal/stream prologue (resume), the worker pool, the
-//                   wall-cadence monitor thread, progress, fail-on-error;
-//   serve::Job      admission (cache hits, restart resume), the shared rig
-//                   pool, the result cache, flight-recorder events, serve.*
-//                   histograms, and finalize (report files, job state).
+// epoch and the rig serial that decorrelates per-rig fault streams. It
+// also owns the one wall-sample rule: claim() and commit() each append
+// one wall sample, so a shard in flight is named in the stream from its
+// claim on, and a hung shard leaves the stream quiet. The runners own only
+// what differs between them:
+//   Campaign::run   journal/stream prologue (resume), progress,
+//                   fail-on-error;
+//   serve::Job      admission (cache hits, restart resume), the result
+//                   cache, flight-recorder events, serve.* histograms, and
+//                   finalize (report files, job state).
 //
 // Locking: the run state has no lock of its own. The runner guards it
-// with one mutex (Campaign::run's, Job::mutex) and holds it for every
-// member function except execute() and retire(), which run on a worker
-// thread without it and take it only where they touch shared state. While
-// workers run, nothing replaces `stream` or `epoch` and nobody but the
-// claiming worker touches a claimed shard's `done` entry, so those reads
-// need no lock.
+// with one mutex (PoolJob::mutex) and holds it for every member function
+// except execute() and retire(), which run on a rig thread without it and
+// take it only where they touch shared state. While rigs run, nothing
+// replaces `stream` or `epoch` and nobody but the claiming rig touches a
+// claimed shard's `done` entry, so those reads need no lock.
 #pragma once
 
 #include <atomic>
@@ -58,8 +60,8 @@ struct WorkerRig {
   std::unique_ptr<core::Characterizer> characterizer;
 };
 
-/// Live status of one worker slot (a campaign worker thread or a scheduler
-/// rig): the `workers` array of each wall sample.
+/// Live status of one worker slot (one rig of the pool): the `workers`
+/// array of each wall sample.
 struct WorkerStatus {
   double busy_ms = 0.0;    ///< completed-shard wall time (in-flight added at read)
   std::uint64_t done = 0;  ///< shards this worker finished
@@ -116,16 +118,15 @@ public:
   /// stay in memory), is counted, and its message returned; "" on success.
   std::string append_journal(const std::function<void(JournalWriter&)>& write);
 
-  /// Marks `shard` in flight on worker slot `worker`.
+  /// Marks `shard` in flight on worker slot `worker` and appends a wall
+  /// sample.
   void claim(std::size_t worker, std::uint64_t shard);
   /// Books a finished shard: counters, result, timings, journal line, and
-  /// the worker slot's status. The journal write is timed as a checkpoint
-  /// phase into `worker_profile`. Returns append_journal's message.
+  /// the worker slot's status, then appends a wall sample. The journal
+  /// write is timed as a checkpoint phase into `worker_profile`. Returns
+  /// append_journal's message.
   std::string commit(std::size_t worker, std::uint64_t shard, ExecutedShard outcome,
                      profiling::Profile& worker_profile);
-  /// The next wall sample line: counter deltas since the previous one plus
-  /// per-worker utilization. The caller appends it to `stream`.
-  [[nodiscard]] std::string wall_sample();
   /// Completes the run: sorts failures and timings, roots the span forest
   /// and sorts it canonically, appends the final stream sample, merges the
   /// counters into the aggregate sink, and closes both writers.
@@ -145,6 +146,9 @@ public:
 
 private:
   void build(WorkerRig& rig);
+  /// Appends the next wall sample to `stream`, if any: counter deltas since
+  /// the previous one plus per-worker utilization.
+  void append_wall_sample();
 
   const SweepSpec& spec_;
   CampaignConfig config_;

@@ -1,7 +1,6 @@
 #include "campaign/tail.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 #include <set>
@@ -10,6 +9,7 @@
 #include "campaign/progress.hpp"
 #include "campaign/record_io.hpp"
 #include "common/error.hpp"
+#include "common/table.hpp"
 #include "resilience/storage.hpp"
 
 namespace rh::campaign {
@@ -29,18 +29,6 @@ std::map<std::string, std::uint64_t> counter_map(const JsonValue& object) {
 void add_counters(std::map<std::string, std::uint64_t>& into,
                   const std::map<std::string, std::uint64_t>& deltas) {
   for (const auto& [name, value] : deltas) into[name] += value;
-}
-
-std::string pct_text(double fraction) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.0f%%", fraction * 100.0);
-  return buf;
-}
-
-std::string rate_text(double per_s) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2f", per_s);
-  return buf;
 }
 
 }  // namespace
@@ -174,7 +162,7 @@ TailStatus tail_status(const std::string& journal_path, const std::string& strea
       if (stream.final_total > 0) status.shards_total = stream.final_total;
     } else if (journal_path.empty()) {
       // No journal to count from: the streamed campaign counters are the
-      // next-best progress signal (they lag by at most one wall cadence).
+      // next-best progress signal (a wall sample lands at every commit).
       const auto find = [&](const char* name) {
         const auto it = stream.counters.find(name);
         return it != stream.counters.end() ? it->second : std::uint64_t{0};
@@ -248,7 +236,7 @@ void render_tail_status(std::ostream& os, const TailStatus& status) {
   }
   for (std::size_t i = 0; i < status.workers.size(); ++i) {
     const TailWorkerView& w = status.workers[i];
-    os << "  worker " << i << ": " << pct_text(w.utilization) << " busy ("
+    os << "  worker " << i << ": " << common::fmt_percent(w.utilization, 0) << " busy ("
        << format_seconds(w.busy_ms * 1e-3) << "), " << w.done << " done, ";
     if (w.shard >= 0) {
       os << "shard " << w.shard << " in flight\n";
@@ -265,7 +253,7 @@ void render_tail_status(std::ostream& os, const TailStatus& status) {
   const double elapsed_s = status.elapsed_ms * 1e-3;
   os << "faults: " << injected << " injected";
   if (elapsed_s > 0.0) {
-    os << " (" << rate_text(static_cast<double>(injected) / elapsed_s) << "/s)";
+    os << " (" << common::fmt_double(static_cast<double>(injected) / elapsed_s, 2) << "/s)";
   }
   os << ", " << counter("resilience.recovered") << " recovered, "
      << counter("resilience.aborted") << " aborted, "

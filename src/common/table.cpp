@@ -85,4 +85,10 @@ std::string fmt_percent(double fraction, int digits) {
   return buf;
 }
 
+std::string hash_hex(std::uint64_t h) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
 }  // namespace rh::common

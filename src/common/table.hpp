@@ -2,6 +2,7 @@
 // bench prints the series the paper plots as one of these tables.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -40,5 +41,9 @@ private:
 
 /// Formats a fraction as a percentage string, e.g. 0.0313 -> "3.13%".
 [[nodiscard]] std::string fmt_percent(double fraction, int digits = 2);
+
+/// Formats a 64-bit hash as 16 lowercase hex digits, zero-padded: the one
+/// rendering of config hashes in journals, streams and the service API.
+[[nodiscard]] std::string hash_hex(std::uint64_t h);
 
 }  // namespace rh::common

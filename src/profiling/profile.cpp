@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <ostream>
 #include <string>
+
+#include "common/table.hpp"
 
 namespace rh::profiling {
 
@@ -19,14 +20,6 @@ constexpr std::array<Phase, kPhaseCount> kSortedPhases = {
 };
 
 static_assert(kSortedPhases.size() == kPhaseCount);
-
-/// Fixed-precision wall rendering: milliseconds to 3 decimals is plenty for
-/// phase accounting and keeps the document locale/format stable.
-std::string wall_text(double ms) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", ms);
-  return buf;
-}
 
 /// Phases whose device-cycle totals are a pure function of the sweep (the
 /// measurement command stream). Bring-up phases (thermal settle, rig_build)
@@ -72,7 +65,7 @@ void Profile::write_json(std::ostream& os, bool include_wall) const {
     os << '"' << to_string(p) << "\":{";
     if (include_wall) {
       os << "\"calls\":" << s.calls << ",\"device_cycles\":" << s.device_cycles
-         << ",\"wall_ms\":" << wall_text(s.wall_ms);
+         << ",\"wall_ms\":" << common::fmt_double(s.wall_ms, 3);
     } else if (cycles_are_deterministic(p)) {
       os << "\"device_cycles\":" << s.device_cycles;
     }

@@ -1,7 +1,6 @@
 #include "profiling/report.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <ostream>
 
@@ -13,32 +12,16 @@ namespace rh::profiling {
 
 namespace {
 
-/// JSON number rendering (integers without a fraction, doubles with enough
-/// digits to be stable); mirrors the telemetry export conventions.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-/// Wall milliseconds at fixed 3-decimal precision.
-std::string wall_text(double ms) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", ms);
-  return buf;
-}
+using telemetry::json_number;
 
 void write_latency_json(std::ostream& os, const LatencySummary& s) {
-  os << "{\"count\":" << s.count << ",\"max\":" << wall_text(s.max)
-     << ",\"mean\":" << wall_text(s.mean) << ",\"min\":" << wall_text(s.min)
-     << ",\"p50\":" << wall_text(s.p50) << ",\"p90\":" << wall_text(s.p90)
-     << ",\"p99\":" << wall_text(s.p99) << ",\"total_ms\":" << wall_text(s.total_ms) << '}';
+  os << "{\"count\":" << s.count << ",\"max\":" << common::fmt_double(s.max, 3)
+     << ",\"mean\":" << common::fmt_double(s.mean, 3)
+     << ",\"min\":" << common::fmt_double(s.min, 3)
+     << ",\"p50\":" << common::fmt_double(s.p50, 3)
+     << ",\"p90\":" << common::fmt_double(s.p90, 3)
+     << ",\"p99\":" << common::fmt_double(s.p99, 3)
+     << ",\"total_ms\":" << common::fmt_double(s.total_ms, 3) << '}';
 }
 
 /// The deterministic projection of the metrics snapshot: counters and
@@ -155,7 +138,7 @@ void write_report_json(std::ostream& os, const RunReport& report, bool include_w
   if (include_wall) {
     os << ",\"device_cycles_per_host_second\":"
        << json_number(report.device_cycles_per_host_second());
-    os << ",\"elapsed_wall_ms\":" << wall_text(report.elapsed_wall_ms);
+    os << ",\"elapsed_wall_ms\":" << common::fmt_double(report.elapsed_wall_ms, 3);
     // jobs is scheduling, not physics; the deterministic projection drops it.
     os << ",\"jobs\":" << report.jobs;
   }
@@ -194,7 +177,7 @@ void write_report_json(std::ostream& os, const RunReport& report, bool include_w
       if (i != 0) os << ',';
       os << "{\"attempts\":" << slowest[i].attempts << ",\"shard\":" << slowest[i].shard
          << ",\"span\":\"" << span_hex(slowest[i].span)
-         << "\",\"wall_ms\":" << wall_text(slowest[i].wall_ms) << '}';
+         << "\",\"wall_ms\":" << common::fmt_double(slowest[i].wall_ms, 3) << '}';
     }
     os << ']';
   }
@@ -206,7 +189,7 @@ void write_report_json(std::ostream& os, const RunReport& report, bool include_w
     if (i != 0) os << ',';
     os << "{\"attempts\":" << t.attempts << ",\"device_cycles\":" << t.device_cycles
        << ",\"shard\":" << t.shard << ",\"span\":\"" << span_hex(t.span) << '"';
-    if (include_wall) os << ",\"wall_ms\":" << wall_text(t.wall_ms);
+    if (include_wall) os << ",\"wall_ms\":" << common::fmt_double(t.wall_ms, 3);
     os << '}';
   }
   os << ']';

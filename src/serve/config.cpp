@@ -1,11 +1,11 @@
 #include "serve/config.hpp"
 
 #include <cinttypes>
-#include <cstdio>
 #include <limits>
 
 #include "campaign/journal.hpp"
 #include "common/error.hpp"
+#include "common/table.hpp"
 #include "core/data_patterns.hpp"
 #include "core/shard.hpp"
 #include "telemetry/metrics.hpp"
@@ -15,12 +15,6 @@ namespace rh::serve {
 namespace {
 
 using campaign::JsonValue;
-
-std::string hash_hex(std::uint64_t h) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
 
 hbm::ScrambleKind scramble_from_string(const std::string& name) {
   if (name == "identity") return hbm::ScrambleKind::kIdentity;
@@ -314,7 +308,7 @@ std::uint64_t config_hash(const CampaignConfig& c) {
 }
 
 std::string config_hash_hex(const CampaignConfig& c) {
-  return hash_hex(config_hash(c));
+  return common::hash_hex(config_hash(c));
 }
 
 }  // namespace rh::serve

@@ -5,7 +5,7 @@
 // (Connection: close), no TLS, no chunked transfer, no pipelining. Requests
 // are bounded (64 KiB of headers, 8 MiB of body) and reads time out, so a
 // stalled client cannot wedge the server. Anything fancier belongs in a
-// real frontend; the service's value is the scheduler and the cache behind
+// real frontend; the service's value is the rig pool and the cache behind
 // this socket, not the socket itself.
 #pragma once
 

@@ -1,23 +1,13 @@
 #include "serve/job.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/table.hpp"
 #include "profiling/report.hpp"
 #include "resilience/storage.hpp"
 
 namespace rh::serve {
-
-namespace {
-
-std::string hash_hex(std::uint64_t h) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
-
-}  // namespace
 
 const char* to_string(JobState state) {
   switch (state) {
@@ -40,8 +30,6 @@ JobState job_state_from_string(const std::string& text) {
 }
 
 void finalize_job(Job& job) {
-  if (job.finalized) return;
-  job.finalized = true;
   campaign::ShardRun& run = *job.run;
   run.finish();
 
@@ -62,7 +50,7 @@ void finalize_job(Job& job) {
     report_written = true;
   } catch (const common::Error& e) {
     // finalize runs on rig threads: a report that cannot land must degrade
-    // the job, never unwind into the scheduler.
+    // the job, never unwind into the rig pool.
     run.note_storage_error(e.what());
   }
 
@@ -92,7 +80,7 @@ std::string job_status_json(Job& job) {
   std::string out = "{";
   out += "\"cache_hit\":";
   out += cache_hit ? "true" : "false";
-  out += ",\"config_hash\":\"" + hash_hex(job.hash) + "\"";
+  out += ",\"config_hash\":\"" + common::hash_hex(job.hash) + "\"";
   out += ",\"error\":\"" + telemetry::json_escape(job.error) + "\"";
   out += ",\"id\":" + std::to_string(job.id);
   out += ",\"kind\":\"" + job.config.kind + "\"";
@@ -114,7 +102,7 @@ std::string job_status_json(Job& job) {
 std::string job_meta_json(Job& job) {
   std::string out = "{";
   out += "\"config\":" + to_canonical_json(job.config);
-  out += ",\"config_hash\":\"" + hash_hex(job.hash) + "\"";
+  out += ",\"config_hash\":\"" + common::hash_hex(job.hash) + "\"";
   out += ",\"error\":\"" + telemetry::json_escape(job.error) + "\"";
   out += ",\"id\":" + std::to_string(job.id);
   out += ",\"schema\":\"rh-serve-job/v1\"";

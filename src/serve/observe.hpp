@@ -3,7 +3,7 @@
 //
 // PRs 1–6 made *campaigns* observable (counters, spans, metrics streams);
 // this module does the same for the daemon that schedules them. Three
-// pieces, all owned by serve::Server and shared with the scheduler:
+// pieces, all owned by serve::Server and fed from the rig pool too:
 //
 //   ServiceMetrics — an internally-locked MetricsRegistry holding the
 //     serve.* catalogue (HTTP latency, queue wait, steal wait, shard
@@ -131,7 +131,7 @@ struct ServiceEvent {
 
 /// Fixed-capacity ring of recent service events, internally locked. record()
 /// is cheap (one lock, one slot overwrite) so it can sit on the admission
-/// and scheduler paths; dumps snapshot the ring oldest-first.
+/// and rig-pool paths; dumps snapshot the ring oldest-first.
 class FlightRecorder {
 public:
   explicit FlightRecorder(std::size_t capacity);

@@ -67,8 +67,8 @@ double us_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Opens a job's metrics stream (its wall samples come at shard
-/// completions, so the header's wall cadence is 0).
+/// Opens a job's metrics stream (its wall samples come at shard claims and
+/// commits, so the header's wall cadence is 0).
 void open_stream(Job& job, const Server::Options& options) {
   job.run->open_stream(job.stream_path,
                        {job.spec.device.fault.seed, job.hash,
@@ -76,6 +76,9 @@ void open_stream(Job& job, const Server::Options& options) {
                         options.stream_cycle_cadence, 0.0},
                        job.stream_injector.get());
 }
+
+/// The service only ever puts its own jobs on the pool.
+Job& as_job(campaign::PoolJob& job) { return static_cast<Job&>(job); }
 
 /// The header a job's journal must carry.
 campaign::JournalHeader journal_header(const Job& job) {
@@ -108,15 +111,7 @@ Server::Server(Options options)
     : options_(std::move(options)),
       flightrec_(std::max<std::size_t>(1, options_.flightrec_size)),
       started_(std::chrono::steady_clock::now()),
-      scheduler_(
-          [&] {
-            Scheduler::Options so;
-            so.rigs = std::max(1u, options_.rigs);
-            so.metrics = &metrics_;
-            so.flightrec = &flightrec_;
-            return so;
-          }(),
-          cache_) {
+      pool_(std::max(1u, options_.rigs), pool_hooks(), this) {
   options_.rigs = std::max(1u, options_.rigs);
   if (options_.data_dir.empty()) options_.data_dir = ".";
   if (options_.access_log.empty()) options_.access_log = options_.data_dir + "/access-log.jsonl";
@@ -144,9 +139,8 @@ void Server::start() {
     storage_errors_.fetch_add(1);
     flightrec_.record(ServiceEventKind::kStorageError, 0, "", e.what());
   }
-  scheduler_.set_on_finalized([this](const std::shared_ptr<Job>& job) { on_finalized(job); });
   recover();
-  scheduler_.start();
+  pool_.start();
   // Re-enqueue recovered active jobs only once the rigs exist.
   std::vector<std::shared_ptr<Job>> active;
   {
@@ -156,7 +150,7 @@ void Server::start() {
       if (job_state_active(job->state)) active.push_back(job);
     }
   }
-  for (const auto& job : active) scheduler_.enqueue(job);
+  for (const auto& job : active) pool_.enqueue(job);
   listener_ = std::make_unique<TcpListener>(options_.port);
   port_ = listener_->port();
 }
@@ -167,7 +161,7 @@ void Server::drain() {
     if (draining_) return;
     draining_ = true;
   }
-  scheduler_.stop();
+  pool_.stop();
 }
 
 void Server::serve(const std::function<bool()>& should_stop) {
@@ -417,7 +411,7 @@ HttpResponse Server::submit(const HttpRequest& req) {
   }
   persist_meta(*job);  // descriptor on disk before any rig can touch the job
   if (fully_cached) jobs_cache_hit_.fetch_add(1);
-  scheduler_.enqueue(job);  // fully-cached jobs finalize inline here
+  pool_.enqueue(job);  // fully-cached jobs finalize inline here
   // Status is read *after* enqueue so a job born fully cached answers its
   // own submission with state "done" (and cache_hit true), not "queued".
   std::string body;
@@ -559,25 +553,26 @@ Server::StatsSnapshot Server::stats_snapshot() {
   }
   snap.tenants.reserve(tenants.size());
   for (auto& [tenant, row] : tenants) snap.tenants.push_back(std::move(row));
-  snap.rigs = scheduler_.rig_status();
+  snap.rigs = pool_.rig_status();
   return snap;
 }
 
 std::string Server::statz_json() {
   const StatsSnapshot snap = stats_snapshot();
   std::string out = "{";
-  out += "\"campaign.shards_run\":" + std::to_string(scheduler_.shards_run());
+  out += "\"campaign.shards_run\":" + std::to_string(pool_.shards_run());
   out += ",\"draining\":";
   out += snap.draining ? "true" : "false";
   out += ",\"rigs\":[";
   for (std::size_t r = 0; r < snap.rigs.size(); ++r) {
-    const Scheduler::RigStatus& rig = snap.rigs[r];
+    const campaign::RigPool::RigStatus& rig = snap.rigs[r];
     const double utilization =
         snap.uptime_ms > 0.0 ? std::min(1.0, rig.busy_ms / snap.uptime_ms) : 0.0;
     if (r > 0) out += ',';
     out += "{\"busy_ms\":" + telemetry::prometheus_number(rig.busy_ms);
     out += ",\"done\":" + std::to_string(rig.done);
-    out += ",\"job\":" + std::to_string(rig.job);
+    const std::uint64_t job = rig.job != nullptr ? static_cast<const Job&>(*rig.job).id : 0;
+    out += ",\"job\":" + std::to_string(job);
     out += ",\"shard\":" + std::to_string(rig.shard);
     out += ",\"steals\":" + std::to_string(rig.steals);
     out += ",\"utilization\":" + telemetry::prometheus_number(utilization);
@@ -597,10 +592,10 @@ std::string Server::statz_json() {
   out += ",\"serve.jobs_rejected\":" + std::to_string(jobs_rejected_.load());
   out += ",\"serve.jobs_running\":" + std::to_string(snap.running);
   out += ",\"serve.jobs_submitted\":" + std::to_string(jobs_submitted_.load());
-  out += ",\"serve.queue_depth\":" + std::to_string(scheduler_.queue_depth());
-  out += ",\"serve.rigs\":" + std::to_string(scheduler_.rigs());
+  out += ",\"serve.queue_depth\":" + std::to_string(pool_.queue_depth());
+  out += ",\"serve.rigs\":" + std::to_string(pool_.rigs());
   out += ",\"serve.shards_cached\":" + std::to_string(snap.shards_cached);
-  out += ",\"serve.shards_stolen\":" + std::to_string(scheduler_.shards_stolen());
+  out += ",\"serve.shards_stolen\":" + std::to_string(pool_.shards_stolen());
   out += ",\"serve.storage_errors\":" + std::to_string(snap.storage_errors);
   out += ",\"serve.uptime_ms\":" + telemetry::prometheus_number(snap.uptime_ms);
   out += ",\"tenants\":[";
@@ -625,7 +620,7 @@ std::string Server::metricsz_text() {
   std::ostringstream os;
   // 1. The serve.* catalogue (histograms + HTTP counters), sorted by name.
   telemetry::write_prometheus(os, metrics_.snapshot());
-  // 2. Point-in-time job/cache/scheduler series. Wall-clock-valued series
+  // 2. Point-in-time job/cache/pool series. Wall-clock-valued series
   //    (uptime, rig busy/utilization) live in /statz only: everything here
   //    is a pure function of the request/shard history, which is what
   //    makes consecutive scrapes byte-identical.
@@ -637,7 +632,7 @@ std::string Server::metricsz_text() {
     telemetry::write_prometheus_type(os, name, "gauge");
     telemetry::write_prometheus_sample(os, name, {}, v);
   };
-  counter("campaign_shards_run", static_cast<double>(scheduler_.shards_run()));
+  counter("campaign_shards_run", static_cast<double>(pool_.shards_run()));
   gauge("serve_access_log_degraded",
         access_log_ != nullptr && access_log_->degraded() ? 1.0 : 0.0);
   gauge("serve_cache_entries", static_cast<double>(cache_.entries()));
@@ -654,7 +649,7 @@ std::string Server::metricsz_text() {
   counter("serve_jobs_rejected", static_cast<double>(jobs_rejected_.load()));
   gauge("serve_jobs_running", static_cast<double>(snap.running));
   counter("serve_jobs_submitted", static_cast<double>(jobs_submitted_.load()));
-  gauge("serve_queue_depth", static_cast<double>(scheduler_.queue_depth()));
+  gauge("serve_queue_depth", static_cast<double>(pool_.queue_depth()));
   // 3. Per-rig and per-tenant labeled series (rig index / tenant name are
   //    the label; one TYPE line per family, samples in label order).
   telemetry::write_prometheus_type(os, "serve_rig_done", "counter");
@@ -667,9 +662,9 @@ std::string Server::metricsz_text() {
     telemetry::write_prometheus_sample(os, "serve_rig_steals", {{"rig", std::to_string(r)}},
                                        static_cast<double>(snap.rigs[r].steals));
   }
-  gauge("serve_rigs", static_cast<double>(scheduler_.rigs()));
+  gauge("serve_rigs", static_cast<double>(pool_.rigs()));
   counter("serve_shards_cached", static_cast<double>(snap.shards_cached));
-  counter("serve_shards_stolen", static_cast<double>(scheduler_.shards_stolen()));
+  counter("serve_shards_stolen", static_cast<double>(pool_.shards_stolen()));
   counter("serve_storage_errors", static_cast<double>(snap.storage_errors));
   const auto tenant_family = [&](const char* name, const char* type,
                                  const std::function<double(const TenantRow&)>& value) {
@@ -893,7 +888,50 @@ void Server::recover() {
   }
 }
 
-void Server::on_finalized(const std::shared_ptr<Job>& job) {
+campaign::PoolHooks Server::pool_hooks() {
+  campaign::PoolHooks hooks;
+  hooks.committed = [this](campaign::PoolJob& pooled, std::uint64_t shard, bool ok,
+                           const std::string& dropped) {
+    Job& job = as_job(pooled);
+    if (ok) {
+      cache_.insert(shard_cache_key(job.cache_prefix, job.spec.shards[shard]),
+                    job.run->result.per_shard[shard]);
+    }
+    if (!dropped.empty()) {
+      flightrec_.record(ServiceEventKind::kStorageError, job.id, job.tenant, dropped);
+    }
+  };
+  hooks.finalize = [](campaign::PoolJob& job) { finalize_job(as_job(job)); };
+  hooks.finalized = [this](const std::shared_ptr<campaign::PoolJob>& job) {
+    on_finalized(as_job(*job));
+  };
+  return hooks;
+}
+
+void Server::claimed(campaign::PoolJob& pooled, unsigned rig, std::uint64_t shard,
+                     double wait_ms, bool stolen) {
+  Job& job = as_job(pooled);
+  metrics_.observe("serve.queue_wait_ms", wait_ms);
+  if (stolen) {
+    metrics_.observe("serve.steal_wait_ms", wait_ms);
+    flightrec_.record(ServiceEventKind::kSteal, job.id, job.tenant,
+                      "rig " + std::to_string(rig) + " stole shard " + std::to_string(shard));
+  }
+  const std::lock_guard<std::mutex> lock(job.mutex);
+  if (job.state == JobState::kQueued) job.state = JobState::kRunning;
+}
+
+void Server::retried(campaign::PoolJob& pooled, std::uint64_t shard, const std::string& error) {
+  const Job& job = as_job(pooled);
+  flightrec_.record(ServiceEventKind::kRetry, job.id, job.tenant,
+                    "shard " + std::to_string(shard) + ": " + error);
+}
+
+void Server::executed(double wall_ms) {
+  metrics_.observe("serve.shard_exec_ms", wall_ms);
+}
+
+void Server::on_finalized(Job& job) {
   // Copy the accounting out under job.mutex, then fold it into the tenant
   // table under mutex_ — never both at once (statz takes them in the other
   // order).
@@ -902,11 +940,11 @@ void Server::on_finalized(const std::shared_ptr<Job>& job) {
   std::uint64_t shards_run = 0;
   std::uint64_t cache_hits = 0;
   {
-    const std::lock_guard<std::mutex> jlock(job->mutex);
-    tenant = job->tenant;
-    state = to_string(job->state);
-    shards_run = job->run->result.shards_run;
-    cache_hits = job->shards_cached;
+    const std::lock_guard<std::mutex> jlock(job.mutex);
+    tenant = job.tenant;
+    state = to_string(job.state);
+    shards_run = job.run->result.shards_run;
+    cache_hits = job.shards_cached;
   }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -915,8 +953,8 @@ void Server::on_finalized(const std::shared_ptr<Job>& job) {
     stats.shards_run += shards_run;
     stats.cache_hits += cache_hits;
   }
-  flightrec_.record(ServiceEventKind::kFinalize, job->id, tenant, state);
-  persist_meta(*job);
+  flightrec_.record(ServiceEventKind::kFinalize, job.id, tenant, state);
+  persist_meta(job);
 }
 
 }  // namespace rh::serve

@@ -1,5 +1,6 @@
 // The campaign service: admission control, the HTTP surface, durable job
-// state, and restart recovery, stitched over the scheduler and the cache.
+// state, and restart recovery, stitched over the campaign rig pool and the
+// cache.
 //
 // One Server owns one data directory. Every admitted job writes its
 // descriptor (job-<id>.json) there before it is queued, and its journal as
@@ -24,7 +25,7 @@
 //   GET    /jobs/<id>/results   journaled records, JSONL in shard order
 //   GET    /jobs/<id>/stream    rh-metrics-stream/v1 so far
 //   GET    /healthz             liveness
-//   GET    /statz               server counters (cache, scheduler, jobs,
+//   GET    /statz               server counters (cache, rig pool, jobs,
 //                               per-rig utilization, per-tenant accounting)
 //   GET    /metricsz            Prometheus text exposition of the same
 //   GET    /debugz/flightrec    recent service events, JSONL
@@ -54,11 +55,12 @@
 #include "serve/http.hpp"
 #include "serve/job.hpp"
 #include "serve/observe.hpp"
-#include "serve/scheduler.hpp"
 
 namespace rh::serve {
 
-class Server {
+/// The rig pool's observer: the server marks a job running at its first
+/// claim and feeds the serve.* histograms and the flight recorder.
+class Server : private campaign::PoolObserver {
 public:
   struct Options {
     std::uint16_t port = 0;       ///< 0 = OS-assigned ephemeral port
@@ -93,7 +95,7 @@ public:
   };
 
   explicit Server(Options options);
-  ~Server();
+  ~Server() override;
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -127,7 +129,7 @@ public:
   [[nodiscard]] std::string statz_json();
 
   /// The GET /metricsz body: the serve.* registry in Prometheus text
-  /// exposition format, followed by the point-in-time job/cache/scheduler
+  /// exposition format, followed by the point-in-time job/cache/pool
   /// series and the per-tenant and per-rig labeled series. Deterministic:
   /// for a fixed sequence of job-API requests, repeated scrapes are
   /// byte-identical (observability endpoints never self-instrument, and
@@ -172,7 +174,7 @@ private:
     bool draining = false;
     double uptime_ms = 0.0;
     std::vector<TenantRow> tenants;  ///< sorted by tenant name
-    std::vector<Scheduler::RigStatus> rigs;
+    std::vector<campaign::RigPool::RigStatus> rigs;
   };
 
   [[nodiscard]] std::string job_path(std::uint64_t id, const char* suffix) const;
@@ -205,18 +207,27 @@ private:
   void warm_cache_from_journal(Job& job);
   void persist_meta(Job& job);
   void recover();
-  void on_finalized(const std::shared_ptr<Job>& job);
+
+  /// The pool's hooks: a committed shard warms the cache (and a dropped
+  /// journal becomes a flight-recorder event); a finalized job folds into
+  /// its tenant's accounting and persists its terminal descriptor.
+  [[nodiscard]] campaign::PoolHooks pool_hooks();
+  void on_finalized(Job& job);
+  void claimed(campaign::PoolJob& job, unsigned rig, std::uint64_t shard, double wait_ms,
+               bool stolen) override;
+  void retried(campaign::PoolJob& job, std::uint64_t shard, const std::string& error) override;
+  void executed(double wall_ms) override;
 
   Options options_;
-  // Observability members precede the scheduler: its Options carry raw
-  // pointers to them, so they must construct first and destruct last.
+  // Observability members precede the pool: its rigs call into them, so
+  // they must construct first and destruct last.
   ServiceMetrics metrics_;
   FlightRecorder flightrec_;
   std::unique_ptr<resilience::StorageFaultInjector> access_injector_;
   std::unique_ptr<AccessLog> access_log_;
   std::chrono::steady_clock::time_point started_;
   ResultCache cache_;
-  Scheduler scheduler_;
+  campaign::RigPool pool_;
   std::unique_ptr<TcpListener> listener_;
   std::uint16_t port_ = 0;
 

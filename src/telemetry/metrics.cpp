@@ -122,10 +122,6 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-namespace {
-
-/// JSON number rendering: counters print as integers, everything else via
-/// ostream double formatting (finite values only; NaN/inf become 0).
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "0";
   if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
@@ -138,6 +134,8 @@ std::string json_number(double v) {
   os << v;
   return os.str();
 }
+
+namespace {
 
 void write_group(std::ostream& os, const std::vector<SnapshotEntry>& entries, MetricKind kind) {
   bool first = true;

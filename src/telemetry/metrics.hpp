@@ -169,4 +169,8 @@ private:
 /// Escapes a string for embedding in a JSON string literal.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
+/// JSON number rendering: integral values print as integers, everything
+/// else with 17 significant digits (finite values only; NaN/inf become 0).
+[[nodiscard]] std::string json_number(double v);
+
 }  // namespace rh::telemetry

@@ -4,16 +4,14 @@
 #include <cstdio>
 #include <ostream>
 
+#include "common/table.hpp"
+
 namespace rh::telemetry {
 
 namespace {
 
 /// Wall milliseconds -> microsecond timestamp text (Chrome ts unit).
-std::string ts_text(double wall_ms) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", wall_ms * 1000.0);
-  return buf;
-}
+std::string ts_text(double wall_ms) { return common::fmt_double(wall_ms * 1000.0, 3); }
 
 }  // namespace
 

@@ -1,8 +1,8 @@
 #include "telemetry/stream.hpp"
 
-#include <cstdio>
 
 #include "common/error.hpp"
+#include "common/table.hpp"
 
 namespace rh::telemetry {
 
@@ -12,27 +12,14 @@ constexpr const char* kStreamKind = "rh-metrics-stream";
 // v2 = CRC-framed lines. Readers accept v1 (bare payloads) forever.
 constexpr std::uint64_t kStreamVersion = 2;
 
-/// Fixed-width hex, mirroring the journal header's config_hash rendering.
-std::string hash_hex(std::uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
-
-std::string ms_text(double ms) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", ms);
-  return buf;
-}
-
 std::string header_line(const MetricsStreamHeader& header) {
   return std::string("{\"kind\":\"") + kStreamKind +
          "\",\"version\":" + std::to_string(kStreamVersion) +
          ",\"seed\":" + std::to_string(header.seed) + ",\"config_hash\":\"" +
-         hash_hex(header.config_hash) + "\",\"shards\":" + std::to_string(header.shards) +
+         common::hash_hex(header.config_hash) + "\",\"shards\":" + std::to_string(header.shards) +
          ",\"jobs\":" + std::to_string(header.jobs) +
          ",\"cycle_cadence\":" + std::to_string(header.cycle_cadence) +
-         ",\"wall_cadence_ms\":" + ms_text(header.wall_cadence_ms) + "}";
+         ",\"wall_cadence_ms\":" + common::fmt_double(header.wall_cadence_ms, 3) + "}";
 }
 
 void append_counter_object(std::string& out, const CounterValues& values) {
@@ -98,15 +85,17 @@ std::string format_cycles_sample(std::uint64_t shard, std::uint32_t attempt, std
 
 std::string format_wall_sample(double t_ms, const CounterValues& counter_deltas,
                                const std::vector<StreamWorkerStatus>& workers) {
-  std::string line = "{\"sample\":\"wall\",\"t_ms\":" + ms_text(t_ms) + ",\"counters\":";
+  std::string line =
+      "{\"sample\":\"wall\",\"t_ms\":" + common::fmt_double(t_ms, 3) + ",\"counters\":";
   append_counter_object(line, counter_deltas);
   line += ",\"workers\":[";
   bool first = true;
   for (const auto& w : workers) {
     if (!first) line += ',';
     first = false;
-    line += "{\"busy_ms\":" + ms_text(w.busy_ms) + ",\"done\":" + std::to_string(w.done) +
-            ",\"shard\":" + std::to_string(w.shard) + '}';
+    line += "{\"busy_ms\":" + common::fmt_double(w.busy_ms, 3) +
+            ",\"done\":" + std::to_string(w.done) + ",\"shard\":" + std::to_string(w.shard) +
+            '}';
   }
   line += "]}";
   return line;
@@ -115,7 +104,8 @@ std::string format_wall_sample(double t_ms, const CounterValues& counter_deltas,
 std::string format_final_sample(double t_ms, const CounterValues& counters, std::uint64_t done,
                                 std::uint64_t failed, std::uint64_t skipped,
                                 std::uint64_t total) {
-  std::string line = "{\"sample\":\"final\",\"t_ms\":" + ms_text(t_ms) + ",\"counters\":";
+  std::string line =
+      "{\"sample\":\"final\",\"t_ms\":" + common::fmt_double(t_ms, 3) + ",\"counters\":";
   append_counter_object(line, counters);
   line += ",\"shards\":{\"done\":" + std::to_string(done) +
           ",\"failed\":" + std::to_string(failed) + ",\"skipped\":" + std::to_string(skipped) +

@@ -13,7 +13,7 @@
 //                                              device-cycle cadence
 //   {"sample":"wall","t_ms":...,"counters":{...},
 //    "workers":[{"busy_ms":...,"done":K,"shard":I},...]}     <- campaign
-//                                              aggregate, wall cadence
+//                                    aggregate, at each shard claim/commit
 //   {"sample":"final","t_ms":...,"counters":{...},
 //    "shards":{"done":..,"failed":..,"skipped":..,"total":..}}  <- exactly one
 //
@@ -55,7 +55,7 @@ struct MetricsStreamHeader {
 };
 
 /// Appends sample lines to the stream file. append() is internally locked:
-/// every campaign worker and the wall-cadence monitor write through one
+/// every rig's cycles sampler and the run's wall samples write through one
 /// writer.
 ///
 /// Storage-failure policy: the stream is advisory telemetry, never results
@@ -108,7 +108,7 @@ using CounterValues = std::map<std::string, std::uint64_t>;
                                                std::uint32_t seq, std::uint64_t cycle,
                                                const CounterValues& deltas);
 
-/// Formats one wall-cadence campaign sample line (no newline).
+/// Formats one wall sample line, the campaign aggregate (no newline).
 [[nodiscard]] std::string format_wall_sample(double t_ms, const CounterValues& counter_deltas,
                                              const std::vector<StreamWorkerStatus>& workers);
 

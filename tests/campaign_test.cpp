@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,9 +16,12 @@
 #include "campaign/journal.hpp"
 #include "campaign/progress.hpp"
 #include "campaign/record_io.hpp"
+#include "campaign/rig_pool.hpp"
+#include "campaign/shard_runner.hpp"
 #include "campaign/tail.hpp"
 #include "core/spatial.hpp"
 #include "resilience/fault.hpp"
+#include "scratch_dir.hpp"
 #include "telemetry/span.hpp"
 
 namespace rh::campaign {
@@ -60,17 +67,6 @@ void expect_records_equal(const std::vector<core::RowRecord>& a,
   }
 }
 
-/// A scratch file deleted on scope exit.
-class TempPath {
-public:
-  explicit TempPath(std::string path) : path_(std::move(path)) { std::remove(path_.c_str()); }
-  ~TempPath() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
-private:
-  std::string path_;
-};
-
 TEST(CampaignTest, ParallelMergeIsBitwiseIdenticalToSerial) {
   const SweepSpec spec = quick_sweep();
   ASSERT_GT(spec.shards.size(), 8u);
@@ -110,11 +106,12 @@ TEST(CampaignTest, MatchesSpatialSurveyOnOneHost) {
 
 TEST(CampaignTest, ResumesFromTruncatedJournalToIdenticalResult) {
   const SweepSpec spec = quick_sweep();
-  const TempPath journal("campaign_test_resume.jsonl");
+  const test::ScratchDir dir;
+  const std::string journal = dir.file("campaign_test_resume.jsonl");
 
   CampaignConfig full = quiet_config();
   full.jobs = 2;
-  full.checkpoint_path = journal.str();
+  full.checkpoint_path = journal;
   Campaign first(full);
   const auto complete = first.run(spec);
   EXPECT_EQ(complete.shards_run, spec.shards.size());
@@ -124,21 +121,21 @@ TEST(CampaignTest, ResumesFromTruncatedJournalToIdenticalResult) {
   // torn final line (the write the kill interrupted).
   std::vector<std::string> lines;
   {
-    std::ifstream in(journal.str());
+    std::ifstream in(journal);
     std::string line;
     while (std::getline(in, line)) lines.push_back(line);
   }
   ASSERT_EQ(lines.size(), spec.shards.size() + 1);
   const std::size_t keep_shards = spec.shards.size() / 2;
   {
-    std::ofstream out(journal.str(), std::ios::trunc);
+    std::ofstream out(journal, std::ios::trunc);
     for (std::size_t i = 0; i <= keep_shards; ++i) out << lines[i] << '\n';
     out << lines[keep_shards + 1].substr(0, lines[keep_shards + 1].size() / 2);
   }
 
   CampaignConfig resumed = quiet_config();
   resumed.jobs = 2;
-  resumed.checkpoint_path = journal.str();
+  resumed.checkpoint_path = journal;
   resumed.resume = true;
   Campaign second(resumed);
   const auto result = second.run(spec);
@@ -157,10 +154,11 @@ TEST(CampaignTest, ResumesFromTruncatedJournalToIdenticalResult) {
 
 TEST(CampaignTest, RefusesJournalFromDifferentSweep) {
   const SweepSpec spec = quick_sweep();
-  const TempPath journal("campaign_test_mismatch.jsonl");
+  const test::ScratchDir dir;
+  const std::string journal = dir.file("campaign_test_mismatch.jsonl");
 
   CampaignConfig config = quiet_config();
-  config.checkpoint_path = journal.str();
+  config.checkpoint_path = journal;
   Campaign first(config);
   (void)first.run(spec);
 
@@ -249,17 +247,18 @@ TEST(ProgressTest, FormatSecondsSwitchesToMinutesAt90s) {
 
 TEST(CampaignTest, MetricsStreamRecordsTheRunAndFinishes) {
   const SweepSpec spec = quick_sweep();
-  const TempPath stream("campaign_test_stream.jsonl");
+  const test::ScratchDir dir;
+  const std::string stream = dir.file("campaign_test_stream.jsonl");
 
   CampaignConfig config = quiet_config();
   config.jobs = 4;
-  config.metrics_stream_path = stream.str();
+  config.metrics_stream_path = stream;
   config.stream_cycle_cadence = 1 << 20;  // fine cadence: mid-attempt samples too
   Campaign campaign(config);
   const auto result = campaign.run(spec);
   EXPECT_TRUE(result.failures.empty());
 
-  const MetricsStreamData data = read_metrics_stream(stream.str());
+  const MetricsStreamData data = read_metrics_stream(stream);
   EXPECT_TRUE(data.has_header);
   EXPECT_EQ(data.seed, spec.device.fault.seed);
   EXPECT_EQ(data.config_hash, sweep_config_hash(spec));
@@ -275,6 +274,83 @@ TEST(CampaignTest, MetricsStreamRecordsTheRunAndFinishes) {
   EXPECT_EQ(data.final_done, spec.shards.size());
   EXPECT_EQ(data.final_failed, 0u);
   EXPECT_EQ(data.final_total, spec.shards.size());
+  // One wall sample at each shard's claim and one at its commit, whichever
+  // of the four rigs ran it: no timer adds or drops any.
+  EXPECT_EQ(data.wall_samples, 2 * spec.shards.size());
+}
+
+TEST(RigPoolTest, StealsAreExactWhenOneRigIsHeldAtBringUp) {
+  // Two rigs and one job of six shards, dealt 0/2/4 and 1/3/5. The first
+  // rig bring-up blocks until five shards are committed, so the held rig
+  // keeps only the shard it claimed; the other rig runs its own three and
+  // steals the held rig's two queued ones from the back. Whichever rig is
+  // held, exactly two shards are stolen.
+  SweepSpec spec = quick_sweep();
+  spec.shards.resize(6);
+
+  struct StealCounter : PoolObserver {
+    std::atomic<std::uint64_t> steals{0};
+    void claimed(PoolJob&, unsigned, std::uint64_t, double, bool stolen) override {
+      if (stolen) ++steals;
+    }
+    void retried(PoolJob&, std::uint64_t, const std::string&) override {}
+    void executed(double) override {}
+  } observer;
+
+  std::mutex gate_mutex;
+  std::condition_variable gate;
+  std::uint64_t committed = 0;  // guarded by gate_mutex
+  bool held = false;            // guarded by gate_mutex
+  const HostFactory factory = [&](const SweepSpec& s) {
+    {
+      std::unique_lock<std::mutex> lock(gate_mutex);
+      if (!held) {
+        held = true;
+        // Bounded, so a pool that never steals fails the asserts below
+        // instead of hanging the suite.
+        gate.wait_for(lock, std::chrono::minutes(1), [&] { return committed == 5; });
+      }
+    }
+    auto host = std::make_unique<bender::BenderHost>(s.device);
+    host->device().set_temperature(s.temperature_c);
+    return host;
+  };
+
+  std::condition_variable finished;
+  PoolHooks hooks;
+  hooks.committed = [&](PoolJob&, std::uint64_t, bool, const std::string&) {
+    {
+      const std::lock_guard<std::mutex> lock(gate_mutex);
+      ++committed;
+    }
+    gate.notify_all();
+  };
+  hooks.finalize = [&](PoolJob&) { finished.notify_all(); };
+
+  const auto job = std::make_shared<PoolJob>();
+  job->run = std::make_unique<ShardRun>(spec, quiet_config(), factory, nullptr);
+  job->run->workers.resize(2);
+  job->remaining = spec.shards.size();
+  RigPool pool(2, hooks, &observer);
+  pool.enqueue(job);
+  pool.start();
+  {
+    std::unique_lock<std::mutex> lock(job->mutex);
+    finished.wait(lock, [&] { return job->finalized; });
+  }
+  pool.stop();
+
+  EXPECT_EQ(pool.shards_stolen(), 2u);
+  const std::vector<RigPool::RigStatus> rigs = pool.rig_status();
+  ASSERT_EQ(rigs.size(), 2u);
+  EXPECT_EQ(rigs[0].steals + rigs[1].steals, 2u);
+  EXPECT_EQ(observer.steals.load(), 2u);
+  EXPECT_EQ(pool.shards_run(), 6u);
+
+  CampaignConfig serial = quiet_config();
+  serial.jobs = 1;
+  Campaign one(serial);
+  expect_records_equal(job->run->result.flat(), one.run(spec).flat());
 }
 
 TEST(CampaignTest, SpanForestLinksARetriedFaultInjectedShardCausally) {
@@ -409,13 +485,14 @@ TEST(RecordIoTest, ParserRejectsMalformedInput) {
 }
 
 TEST(JournalTest, HeaderMismatchNamesTheField) {
-  const TempPath path("campaign_test_header.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("campaign_test_header.jsonl");
   const JournalHeader header{42, 0xabcdef, 7};
   {
-    JournalWriter writer(path.str(), header);
+    JournalWriter writer(path, header);
     writer.append_shard(3, {});
   }
-  JournalReader reader(path.str());
+  JournalReader reader(path);
   EXPECT_EQ(reader.header().seed, 42u);
   EXPECT_EQ(reader.header().config_hash, 0xabcdefu);
   EXPECT_EQ(reader.header().shard_count, 7u);
@@ -448,13 +525,14 @@ core::RowRecord minimal_record(std::uint32_t row) {
 TEST(JournalTest, OutcomesKeepDuplicateCompletionsButShardsLastWins) {
   // A shard journaled twice (kill after fsync, resume re-ran it): outcomes()
   // reports both lines in file order; shards() keeps only the last.
-  const TempPath path("campaign_test_dup.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("campaign_test_dup.jsonl");
   {
-    JournalWriter writer(path.str(), JournalHeader{1, 2, 4});
+    JournalWriter writer(path, JournalHeader{1, 2, 4});
     writer.append_shard(5, {minimal_record(10)}, 100.0, 1);
     writer.append_shard(5, {minimal_record(10), minimal_record(11)}, 250.0, 2);
   }
-  JournalReader reader(path.str());
+  JournalReader reader(path);
   ASSERT_EQ(reader.outcomes().size(), 2u);
   EXPECT_EQ(reader.outcomes()[0].shard, 5u);
   EXPECT_EQ(reader.outcomes()[0].records, 1u);
@@ -468,13 +546,14 @@ TEST(JournalTest, OutcomesKeepDuplicateCompletionsButShardsLastWins) {
 TEST(JournalTest, FailureThenSuccessForTheSameShard) {
   // Retry exhausted on one rig, then a resume completed the shard: the
   // failure line stays in the history but must not mask the completion.
-  const TempPath path("campaign_test_fail_then_ok.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("campaign_test_fail_then_ok.jsonl");
   {
-    JournalWriter writer(path.str(), JournalHeader{1, 2, 4});
+    JournalWriter writer(path, JournalHeader{1, 2, 4});
     writer.append_failure(3, 2, "transport: injected timeout");
     writer.append_shard(3, {minimal_record(7)}, 90.0, 1);
   }
-  JournalReader reader(path.str());
+  JournalReader reader(path);
   ASSERT_EQ(reader.outcomes().size(), 2u);
   EXPECT_FALSE(reader.outcomes()[0].ok);
   EXPECT_EQ(reader.outcomes()[0].attempts, 2u);
@@ -488,13 +567,14 @@ TEST(JournalTest, FailureThenSuccessForTheSameShard) {
 TEST(JournalTest, SuccessThenFailureStillCountsAsCompleted) {
   // The reverse interleaving (completion journaled, a later rig failed on a
   // stale re-run): the shard stays completed — resume must not re-run it.
-  const TempPath path("campaign_test_ok_then_fail.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("campaign_test_ok_then_fail.jsonl");
   {
-    JournalWriter writer(path.str(), JournalHeader{1, 2, 4});
+    JournalWriter writer(path, JournalHeader{1, 2, 4});
     writer.append_shard(6, {minimal_record(9)});
     writer.append_failure(6, 1, "late failure");
   }
-  JournalReader reader(path.str());
+  JournalReader reader(path);
   ASSERT_EQ(reader.outcomes().size(), 2u);
   EXPECT_EQ(reader.shards().count(6), 1u);
 }
@@ -502,13 +582,14 @@ TEST(JournalTest, SuccessThenFailureStillCountsAsCompleted) {
 TEST(JournalTest, MissingOptionalAnnotationsParseWithDefaults) {
   // Pre-annotation journals carry no attempts/wall_ms; hand-build one line
   // per optional-field combination and check the documented defaults.
-  const TempPath path("campaign_test_optional.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("campaign_test_optional.jsonl");
   {
-    JournalWriter writer(path.str(), JournalHeader{1, 2, 4});
+    JournalWriter writer(path, JournalHeader{1, 2, 4});
     writer.append_shard(0, {minimal_record(1)});           // no annotations
     writer.append_shard(1, {minimal_record(2)}, 42.5, 3);  // both annotations
   }
-  JournalReader reader(path.str());
+  JournalReader reader(path);
   ASSERT_EQ(reader.outcomes().size(), 2u);
   EXPECT_EQ(reader.outcomes()[0].attempts, 1u);
   EXPECT_LT(reader.outcomes()[0].wall_ms, 0.0) << "absent wall_ms reads back negative";
@@ -517,17 +598,18 @@ TEST(JournalTest, MissingOptionalAnnotationsParseWithDefaults) {
 }
 
 TEST(JournalTest, OutcomesIgnoreTornTrailingLineButKeepIntactPrefix) {
-  const TempPath path("campaign_test_torn.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("campaign_test_torn.jsonl");
   {
-    JournalWriter writer(path.str(), JournalHeader{1, 2, 4});
+    JournalWriter writer(path, JournalHeader{1, 2, 4});
     writer.append_shard(0, {minimal_record(1)}, 10.0, 1);
   }
-  const std::uint64_t intact = JournalReader(path.str()).intact_bytes();
+  const std::uint64_t intact = JournalReader(path).intact_bytes();
   {
-    std::ofstream out(path.str(), std::ios::app);
+    std::ofstream out(path, std::ios::app);
     out << "{\"shard\":1,\"records\":[{\"ch\"";  // the kill mid-write
   }
-  JournalReader reader(path.str());
+  JournalReader reader(path);
   ASSERT_EQ(reader.outcomes().size(), 1u);
   EXPECT_EQ(reader.outcomes()[0].shard, 0u);
   EXPECT_EQ(reader.intact_bytes(), intact) << "torn tail must not extend the intact prefix";

@@ -34,12 +34,6 @@ TEST(FlagValidation, StreamCycleCadenceMustBePositive) {
       CliError);
 }
 
-TEST(FlagValidation, StreamWallCadenceMustBePositive) {
-  EXPECT_THROW((void)make({"--stream-wall-cadence-ms=0"})
-                   .get_positive_double("stream-wall-cadence-ms", 250.0),
-               CliError);
-}
-
 TEST(FlagValidation, FaultRateIsAFraction) {
   EXPECT_THROW((void)make({"--fault-rate=1.5"}).get_fraction("fault-rate", 0.0), CliError);
   EXPECT_THROW((void)make({"--fault-rate=-0.1"}).get_fraction("fault-rate", 0.0), CliError);

@@ -28,22 +28,13 @@
 namespace rh::campaign {
 namespace {
 
-class TempPath {
-public:
-  explicit TempPath(std::string path) : path_(std::move(path)) { std::remove(path_.c_str()); }
-  ~TempPath() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
-private:
-  std::string path_;
-};
-
 TEST(HeaderOnly, JournalReaderSeesZeroOfN) {
-  const TempPath path("header_only_test_journal.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("header_only_test_journal.jsonl");
   const JournalHeader header{0xFEEDu, 0xD00Du, 18};
-  { const JournalWriter writer(path.str(), header); }  // header fsync, no shards
+  { const JournalWriter writer(path, header); }  // header fsync, no shards
 
-  const JournalReader reader(path.str());
+  const JournalReader reader(path);
   EXPECT_EQ(reader.header().seed, 0xFEEDu);
   EXPECT_EQ(reader.header().config_hash, 0xD00Du);
   EXPECT_EQ(reader.header().shard_count, 18u);
@@ -54,12 +45,13 @@ TEST(HeaderOnly, JournalReaderSeesZeroOfN) {
 
 TEST(HeaderOnly, JournalSummaryRendersWithoutShardLines) {
   // rh_report --journal on a campaign killed before its first checkpoint.
-  const TempPath path("header_only_test_summary.jsonl");
-  { const JournalWriter writer(path.str(), JournalHeader{1, 2, 18}); }
+  const test::ScratchDir dir;
+  const std::string path = dir.file("header_only_test_summary.jsonl");
+  { const JournalWriter writer(path, JournalHeader{1, 2, 18}); }
 
-  const JournalReader reader(path.str());
+  const JournalReader reader(path);
   std::ostringstream os;
-  render_journal_summary(os, path.str(), reader);
+  render_journal_summary(os, path, reader);
   const std::string text = os.str();
   EXPECT_NE(text.find("0/18 complete"), std::string::npos) << text;
   EXPECT_NE(text.find("pending: 18 shards"), std::string::npos) << text;
@@ -71,18 +63,20 @@ TEST(HeaderOnly, JournalSummaryRendersWithoutShardLines) {
 TEST(HeaderOnly, ResumeFromHeaderOnlyJournalKeepsTheHeader) {
   // A resume against a header-only journal must behave like a fresh start:
   // keep the header bytes, append from shard zero.
-  const TempPath path("header_only_test_resume.jsonl");
-  { const JournalWriter writer(path.str(), JournalHeader{7, 8, 4}); }
-  const JournalReader before(path.str());
-  { const JournalWriter resumed(path.str(), before); }
-  const JournalReader after(path.str());
+  const test::ScratchDir dir;
+  const std::string path = dir.file("header_only_test_resume.jsonl");
+  { const JournalWriter writer(path, JournalHeader{7, 8, 4}); }
+  const JournalReader before(path);
+  { const JournalWriter resumed(path, before); }
+  const JournalReader after(path);
   EXPECT_EQ(after.header().seed, 7u);
   EXPECT_EQ(after.header().shard_count, 4u);
   EXPECT_TRUE(after.shards().empty());
 }
 
 TEST(HeaderOnly, MetricsStreamReaderSeesAnUnfinishedEmptyRun) {
-  const TempPath path("header_only_test_stream.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("header_only_test_stream.jsonl");
   telemetry::MetricsStreamHeader header;
   header.seed = 0xFEEDu;
   header.config_hash = 0xD00Du;
@@ -90,9 +84,9 @@ TEST(HeaderOnly, MetricsStreamReaderSeesAnUnfinishedEmptyRun) {
   header.jobs = 2;
   header.cycle_cadence = 1u << 20;
   header.wall_cadence_ms = 250.0;
-  { const telemetry::MetricsStreamWriter writer(path.str(), header); }
+  { const telemetry::MetricsStreamWriter writer(path, header); }
 
-  const MetricsStreamData data = read_metrics_stream(path.str());
+  const MetricsStreamData data = read_metrics_stream(path);
   EXPECT_TRUE(data.has_header);
   EXPECT_EQ(data.seed, 0xFEEDu);
   EXPECT_EQ(data.shards, 18u);
@@ -108,18 +102,19 @@ TEST(HeaderOnly, MetricsStreamReaderSeesAnUnfinishedEmptyRun) {
 TEST(HeaderOnly, TornHeaderTailIsTolerated) {
   // A kill can tear even the first sample line; everything intact before it
   // (here: just the header) must still parse.
-  const TempPath path("header_only_test_torn.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("header_only_test_torn.jsonl");
   {
-    const telemetry::MetricsStreamWriter writer(path.str(), telemetry::MetricsStreamHeader{});
+    const telemetry::MetricsStreamWriter writer(path, telemetry::MetricsStreamHeader{});
   }
   {
-    std::FILE* f = std::fopen(path.str().c_str(), "ab");
+    std::FILE* f = std::fopen(path.c_str(), "ab");
     ASSERT_NE(f, nullptr);
     const char torn[] = "{\"sample\":\"wall\",\"t_ms\":12.5,\"coun";
     std::fwrite(torn, 1, sizeof torn - 1, f);
     std::fclose(f);
   }
-  const MetricsStreamData data = read_metrics_stream(path.str());
+  const MetricsStreamData data = read_metrics_stream(path);
   EXPECT_TRUE(data.has_header);
   EXPECT_TRUE(data.torn);
   EXPECT_EQ(data.wall_samples, 0u);
@@ -130,51 +125,55 @@ TEST(DamageMatrix, TruncatedJournalHeaderIsFatal) {
   // A kill can tear even the header line. With no trusted identity line
   // the whole file is untrusted: the reader must refuse, and resume must
   // start over rather than guess.
-  const TempPath path("damage_matrix_torn_header.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("damage_matrix_torn_header.jsonl");
   {
-    std::ofstream out(path.str(), std::ios::binary);
+    std::ofstream out(path, std::ios::binary);
     out << "{\"kind\":\"rh-campaign-journal\",\"version\":2,\"se";  // no newline
   }
-  EXPECT_THROW((void)JournalReader(path.str()), common::ConfigError);
+  EXPECT_THROW((void)JournalReader(path), common::ConfigError);
 }
 
 TEST(DamageMatrix, TruncatedStreamHeaderReadsAsTornAndEmpty) {
   // The stream is advisory telemetry: a torn header is a torn tail like
   // any other, not an error — there is just nothing to report yet.
-  const TempPath path("damage_matrix_torn_stream_header.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("damage_matrix_torn_stream_header.jsonl");
   {
-    std::ofstream out(path.str(), std::ios::binary);
+    std::ofstream out(path, std::ios::binary);
     out << "{\"kind\":\"rh-metrics-stream\",\"vers";  // no newline
   }
-  const MetricsStreamData data = read_metrics_stream(path.str());
+  const MetricsStreamData data = read_metrics_stream(path);
   EXPECT_FALSE(data.has_header);
   EXPECT_TRUE(data.torn);
   EXPECT_EQ(data.cycles_samples, 0u);
 }
 
 TEST(DamageMatrix, TornJournalTailKeepsEveryIntactShard) {
-  const TempPath path("damage_matrix_torn_tail.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("damage_matrix_torn_tail.jsonl");
   {
-    JournalWriter writer(path.str(), JournalHeader{3, 4, 6});
+    JournalWriter writer(path, JournalHeader{3, 4, 6});
     core::RowRecord record;
     record.site = {0, 0, 1};
     record.physical_row = 11;
     writer.append_shard(0, {record}, 9.0, 1);
   }
   {
-    std::ofstream out(path.str(), std::ios::app | std::ios::binary);
+    std::ofstream out(path, std::ios::app | std::ios::binary);
     out << "{\"shard\":1,\"reco";
   }
-  const JournalReader reader(path.str());
+  const JournalReader reader(path);
   EXPECT_TRUE(reader.torn_tail());
   EXPECT_TRUE(reader.corrupt_lines().empty());
   EXPECT_EQ(reader.shards().size(), 1u);
 }
 
 TEST(DamageMatrix, CorruptMidFileJournalLineLeavesItsShardPending) {
-  const TempPath path("damage_matrix_rot.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("damage_matrix_rot.jsonl");
   {
-    JournalWriter writer(path.str(), JournalHeader{3, 4, 6});
+    JournalWriter writer(path, JournalHeader{3, 4, 6});
     core::RowRecord record;
     record.site = {0, 0, 1};
     record.physical_row = 11;
@@ -185,7 +184,7 @@ TEST(DamageMatrix, CorruptMidFileJournalLineLeavesItsShardPending) {
   // Flip one byte in shard 1's line.
   std::string content;
   {
-    std::ifstream in(path.str(), std::ios::binary);
+    std::ifstream in(path, std::ios::binary);
     std::stringstream ss;
     ss << in.rdbuf();
     content = ss.str();
@@ -194,10 +193,10 @@ TEST(DamageMatrix, CorruptMidFileJournalLineLeavesItsShardPending) {
   start = content.find('\n', start) + 1;            // past shard 0
   content[start + 10] ^= 0x01;
   {
-    std::ofstream out(path.str(), std::ios::binary | std::ios::trunc);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << content;
   }
-  const JournalReader reader(path.str());
+  const JournalReader reader(path);
   ASSERT_EQ(reader.corrupt_lines().size(), 1u);
   EXPECT_EQ(reader.shards().count(0), 1u);
   EXPECT_EQ(reader.shards().count(1), 0u);

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,6 +21,7 @@
 #include "campaign/record_io.hpp"
 #include "core/spatial.hpp"
 #include "profiling/report.hpp"
+#include "scratch_dir.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace rh {
@@ -365,28 +365,18 @@ TEST(CampaignProfilingTest, ThroughputAxisExcludesRigBringUp) {
 
 // ------------------------------------------------------------ journal level
 
-/// A scratch file deleted on scope exit.
-class TempPath {
-public:
-  explicit TempPath(std::string path) : path_(std::move(path)) { std::remove(path_.c_str()); }
-  ~TempPath() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
-private:
-  std::string path_;
-};
-
 TEST(JournalOutcomesTest, ReaderSurfacesCostAnnotationsAndFailures) {
-  const TempPath path("profiling_test_journal.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("profiling_test_journal.jsonl");
   const campaign::JournalHeader header{7, 0xabcd, 3};
   {
-    campaign::JournalWriter writer(path.str(), header);
+    campaign::JournalWriter writer(path, header);
     writer.append_shard(0, {}, 12.5, 2);
     writer.append_failure(1, 3, "thermal \"upset\"");
     writer.append_shard(2, {});  // pre-annotation byte format
   }
 
-  const campaign::JournalReader reader(path.str());
+  const campaign::JournalReader reader(path);
   ASSERT_EQ(reader.outcomes().size(), 3u);
 
   const campaign::ShardOutcome& annotated = reader.outcomes()[0];
@@ -411,31 +401,33 @@ TEST(JournalOutcomesTest, ReaderSurfacesCostAnnotationsAndFailures) {
 }
 
 TEST(JournalOutcomesTest, TornTrailingLineIsIgnoredInOutcomes) {
-  const TempPath path("profiling_test_torn.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("profiling_test_torn.jsonl");
   {
-    campaign::JournalWriter writer(path.str(), campaign::JournalHeader{1, 2, 4});
+    campaign::JournalWriter writer(path, campaign::JournalHeader{1, 2, 4});
     writer.append_shard(0, {}, 5.0, 1);
   }
   {
-    std::ofstream out(path.str(), std::ios::app);
+    std::ofstream out(path, std::ios::app);
     out << "{\"shard\":1,\"attempts\":1,\"wall_";  // the kill hit here
   }
-  const campaign::JournalReader reader(path.str());
+  const campaign::JournalReader reader(path);
   EXPECT_EQ(reader.outcomes().size(), 1u);
   EXPECT_EQ(reader.shards().size(), 1u);
 }
 
 TEST(JournalOutcomesTest, SummaryRendersCountsLatencyAndFailures) {
-  const TempPath path("profiling_test_summary.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("profiling_test_summary.jsonl");
   {
-    campaign::JournalWriter writer(path.str(), campaign::JournalHeader{7, 0xabcd, 4});
+    campaign::JournalWriter writer(path, campaign::JournalHeader{7, 0xabcd, 4});
     writer.append_shard(0, {}, 10.0, 1);
     writer.append_shard(2, {}, 30.0, 2);
     writer.append_failure(3, 2, "boom");
   }
-  const campaign::JournalReader reader(path.str());
+  const campaign::JournalReader reader(path);
   std::ostringstream os;
-  campaign::render_journal_summary(os, path.str(), reader);
+  campaign::render_journal_summary(os, path, reader);
   const std::string text = os.str();
   EXPECT_NE(text.find("2/4 complete"), std::string::npos) << text;
   EXPECT_NE(text.find("1 failure lines"), std::string::npos) << text;

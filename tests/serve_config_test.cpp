@@ -2,25 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "campaign/journal.hpp"
 #include "common/error.hpp"
+#include "scratch_dir.hpp"
 #include "serve/cache.hpp"
 
 namespace rh::serve {
 namespace {
-
-class TempPath {
-public:
-  explicit TempPath(std::string path) : path_(std::move(path)) { std::remove(path_.c_str()); }
-  ~TempPath() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
-private:
-  std::string path_;
-};
 
 /// A deliberately non-default config exercising every field kind.
 CampaignConfig sample_config() {
@@ -138,11 +128,13 @@ TEST(ServeConfig, HashMatchesTheJournalHeader) {
   const campaign::SweepSpec spec = to_sweep_spec(config);
   EXPECT_EQ(config_hash(config), campaign::sweep_config_hash(spec));
 
-  const TempPath path("serve_config_test_journal.jsonl");
+  const test::ScratchDir dir;
+
+  const std::string path = dir.file("serve_config_test_journal.jsonl");
   const campaign::JournalHeader header{spec.device.fault.seed, config_hash(config),
                                        static_cast<std::uint64_t>(spec.shards.size())};
-  { const campaign::JournalWriter writer(path.str(), header); }
-  const campaign::JournalReader reader(path.str());
+  { const campaign::JournalWriter writer(path, header); }
+  const campaign::JournalReader reader(path);
   EXPECT_EQ(reader.header().config_hash, config_hash(config));
   EXPECT_EQ(reader.header().seed, config.seed);
 }

@@ -19,6 +19,7 @@
 #include "campaign/record_io.hpp"
 #include "profiling/report.hpp"
 #include "resilience/retry.hpp"
+#include "resilience/storage.hpp"
 #include "scratch_dir.hpp"
 #include "serve/config.hpp"
 #include "telemetry/telemetry.hpp"
@@ -223,6 +224,25 @@ std::vector<std::string> cycles_samples(const std::string& stream) {
   return lines;
 }
 
+/// The scheduling half of a metrics stream's wall samples, in stream
+/// order: each sample's workers as "done/in-flight shard".
+std::vector<std::string> wall_progress(const std::string& stream) {
+  std::vector<std::string> samples;
+  std::istringstream in(stream);
+  for (std::string line; std::getline(in, line);) {
+    std::string_view payload;
+    (void)resilience::check_frame(line, payload);
+    if (payload.rfind("{\"sample\":\"wall\"", 0) != 0) continue;
+    const campaign::JsonValue doc = campaign::parse_json(payload, "wall sample");
+    std::string sample;
+    for (const campaign::JsonValue& w : doc.at("workers").items) {
+      sample += w.at("done").text + "/" + w.at("shard").text + " ";
+    }
+    samples.push_back(sample);
+  }
+  return samples;
+}
+
 TEST(ServeServer, StormRetriesAndFailuresMatchTheBenchCliPath) {
   // The retry and failure paths, not only the happy path, must account
   // identically under the service and the bench CLI: the same
@@ -274,6 +294,11 @@ TEST(ServeServer, StormRetriesAndFailuresMatchTheBenchCliPath) {
   const std::vector<std::string> samples = cycles_samples(stream.body);
   EXPECT_FALSE(samples.empty());
   EXPECT_EQ(samples, cycles_samples(bench_text.str()));
+  // Both runners sample the wall clock by one rule, at every claim and
+  // every commit: one rig against one worker walks the same sequence.
+  const std::vector<std::string> progress = wall_progress(stream.body);
+  EXPECT_EQ(progress.size(), 2 * to_sweep_spec(config).shards.size());
+  EXPECT_EQ(progress, wall_progress(bench_text.str()));
 
   // The storm really exercised the retry and the failure path.
   const campaign::JsonValue shards = parse(report).at("shards");

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -26,17 +25,6 @@
 
 namespace rh::resilience {
 namespace {
-
-/// A scratch file deleted on scope exit.
-class TempPath {
-public:
-  explicit TempPath(std::string path) : path_(std::move(path)) { std::remove(path_.c_str()); }
-  ~TempPath() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
-private:
-  std::string path_;
-};
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -150,30 +138,33 @@ TEST(CrcFrame, EveryPayloadBitFlipIsDetected) {
 // ---------------------------------------------------------------------------
 
 TEST(DurableFileTest, FaultFreeLinesLandNewlineTerminated) {
-  const TempPath path("storage_test_plain.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_plain.jsonl");
   {
-    DurableFile file(path.str(), "test file", /*truncate=*/true, nullptr);
+    DurableFile file(path, "test file", /*truncate=*/true, nullptr);
     file.write_line("alpha");
     file.write_line("beta");
   }
-  EXPECT_EQ(read_file(path.str()), "alpha\nbeta\n");
+  EXPECT_EQ(read_file(path), "alpha\nbeta\n");
 }
 
 TEST(DurableFileTest, EnospcThrowsBeforeAnythingLands) {
-  const TempPath path("storage_test_enospc.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_enospc.jsonl");
   StorageFaultInjector injector(scripted(StorageFaultKind::kEnospc, 0));
-  DurableFile file(path.str(), "test file", true, &injector);
+  DurableFile file(path, "test file", true, &injector);
   EXPECT_THROW(file.write_line("doomed"), common::StorageError);
-  EXPECT_EQ(read_file(path.str()), "") << "a refused write leaves no bytes";
+  EXPECT_EQ(read_file(path), "") << "a refused write leaves no bytes";
 }
 
 TEST(DurableFileTest, ShortWriteThrowsWithOnlyAPrefixOnDisk) {
-  const TempPath path("storage_test_short.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_short.jsonl");
   StorageFaultInjector injector(scripted(StorageFaultKind::kShortWrite, 1));
-  DurableFile file(path.str(), "test file", true, &injector);
+  DurableFile file(path, "test file", true, &injector);
   file.write_line("intact");
   EXPECT_THROW(file.write_line("this line will be cut off"), common::StorageError);
-  const std::string content = read_file(path.str());
+  const std::string content = read_file(path);
   EXPECT_EQ(content.rfind("intact\n", 0), 0u);
   EXPECT_LT(content.size(), std::string("intact\nthis line will be cut off\n").size())
       << "a short write lands a strict prefix";
@@ -181,14 +172,15 @@ TEST(DurableFileTest, ShortWriteThrowsWithOnlyAPrefixOnDisk) {
 
 TEST(DurableFileTest, TornLineLandsAPrefixSilently) {
   // The defining property of a torn line: the writer believes it landed.
-  const TempPath path("storage_test_torn.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_torn.jsonl");
   StorageFaultInjector injector(scripted(StorageFaultKind::kTornLine, 0));
   {
-    DurableFile file(path.str(), "test file", true, &injector);
+    DurableFile file(path, "test file", true, &injector);
     EXPECT_NO_THROW(file.write_line("silently torn"));
     EXPECT_NO_THROW(file.write_line("next"));
   }
-  const std::string content = read_file(path.str());
+  const std::string content = read_file(path);
   EXPECT_EQ(content.find("silently torn\n"), std::string::npos)
       << "the torn line must not be whole";
   // The next line fuses onto the torn prefix — exactly the mid-file
@@ -197,26 +189,28 @@ TEST(DurableFileTest, TornLineLandsAPrefixSilently) {
 }
 
 TEST(DurableFileTest, BitCorruptLandsTheLineThenRotsIt) {
-  const TempPath path("storage_test_rot.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_rot.jsonl");
   StorageFaultPlan plan = scripted(StorageFaultKind::kBitCorrupt, 0);
   plan.corrupt_bits = 2;
   StorageFaultInjector injector(plan);
   const std::string line = "a line that will rot on the medium";
   {
-    DurableFile file(path.str(), "test file", true, &injector);
+    DurableFile file(path, "test file", true, &injector);
     EXPECT_NO_THROW(file.write_line(line));
   }
-  const std::string content = read_file(path.str());
+  const std::string content = read_file(path);
   ASSERT_EQ(content.size(), line.size() + 1) << "rot changes bits, not lengths";
   EXPECT_NE(content, line + "\n");
 }
 
 TEST(DurableFileTest, FsyncFailureThrowsAfterTheDataLanded) {
-  const TempPath path("storage_test_fsync.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_fsync.jsonl");
   StorageFaultInjector injector(scripted(StorageFaultKind::kFsyncFail, 0));
-  DurableFile file(path.str(), "test file", true, &injector);
+  DurableFile file(path, "test file", true, &injector);
   EXPECT_THROW(file.write_line("written but not durable"), common::StorageError);
-  EXPECT_EQ(read_file(path.str()), "written but not durable\n")
+  EXPECT_EQ(read_file(path), "written but not durable\n")
       << "the bytes are there; only the durability barrier failed";
 }
 
@@ -225,32 +219,35 @@ TEST(DurableFileTest, FsyncFailureThrowsAfterTheDataLanded) {
 // ---------------------------------------------------------------------------
 
 TEST(AtomicWriteTest, ReplacesContentAndLeavesNoTmp) {
-  const TempPath path("storage_test_atomic.json");
-  write_file_atomic(path.str(), "{\"v\":1}\n", "test doc");
-  write_file_atomic(path.str(), "{\"v\":2}\n", "test doc");
-  EXPECT_EQ(read_file(path.str()), "{\"v\":2}\n");
-  EXPECT_FALSE(std::filesystem::exists(path.str() + ".tmp"));
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_atomic.json");
+  write_file_atomic(path, "{\"v\":1}\n", "test doc");
+  write_file_atomic(path, "{\"v\":2}\n", "test doc");
+  EXPECT_EQ(read_file(path), "{\"v\":2}\n");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 TEST(AtomicWriteTest, ShortWriteLeavesOldContentAndAnOrphanTmp) {
-  const TempPath path("storage_test_atomic_short.json");
-  const TempPath tmp(path.str() + ".tmp");
-  write_file_atomic(path.str(), "{\"v\":1}\n", "test doc");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_atomic_short.json");
+  const std::string tmp = path + ".tmp";
+  write_file_atomic(path, "{\"v\":1}\n", "test doc");
   StorageFaultInjector injector(scripted(StorageFaultKind::kShortWrite, 0));
   EXPECT_THROW(
-      write_file_atomic(path.str(), "{\"v\":2,\"pad\":\"xxxxxxxx\"}\n", "test doc", &injector),
+      write_file_atomic(path, "{\"v\":2,\"pad\":\"xxxxxxxx\"}\n", "test doc", &injector),
       common::StorageError);
-  EXPECT_EQ(read_file(path.str()), "{\"v\":1}\n") << "the target must never be torn";
-  EXPECT_TRUE(std::filesystem::exists(tmp.str())) << "the torn tmp is rh_fsck fodder";
+  EXPECT_EQ(read_file(path), "{\"v\":1}\n") << "the target must never be torn";
+  EXPECT_TRUE(std::filesystem::exists(tmp)) << "the torn tmp is rh_fsck fodder";
 }
 
 TEST(AtomicWriteTest, EnospcLeavesTheTargetUntouched) {
-  const TempPath path("storage_test_atomic_enospc.json");
-  write_file_atomic(path.str(), "old\n", "test doc");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_atomic_enospc.json");
+  write_file_atomic(path, "old\n", "test doc");
   StorageFaultInjector injector(scripted(StorageFaultKind::kEnospc, 0));
-  EXPECT_THROW(write_file_atomic(path.str(), "new\n", "test doc", &injector),
+  EXPECT_THROW(write_file_atomic(path, "new\n", "test doc", &injector),
                common::StorageError);
-  EXPECT_EQ(read_file(path.str()), "old\n");
+  EXPECT_EQ(read_file(path), "old\n");
 }
 
 }  // namespace
@@ -261,16 +258,6 @@ namespace {
 
 using resilience::StorageFaultKind;
 using resilience::StorageFaultPlan;
-
-class TempPath {
-public:
-  explicit TempPath(std::string path) : path_(std::move(path)) { std::remove(path_.c_str()); }
-  ~TempPath() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
-private:
-  std::string path_;
-};
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -310,13 +297,14 @@ void corrupt_line(const std::string& path, std::size_t line_no) {
 TEST(JournalDamage, V1BareJournalStillReads) {
   // A journal written before CRC framing existed: bare payloads. The
   // acceptance contract: readers accept v1 forever.
-  const TempPath path("storage_test_v1.jsonl");
-  write_raw(path.str(),
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_v1.jsonl");
+  write_raw(path,
             "{\"kind\":\"rh-campaign-journal\",\"version\":1,\"seed\":5,"
             "\"config_hash\":\"00000000000000aa\",\"shards\":4}\n"
             "{\"shard\":1,\"records\":[]}\n"
             "{\"shard\":2,\"attempts\":2,\"failed\":\"injected fault\"}\n");
-  const JournalReader reader(path.str());
+  const JournalReader reader(path);
   EXPECT_EQ(reader.header().seed, 5u);
   EXPECT_EQ(reader.header().shard_count, 4u);
   EXPECT_EQ(reader.shards().count(1), 1u);
@@ -328,60 +316,63 @@ TEST(JournalDamage, V1BareJournalStillReads) {
 
 TEST(JournalDamage, MixedV1PrefixWithV2AppendsReads) {
   // A v1 journal resumed by a v2 writer: framed lines after bare ones.
-  const TempPath path("storage_test_mixed.jsonl");
-  write_raw(path.str(),
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_mixed.jsonl");
+  write_raw(path,
             "{\"kind\":\"rh-campaign-journal\",\"version\":1,\"seed\":9,"
             "\"config_hash\":\"00000000000000bb\",\"shards\":4}\n"
             "{\"shard\":0,\"records\":[]}\n");
   {
-    const JournalReader before(path.str());
-    JournalWriter writer(path.str(), before);
+    const JournalReader before(path);
+    JournalWriter writer(path, before);
     writer.append_shard(1, {minimal_record(3)}, 10.0, 1);
   }
-  const JournalReader reader(path.str());
+  const JournalReader reader(path);
   EXPECT_EQ(reader.shards().count(0), 1u);
   EXPECT_EQ(reader.shards().count(1), 1u);
   EXPECT_TRUE(reader.corrupt_lines().empty());
 }
 
 TEST(JournalDamage, TornTailIsIgnoredAndDroppedOnResume) {
-  const TempPath path("storage_test_torn_tail.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_torn_tail.jsonl");
   {
-    JournalWriter writer(path.str(), JournalHeader{1, 2, 4});
+    JournalWriter writer(path, JournalHeader{1, 2, 4});
     writer.append_shard(0, {minimal_record(1)}, 5.0, 1);
   }
   {
-    std::ofstream out(path.str(), std::ios::app | std::ios::binary);
+    std::ofstream out(path, std::ios::app | std::ios::binary);
     out << "{\"shard\":1,\"rec";  // the kill mid-append
   }
-  const JournalReader reader(path.str());
+  const JournalReader reader(path);
   EXPECT_TRUE(reader.torn_tail());
   EXPECT_EQ(reader.shards().size(), 1u);
   EXPECT_TRUE(reader.corrupt_lines().empty()) << "a torn tail is not corruption";
 
   // Resume truncates the tear; the next append must not fuse onto it.
   {
-    JournalWriter writer(path.str(), reader);
+    JournalWriter writer(path, reader);
     writer.append_shard(1, {minimal_record(2)}, 5.0, 1);
   }
-  const JournalReader after(path.str());
+  const JournalReader after(path);
   EXPECT_FALSE(after.torn_tail());
   EXPECT_EQ(after.shards().size(), 2u);
   EXPECT_TRUE(after.corrupt_lines().empty());
 }
 
 TEST(JournalDamage, CorruptMidFileLineIsQuarantinedAndItsShardReRun) {
-  const TempPath path("storage_test_quarantinable.jsonl");
-  const TempPath sidecar(path.str() + ".quarantine");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_quarantinable.jsonl");
+  const std::string sidecar = path + ".quarantine";
   {
-    JournalWriter writer(path.str(), JournalHeader{1, 2, 4});
+    JournalWriter writer(path, JournalHeader{1, 2, 4});
     writer.append_shard(0, {minimal_record(1)}, 5.0, 1);
     writer.append_shard(1, {minimal_record(2)}, 5.0, 1);
     writer.append_shard(2, {minimal_record(3)}, 5.0, 1);
   }
-  corrupt_line(path.str(), 2);  // shard 1's line rots
+  corrupt_line(path, 2);  // shard 1's line rots
 
-  const JournalReader reader(path.str());
+  const JournalReader reader(path);
   ASSERT_EQ(reader.corrupt_lines().size(), 1u);
   EXPECT_EQ(reader.corrupt_lines()[0].line_no, 3u) << "1-based file position";
   EXPECT_EQ(reader.shards().count(0), 1u);
@@ -391,24 +382,25 @@ TEST(JournalDamage, CorruptMidFileLineIsQuarantinedAndItsShardReRun) {
   // The quarantining resume ctor: sidecar gains the raw line, the journal
   // is compacted to header + intact lines, and the shard can be re-run.
   {
-    JournalWriter writer(path.str(), reader);
+    JournalWriter writer(path, reader);
     writer.append_shard(1, {minimal_record(2)}, 5.0, 1);
   }
-  EXPECT_NE(read_file(sidecar.str()).find("\"shard\":1"), std::string::npos)
+  EXPECT_NE(read_file(sidecar).find("\"shard\":1"), std::string::npos)
       << "the damaged raw line is preserved for the operator";
-  const JournalReader repaired(path.str());
+  const JournalReader repaired(path);
   EXPECT_TRUE(repaired.corrupt_lines().empty());
   EXPECT_EQ(repaired.shards().size(), 3u);
 }
 
 TEST(JournalDamage, DamagedHeaderIsFatal) {
-  const TempPath path("storage_test_bad_header.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_bad_header.jsonl");
   {
-    JournalWriter writer(path.str(), JournalHeader{1, 2, 4});
+    JournalWriter writer(path, JournalHeader{1, 2, 4});
     writer.append_shard(0, {minimal_record(1)}, 5.0, 1);
   }
-  corrupt_line(path.str(), 0);
-  EXPECT_THROW((void)JournalReader(path.str()), common::ConfigError)
+  corrupt_line(path, 0);
+  EXPECT_THROW((void)JournalReader(path), common::ConfigError)
       << "nothing below a damaged identity line can be trusted";
 }
 
@@ -447,17 +439,18 @@ void expect_records_equal(const std::vector<core::RowRecord>& a,
 
 TEST(StorageStorm, CampaignResultsAreByteIdenticalUnderDiskFaults) {
   const SweepSpec spec = quick_sweep();
-  const TempPath journal("storage_test_storm.jsonl");
-  const TempPath sidecar(journal.str() + ".quarantine");
-  const TempPath stream("storage_test_storm_stream.jsonl");
+  const test::ScratchDir dir;
+  const std::string journal = dir.file("storage_test_storm.jsonl");
+  const std::string sidecar = journal + ".quarantine";
+  const std::string stream = dir.file("storage_test_storm_stream.jsonl");
 
   Campaign clean(quiet_config());
   const CampaignResult baseline = clean.run(spec);
   EXPECT_EQ(baseline.storage_errors, 0u);
 
   CampaignConfig stormy = quiet_config();
-  stormy.checkpoint_path = journal.str();
-  stormy.metrics_stream_path = stream.str();
+  stormy.checkpoint_path = journal;
+  stormy.metrics_stream_path = stream;
   stormy.storage_fault_plan.seed = 99;
   stormy.storage_fault_plan.set_all_rates(0.5);
   Campaign storm(stormy);
@@ -473,19 +466,20 @@ TEST(StorageStorm, CampaignResultsAreByteIdenticalUnderDiskFaults) {
 TEST(StorageStorm, ResumeAfterMidFileRotReRunsExactlyTheDamagedShards) {
   const SweepSpec spec = quick_sweep();
   ASSERT_GT(spec.shards.size(), 4u);
-  const TempPath journal("storage_test_rot_resume.jsonl");
-  const TempPath sidecar(journal.str() + ".quarantine");
+  const test::ScratchDir dir;
+  const std::string journal = dir.file("storage_test_rot_resume.jsonl");
+  const std::string sidecar = journal + ".quarantine";
 
   CampaignConfig full = quiet_config();
-  full.checkpoint_path = journal.str();
+  full.checkpoint_path = journal;
   Campaign first(full);
   const CampaignResult complete = first.run(spec);
 
   // Rot two mid-file shard lines, then resume: the campaign must
   // quarantine them, re-run exactly those shards, and converge to the
   // same bytes.
-  corrupt_line(journal.str(), 2);
-  corrupt_line(journal.str(), 4);
+  corrupt_line(journal, 2);
+  corrupt_line(journal, 4);
 
   CampaignConfig again = full;
   again.resume = true;
@@ -494,9 +488,9 @@ TEST(StorageStorm, ResumeAfterMidFileRotReRunsExactlyTheDamagedShards) {
   EXPECT_EQ(resumed.shards_skipped, spec.shards.size() - 2)
       << "every intact shard is honoured; only the rotted ones re-run";
   expect_records_equal(complete.flat(), resumed.flat());
-  EXPECT_TRUE(std::filesystem::exists(sidecar.str()));
+  EXPECT_TRUE(std::filesystem::exists(sidecar));
 
-  const JournalReader reader(journal.str());
+  const JournalReader reader(journal);
   EXPECT_TRUE(reader.corrupt_lines().empty()) << "the resumed journal is whole again";
   EXPECT_EQ(reader.shards().size(), spec.shards.size());
 }
@@ -506,10 +500,11 @@ TEST(StorageStorm, ResumeAfterMidFileRotReRunsExactlyTheDamagedShards) {
 // ---------------------------------------------------------------------------
 
 TEST(StreamDegrade, WriterGoesDarkAfterTheFirstStorageError) {
-  const TempPath path("storage_test_degrade.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_degrade.jsonl");
   resilience::StorageFaultInjector injector(
       resilience::StorageFaultPlan{0, {}, {{StorageFaultKind::kEnospc, 1}}, 2});
-  telemetry::MetricsStreamWriter writer(path.str(), telemetry::MetricsStreamHeader{},
+  telemetry::MetricsStreamWriter writer(path, telemetry::MetricsStreamHeader{},
                                         &injector);
   EXPECT_FALSE(writer.degraded());
   writer.append(telemetry::format_cycles_sample(0, 1, 0, 10, {}));  // fires
@@ -517,20 +512,21 @@ TEST(StreamDegrade, WriterGoesDarkAfterTheFirstStorageError) {
   EXPECT_FALSE(writer.storage_error().empty());
   // Degraded appends are silent no-ops — no throw, no further I/O.
   writer.append(telemetry::format_cycles_sample(0, 1, 1, 20, {}));
-  const MetricsStreamData data = read_metrics_stream(path.str());
+  const MetricsStreamData data = read_metrics_stream(path);
   EXPECT_TRUE(data.has_header);
   EXPECT_EQ(data.cycles_samples, 0u);
 }
 
 TEST(StreamDegrade, CorruptMidStreamSampleIsSkippedNotFatal) {
-  const TempPath path("storage_test_stream_rot.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_stream_rot.jsonl");
   {
-    telemetry::MetricsStreamWriter writer(path.str(), telemetry::MetricsStreamHeader{});
+    telemetry::MetricsStreamWriter writer(path, telemetry::MetricsStreamHeader{});
     writer.append(telemetry::format_cycles_sample(0, 1, 0, 10, {}));
     writer.append(telemetry::format_cycles_sample(0, 1, 1, 20, {}));
   }
-  corrupt_line(path.str(), 1);
-  const MetricsStreamData data = read_metrics_stream(path.str());
+  corrupt_line(path, 1);
+  const MetricsStreamData data = read_metrics_stream(path);
   EXPECT_EQ(data.corrupt_lines, 1u);
   EXPECT_EQ(data.cycles_samples, 1u);
   EXPECT_FALSE(data.torn);
@@ -786,22 +782,23 @@ TEST(Fsck, VerdictsAgreeWithTheReaders) {
 }
 
 TEST(JournalDamage, ResumeAfterAnUnterminatedIntactLineStartsANewLine) {
-  const TempPath path("storage_test_unterminated.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("storage_test_unterminated.jsonl");
   {
-    JournalWriter writer(path.str(), JournalHeader{1, 2, 4});
+    JournalWriter writer(path, JournalHeader{1, 2, 4});
     writer.append_shard(0, {minimal_record(1)}, 5.0, 1);
   }
-  std::string content = read_file(path.str());
+  std::string content = read_file(path);
   content.pop_back();  // the write was cut just before its '\n'
-  write_raw(path.str(), content);
+  write_raw(path, content);
   {
-    const JournalReader reader(path.str());
+    const JournalReader reader(path);
     EXPECT_FALSE(reader.torn_tail());
     EXPECT_EQ(reader.shards().count(0), 1u) << "a final line that parses is intact";
-    JournalWriter writer(path.str(), reader);
+    JournalWriter writer(path, reader);
     writer.append_shard(1, {minimal_record(2)}, 5.0, 1);
   }
-  const JournalReader after(path.str());
+  const JournalReader after(path);
   EXPECT_FALSE(after.torn_tail());
   EXPECT_TRUE(after.corrupt_lines().empty());
   EXPECT_EQ(after.shards().size(), 2u) << "the append must not fuse onto the unterminated line";

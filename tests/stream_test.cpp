@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -13,20 +12,10 @@
 #include "campaign/tail.hpp"
 #include "common/error.hpp"
 #include "resilience/storage.hpp"
+#include "scratch_dir.hpp"
 
 namespace rh::telemetry {
 namespace {
-
-/// A scratch file deleted on scope exit.
-class TempPath {
-public:
-  explicit TempPath(std::string path) : path_(std::move(path)) { std::remove(path_.c_str()); }
-  ~TempPath() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
-private:
-  std::string path_;
-};
 
 std::vector<std::string> read_lines(const std::string& path) {
   std::ifstream in(path);
@@ -81,9 +70,10 @@ TEST(StreamFormatTest, CounterValuesTakeOnlyCounters) {
 }
 
 TEST(StreamWriterTest, TruncatesWritesHeaderThenAppends) {
-  const TempPath path("stream_test_writer.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("stream_test_writer.jsonl");
   {
-    std::ofstream stale(path.str());
+    std::ofstream stale(path);
     stale << "previous run's leftovers\n";
   }
   MetricsStreamHeader header;
@@ -94,10 +84,10 @@ TEST(StreamWriterTest, TruncatesWritesHeaderThenAppends) {
   header.cycle_cadence = 1ull << 24;
   header.wall_cadence_ms = 200.0;
   {
-    MetricsStreamWriter writer(path.str(), header);
+    MetricsStreamWriter writer(path, header);
     writer.append(format_cycles_sample(0, 1, 0, 100, {}));
   }
-  const auto lines = read_lines(path.str());
+  const auto lines = read_lines(path);
   ASSERT_EQ(lines.size(), 2u) << "stale content must be truncated";
   EXPECT_EQ(unframe(lines[0]),
             "{\"kind\":\"rh-metrics-stream\",\"version\":2,\"seed\":9,"
@@ -112,9 +102,10 @@ TEST(StreamWriterTest, UnwritablePathThrowsUpFront) {
 }
 
 TEST(MetricsSamplerTest, EmitsOncePerCadenceCrossingWithDeltas) {
-  const TempPath path("stream_test_sampler.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("stream_test_sampler.jsonl");
   MetricsRegistry reg;
-  MetricsStreamWriter writer(path.str(), MetricsStreamHeader{});
+  MetricsStreamWriter writer(path, MetricsStreamHeader{});
   MetricsSampler sampler(writer, reg, /*cadence=*/100, /*shard=*/2, /*attempt=*/1,
                          /*base_cycle=*/1000);
 
@@ -130,7 +121,7 @@ TEST(MetricsSamplerTest, EmitsOncePerCadenceCrossingWithDeltas) {
   sampler.finish(1500);  // closing sample is unconditional
   EXPECT_EQ(sampler.samples_emitted(), 3u);
 
-  const auto lines = read_lines(path.str());
+  const auto lines = read_lines(path);
   ASSERT_EQ(lines.size(), 4u);  // header + 3 samples
   // Cycle stamps are attempt-relative; deltas are since the previous sample.
   EXPECT_EQ(unframe(lines[1]),
@@ -148,20 +139,22 @@ TEST(MetricsSamplerTest, BaselinesAtConstructionSoPriorShardsDoNotLeak) {
   // A worker sink accumulates across the shards that worker runs; the
   // sampler must report only activity after its own construction, or the
   // first delta of every shard would depend on scheduling.
-  const TempPath path("stream_test_baseline.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("stream_test_baseline.jsonl");
   MetricsRegistry reg;
   reg.counter("cmd.ACT").add(5000);  // a previous shard's activity
-  MetricsStreamWriter writer(path.str(), MetricsStreamHeader{});
+  MetricsStreamWriter writer(path, MetricsStreamHeader{});
   MetricsSampler sampler(writer, reg, 100, 0, 1, 0);
   reg.counter("cmd.ACT").add(3);
   sampler.finish(50);
-  const auto lines = read_lines(path.str());
+  const auto lines = read_lines(path);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[1].find("\"deltas\":{\"cmd.ACT\":3}"), std::string::npos) << lines[1];
 }
 
 TEST(StreamReaderTest, RoundTripsThroughTheTailReader) {
-  const TempPath path("stream_test_roundtrip.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("stream_test_roundtrip.jsonl");
   MetricsStreamHeader header;
   header.seed = 4;
   header.shards = 6;
@@ -169,12 +162,12 @@ TEST(StreamReaderTest, RoundTripsThroughTheTailReader) {
   header.cycle_cadence = 128;
   header.wall_cadence_ms = 50.0;
   {
-    MetricsStreamWriter writer(path.str(), header);
+    MetricsStreamWriter writer(path, header);
     writer.append(format_cycles_sample(0, 1, 0, 128, {{"cmd.ACT", 9}}));
     writer.append(format_wall_sample(60.0, {{"campaign.shards_done", 1}}, {{12.0, 1, 3}}));
     writer.append(format_final_sample(120.0, {{"campaign.shards_done", 6}}, 6, 0, 0, 6));
   }
-  const campaign::MetricsStreamData data = campaign::read_metrics_stream(path.str());
+  const campaign::MetricsStreamData data = campaign::read_metrics_stream(path);
   EXPECT_TRUE(data.has_header);
   EXPECT_EQ(data.seed, 4u);
   EXPECT_EQ(data.jobs, 2u);
@@ -190,16 +183,17 @@ TEST(StreamReaderTest, RoundTripsThroughTheTailReader) {
 }
 
 TEST(StreamReaderTest, ToleratesTornTrailingLineOnly) {
-  const TempPath path("stream_test_torn.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("stream_test_torn.jsonl");
   {
-    MetricsStreamWriter writer(path.str(), MetricsStreamHeader{});
+    MetricsStreamWriter writer(path, MetricsStreamHeader{});
     writer.append(format_cycles_sample(0, 1, 0, 10, {}));
   }
   {
-    std::ofstream out(path.str(), std::ios::app);
+    std::ofstream out(path, std::ios::app);
     out << "{\"sample\":\"cycles\",\"sh";  // the kill mid-append
   }
-  const campaign::MetricsStreamData torn_tail = campaign::read_metrics_stream(path.str());
+  const campaign::MetricsStreamData torn_tail = campaign::read_metrics_stream(path);
   EXPECT_TRUE(torn_tail.torn);
   EXPECT_EQ(torn_tail.cycles_samples, 1u) << "intact prefix must survive";
 
@@ -208,27 +202,28 @@ TEST(StreamReaderTest, ToleratesTornTrailingLineOnly) {
   // the damage is mid-file bit rot — counted and skipped, never fatal,
   // because the header above it is intact and telemetry is advisory.
   {
-    std::ofstream out(path.str(), std::ios::app);
+    std::ofstream out(path, std::ios::app);
     out << "yntax error\n";
   }
-  EXPECT_TRUE(campaign::read_metrics_stream(path.str()).torn);
+  EXPECT_TRUE(campaign::read_metrics_stream(path).torn);
   {
-    std::ofstream out(path.str(), std::ios::app);
+    std::ofstream out(path, std::ios::app);
     out << format_cycles_sample(1, 1, 0, 10, {}) << '\n';  // bare v1 line: accepted
   }
-  const campaign::MetricsStreamData rotted = campaign::read_metrics_stream(path.str());
+  const campaign::MetricsStreamData rotted = campaign::read_metrics_stream(path);
   EXPECT_FALSE(rotted.torn) << "the tail line is now intact";
   EXPECT_EQ(rotted.corrupt_lines, 1u);
   EXPECT_EQ(rotted.cycles_samples, 2u) << "good lines on both sides of the rot survive";
 }
 
 TEST(StreamReaderTest, RejectsForeignFiles) {
-  const TempPath path("stream_test_foreign.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir.file("stream_test_foreign.jsonl");
   {
-    std::ofstream out(path.str());
+    std::ofstream out(path);
     out << "{\"kind\":\"rh-checkpoint\",\"version\":1}\n";
   }
-  EXPECT_THROW((void)campaign::read_metrics_stream(path.str()), common::ConfigError);
+  EXPECT_THROW((void)campaign::read_metrics_stream(path), common::ConfigError);
   EXPECT_THROW((void)campaign::read_metrics_stream("stream_test_missing.jsonl"),
                common::ConfigError);
 }

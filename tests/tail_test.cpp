@@ -4,30 +4,18 @@
 #include "campaign/tail.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "campaign/journal.hpp"
 #include "common/error.hpp"
+#include "scratch_dir.hpp"
 #include "telemetry/stream.hpp"
 
 namespace rh::campaign {
 namespace {
-
-/// A scratch file deleted on scope exit.
-class TempPath {
-public:
-  explicit TempPath(std::string path) : path_(std::move(path)) { std::remove(path_.c_str()); }
-  ~TempPath() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
-private:
-  std::string path_;
-};
 
 core::RowRecord minimal_record(std::uint32_t row) {
   core::RowRecord record;
@@ -36,20 +24,13 @@ core::RowRecord minimal_record(std::uint32_t row) {
   return record;
 }
 
-/// Scratch names are per-process: ctest runs each test as its own process
-/// in a shared directory, and a fixed name lets one test's TempPath delete
-/// the scene out from under a concurrently-running sibling.
-std::string scratch(const char* stem) {
-  return std::string(stem) + "." + std::to_string(::getpid()) + ".jsonl";
-}
-
 /// A mid-run scene: shards 0 and 1 journaled, shard 2 failed, worker 0
 /// in flight on (unjournaled) shard 5, worker 1 idle.
 struct Scene {
   Scene()
-      : journal(scratch("tail_test_journal")), stream(scratch("tail_test_stream")) {
+      : journal(dir.file("tail_test_journal.jsonl")), stream(dir.file("tail_test_stream.jsonl")) {
     {
-      JournalWriter writer(journal.str(), JournalHeader{42, 0xbeef, 8});
+      JournalWriter writer(journal, JournalHeader{42, 0xbeef, 8});
       writer.append_shard(0, {minimal_record(1), minimal_record(2)}, 100.0, 1);
       writer.append_shard(1, {minimal_record(3)}, 80.0, 2);
       writer.append_failure(2, 3, "transport: injected timeout");
@@ -61,7 +42,7 @@ struct Scene {
     header.jobs = 2;
     header.cycle_cadence = 1 << 20;
     header.wall_cadence_ms = 200.0;
-    telemetry::MetricsStreamWriter writer(stream.str(), header);
+    telemetry::MetricsStreamWriter writer(stream, header);
     writer.append(telemetry::format_cycles_sample(0, 1, 0, 1 << 20, {{"cmd.ACT", 64}}));
     writer.append(telemetry::format_wall_sample(
         500.0,
@@ -69,13 +50,14 @@ struct Scene {
         {{400.0, 2, 5}, {90.0, 0, -1}}));
   }
 
-  TempPath journal;
-  TempPath stream;
+  test::ScratchDir dir;
+  std::string journal;
+  std::string stream;
 };
 
 TEST(TailStatusTest, JoinsJournalAndStreamIntoOneView) {
   const Scene scene;
-  const TailStatus status = tail_status(scene.journal.str(), scene.stream.str(), TailOptions{});
+  const TailStatus status = tail_status(scene.journal, scene.stream, TailOptions{});
   EXPECT_EQ(status.seed, 42u);
   EXPECT_EQ(status.shards_total, 8u);
   EXPECT_EQ(status.jobs, 2u);
@@ -98,7 +80,7 @@ TEST(TailStatusTest, PostMortemFlagsEveryClaimedButUnjournaledShard) {
   const Scene scene;
   // Default options model the post-mortem: no live observation, so a shard
   // a worker claimed but never journaled is a casualty outright.
-  const TailStatus status = tail_status(scene.journal.str(), scene.stream.str(), TailOptions{});
+  const TailStatus status = tail_status(scene.journal, scene.stream, TailOptions{});
   ASSERT_EQ(status.stalled.size(), 1u);
   EXPECT_EQ(status.stalled[0].shard, 5u);
   EXPECT_EQ(status.stalled[0].worker, 0u);
@@ -110,12 +92,12 @@ TEST(TailStatusTest, FollowModeTripsOnlyAfterTheStallBudget) {
   TailOptions opts;
   opts.stall_ms = 2000.0;
   opts.observed_idle_ms = 100.0;  // files still growing: in flight, not stalled
-  const TailStatus busy = tail_status(scene.journal.str(), scene.stream.str(), opts);
+  const TailStatus busy = tail_status(scene.journal, scene.stream, opts);
   ASSERT_EQ(busy.stalled.size(), 1u);
   EXPECT_FALSE(busy.watchdog_tripped);
 
   opts.observed_idle_ms = 2500.0;  // quiet past the budget
-  const TailStatus quiet = tail_status(scene.journal.str(), scene.stream.str(), opts);
+  const TailStatus quiet = tail_status(scene.journal, scene.stream, opts);
   EXPECT_TRUE(quiet.watchdog_tripped);
 }
 
@@ -123,10 +105,10 @@ TEST(TailStatusTest, JournaledShardIsNeverASuspect) {
   const Scene scene;
   {
     // The campaign journals shard 5 (the write raced the wall sample).
-    JournalWriter writer(scene.journal.str(), JournalReader(scene.journal.str()));
+    JournalWriter writer(scene.journal, JournalReader(scene.journal));
     writer.append_shard(5, {minimal_record(9)}, 120.0, 1);
   }
-  const TailStatus status = tail_status(scene.journal.str(), scene.stream.str(), TailOptions{});
+  const TailStatus status = tail_status(scene.journal, scene.stream, TailOptions{});
   EXPECT_TRUE(status.stalled.empty());
   EXPECT_FALSE(status.watchdog_tripped);
   EXPECT_EQ(status.done, 3u);
@@ -139,12 +121,12 @@ TEST(TailStatusTest, FinalSampleFinishesTheStatus) {
     header.seed = 42;
     header.shards = 8;
     header.jobs = 2;
-    telemetry::MetricsStreamWriter writer(scene.stream.str(), header);
+    telemetry::MetricsStreamWriter writer(scene.stream, header);
     writer.append(telemetry::format_wall_sample(500.0, {}, {{400.0, 2, 5}}));
     writer.append(
         telemetry::format_final_sample(900.0, {{"campaign.shards_done", 7}}, 7, 1, 0, 8));
   }
-  const TailStatus status = tail_status("", scene.stream.str(), TailOptions{});
+  const TailStatus status = tail_status("", scene.stream, TailOptions{});
   EXPECT_TRUE(status.finished);
   EXPECT_EQ(status.done, 7u);
   EXPECT_EQ(status.failed, 1u);
@@ -156,14 +138,14 @@ TEST(TailStatusTest, FinalSampleFinishesTheStatus) {
 
 TEST(TailStatusTest, StreamOnlyModeCountsFromCampaignCounters) {
   const Scene scene;
-  const TailStatus status = tail_status("", scene.stream.str(), TailOptions{});
+  const TailStatus status = tail_status("", scene.stream, TailOptions{});
   EXPECT_EQ(status.done, 2u) << "campaign.shards_done stands in for the journal";
   EXPECT_EQ(status.records, 0u) << "record counts need the journal";
 }
 
 TEST(TailStatusTest, JournalOnlyModeWorksWithoutAStream) {
   const Scene scene;
-  const TailStatus status = tail_status(scene.journal.str(), "", TailOptions{});
+  const TailStatus status = tail_status(scene.journal, "", TailOptions{});
   EXPECT_EQ(status.done, 2u);
   EXPECT_EQ(status.failed, 1u);
   EXPECT_TRUE(status.workers.empty());
@@ -173,7 +155,7 @@ TEST(TailStatusTest, JournalOnlyModeWorksWithoutAStream) {
 
 TEST(TailRenderTest, AlwaysPrintsUtilizationAndWatchdogSections) {
   const Scene scene;
-  const TailStatus status = tail_status(scene.journal.str(), scene.stream.str(), TailOptions{});
+  const TailStatus status = tail_status(scene.journal, scene.stream, TailOptions{});
   std::ostringstream os;
   render_tail_status(os, status);
   const std::string text = os.str();
@@ -191,7 +173,7 @@ TEST(TailRenderTest, AlwaysPrintsUtilizationAndWatchdogSections) {
             std::string::npos);
 
   // A journal-only status still prints both section headers (CI greps them).
-  const TailStatus bare = tail_status(scene.journal.str(), "", TailOptions{});
+  const TailStatus bare = tail_status(scene.journal, "", TailOptions{});
   std::ostringstream os2;
   render_tail_status(os2, bare);
   EXPECT_NE(os2.str().find("per-worker utilization:"), std::string::npos);
@@ -218,10 +200,10 @@ TEST(TailRenderTest, FinishedCampaignRendersCleanly) {
 TEST(TailRenderTest, TornTailIsAnnotatedNotFatal) {
   const Scene scene;
   {
-    std::ofstream out(scene.stream.str(), std::ios::app);
+    std::ofstream out(scene.stream, std::ios::app);
     out << "{\"sample\":\"wall\",\"t_m";
   }
-  const TailStatus status = tail_status(scene.journal.str(), scene.stream.str(), TailOptions{});
+  const TailStatus status = tail_status(scene.journal, scene.stream, TailOptions{});
   EXPECT_TRUE(status.torn);
   std::ostringstream os;
   render_tail_status(os, status);
