@@ -90,22 +90,22 @@ void BenderHost::fault_detected(FaultKind kind, std::uint32_t channel,
   RH_TELEM(telemetry_, on_command(telemetry::TraceCommand::kFault, now_, channel,
                                   pseudo_channel, 0, 0, static_cast<std::uint32_t>(kind)));
   if (span_ctx_ != nullptr) {
-    span_ctx_->mark(telemetry::SpanKind::kFault, now_, static_cast<std::uint32_t>(kind));
+    span_ctx_->mark(telemetry::Layer::kFault, now_, static_cast<std::uint32_t>(kind));
   }
 }
 
 void BenderHost::fault_recovered(FaultKind kind, std::uint32_t channel,
                                  std::uint32_t pseudo_channel, const std::string& detail) {
   ++stats_.recovered;
-  // Calls-only: the wall time of the retry is already charged to the phase
-  // (upload/drain/thermal) whose timer was open when the fault fired.
+  // Calls-only: the wall time of the retry is already charged to the layer
+  // (upload/drain/thermal) whose scope was open when the fault fired.
   profile_.record(profiling::Phase::kRecover, 0, 0.0);
   injector_->note_recovered(kind, detail);
   RH_TELEM(telemetry_, metrics().counter("resilience.recovered").add());
   RH_TELEM(telemetry_, on_command(telemetry::TraceCommand::kRecovery, now_, channel,
                                   pseudo_channel, 0, 0, static_cast<std::uint32_t>(kind)));
   if (span_ctx_ != nullptr) {
-    span_ctx_->mark(telemetry::SpanKind::kRecovery, now_, static_cast<std::uint32_t>(kind));
+    span_ctx_->mark(telemetry::Layer::kRecovery, now_, static_cast<std::uint32_t>(kind));
   }
 }
 
@@ -117,7 +117,7 @@ void BenderHost::fault_aborted(FaultKind kind, std::uint32_t channel,
   RH_TELEM(telemetry_, on_command(telemetry::TraceCommand::kRecovery, now_, channel,
                                   pseudo_channel, 0, 0, static_cast<std::uint32_t>(kind)));
   if (span_ctx_ != nullptr) {
-    span_ctx_->mark(telemetry::SpanKind::kRecovery, now_, static_cast<std::uint32_t>(kind));
+    span_ctx_->mark(telemetry::Layer::kRecovery, now_, static_cast<std::uint32_t>(kind));
   }
 }
 
@@ -196,8 +196,7 @@ ExecutionResult BenderHost::run(const Program& program, std::uint32_t channel,
 
   for (unsigned run_attempt = 1;; ++run_attempt) {
     {
-      const profiling::PhaseTimer timer(profile_, profiling::Phase::kUpload);
-      const telemetry::SpanScope span(span_ctx_, telemetry::SpanKind::kUpload, &now_);
+      const profiling::LayerScope scope(profile_, profiling::Phase::kUpload, &now_, span_ctx_);
       upload_with_retry(upload, op, channel, pseudo_channel);
     }
 
@@ -222,22 +221,18 @@ ExecutionResult BenderHost::run(const Program& program, std::uint32_t channel,
       continue;
     }
 
-    // The executor already timed itself, so the execute phase reuses
-    // RunMetrics instead of a second clock pair.
-    std::uint64_t exec_span = 0;
-    if (span_ctx_ != nullptr) exec_span = span_ctx_->open(telemetry::SpanKind::kExecute, now_);
-    ExecutionResult result = executor_.run(program, channel, pseudo_channel, now_);
-    now_ = result.end_cycle;
-    if (span_ctx_ != nullptr) span_ctx_->close(exec_span, now_);
-    profile_.record(profiling::Phase::kExecute, result.cycles(),
-                    result.metrics.host_seconds * 1e3);
+    ExecutionResult result;
+    {
+      const profiling::LayerScope scope(profile_, profiling::Phase::kExecute, &now_, span_ctx_);
+      result = executor_.run(program, channel, pseudo_channel, now_);
+      now_ = result.end_cycle;
+    }
 
     // The executor's FIFO copy is authoritative; what faults is the wire
     // copy. A verified drain therefore returns the pristine readback.
     bool drained = true;
     if (!result.readback.empty()) {
-      const profiling::PhaseTimer timer(profile_, profiling::Phase::kDrain);
-      const telemetry::SpanScope span(span_ctx_, telemetry::SpanKind::kDrain, &now_);
+      const profiling::LayerScope scope(profile_, profiling::Phase::kDrain, &now_, span_ctx_);
       if (injector_ == nullptr) {
         link_.record_download(result.readback.size());
       } else {
@@ -283,10 +278,9 @@ bool BenderHost::settle_loop(long& steps) {
 
 void BenderHost::enforce_temperature_guard(std::uint32_t channel,
                                            std::uint32_t pseudo_channel) {
-  // Any re-settle consumes simulated time, so the thermal phase samples the
+  // Any re-settle consumes simulated time, so the thermal layer samples the
   // device clock alongside the wall clock.
-  const profiling::PhaseTimer timer(profile_, profiling::Phase::kThermal, &now_);
-  const telemetry::SpanScope span(span_ctx_, telemetry::SpanKind::kThermal, &now_);
+  const profiling::LayerScope scope(profile_, profiling::Phase::kThermal, &now_, span_ctx_);
   // One thermal-fault opportunity per program launch.
   bool excursion = false;
   if (injector_->should_fire(FaultKind::kThermalExcursion)) {
@@ -339,7 +333,7 @@ void BenderHost::enforce_temperature_guard(std::uint32_t channel,
 }
 
 void BenderHost::set_chip_temperature(double celsius, double timeout_s) {
-  const profiling::PhaseTimer timer(profile_, profiling::Phase::kThermal, &now_);
+  const profiling::LayerScope scope(profile_, profiling::Phase::kThermal, &now_, span_ctx_);
   thermal_.set_target(celsius);
   // One thermal-fault opportunity per settle request: an excursion fires
   // after the first convergence (forcing a re-settle inside the same

@@ -38,7 +38,6 @@
 #include "resilience/retry.hpp"
 
 namespace rh::telemetry {
-class TraceContext;   // span.hpp — causal span tracing
 class MetricsSampler;  // stream.hpp — cycles-cadence metrics sampling
 }  // namespace rh::telemetry
 
@@ -129,11 +128,13 @@ public:
     telemetry_ = sink;
   }
 
-  /// Attaches a causal span context (nullptr detaches): every program's
-  /// upload/execute/drain (and any thermal-guard settle) becomes a child
-  /// span of the context's innermost open span, and fault detections/
-  /// recoveries become marks. The campaign attaches a per-shard context
-  /// around each attempt; detached hosts pay one pointer test per phase.
+  /// Attaches a causal span context (nullptr detaches). Each host layer —
+  /// every program's upload/execute/drain, the thermal guard and
+  /// set_chip_temperature — is timed by one profiling::LayerScope, which
+  /// also makes it a child span of the context's innermost open span; fault
+  /// detections/recoveries become marks. The campaign attaches a per-shard
+  /// context around each attempt; detached hosts pay one pointer test per
+  /// layer.
   void set_trace_context(telemetry::TraceContext* ctx) { span_ctx_ = ctx; }
 
   /// Attaches a cycles-cadence metrics sampler (nullptr detaches). The host
@@ -143,7 +144,7 @@ public:
 
   [[nodiscard]] const HostResilienceStats& resilience_stats() const { return stats_; }
 
-  /// Host-level phase profile: upload / execute / drain / recover / thermal
+  /// Host-layer profile: upload / execute / drain / recover / thermal
   /// accounting for every program this host has run. device_cycles totals
   /// are deterministic (pure functions of the command stream); wall_ms is
   /// real process time. The campaign runner merges each worker host's

@@ -59,6 +59,9 @@ void RigPool::stop() {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stop_) return;
     stop_ = true;
+    // Queued work waits for the next start: each rig finishes only the
+    // shard it holds, and the jobs stay active for a restart to resume.
+    for (auto& dq : deques_) dq.clear();
   }
   cv_.notify_all();
   for (std::thread& t : threads_) t.join();

@@ -28,9 +28,10 @@
 // comes in through PoolHooks; the service's instrumentation through an
 // optional PoolObserver.
 //
-// Drain: a rig checks for stop only when every deque is empty, so stop()
-// returns once the queued tasks have run (and journaled) and the rig
-// threads have joined.
+// Drain: stop() drops the queued tasks under the pool lock, so each rig
+// finishes (and journals) only the shard it holds, retires, and exits.
+// The jobs stay active and unfinalized: queued work waits for the next
+// start, which resumes each job from its journal.
 #pragma once
 
 #include <atomic>
@@ -123,8 +124,8 @@ public:
   /// finalized inline, never queued.
   void enqueue(const std::shared_ptr<PoolJob>& job);
 
-  /// Drain: run (and journal) every queued task, then join the rigs.
-  /// Idempotent.
+  /// Drain: drop every queued task, let each rig finish (and journal) the
+  /// shard it holds, then join the rigs. Idempotent.
   void stop();
 
   /// Tasks queued but not yet claimed by a rig.

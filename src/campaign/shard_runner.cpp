@@ -97,7 +97,7 @@ std::string ShardRun::commit(std::size_t worker, std::uint64_t shard, ExecutedSh
   if (outcome.fatal) metrics.counter("campaign.shards_fatal").add();
   if (outcome.ok) {
     dropped = append_journal([&](JournalWriter& j) {
-      const profiling::PhaseTimer timer(worker_profile, profiling::Phase::kCheckpoint);
+      const profiling::LayerScope scope(worker_profile, profiling::Phase::kCheckpoint);
       j.append_shard(shard, outcome.records, outcome.wall_ms, outcome.attempts);
     });
     metrics.counter("campaign.records").add(outcome.records.size());
@@ -165,7 +165,7 @@ void ShardRun::finish() {
   telemetry::Span root;
   root.id = telemetry::kCampaignSpanId;
   root.parent = 0;
-  root.kind = telemetry::SpanKind::kCampaign;
+  root.kind = telemetry::Layer::kCampaign;
   for (const auto& t : result.timings) root.end_cycle += t.device_cycles;
   root.end_wall_ms = result.elapsed_wall_ms;
   spans.add(root);
@@ -247,12 +247,12 @@ ExecutedShard ShardRun::execute(WorkerRig& rig, std::uint64_t shard, std::mutex&
   // read serves the whole shard.
   telemetry::MetricsStreamWriter* const writer = stream.get();
 
-  // The shard's span subtree: shard -> attempt(s) -> host phases. The
+  // The shard's span subtree: shard -> attempt(s) -> host layers. The
   // shard and attempt spans carry 0..cycles-consumed cycle stamps; host
-  // phases (opened through the context by the host) carry the absolute
+  // layers (opened through the context by the host) carry the absolute
   // host clock. Either way end - begin is cycles consumed.
   telemetry::TraceContext ctx(sheet, shard, epoch);
-  const std::uint64_t shard_span = ctx.open(telemetry::SpanKind::kShard, 0);
+  const std::uint64_t shard_span = ctx.open(telemetry::Layer::kShard, 0);
   ExecutedShard out;
   for (unsigned attempt = 0; attempt <= config_.retries && !out.ok && !out.fatal; ++attempt) {
     if (attempt > 0) {
@@ -265,7 +265,7 @@ ExecutedShard ShardRun::execute(WorkerRig& rig, std::uint64_t shard, std::mutex&
     }
     ++out.attempts;
     ctx.set_attempt(attempt + 1);
-    const std::uint64_t attempt_span = ctx.open(telemetry::SpanKind::kAttempt, 0);
+    const std::uint64_t attempt_span = ctx.open(telemetry::Layer::kAttempt, 0);
     const auto attempt_start = std::chrono::steady_clock::now();
     double build_ms = 0.0;
     hbm::Cycle run_from = 0;

@@ -11,15 +11,14 @@ namespace rh::profiling {
 
 namespace {
 
-/// Phase indices in sorted-name order, so write_json emits key-sorted
-/// objects without a runtime sort.
-constexpr std::array<Phase, kPhaseCount> kSortedPhases = {
-    Phase::kCheckpoint, Phase::kDrain,    Phase::kExecute, Phase::kIdle,
-    Phase::kRecover,    Phase::kReport,   Phase::kRigBuild, Phase::kShardRun,
-    Phase::kThermal,    Phase::kUpload,
-};
-
-static_assert(kSortedPhases.size() == kPhaseCount);
+/// Every layer in name order, so write_json emits key-sorted objects
+/// without a runtime sort.
+constexpr std::array<Phase, telemetry::kLayerCount> kLayersByName = [] {
+  std::array<Phase, telemetry::kLayerCount> out{};
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = static_cast<Phase>(i);
+  std::sort(out.begin(), out.end(), [](Phase a, Phase b) { return to_string(a) < to_string(b); });
+  return out;
+}();
 
 /// Phases whose device-cycle totals are a pure function of the sweep (the
 /// measurement command stream). Bring-up phases (thermal settle, rig_build)
@@ -39,26 +38,19 @@ void Profile::record(Phase phase, std::uint64_t device_cycles, double wall_ms,
   s.wall_ms += wall_ms;
 }
 
-double Profile::total_wall_ms() const {
-  double total = 0.0;
-  for (const auto& s : stats_) total += s.wall_ms;
-  return total;
-}
-
 void Profile::merge_from(const Profile& other) {
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
+  for (std::size_t i = 0; i < stats_.size(); ++i) {
     stats_[i].calls += other.stats_[i].calls;
     stats_[i].device_cycles += other.stats_[i].device_cycles;
     stats_[i].wall_ms += other.stats_[i].wall_ms;
   }
 }
 
-void Profile::reset() { stats_.fill(PhaseStat{}); }
-
 void Profile::write_json(std::ostream& os, bool include_wall) const {
   os << '{';
   bool first = true;
-  for (const Phase p : kSortedPhases) {
+  for (const Phase p : kLayersByName) {
+    if (!is_phase(p)) continue;
     const PhaseStat& s = stat(p);
     if (!first) os << ',';
     first = false;
@@ -74,15 +66,12 @@ void Profile::write_json(std::ostream& os, bool include_wall) const {
   os << '}';
 }
 
-void PhaseTimer::stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  const auto elapsed =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start_)
-          .count();
-  const std::uint64_t cycles =
-      cycle_clock_ != nullptr ? *cycle_clock_ - start_cycles_ : 0;
-  profile_->record(phase_, cycles, elapsed);
+LayerScope::~LayerScope() {
+  const Clock::time_point end = Clock::now();
+  const std::uint64_t end_cycle = cycle_clock_ != nullptr ? *cycle_clock_ : 0;
+  profile_->record(layer_, end_cycle - begin_cycle_,
+                   std::chrono::duration<double, std::milli>(end - begin_).count());
+  if (trace_ != nullptr) trace_->close(span_, end_cycle, end);
 }
 
 }  // namespace rh::profiling

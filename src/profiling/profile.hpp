@@ -1,9 +1,9 @@
-// Phase-level profiling for the simulator stack: where does a campaign's
+// Layer-level profiling for the simulator stack: where does a campaign's
 // time actually go?
 //
-// Every phase accounts two *independent* clocks:
+// Every layer accounts two *independent* clocks:
 //   - device_cycles — simulated interface-clock cycles consumed while the
-//     phase was open. This is physics: it is a pure function of the command
+//     layer was open. This is physics: it is a pure function of the command
 //     stream, so totals are byte-identical across --jobs counts, reruns, and
 //     machines (the determinism test pins this).
 //   - wall_ms — real host-process time (steady_clock). This is engineering:
@@ -11,15 +11,21 @@
 //     the perf baseline tracks. Wall fields are therefore *excluded* from
 //     every byte-identity check and from the deterministic report view.
 //
-// Phase taxonomy (see DESIGN.md §10):
-//   host-level  — upload / execute / drain / recover / thermal: one
-//                 BenderHost's program pipeline. Device cycles advance only
-//                 in execute (programs) and thermal (PID settle).
-//   campaign-level — rig_build / shard_run / checkpoint / idle / report:
-//                 the worker pool. shard_run *contains* the host-level
-//                 phases of the programs it ran, so campaign-level and
-//                 host-level groups each sum to ~the run's total on their
-//                 own axis; do not add the two groups together.
+// The layers are telemetry::Layer (see DESIGN.md §10); Phase names the same
+// enum. A Profile keeps the host and campaign groups:
+//   host     — upload / execute / drain / recover / thermal: one
+//              BenderHost's program pipeline. Device cycles advance only
+//              in execute (programs) and thermal (PID settle).
+//   campaign — rig_build / shard_run / checkpoint / idle / report: the rig
+//              pool. shard_run *contains* the host layers of the programs
+//              it ran, so each group sums to ~the run's total on its own
+//              axis; do not add the two groups together.
+//
+// LayerScope is the one way to time a layer as it runs: it reads the clock
+// once at each end, adds the call, cycles and wall time to a Profile, and
+// records the span through an attached TraceContext. Profile::record is for
+// the computed layers only (rig_build, shard_run, idle, and the calls-only
+// recover count).
 //
 // Threading model mirrors MetricsRegistry: each worker owns a private
 // Profile and the campaign merges them (merge_from) under its completion
@@ -31,42 +37,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <string_view>
+
+#include "telemetry/span.hpp"
 
 namespace rh::profiling {
 
-enum class Phase : std::uint8_t {
-  // host-level
-  kUpload = 0,  ///< program/wide-register PCIe upload (incl. retries)
-  kExecute,     ///< executor running a program (device cycles advance)
-  kDrain,       ///< readback FIFO drain + CRC verify (incl. re-drains)
-  kRecover,     ///< fault recovery actions (calls only; time stays in the
-                ///< phase where the retry ran, so nothing double-counts)
-  kThermal,     ///< thermal rig settle/guard (device cycles advance)
-  // campaign-level
-  kRigBuild,    ///< worker host construction + bring-up to temperature
-  kShardRun,    ///< run_shard measurement work (contains host-level phases)
-  kCheckpoint,  ///< journal append (fsync'd) under the completion lock
-  kIdle,        ///< worker lifetime not accounted to any phase above
-  kReport,      ///< end-of-run report/export generation
-};
+using Phase = telemetry::Layer;
 
-inline constexpr std::size_t kPhaseCount = 10;
-
-[[nodiscard]] constexpr std::string_view to_string(Phase p) {
-  switch (p) {
-    case Phase::kUpload: return "upload";
-    case Phase::kExecute: return "execute";
-    case Phase::kDrain: return "drain";
-    case Phase::kRecover: return "recover";
-    case Phase::kThermal: return "thermal";
-    case Phase::kRigBuild: return "rig_build";
-    case Phase::kShardRun: return "shard_run";
-    case Phase::kCheckpoint: return "checkpoint";
-    case Phase::kIdle: return "idle";
-    case Phase::kReport: return "report";
-  }
-  return "?";
+/// True for the layers a Profile reports: the host and campaign groups.
+[[nodiscard]] constexpr bool is_phase(Phase layer) {
+  return telemetry::group(layer) == "host" || telemetry::group(layer) == "campaign";
 }
 
 struct PhaseStat {
@@ -75,7 +55,7 @@ struct PhaseStat {
   double wall_ms = 0.0;
 };
 
-/// Per-thread phase accumulator. Fleet aggregation follows the
+/// Per-thread layer accumulator. Fleet aggregation follows the
 /// MetricsRegistry pattern: workers each fill their own and the owner calls
 /// merge_from once they are joined.
 class Profile {
@@ -86,13 +66,9 @@ public:
   [[nodiscard]] const PhaseStat& stat(Phase phase) const {
     return stats_[static_cast<std::size_t>(phase)];
   }
-  /// Sum of wall_ms over every phase (both groups; see the header comment
-  /// before reading anything into the number).
-  [[nodiscard]] double total_wall_ms() const;
 
-  /// Adds every phase's calls/cycles/wall from `other`.
+  /// Adds every layer's calls/cycles/wall from `other`.
   void merge_from(const Profile& other);
-  void reset();
 
   /// One key-sorted JSON object, {"checkpoint":{"calls":..,...},...}, every
   /// phase always present so documents diff cleanly. include_wall=false
@@ -104,38 +80,44 @@ public:
   void write_json(std::ostream& os, bool include_wall = true) const;
 
 private:
-  std::array<PhaseStat, kPhaseCount> stats_{};
+  std::array<PhaseStat, telemetry::kLayerCount> stats_{};
 };
 
-/// RAII scope timer: opens a phase at construction, records it into the
-/// profile at destruction (or an early stop()). `cycle_clock` may point at
-/// the owning host's simulated clock; the timer samples it at both ends so
-/// phases that advance simulated time (execute, thermal) report the cycles
-/// they consumed. Pass nullptr for pure host-side phases.
-class PhaseTimer {
+/// RAII layer timer: opens `layer` at construction and records it at
+/// destruction, a throw's unwinding included. `cycle_clock` may point at
+/// the owning host's simulated clock (null -> cycle 0); it is sampled at
+/// both ends, so layers that advance simulated time (execute, thermal)
+/// report the cycles they consumed and their spans carry the host clock.
+/// With a `trace` context attached the layer is also a span, while the
+/// context's per-attempt budget allows; the profile always counts it.
+class LayerScope {
 public:
-  PhaseTimer(Profile& profile, Phase phase, const std::uint64_t* cycle_clock = nullptr)
+  using Clock = telemetry::TraceContext::Clock;
+
+  LayerScope(Profile& profile, Phase layer, const std::uint64_t* cycle_clock = nullptr,
+             telemetry::TraceContext* trace = nullptr)
       : profile_(&profile),
+        trace_(trace),
         cycle_clock_(cycle_clock),
-        phase_(phase),
-        start_cycles_(cycle_clock != nullptr ? *cycle_clock : 0),
-        start_(std::chrono::steady_clock::now()) {}
+        layer_(layer),
+        begin_cycle_(cycle_clock != nullptr ? *cycle_clock : 0),
+        begin_(Clock::now()) {
+    if (trace_ != nullptr) span_ = trace_->open(layer_, begin_cycle_, begin_);
+  }
 
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
+  LayerScope(const LayerScope&) = delete;
+  LayerScope& operator=(const LayerScope&) = delete;
 
-  ~PhaseTimer() { stop(); }
-
-  /// Records the phase now instead of at scope exit; idempotent.
-  void stop();
+  ~LayerScope();
 
 private:
   Profile* profile_;
+  telemetry::TraceContext* trace_;
   const std::uint64_t* cycle_clock_;
-  Phase phase_;
-  std::uint64_t start_cycles_;
-  std::chrono::steady_clock::time_point start_;
-  bool stopped_ = false;
+  Phase layer_;
+  std::uint64_t begin_cycle_;
+  Clock::time_point begin_;
+  std::uint64_t span_ = 0;
 };
 
 }  // namespace rh::profiling

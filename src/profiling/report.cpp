@@ -243,22 +243,13 @@ void render_report_text(std::ostream& os, const RunReport& report) {
 
   const double total_wall = std::max(report.elapsed_wall_ms, 1e-9);
   common::Table phases({"phase", "group", "calls", "device cycles", "wall ms", "% of elapsed"});
-  struct Row {
-    Phase phase;
-    const char* group;
-  };
-  const Row rows[] = {
-      {Phase::kUpload, "host"},      {Phase::kExecute, "host"},
-      {Phase::kDrain, "host"},       {Phase::kRecover, "host"},
-      {Phase::kThermal, "host"},     {Phase::kRigBuild, "campaign"},
-      {Phase::kShardRun, "campaign"}, {Phase::kCheckpoint, "campaign"},
-      {Phase::kIdle, "campaign"},    {Phase::kReport, "campaign"},
-  };
-  for (const auto& r : rows) {
-    const PhaseStat& s = report.profile.stat(r.phase);
-    phases.add_row({std::string(to_string(r.phase)), r.group, std::to_string(s.calls),
-                    fmt_cycles(s.device_cycles), common::fmt_double(s.wall_ms, 1),
-                    common::fmt_percent(s.wall_ms / total_wall)});
+  for (std::size_t i = 0; i < telemetry::kLayerCount; ++i) {
+    const Phase p = static_cast<Phase>(i);
+    if (!is_phase(p)) continue;
+    const PhaseStat& s = report.profile.stat(p);
+    phases.add_row({std::string(to_string(p)), std::string(telemetry::group(p)),
+                    std::to_string(s.calls), fmt_cycles(s.device_cycles),
+                    common::fmt_double(s.wall_ms, 1), common::fmt_percent(s.wall_ms / total_wall)});
   }
   os << "\nphase breakdown (host-level phases nest inside campaign-level ones):\n";
   phases.print(os);

@@ -106,7 +106,8 @@ public:
   void start();
 
   /// Graceful drain: stop admitting (503), let in-flight shards journal,
-  /// stop the rigs. Idempotent; serve() returns after this.
+  /// stop the rigs. Queued shards wait for the next start, which resumes
+  /// their jobs from the journals. Idempotent; serve() returns after this.
   void drain();
 
   /// The bound port (valid after start()).

@@ -34,29 +34,22 @@ void SpanSheet::sort_canonical() {
   });
 }
 
-void SpanSheet::clear() {
-  spans_.clear();
-  dropped_ = 0;
-}
-
-TraceContext::TraceContext(SpanSheet& sheet, std::uint64_t shard,
-                           std::chrono::steady_clock::time_point epoch, std::uint64_t parent)
+TraceContext::TraceContext(SpanSheet& sheet, std::uint64_t shard, Clock::time_point epoch,
+                           std::uint64_t parent)
     : sheet_(&sheet), shard_(shard), parent_(parent), epoch_(epoch) {}
 
-double TraceContext::wall_now_ms() const {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - epoch_)
-      .count();
+double TraceContext::wall_ms(Clock::time_point at) const {
+  return std::chrono::duration<double, std::milli>(at - epoch_).count();
 }
 
 std::uint64_t TraceContext::innermost_parent() const {
   return stack_.empty() ? parent_ : sheet_->at(stack_.back()).id;
 }
 
-std::uint64_t TraceContext::open(SpanKind kind, std::uint64_t cycle) {
-  // Structural spans (shard/attempt) ignore the budget: without them the
-  // tree loses its spine and the retained phase spans dangle.
-  const bool structural = kind == SpanKind::kShard || kind == SpanKind::kAttempt;
-  if (!structural) {
+std::uint64_t TraceContext::open(Layer kind, std::uint64_t cycle, Clock::time_point at) {
+  // Tree spans (shard/attempt) ignore the budget: without them the tree
+  // loses its spine and the retained host-layer spans dangle.
+  if (group(kind) != "tree") {
     if (budget_ == 0) {
       sheet_->note_dropped();
       return 0;
@@ -71,16 +64,16 @@ std::uint64_t TraceContext::open(SpanKind kind, std::uint64_t cycle) {
   span.kind = kind;
   span.begin_cycle = cycle;
   span.end_cycle = cycle;
-  span.begin_wall_ms = wall_now_ms();
+  span.begin_wall_ms = wall_ms(at);
   span.end_wall_ms = span.begin_wall_ms;
   span.open = true;
   stack_.push_back(sheet_->add(span));
   return span.id;
 }
 
-void TraceContext::close(std::uint64_t id, std::uint64_t cycle) {
+void TraceContext::close(std::uint64_t id, std::uint64_t cycle, Clock::time_point at) {
   if (id == 0) return;  // budget-dropped span
-  const double wall = wall_now_ms();
+  const double wall = wall_ms(at);
   while (!stack_.empty()) {
     Span& span = sheet_->at(stack_.back());
     stack_.pop_back();
@@ -93,7 +86,7 @@ void TraceContext::close(std::uint64_t id, std::uint64_t cycle) {
   }
 }
 
-void TraceContext::mark(SpanKind kind, std::uint64_t cycle, std::uint32_t arg) {
+void TraceContext::mark(Layer kind, std::uint64_t cycle, std::uint32_t arg) {
   Span span;
   span.id = span_id(shard_, attempt_, seq_++);
   span.parent = innermost_parent();
@@ -103,7 +96,7 @@ void TraceContext::mark(SpanKind kind, std::uint64_t cycle, std::uint32_t arg) {
   span.arg = arg;
   span.begin_cycle = cycle;
   span.end_cycle = cycle;
-  span.begin_wall_ms = wall_now_ms();
+  span.begin_wall_ms = wall_ms(Clock::now());
   span.end_wall_ms = span.begin_wall_ms;
   span.open = false;
   sheet_->add(span);
@@ -132,8 +125,7 @@ void write_chrome_span_events(std::ostream& os, const std::vector<Span>& spans, 
     std::snprintf(parent_buf, sizeof parent_buf, id_fmt,
                   static_cast<unsigned long long>(s.parent));
     const std::uint64_t cycles = s.end_cycle - s.begin_cycle;
-    const bool is_mark = s.kind == SpanKind::kFault || s.kind == SpanKind::kRecovery;
-    if (is_mark) {
+    if (group(s.kind) == "mark") {
       os << ",{\"name\":\"" << to_string(s.kind) << "\",\"cat\":\"span\",\"ph\":\"n\",\"id\":\""
          << id_buf << "\",\"pid\":" << kSpanPid << ",\"tid\":" << s.shard
          << ",\"ts\":" << ts_text(s.begin_wall_ms) << ",\"args\":{\"arg\":" << s.arg

@@ -1,13 +1,21 @@
-// Causal span tracing for the campaign stack: every unit of work — the
-// campaign itself, each shard, each attempt on a shard, and each host phase
-// (upload/execute/drain/recover/thermal) inside an attempt — becomes a Span
-// with a parent link, so a finished run carries a forest
+// The lab's one layer taxonomy, and causal span tracing over it.
 //
-//   campaign -> shard -> attempt -> host phase -> fault/recovery marks
+// Layer names every unit of work once, with its name and group:
+//   tree     — campaign / shard / attempt: the span forest's spine;
+//   host     — upload / execute / drain / recover / thermal: one
+//              BenderHost's program pipeline;
+//   campaign — rig_build / shard_run / checkpoint / idle / report: one
+//              rig's lifetime in the pool;
+//   mark     — fault / recovery: zero-length marks.
+// A profiling::Profile keys its stats by the host and campaign layers
+// (profiling::Phase is this enum), and profiling::LayerScope times a layer
+// into both at once. A finished run carries a forest
+//
+//   campaign -> shard -> attempt -> host layer -> fault/recovery marks
 //
 // that attributes cost causally: a slow shard's row in the run report links
 // (by span id) to the exact attempts, retries, and recoveries that made it
-// slow.
+// slow. `recover` is calls-only and never a span.
 //
 // Determinism: span ids are pure functions of (shard, attempt, sequence) —
 // see span_id() — so the same sweep produces the same tree regardless of
@@ -34,38 +42,59 @@
 
 namespace rh::telemetry {
 
-/// What a span covers. kFault/kRecovery are zero-length marks (arg =
-/// resilience::FaultKind); everything else is a real interval.
-enum class SpanKind : std::uint8_t {
+/// Every layer, grouped tree, host, campaign, mark (see layer_info); the
+/// run report's phase table lists the host and campaign layers in this
+/// order.
+enum class Layer : std::uint8_t {
   kCampaign = 0,  ///< the whole run (root, exactly one per campaign)
   kShard,         ///< one shard, all attempts included
   kAttempt,       ///< one attempt on a shard (retries open fresh attempts)
-  kUpload,        ///< host phase: program/wide-register PCIe upload
-  kExecute,       ///< host phase: executor running a program
-  kDrain,         ///< host phase: readback FIFO drain + CRC verify
-  kRecover,       ///< host phase: fault recovery action
-  kThermal,       ///< host phase: thermal settle / temperature guard
+  kUpload,        ///< program/wide-register PCIe upload (incl. retries)
+  kExecute,       ///< executor running a program (device cycles advance)
+  kDrain,         ///< readback FIFO drain + CRC verify (incl. re-drains)
+  kRecover,       ///< fault recoveries, calls only: the retry's time stays
+                  ///< in the layer it ran in, so nothing double-counts
+  kThermal,       ///< thermal settle / temperature guard (cycles advance)
+  kRigBuild,      ///< host construction + bring-up to temperature
+  kShardRun,      ///< run_shard measurement work (contains the host layers)
+  kCheckpoint,    ///< journal append (fsync'd) under the completion lock
+  kIdle,          ///< rig attachment time no campaign layer claims
+  kReport,        ///< end-of-run report generation (a report key only)
   kFault,         ///< mark: a fault was detected (arg = FaultKind)
   kRecovery,      ///< mark: the fault was healed or aborted (arg = FaultKind)
 };
 
-inline constexpr std::size_t kSpanKindCount = 10;
+/// Layers are numbered 0 .. kLayerCount - 1; kRecovery is the last.
+inline constexpr std::size_t kLayerCount = static_cast<std::size_t>(Layer::kRecovery) + 1;
 
-[[nodiscard]] constexpr std::string_view to_string(SpanKind k) {
-  switch (k) {
-    case SpanKind::kCampaign: return "campaign";
-    case SpanKind::kShard: return "shard";
-    case SpanKind::kAttempt: return "attempt";
-    case SpanKind::kUpload: return "upload";
-    case SpanKind::kExecute: return "execute";
-    case SpanKind::kDrain: return "drain";
-    case SpanKind::kRecover: return "recover";
-    case SpanKind::kThermal: return "thermal";
-    case SpanKind::kFault: return "fault";
-    case SpanKind::kRecovery: return "recovery";
+struct LayerInfo {
+  std::string_view name;
+  std::string_view group;  ///< "tree", "host", "campaign" or "mark"
+};
+
+[[nodiscard]] constexpr LayerInfo layer_info(Layer layer) {
+  switch (layer) {
+    case Layer::kCampaign: return {"campaign", "tree"};
+    case Layer::kShard: return {"shard", "tree"};
+    case Layer::kAttempt: return {"attempt", "tree"};
+    case Layer::kUpload: return {"upload", "host"};
+    case Layer::kExecute: return {"execute", "host"};
+    case Layer::kDrain: return {"drain", "host"};
+    case Layer::kRecover: return {"recover", "host"};
+    case Layer::kThermal: return {"thermal", "host"};
+    case Layer::kRigBuild: return {"rig_build", "campaign"};
+    case Layer::kShardRun: return {"shard_run", "campaign"};
+    case Layer::kCheckpoint: return {"checkpoint", "campaign"};
+    case Layer::kIdle: return {"idle", "campaign"};
+    case Layer::kReport: return {"report", "campaign"};
+    case Layer::kFault: return {"fault", "mark"};
+    case Layer::kRecovery: return {"recovery", "mark"};
   }
-  return "?";
+  return {"?", "?"};
 }
+
+[[nodiscard]] constexpr std::string_view to_string(Layer layer) { return layer_info(layer).name; }
+[[nodiscard]] constexpr std::string_view group(Layer layer) { return layer_info(layer).group; }
 
 /// The root campaign span's id. Shard-derived ids start at (0+1)<<32, so
 /// the root can never collide with them.
@@ -86,11 +115,11 @@ struct Span {
   std::uint64_t parent = 0;
   std::uint64_t shard = 0;
   std::uint32_t attempt = 0;  ///< 1-based; 0 for campaign/shard spans
-  SpanKind kind = SpanKind::kCampaign;
+  Layer kind = Layer::kCampaign;
   std::uint32_t arg = 0;  ///< FaultKind for kFault/kRecovery marks
-  /// Device-clock stamps. Host phases carry the absolute host clock at
-  /// open/close; campaign-level spans carry 0 .. cycles-consumed. Either
-  /// way end_cycle - begin_cycle is the cycles the span consumed.
+  /// Device-clock stamps. Host layers carry the absolute host clock at
+  /// open/close; tree spans carry 0 .. cycles-consumed. Either way
+  /// end_cycle - begin_cycle is the cycles the span consumed.
   std::uint64_t begin_cycle = 0;
   std::uint64_t end_cycle = 0;
   /// Host wall clock, milliseconds since the campaign epoch.
@@ -99,9 +128,9 @@ struct Span {
   bool open = false;  ///< still open (campaign killed mid-span)
 };
 
-/// Host-phase spans retained per attempt before the collector starts
-/// dropping (structural spans — shard/attempt — and fault/recovery marks
-/// are never dropped). Bounds span memory for huge campaigns the same way
+/// Host-layer spans retained per attempt before the collector starts
+/// dropping (tree spans — shard/attempt — and fault/recovery marks are
+/// never dropped). Bounds span memory for huge campaigns the same way
 /// TraceRing bounds command events.
 inline constexpr std::uint32_t kSpanBudgetPerAttempt = 512;
 
@@ -109,11 +138,11 @@ inline constexpr std::uint32_t kSpanBudgetPerAttempt = 512;
 /// sheets under its completion lock, mirroring Profile/Telemetry.
 class SpanSheet {
 public:
-  /// Appends a span and returns its index (stable until merge/clear).
+  /// Appends a span and returns its index (stable until merge).
   std::size_t add(const Span& span);
   [[nodiscard]] Span& at(std::size_t index) { return spans_[index]; }
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
-  /// Host-phase spans dropped by per-attempt budgets (TraceContext reports
+  /// Host-layer spans dropped by per-attempt budgets (TraceContext reports
   /// its drops here; merge_from accumulates).
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   void note_dropped(std::uint64_t n = 1) { dropped_ += n; }
@@ -124,7 +153,6 @@ public:
   /// groups by shard, then attempt, then open sequence — and always places
   /// a parent before its children. Call once after the final merge.
   void sort_canonical();
-  void clear();
 
 private:
   std::vector<Span> spans_;
@@ -134,68 +162,44 @@ private:
 /// Per-shard span builder, used single-threaded by the worker that owns the
 /// shard. Open spans nest: open() parents the new span under the innermost
 /// open span (or under the shard span, or `parent` before the shard span
-/// opens). The BenderHost holds a TraceContext* (null by default) and wraps
-/// its phases in SpanScope, so hosts outside a campaign pay one pointer
-/// test per phase.
+/// opens). The BenderHost holds a TraceContext* (null by default) and
+/// passes it to the profiling::LayerScope of each host layer, so hosts
+/// outside a campaign pay one pointer test per layer.
 class TraceContext {
 public:
+  using Clock = std::chrono::steady_clock;
+
   /// `epoch` anchors the wall-clock stamps (pass the campaign run start so
   /// every worker's spans share one timeline).
-  TraceContext(SpanSheet& sheet, std::uint64_t shard,
-               std::chrono::steady_clock::time_point epoch,
+  TraceContext(SpanSheet& sheet, std::uint64_t shard, Clock::time_point epoch,
                std::uint64_t parent = kCampaignSpanId);
 
-  /// Opens a span at `cycle`; returns its id (0 when the per-attempt budget
-  /// is exhausted — close(0) is a no-op, the drop is accounted).
-  std::uint64_t open(SpanKind kind, std::uint64_t cycle);
+  /// Opens a span at `cycle` and wall time `at`; returns its id (0 when the
+  /// per-attempt budget is exhausted — close(0) is a no-op, the drop is
+  /// accounted).
+  std::uint64_t open(Layer kind, std::uint64_t cycle, Clock::time_point at = Clock::now());
   /// Closes the span `id` (innermost-first; out-of-order closes unwind the
   /// stack to the matching span, closing skipped spans at the same cycle).
-  void close(std::uint64_t id, std::uint64_t cycle);
+  void close(std::uint64_t id, std::uint64_t cycle, Clock::time_point at = Clock::now());
   /// Records a zero-length mark (fault/recovery) under the innermost open
   /// span. Marks are never dropped.
-  void mark(SpanKind kind, std::uint64_t cycle, std::uint32_t arg);
+  void mark(Layer kind, std::uint64_t cycle, std::uint32_t arg);
   /// Starts attempt `attempt` (1-based): resets the sequence counter and
   /// the per-attempt budget. Call before opening the kAttempt span.
   void set_attempt(std::uint32_t attempt);
 
-  [[nodiscard]] std::uint64_t shard() const { return shard_; }
-  [[nodiscard]] std::uint32_t attempt() const { return attempt_; }
-
 private:
-  [[nodiscard]] double wall_now_ms() const;
+  [[nodiscard]] double wall_ms(Clock::time_point at) const;
   [[nodiscard]] std::uint64_t innermost_parent() const;
 
   SpanSheet* sheet_;
   std::uint64_t shard_;
   std::uint64_t parent_;
-  std::chrono::steady_clock::time_point epoch_;
+  Clock::time_point epoch_;
   std::uint32_t attempt_ = 0;
   std::uint32_t seq_ = 0;
   std::uint32_t budget_ = kSpanBudgetPerAttempt;
   std::vector<std::size_t> stack_;  ///< indices of open spans in sheet_
-};
-
-/// RAII span: opens `kind` at construction, closes at destruction, sampling
-/// `*cycle_clock` (may be null -> cycle 0) at both ends. A null `ctx` makes
-/// the scope free.
-class SpanScope {
-public:
-  SpanScope(TraceContext* ctx, SpanKind kind, const std::uint64_t* cycle_clock)
-      : ctx_(ctx), cycle_clock_(cycle_clock) {
-    if (ctx_ != nullptr) {
-      id_ = ctx_->open(kind, cycle_clock_ != nullptr ? *cycle_clock_ : 0);
-    }
-  }
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-  ~SpanScope() {
-    if (ctx_ != nullptr) ctx_->close(id_, cycle_clock_ != nullptr ? *cycle_clock_ : 0);
-  }
-
-private:
-  TraceContext* ctx_;
-  const std::uint64_t* cycle_clock_;
-  std::uint64_t id_ = 0;
 };
 
 /// Writes the spans as Chrome trace-event async "b"/"e" pairs (marks as

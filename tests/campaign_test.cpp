@@ -6,11 +6,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/journal.hpp"
@@ -183,8 +185,10 @@ TEST(CampaignTest, FatalShardFailureIsIsolatedWithoutRetries) {
   const std::size_t poisoned = 3;
   spec.shards[poisoned].site.channel = 99;
 
+  // One rig runs the shards in order, so the poisoned shard starts on a
+  // host whose clock already advanced through shards 0-2.
   CampaignConfig config = quiet_config();
-  config.jobs = 4;
+  config.jobs = 1;
   config.fail_on_shard_error = false;
   Campaign campaign(config);
   const auto result = campaign.run(spec);
@@ -200,6 +204,21 @@ TEST(CampaignTest, FatalShardFailureIsIsolatedWithoutRetries) {
     if (i != poisoned) {
       EXPECT_FALSE(result.per_shard[i].empty()) << "shard " << i;
     }
+  }
+
+  // The executor's throw unwinds the execute span at the host clock, so
+  // every span consumed a non-negative number of cycles and the Chrome
+  // export never writes an underflowed count.
+  for (const telemetry::Span& s : campaign.spans().spans()) {
+    EXPECT_GE(s.end_cycle, s.begin_cycle) << "span 0x" << std::hex << s.id;
+  }
+  std::ostringstream chrome;
+  telemetry::write_chrome_spans(chrome, campaign.spans());
+  const std::string json = chrome.str();
+  const std::string key = "\"cycles\":";
+  for (std::size_t at = json.find(key); at != std::string::npos; at = json.find(key, at + 1)) {
+    EXPECT_LT(std::strtoull(json.c_str() + at + key.size(), nullptr, 10), std::uint64_t{1} << 63)
+        << json.substr(at, 40);
   }
 
   CampaignConfig strict = quiet_config();
@@ -353,6 +372,61 @@ TEST(RigPoolTest, StealsAreExactWhenOneRigIsHeldAtBringUp) {
   expect_records_equal(job->run->result.flat(), one.run(spec).flat());
 }
 
+TEST(RigPoolTest, StopLeavesQueuedShardsForTheNextStart) {
+  // One rig and one job of 18 shards. The rig's first bring-up blocks, so
+  // it holds the shard it claimed while stop() runs on a helper thread:
+  // stop() drops the 17 queued shards, and the released rig finishes only
+  // the shard it holds. The job is never finalized; a restart resumes it.
+  const SweepSpec spec = quick_sweep();
+  std::mutex gate_mutex;
+  std::condition_variable gate;
+  bool held = false;      // guarded by gate_mutex
+  bool released = false;  // guarded by gate_mutex
+  const HostFactory factory = [&](const SweepSpec& s) {
+    {
+      std::unique_lock<std::mutex> lock(gate_mutex);
+      if (!held) {
+        held = true;
+        gate.notify_all();
+        gate.wait_for(lock, std::chrono::minutes(1), [&] { return released; });
+      }
+    }
+    auto host = std::make_unique<bender::BenderHost>(s.device);
+    host->device().set_temperature(s.temperature_c);
+    return host;
+  };
+
+  const auto job = std::make_shared<PoolJob>();
+  job->run = std::make_unique<ShardRun>(spec, quiet_config(), factory, nullptr);
+  job->run->workers.resize(1);
+  job->remaining = spec.shards.size();
+  RigPool pool(1, PoolHooks{});
+  pool.enqueue(job);
+  pool.start();
+  {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    ASSERT_TRUE(gate.wait_for(lock, std::chrono::minutes(1), [&] { return held; }));
+  }
+  std::thread stopper([&] { pool.stop(); });
+  // Bounded, so a stop() that runs the queue fails here instead of hanging.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (pool.queue_depth() != 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  {
+    const std::lock_guard<std::mutex> lock(gate_mutex);
+    released = true;
+  }
+  gate.notify_all();
+  stopper.join();
+
+  EXPECT_EQ(pool.shards_run(), 1u);
+  const std::lock_guard<std::mutex> lock(job->mutex);
+  EXPECT_EQ(job->remaining, spec.shards.size() - 1);
+  EXPECT_FALSE(job->finalized);
+}
+
 TEST(CampaignTest, SpanForestLinksARetriedFaultInjectedShardCausally) {
   SweepSpec spec = quick_sweep();
   spec.shards.resize(4);
@@ -398,7 +472,7 @@ TEST(CampaignTest, SpanForestLinksARetriedFaultInjectedShardCausally) {
   };
   // Root -> shard 0 -> two attempts; the fault marks hang inside attempt 1.
   ASSERT_NE(find(telemetry::kCampaignSpanId), nullptr);
-  EXPECT_EQ(find(telemetry::kCampaignSpanId)->kind, telemetry::SpanKind::kCampaign);
+  EXPECT_EQ(find(telemetry::kCampaignSpanId)->kind, telemetry::Layer::kCampaign);
   const telemetry::Span* shard0 = find(telemetry::span_id(0, 0, 0));
   ASSERT_NE(shard0, nullptr);
   EXPECT_EQ(shard0->parent, telemetry::kCampaignSpanId);
@@ -411,13 +485,13 @@ TEST(CampaignTest, SpanForestLinksARetriedFaultInjectedShardCausally) {
   std::size_t faults = 0;
   std::size_t recoveries = 0;
   for (const auto& s : spans.spans()) {
-    if (s.kind == telemetry::SpanKind::kFault) {
+    if (s.kind == telemetry::Layer::kFault) {
       ++faults;
       EXPECT_EQ(s.shard, 0u);
       EXPECT_EQ(s.attempt, 1u) << "faults were scripted for the first attempt only";
       EXPECT_EQ(s.arg, static_cast<std::uint32_t>(resilience::FaultKind::kUploadTimeout));
     }
-    if (s.kind == telemetry::SpanKind::kRecovery) ++recoveries;
+    if (s.kind == telemetry::Layer::kRecovery) ++recoveries;
     EXPECT_FALSE(s.open) << "a finished campaign leaves no span open";
   }
   EXPECT_EQ(faults, 2u) << "both scripted timeouts must be marked";

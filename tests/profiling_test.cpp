@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,15 +25,16 @@
 #include "profiling/report.hpp"
 #include "scratch_dir.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/span.hpp"
 
 namespace rh {
 namespace {
 
 using campaign::CampaignConfig;
 using campaign::SweepSpec;
+using profiling::LayerScope;
 using profiling::Phase;
 using profiling::PhaseStat;
-using profiling::PhaseTimer;
 using profiling::Profile;
 
 // ---------------------------------------------------------------- histogram
@@ -129,18 +132,19 @@ TEST(ProfileTest, RecordAccumulatesAndMergeAdds) {
   b.merge_from(a);
   EXPECT_EQ(b.stat(Phase::kExecute).calls, 3u);
   EXPECT_EQ(b.stat(Phase::kExecute).device_cycles, 175u);
-  EXPECT_DOUBLE_EQ(b.total_wall_ms(), 4.25);
+  EXPECT_DOUBLE_EQ(b.stat(Phase::kExecute).wall_ms, 2.25);
+  EXPECT_DOUBLE_EQ(b.stat(Phase::kCheckpoint).wall_ms, 2.0);
 
-  b.reset();
-  EXPECT_EQ(b.stat(Phase::kExecute).calls, 0u);
-  EXPECT_DOUBLE_EQ(b.total_wall_ms(), 0.0);
+  const Profile fresh;
+  EXPECT_EQ(fresh.stat(Phase::kExecute).calls, 0u);
+  EXPECT_DOUBLE_EQ(fresh.stat(Phase::kExecute).wall_ms, 0.0);
 }
 
-TEST(ProfileTest, PhaseTimerSamplesTheCycleClock) {
+TEST(ProfileTest, LayerScopeSamplesTheCycleClock) {
   Profile p;
   std::uint64_t clock = 1000;
   {
-    const PhaseTimer timer(p, Phase::kThermal, &clock);
+    const LayerScope scope(p, Phase::kThermal, &clock);
     clock += 250;
   }
   EXPECT_EQ(p.stat(Phase::kThermal).calls, 1u);
@@ -148,12 +152,30 @@ TEST(ProfileTest, PhaseTimerSamplesTheCycleClock) {
   EXPECT_GE(p.stat(Phase::kThermal).wall_ms, 0.0);
 }
 
-TEST(ProfileTest, TimerStopIsIdempotent) {
+TEST(ProfileTest, LayerScopeRecordsOnceAndClosesItsSpanWhenUnwound) {
+  // A throw inside the layer (the executor rejecting a program) unwinds
+  // the scope: the call is counted once, and the span closes at the clock
+  // where it stands instead of staying open for an outer close to end.
   Profile p;
-  PhaseTimer timer(p, Phase::kUpload);
-  timer.stop();
-  timer.stop();  // destructor will be the third stop
-  EXPECT_EQ(p.stat(Phase::kUpload).calls, 1u);
+  telemetry::SpanSheet sheet;
+  telemetry::TraceContext ctx(sheet, 0, std::chrono::steady_clock::now());
+  ctx.set_attempt(1);
+  std::uint64_t clock = 5000;
+  try {
+    const LayerScope scope(p, Phase::kExecute, &clock, &ctx);
+    throw std::runtime_error("rejected");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(p.stat(Phase::kExecute).calls, 1u);
+  EXPECT_EQ(p.stat(Phase::kExecute).device_cycles, 0u);
+  ASSERT_EQ(sheet.spans().size(), 1u);
+  const telemetry::Span& span = sheet.spans()[0];
+  EXPECT_EQ(span.kind, Phase::kExecute);
+  EXPECT_FALSE(span.open);
+  EXPECT_EQ(span.begin_cycle, 5000u);
+  EXPECT_EQ(span.end_cycle, 5000u);
+  EXPECT_NEAR(span.end_wall_ms - span.begin_wall_ms, p.stat(Phase::kExecute).wall_ms, 1e-6)
+      << "one clock read at each end serves the profile and the span";
 }
 
 TEST(ProfileTest, DeterministicJsonKeepsOnlyMeasurementCycles) {

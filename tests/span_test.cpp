@@ -1,5 +1,5 @@
 // Tests of the causal span layer (telemetry/span.hpp): deterministic span
-// ids, TraceContext nesting and unwinding, the per-attempt phase budget,
+// ids, TraceContext nesting and unwinding, the per-attempt layer budget,
 // cross-sheet merge + canonical ordering, and the Chrome async export.
 #include "telemetry/span.hpp"
 
@@ -40,13 +40,13 @@ TEST(SpanIdTest, EncodesTreePositionAndNeverCollidesWithRoot) {
 TEST(TraceContextTest, NestsPhasesUnderAttemptUnderShard) {
   SpanSheet sheet;
   TraceContext ctx(sheet, 3, epoch());
-  const std::uint64_t shard = ctx.open(SpanKind::kShard, 0);
+  const std::uint64_t shard = ctx.open(Layer::kShard, 0);
   ctx.set_attempt(1);
-  const std::uint64_t attempt = ctx.open(SpanKind::kAttempt, 0);
-  const std::uint64_t upload = ctx.open(SpanKind::kUpload, 100);
+  const std::uint64_t attempt = ctx.open(Layer::kAttempt, 0);
+  const std::uint64_t upload = ctx.open(Layer::kUpload, 100);
   ctx.close(upload, 250);
-  const std::uint64_t execute = ctx.open(SpanKind::kExecute, 250);
-  ctx.mark(SpanKind::kFault, 300, 2);
+  const std::uint64_t execute = ctx.open(Layer::kExecute, 250);
+  ctx.mark(Layer::kFault, 300, 2);
   ctx.close(execute, 900);
   ctx.close(attempt, 900);
   ctx.close(shard, 900);
@@ -59,7 +59,7 @@ TEST(TraceContextTest, NestsPhasesUnderAttemptUnderShard) {
   EXPECT_EQ(find_span(sheet, execute).parent, attempt);
   const Span* mark = nullptr;
   for (const Span& s : sheet.spans()) {
-    if (s.kind == SpanKind::kFault) mark = &s;
+    if (s.kind == Layer::kFault) mark = &s;
   }
   ASSERT_NE(mark, nullptr);
   EXPECT_EQ(mark->parent, execute);
@@ -78,11 +78,11 @@ TEST(TraceContextTest, IdsAreDeterministicFunctionsOfTreePosition) {
   // sequences — the property that makes merged forests --jobs-invariant.
   const auto replay = [](SpanSheet& sheet) {
     TraceContext ctx(sheet, 5, epoch());
-    const auto shard = ctx.open(SpanKind::kShard, 0);
+    const auto shard = ctx.open(Layer::kShard, 0);
     for (std::uint32_t a = 1; a <= 2; ++a) {
       ctx.set_attempt(a);
-      const auto attempt = ctx.open(SpanKind::kAttempt, 0);
-      const auto upload = ctx.open(SpanKind::kUpload, 10);
+      const auto attempt = ctx.open(Layer::kAttempt, 0);
+      const auto upload = ctx.open(Layer::kUpload, 10);
       ctx.close(upload, 20);
       ctx.close(attempt, 30);
     }
@@ -107,10 +107,10 @@ TEST(TraceContextTest, OutOfOrderCloseUnwindsSkippedSpans) {
   // attempt must close the skipped execute span too (at the same cycle).
   SpanSheet sheet;
   TraceContext ctx(sheet, 0, epoch());
-  const auto shard = ctx.open(SpanKind::kShard, 0);
+  const auto shard = ctx.open(Layer::kShard, 0);
   ctx.set_attempt(1);
-  const auto attempt = ctx.open(SpanKind::kAttempt, 0);
-  const auto execute = ctx.open(SpanKind::kExecute, 50);
+  const auto attempt = ctx.open(Layer::kAttempt, 0);
+  const auto execute = ctx.open(Layer::kExecute, 50);
   ctx.close(attempt, 120);  // execute never closed explicitly
   ctx.close(shard, 120);
   EXPECT_FALSE(find_span(sheet, execute).open);
@@ -121,34 +121,34 @@ TEST(TraceContextTest, OutOfOrderCloseUnwindsSkippedSpans) {
 TEST(TraceContextTest, PhaseBudgetDropsOverflowButKeepsStructureAndMarks) {
   SpanSheet sheet;
   TraceContext ctx(sheet, 0, epoch());
-  const auto shard = ctx.open(SpanKind::kShard, 0);
+  const auto shard = ctx.open(Layer::kShard, 0);
   ctx.set_attempt(1);
-  const auto attempt = ctx.open(SpanKind::kAttempt, 0);
+  const auto attempt = ctx.open(Layer::kAttempt, 0);
   // The attempt span is structural and must not consume phase budget:
   // exactly kSpanBudgetPerAttempt phases fit.
   for (std::uint32_t i = 0; i < kSpanBudgetPerAttempt; ++i) {
-    const auto id = ctx.open(SpanKind::kExecute, i);
+    const auto id = ctx.open(Layer::kExecute, i);
     EXPECT_NE(id, 0u) << "phase " << i << " should be within budget";
     ctx.close(id, i + 1);
   }
   EXPECT_EQ(sheet.dropped(), 0u);
   // Past the budget: opens return 0, close(0) is a no-op, drops accrue.
-  const auto dropped_id = ctx.open(SpanKind::kExecute, 999);
+  const auto dropped_id = ctx.open(Layer::kExecute, 999);
   EXPECT_EQ(dropped_id, 0u);
   ctx.close(dropped_id, 1000);
-  ctx.open(SpanKind::kDrain, 999);
+  ctx.open(Layer::kDrain, 999);
   EXPECT_EQ(sheet.dropped(), 2u);
   // Marks are never dropped, even with the budget exhausted.
-  ctx.mark(SpanKind::kRecovery, 1000, 1);
+  ctx.mark(Layer::kRecovery, 1000, 1);
   EXPECT_EQ(sheet.dropped(), 2u);
   bool saw_mark = false;
-  for (const Span& s : sheet.spans()) saw_mark |= s.kind == SpanKind::kRecovery;
+  for (const Span& s : sheet.spans()) saw_mark |= s.kind == Layer::kRecovery;
   EXPECT_TRUE(saw_mark);
   // A retry (fresh attempt) refills the budget.
   ctx.close(attempt, 2000);
   ctx.set_attempt(2);
-  const auto attempt2 = ctx.open(SpanKind::kAttempt, 0);
-  EXPECT_NE(ctx.open(SpanKind::kExecute, 0), 0u);
+  const auto attempt2 = ctx.open(Layer::kAttempt, 0);
+  EXPECT_NE(ctx.open(Layer::kExecute, 0), 0u);
   ctx.close(attempt2, 10);
   ctx.close(shard, 10);
   // Retained count: shard + 2 attempts + budget phases + 1 post-refill
@@ -163,9 +163,9 @@ TEST(SpanSheetTest, MergeAccumulatesSpansAndDropsAndSortsCanonically) {
   {
     SpanSheet w0;
     TraceContext ctx(w0, 7, epoch());
-    const auto shard = ctx.open(SpanKind::kShard, 0);
+    const auto shard = ctx.open(Layer::kShard, 0);
     ctx.set_attempt(1);
-    const auto attempt = ctx.open(SpanKind::kAttempt, 0);
+    const auto attempt = ctx.open(Layer::kAttempt, 0);
     ctx.close(attempt, 5);
     ctx.close(shard, 5);
     w0.note_dropped(3);
@@ -174,14 +174,14 @@ TEST(SpanSheetTest, MergeAccumulatesSpansAndDropsAndSortsCanonically) {
   {
     SpanSheet w1;
     TraceContext ctx(w1, 2, epoch());
-    const auto shard = ctx.open(SpanKind::kShard, 0);
+    const auto shard = ctx.open(Layer::kShard, 0);
     ctx.close(shard, 9);
     w1.note_dropped(1);
     merged.merge_from(w1);
   }
   Span root;
   root.id = kCampaignSpanId;
-  root.kind = SpanKind::kCampaign;
+  root.kind = Layer::kCampaign;
   merged.add(root);
   merged.sort_canonical();
 
@@ -190,23 +190,23 @@ TEST(SpanSheetTest, MergeAccumulatesSpansAndDropsAndSortsCanonically) {
   EXPECT_EQ(merged.spans()[0].id, kCampaignSpanId) << "root sorts first";
   EXPECT_EQ(merged.spans()[1].shard, 2u);
   EXPECT_EQ(merged.spans()[2].shard, 7u);
-  EXPECT_EQ(merged.spans()[3].kind, SpanKind::kAttempt);
+  EXPECT_EQ(merged.spans()[3].kind, Layer::kAttempt);
   // Ascending ids place every parent before its children.
   for (std::size_t i = 1; i < merged.spans().size(); ++i) {
     EXPECT_GT(merged.spans()[i].id, merged.spans()[i - 1].id);
   }
-  merged.clear();
-  EXPECT_TRUE(merged.spans().empty());
-  EXPECT_EQ(merged.dropped(), 0u);
+  const SpanSheet fresh;
+  EXPECT_TRUE(fresh.spans().empty());
+  EXPECT_EQ(fresh.dropped(), 0u);
 }
 
 TEST(SpanExportTest, ChromeSpansCarryTreeAndPairBeginEnd) {
   SpanSheet sheet;
   TraceContext ctx(sheet, 1, epoch());
-  const auto shard = ctx.open(SpanKind::kShard, 0);
+  const auto shard = ctx.open(Layer::kShard, 0);
   ctx.set_attempt(1);
-  const auto attempt = ctx.open(SpanKind::kAttempt, 0);
-  ctx.mark(SpanKind::kFault, 40, 0);
+  const auto attempt = ctx.open(Layer::kAttempt, 0);
+  ctx.mark(Layer::kFault, 40, 0);
   ctx.close(attempt, 80);
   ctx.close(shard, 80);
 
