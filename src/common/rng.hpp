@@ -104,6 +104,14 @@ inline constexpr double kApproxNormalMin = approx_normal_of_lane_sum(0);
   return lo;
 }
 
+/// The strict form: the largest lane sum whose approx normal is < z, for
+/// z > kApproxNormalMin, so `lane_sum(h) <= max_lane_sum_below(z)` holds
+/// exactly when `approx_normal(h) < z`.
+[[nodiscard]] constexpr std::uint32_t max_lane_sum_below(double z) noexcept {
+  const std::uint32_t sum = max_lane_sum_at_most(z);
+  return approx_normal_of_lane_sum(sum) < z ? sum : sum - 1;
+}
+
 /// xoshiro256** sequential PRNG for host-side sampling decisions.
 /// Satisfies std::uniform_random_bit_generator.
 class Xoshiro256 {

@@ -72,13 +72,15 @@ std::size_t RetentionModel::apply(const BankContext& b, std::uint32_t physical_r
     // the row's weak tail. Each cell's decision reads only its own bit, so
     // flipping in place leaves every later decision as the scan makes it.
     const RowFaultCache::Entry& entry = cache_->get(b, physical_row);
-    if (z_max <= entry.z_min) return 0;
+    if (z_max <= common::approx_normal_of_lane_sum(entry.min_sum)) return 0;
+    const std::uint32_t cap = RowFaultCache::slot_cap(common::max_lane_sum_below(z_max));
     std::size_t flips = 0;
-    for (std::size_t s = 0; s < entry.tail_bit.size(); ++s) {
-      if (!(entry.tail_z[s] < z_max)) continue;
-      std::uint8_t& byte = data[entry.tail_bit[s] >> 3];
-      const auto mask = static_cast<std::uint8_t>(1u << (entry.tail_bit[s] & 7u));
-      const bool charged = ((byte & mask) != 0) == (entry.tail_anti[s] == 0);
+    for (const std::uint32_t slot : entry.slots) {
+      if (slot > cap) continue;
+      const std::uint32_t bit = RowFaultCache::slot_bit(slot);
+      std::uint8_t& byte = data[bit >> 3];
+      const auto mask = static_cast<std::uint8_t>(1u << (bit & 7u));
+      const bool charged = ((byte & mask) != 0) != RowFaultCache::slot_anti(slot);
       if (charged) {
         byte ^= mask;
         ++flips;

@@ -18,11 +18,13 @@
 // kFast) serves role 2. A U-TRR wait of about T decays only the row's
 // weakest few cells, so its decay threshold lies deep in the lower tail of
 // z. A settle whose threshold is at most RowFaultCache::kTierZ walks the
-// row's cached weak tail (row_fault_cache.hpp) in bit order, with the
-// reference's strict compare, and returns at once when the threshold is at
-// or below the row's weakest cell; it never rehashes the 8,192 cells.
-// Longer waits (past about 0.8 s at 85 degC) and every settle under kInterp
-// take the reference scan, which stays the ground truth.
+// row's cached weak tail (row_fault_cache.hpp) in bit order and returns at
+// once when the threshold is at or below the row's weakest cell; it never
+// rehashes the 8,192 cells. The reference's strict compare z < z_max is
+// one integer cap per settle (common::max_lane_sum_below), checked against
+// each packed slot as it stands. Longer waits (past about 0.8 s at 85
+// degC) and every settle under kInterp take the reference scan, which
+// stays the ground truth.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,20 @@
 #include "fault/row_fault_cache.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "common/assert.hpp"
+
+// The block hash's ISA clones (see the header comment): x86-64 GCC only, and
+// not under ThreadSanitizer.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
+#define RH_BLOCK_CLONES \
+  __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define RH_BLOCK_CLONES
+#endif
 
 namespace rh::fault {
 
@@ -12,68 +24,89 @@ static_assert(common::approx_normal_of_lane_sum(RowFaultCache::kTierLaneSum) <=
                       RowFaultCache::kTierZ,
               "the integer tail cut must be the z cut");
 
+namespace {
+
+/// Bit k of a block's tail mask, as a table: GCC vectorizes a table load at
+/// -O2, where it leaves a variable shift scalar.
+constexpr auto kCellBit = [] {
+  std::array<std::uint64_t, RowFaultCache::kBlockCells> bits{};
+  for (std::uint32_t k = 0; k < RowFaultCache::kBlockCells; ++k) bits[k] = std::uint64_t{1} << k;
+  return bits;
+}();
+
+/// Hashes cells first .. first + kBlockCells - 1 of the row whose hash
+/// cursor is `base`: writes each cell's slot without its orientation to
+/// `slots` (a strong cell's sum overflows its field; it is never read),
+/// lowers `min_sum` to the block's smallest lane sum, and returns the mask
+/// of the block's tail cells (bit k for cell first + k).
+RH_BLOCK_CLONES std::uint64_t block_tail(std::uint64_t base, std::uint32_t first,
+                                         std::uint32_t* slots, std::uint32_t& min_sum) {
+  std::uint64_t tail = 0;
+  std::uint32_t lowest = min_sum;
+  for (std::uint32_t k = 0; k < RowFaultCache::kBlockCells; ++k) {
+    const std::uint32_t sum = common::lane_sum(common::hash_combine(base, first + k));
+    slots[k] = RowFaultCache::make_slot(sum, first + k, false);
+    tail |= sum <= RowFaultCache::kTierLaneSum ? kCellBit[k] : 0;
+    lowest = std::min(lowest, sum);
+  }
+  min_sum = lowest;
+  return tail;
+}
+
+}  // namespace
+
 RowFaultCache::RowFaultCache(const FaultConfig& cfg, const hbm::Geometry& geometry,
                              Stream threshold)
     : seed_(cfg.seed),
       anti_cell_fraction_(cfg.anti_cell_fraction),
       threshold_(threshold),
       row_bits_(geometry.row_bits()) {
-  RH_EXPECTS(row_bits_ <= 0x10000u);  // tail bit indices are 16-bit
+  RH_EXPECTS(row_bits_ <= kBitMask + 1);     // a bit index fits its slot field
+  RH_EXPECTS(row_bits_ % kBlockCells == 0);  // the build hashes whole blocks
 }
 
 const RowFaultCache::Entry& RowFaultCache::get(const BankContext& b,
                                                std::uint32_t physical_row) {
   const std::uint64_t key = (static_cast<std::uint64_t>(b.flat_bank) << 32) | physical_row;
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    if (entries_.size() >= kMaxEntries) evict_lru();
-    it = entries_.emplace(key, build(b, physical_row)).first;
+  const auto found = index_.find(key);
+  if (found != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, found->second);
+    return found->second->entry;
   }
-  it->second.last_use = ++tick_;
-  return it->second;
+  if (lru_.size() < kMaxEntries) {
+    lru_.emplace_front();
+  } else {
+    // Recycle the least recently used node, slot storage and all.
+    index_.erase(lru_.back().key);
+    lru_.splice(lru_.begin(), lru_, std::prev(lru_.end()));
+  }
+  Node& node = lru_.front();
+  node.key = key;
+  build(node.entry, b, physical_row);
+  index_.emplace(key, lru_.begin());
+  return node.entry;
 }
 
-RowFaultCache::Entry RowFaultCache::build(const BankContext& b, std::uint32_t physical_row) {
-  // The scratch is sized on first use, so a cache that never builds (the
-  // retention cache of a run without long waits) adds nothing to bring-up.
-  sums_.resize(row_bits_);
-  tail_.resize(row_bits_);
+void RowFaultCache::build(Entry& e, const BankContext& b, std::uint32_t physical_row) {
   const RowHash z_hash(seed_, threshold_, b, physical_row);
-  const std::uint32_t bits = row_bits_;
-  // Pass 1: every cell's lane sum, and the row's smallest.
-  std::uint32_t min_sum = common::kMaxLaneSum;
-  for (std::uint32_t bit = 0; bit < bits; ++bit) {
-    const std::uint32_t sum = common::lane_sum(z_hash.at(bit));
-    sums_[bit] = sum;
-    min_sum = std::min(min_sum, sum);
-  }
-  // Pass 2: compact the tail's bit indices without branching; every bit is
-  // written, and the slot count advances only for tail bits.
-  std::size_t n = 0;
-  for (std::uint32_t bit = 0; bit < bits; ++bit) {
-    tail_[n] = static_cast<std::uint16_t>(bit);
-    n += sums_[bit] <= kTierLaneSum ? 1u : 0u;
-  }
   const RowHash orient_hash(seed_, Stream::kOrientation, b, physical_row);
-  Entry e;
-  e.z_min = common::approx_normal_of_lane_sum(min_sum);
-  e.tail_bit.assign(tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(n));
-  e.tail_z.resize(n);
-  e.tail_anti.resize(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::uint16_t bit = e.tail_bit[s];
-    e.tail_z[s] = common::approx_normal_of_lane_sum(sums_[bit]);
-    e.tail_anti[s] = common::to_unit_double(orient_hash.at(bit)) < anti_cell_fraction_ ? 1 : 0;
+  std::array<std::uint32_t, kBlockCells> slots{};
+  std::uint32_t min_sum = common::kMaxLaneSum;
+  // The tail is appended to the entry's own vector: a recycled node keeps
+  // its capacity, so a rebuild allocates only when its tail outgrows every
+  // earlier one the node held.
+  e.slots.clear();
+  for (std::uint32_t first = 0; first < row_bits_; first += kBlockCells) {
+    // Only the block's tail cells get a slot and an orientation hash.
+    for (std::uint64_t tail = block_tail(z_hash.base, first, slots.data(), min_sum); tail != 0;
+         tail &= tail - 1) {
+      const std::uint32_t slot = slots[static_cast<std::size_t>(std::countr_zero(tail))];
+      const bool anti =
+          common::to_unit_double(orient_hash.at(slot_bit(slot))) < anti_cell_fraction_;
+      e.slots.push_back(slot | (anti ? 1u : 0u));
+    }
   }
-  return e;
-}
-
-void RowFaultCache::evict_lru() {
-  auto victim = entries_.begin();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->second.last_use < victim->second.last_use) victim = it;
-  }
-  entries_.erase(victim);
+  e.min_sum = min_sum;
 }
 
 }  // namespace rh::fault

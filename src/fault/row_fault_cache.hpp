@@ -6,22 +6,40 @@
 // re-senses the same victim; every U-TRR iteration re-reads the same probe
 // row) need not rehash its 8,192 cells each time. Per (flat bank, physical
 // row) the cache keeps only the row's *weak tail*: the cells with
-// z <= kTierZ, in bit order, with threshold and orientation per slot, plus
-// the row's weakest z. A model evaluates a settle from the tail only when
-// the settle's most permissive threshold is at most kTierZ (then every
-// cell that can flip is in the tail) and takes its reference scan
-// otherwise, so the strong cells are never needed. Entries are evicted
-// least-recently-used.
+// z <= kTierZ, in bit order, plus the row's smallest lane sum. A model
+// evaluates a settle from the tail only when the settle's most permissive
+// threshold is at most kTierZ (then every cell that can flip is in the
+// tail) and takes its reference scan otherwise, so the strong cells are
+// never needed.
 //
-// The build never converts a strong cell to double. It hashes each cell's
-// Irwin-Hall lane sum as an integer; approx_normal is monotone in that sum,
-// so `sum <= kTierLaneSum` is exactly `z <= kTierZ`. A first pass hashes
-// the sums into a scratch buffer, a second compacts the tail without
-// branches, and only the tail slots are converted to double and hashed for
-// orientation, into vectors of exactly the tail's size.
+// Slots. z is a monotone function of the cell's integer Irwin-Hall lane sum
+// (common::lane_sum), so a tail cell is one packed 32-bit slot,
+//     lane sum << 15 | bit << 1 | orientation (1 = anti cell).
+// Tail sums are at most kTierLaneSum < 2^17 and a row has at most 2^14
+// bits, so `slot <= slot_cap(s)` holds exactly when the slot's sum is
+// <= s: a model turns its threshold into one integer cap per settle
+// (common::max_lane_sum_at_most, or max_lane_sum_below for a strict
+// compare), compares raw slots against it and converts a sum to z only for
+// the slots under it.
+//
+// The build hashes lane sums one fixed 64-cell block at a time, in one
+// function that also returns the block's tail as a bit mask, so the scalar
+// code visits only tail cells: it hashes their orientation and appends
+// their slots. No cell becomes a double. On x86-64 GCC builds the block
+// function is compiled as target_clones for x86-64-v4 (AVX-512), x86-64-v3
+// (AVX2) and the baseline, and the loader picks one per CPU; the constant
+// trip count lets GCC vectorize the v4 and v3 clones at -O2 as well as -O3
+// (the baseline's SSE2 gains nothing on this hash). Other compilers and
+// targets, and ThreadSanitizer builds (a GCC 12 TSan binary with a cloned
+// function crashes at start-up), compile one plain version.
+//
+// Entries sit on a least-recently-used list: a hit moves its node to the
+// front and a miss past kMaxEntries recycles the back node, both O(1), so
+// the next build fills the evicted row's slot storage.
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -40,16 +58,29 @@ public:
   static constexpr double kTierZ = -1.0;
   /// The largest lane sum whose z is <= kTierZ.
   static constexpr std::uint32_t kTierLaneSum = common::max_lane_sum_at_most(kTierZ);
+  /// Cells per hashing block; a row's bits are a multiple of it.
+  static constexpr std::uint32_t kBlockCells = 64;
 
   struct Entry {
-    std::vector<std::uint16_t> tail_bit;  ///< weak-tail bit indices, ascending
-    std::vector<double> tail_z;           ///< threshold z per tail slot
-    std::vector<std::uint8_t> tail_anti;  ///< orientation per tail slot (1 = anti cell)
-    /// Weakest cell in the row; a settle whose threshold is below it flips
-    /// nothing.
-    double z_min = 0.0;
-    std::uint64_t last_use = 0;
+    /// Weak-tail cells, one packed slot each, in ascending bit order.
+    std::vector<std::uint32_t> slots;
+    /// The row's smallest lane sum (its weakest cell); a settle whose
+    /// threshold is below its z flips nothing.
+    std::uint32_t min_sum = 0;
   };
+
+  /// The slot of a tail cell (sum at most kTierLaneSum, bit below 2^14);
+  /// a larger sum overflows its field.
+  static constexpr std::uint32_t make_slot(std::uint32_t sum, std::uint32_t bit, bool anti) {
+    return sum << kSumShift | bit << 1 | (anti ? 1u : 0u);
+  }
+  static constexpr std::uint32_t slot_sum(std::uint32_t slot) { return slot >> kSumShift; }
+  static constexpr std::uint32_t slot_bit(std::uint32_t slot) { return (slot >> 1) & kBitMask; }
+  static constexpr bool slot_anti(std::uint32_t slot) { return (slot & 1u) != 0; }
+  /// The largest slot whose lane sum is `sum` (at most kTierLaneSum).
+  static constexpr std::uint32_t slot_cap(std::uint32_t sum) {
+    return make_slot(sum, kBitMask, true);
+  }
 
   /// A cache of the tails of stream `threshold` (Stream::kRowHammerZ or
   /// Stream::kRetentionZ) for rows of `geometry` under `cfg`'s seed.
@@ -60,22 +91,29 @@ public:
   const Entry& get(const BankContext& b, std::uint32_t physical_row);
 
 private:
-  /// Tail entries are ~14 KiB; 512 of them cover several shards' working
-  /// sets (victims, aggressors, blast-radius neighbours) without LRU
-  /// thrash: a fig4-style shard set touches ~140 distinct rows.
+  static constexpr std::uint32_t kSumShift = 15;
+  static constexpr std::uint32_t kBitMask = (1u << (kSumShift - 1)) - 1;
+  static_assert(kTierLaneSum < (1u << (32 - kSumShift)), "a tail sum fits its slot field");
+
+  /// Tail entries are ~5.4 KiB (vector capacity up to 8 KiB); 512 of them
+  /// cover several shards' working sets (victims, aggressors, blast-radius
+  /// neighbours) without LRU thrash: a fig4-style shard set touches ~140
+  /// distinct rows.
   static constexpr std::size_t kMaxEntries = 512;
 
-  Entry build(const BankContext& b, std::uint32_t physical_row);
-  void evict_lru();
+  struct Node {
+    std::uint64_t key = 0;
+    Entry entry;
+  };
+
+  void build(Entry& e, const BankContext& b, std::uint32_t physical_row);
 
   std::uint64_t seed_;
   double anti_cell_fraction_;
   Stream threshold_;
   std::uint32_t row_bits_;
-  std::vector<std::uint32_t> sums_;  ///< build scratch: lane sum per bit
-  std::vector<std::uint16_t> tail_;  ///< build scratch: compacted tail bits
-  std::unordered_map<std::uint64_t, Entry> entries_;
-  std::uint64_t tick_ = 0;
+  std::list<Node> lru_;                 ///< most recently used first
+  std::unordered_map<std::uint64_t, std::list<Node>::iterator> index_;
 };
 
 }  // namespace rh::fault

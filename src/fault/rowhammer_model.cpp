@@ -157,21 +157,24 @@ std::size_t RowHammerModel::apply(const BankContext& b, std::uint32_t physical_r
       }
     }
     if (z_cap <= RowFaultCache::kTierZ) {
-      // Fast kernel: only bits whose cached z clears the batch's most
-      // permissive threshold class can flip; everything else is untouched,
-      // so skipping it leaves bytes — and the cross-byte edges later bytes
-      // read — exactly as the reference scan would. z_cap is within the
-      // cached tier, so the weak tail holds every candidate, and it is
-      // already in the reference scan's bit order.
+      // Fast kernel: only bits whose cached lane sum is at most the batch's
+      // most permissive threshold class can flip; everything else is
+      // untouched, so skipping it leaves bytes — and the cross-byte edges
+      // later bytes read — exactly as the reference scan would. z_cap is
+      // within the cached tier, so the weak tail holds every candidate, and
+      // it is already in the reference scan's bit order.
       const RowFaultCache::Entry& entry = cache_->get(b, physical_row);
-      if (z_cap < entry.z_min) return 0;
-      const std::size_t m = entry.tail_bit.size();
+      const std::uint32_t cap_sum = common::max_lane_sum_at_most(z_cap);
+      if (cap_sum < entry.min_sum) return 0;
+      const std::uint32_t cap = RowFaultCache::slot_cap(cap_sum);
+      const std::vector<std::uint32_t>& slots = entry.slots;
+      const std::size_t m = slots.size();
       for (std::size_t s = 0; s < m;) {
-        if (entry.tail_z[s] > z_cap) {
+        if (slots[s] > cap) {
           ++s;
           continue;
         }
-        const std::size_t i = static_cast<std::size_t>(entry.tail_bit[s]) >> 3;
+        const std::size_t i = RowFaultCache::slot_bit(slots[s]) >> 3;
         const std::uint8_t v = data[i];
         const std::uint8_t up = above.empty() ? v : above[i];
         const std::uint8_t dn = below.empty() ? v : below[i];
@@ -180,11 +183,13 @@ std::size_t RowHammerModel::apply(const BankContext& b, std::uint32_t physical_r
         const std::uint8_t next_edge =
             i + 1 < n ? static_cast<std::uint8_t>(data[i + 1] & 1u) : std::uint8_t{0xff};
         std::uint8_t flipped = 0;
-        for (; s < m && (static_cast<std::size_t>(entry.tail_bit[s]) >> 3) == i; ++s) {
-          if (entry.tail_z[s] > z_cap) continue;
-          const std::uint32_t j = entry.tail_bit[s] & 7u;
-          if (bit_flips(i, j, v, up, dn, prev_edge, next_edge, entry.tail_anti[s],
-                        entry.tail_z[s])) {
+        for (; s < m && (RowFaultCache::slot_bit(slots[s]) >> 3) == i; ++s) {
+          const std::uint32_t slot = slots[s];
+          if (slot > cap) continue;
+          const std::uint32_t j = RowFaultCache::slot_bit(slot) & 7u;
+          if (bit_flips(i, j, v, up, dn, prev_edge, next_edge,
+                        RowFaultCache::slot_anti(slot) ? 1 : 0,
+                        common::approx_normal_of_lane_sum(RowFaultCache::slot_sum(slot)))) {
             flipped |= static_cast<std::uint8_t>(1u << j);
             ++flips;
           }

@@ -72,12 +72,14 @@ public:
   /// Selects the fast kernel: a batch whose most permissive threshold class
   /// is at most RowFaultCache::kTierZ is evaluated from the row's cached
   /// weak tail (row_fault_cache.hpp: the cells with z <= kTierZ, in bit
-  /// order, with threshold and orientation per slot) instead of rescanning
-  /// all 8192 bits; a stronger batch takes the reference scan. Bit-for-bit
-  /// identical to the reference scan: the thresholds are the same hashes,
-  /// every cell that can flip is in the tail, and the tail is in the scan's
-  /// bit order. Off by default — the interp engine keeps the reference scan
-  /// as ground truth.
+  /// order, one slot of lane sum, bit and orientation each) instead of
+  /// rescanning all 8192 bits; a stronger batch takes the reference scan.
+  /// The batch's threshold becomes one lane-sum cap, raw slots are compared
+  /// against it, and only the slots under it get a z and a class lookup.
+  /// Bit-for-bit identical to the reference scan: the thresholds are the
+  /// same hashes, the integer cap is exactly the z cap, every cell that can
+  /// flip is in the tail, and the tail is in the scan's bit order. Off by
+  /// default — the interp engine keeps the reference scan as ground truth.
   void set_fast_kernel(bool enabled);
 
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }

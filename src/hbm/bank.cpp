@@ -94,7 +94,10 @@ void Bank::read_columns(std::uint32_t columns, bool ecc_enabled, std::span<std::
 }
 
 void Bank::store(std::uint32_t first_column, std::span<const std::uint8_t> data) {
-  RowState& rs = ensure_materialized(open_physical_);
+  // A store over the whole row (the row-burst kernel's WRROW) overwrites
+  // every byte, so a fresh row needs no power-on content first.
+  const bool whole_row = data.size() == geometry_->row_bytes();
+  RowState& rs = ensure_materialized(open_physical_, !whole_row);
   const auto off = static_cast<std::ptrdiff_t>(static_cast<std::size_t>(first_column) *
                                                geometry_->bytes_per_column);
   std::copy(data.begin(), data.end(), rs.raw.begin() + off);
@@ -189,13 +192,15 @@ bool Bank::row_materialized_physical(std::uint32_t physical_row) const {
   return rows_.find(physical_row) != rows_.end();
 }
 
-Bank::RowState& Bank::ensure_materialized(std::uint32_t physical_row) {
+Bank::RowState& Bank::ensure_materialized(std::uint32_t physical_row, bool power_on_fill) {
   if (memo_state_ != nullptr && memo_row_ == physical_row) return *memo_state_;
   auto it = rows_.find(physical_row);
   if (it == rows_.end()) {
     RowState rs;
     rs.raw.resize(geometry_->row_bytes());
-    fault::fill_default_data(rh_model_->config().seed, context_, physical_row, rs.raw);
+    if (power_on_fill) {
+      fault::fill_default_data(rh_model_->config().seed, context_, physical_row, rs.raw);
+    }
     rs.written = rs.raw;
     it = rows_.emplace(physical_row, std::move(rs)).first;
   }

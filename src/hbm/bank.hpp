@@ -3,7 +3,11 @@
 //
 // Storage is lazy: a bank of 16384 rows materializes only the rows an
 // experiment touches (the full stack is 4 GiB; experiments touch megabytes).
-// Each materialized row keeps two images:
+// A row materializes with its power-on content (fault::fill_default_data),
+// except under a store that covers the whole row (the row-burst kernel's
+// WRROW), which overwrites every byte anyway; a single-column write and a
+// short burst keep the power-on bytes they do not reach. Each materialized
+// row keeps two images:
 //   raw     — the charge state (accumulates RowHammer and retention flips)
 //   written — the last data written by the host (the on-die ECC reference)
 //
@@ -193,7 +197,10 @@ private:
                    double temperature_c);
   /// RowPress disturbance multiplier for an aggressor held open `on_time`.
   [[nodiscard]] double press_factor(Cycle on_time) const;
-  RowState& ensure_materialized(std::uint32_t physical_row);
+  /// The row's storage, materialized on first use with its power-on content
+  /// (zeros instead when `power_on_fill` is false: the caller overwrites
+  /// the whole row at once).
+  RowState& ensure_materialized(std::uint32_t physical_row, bool power_on_fill = true);
   /// Data movement of write()/write_columns(): copies `data` into the open
   /// row's raw and written images from `first_column` on.
   void store(std::uint32_t first_column, std::span<const std::uint8_t> data);

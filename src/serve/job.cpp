@@ -106,6 +106,7 @@ std::string job_meta_json(Job& job) {
   out += ",\"error\":\"" + telemetry::json_escape(job.error) + "\"";
   out += ",\"id\":" + std::to_string(job.id);
   out += ",\"schema\":\"rh-serve-job/v1\"";
+  out += ",\"shards_cached\":" + std::to_string(job.shards_cached);
   out += ",\"state\":\"" + std::string(to_string(job.state)) + "\"";
   out += ",\"tenant\":\"" + telemetry::json_escape(job.tenant) + "\"";
   out += "}";

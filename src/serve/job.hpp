@@ -86,7 +86,8 @@ void finalize_job(Job& job);
 [[nodiscard]] std::string job_status_json(Job& job);
 
 /// Persisted job-<id>.json descriptor (canonical config embedded; the error
-/// too, so a job failed before a restart still says why).
+/// too, so a job failed before a restart still says why, and the cached
+/// shard count, so a job the cache answered still reads cache_hit).
 [[nodiscard]] std::string job_meta_json(Job& job);
 
 }  // namespace rh::serve

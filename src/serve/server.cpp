@@ -87,12 +87,10 @@ campaign::JournalHeader journal_header(const Job& job) {
 }
 
 /// A shard answered without a rig (result cache or journal): the run books
-/// it as skipped through the same ShardRun::restore a `--resume` skip takes;
-/// the job counts it cached.
+/// it as skipped through the same ShardRun::restore a `--resume` skip takes.
 void restore_shard(Job& job, std::uint64_t shard, std::vector<core::RowRecord> records) {
   job.run->restore(shard, std::move(records));
   --job.remaining;
-  ++job.shards_cached;
 }
 
 /// Restores every journaled shard of the job's sweep, warming the cache
@@ -763,6 +761,7 @@ void Server::prepare_fresh(Job& job) {
     metrics_.observe("serve.cache_hit_us", lookup_us);
     run.append_journal([&](campaign::JournalWriter& j) { j.append_shard(i, records); });
     restore_shard(job, i, std::move(records));
+    ++job.shards_cached;
   }
 }
 
@@ -860,6 +859,10 @@ void Server::recover() {
       if (const campaign::JsonValue* e = doc.find("error");
           e != nullptr && e->kind == campaign::JsonValue::Kind::kString) {
         job->error = e->text;
+      }
+      if (const campaign::JsonValue* c = doc.find("shards_cached");
+          c != nullptr && c->kind == campaign::JsonValue::Kind::kNumber) {
+        job->shards_cached = c->as_u64();
       }
       if (job_state_active(state)) {
         prepare_resumed(*job);

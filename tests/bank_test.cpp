@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
+#include "fault/cell_traits.hpp"
 #include "fault/process_variation.hpp"
 #include "fault/retention_model.hpp"
 #include "fault/rowhammer_model.hpp"
@@ -276,6 +279,60 @@ TEST(Bank, RejectsOutOfRangeOperands) {
   std::vector<std::uint8_t> burst(rig.geometry.bytes_per_column, 0);
   EXPECT_THROW(rig.bank.read(rig.geometry.columns_per_row, 1000 + rig.timings.tRCD, false, burst),
                common::PreconditionError);
+}
+
+TEST(Bank, FreshRowsKeepPowerOnContentWhereAStoreDoesNotReach) {
+  // A whole-row burst leaves none of a fresh row's power-on content, one
+  // WR leaves it in every other column, and a burst one column short
+  // leaves it in the last column; with ECC off and on.
+  BankRig rig;
+  const Geometry& g = rig.geometry;
+  const std::uint32_t columns = g.columns_per_row;
+  const auto col = [&](std::uint32_t c) {
+    return static_cast<std::ptrdiff_t>(static_cast<std::size_t>(c) * g.bytes_per_column);
+  };
+  std::vector<std::uint8_t> image(g.row_bytes());
+  for (std::size_t i = 0; i < image.size(); ++i) image[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  std::uint32_t row = 200;
+  Cycle t = 1000;
+  // Opens a fresh row, stores through `store`, reads the whole row back.
+  const auto fresh_row = [&](bool ecc, const auto& store) {
+    ++row;
+    rig.bank.activate(row, t, 85.0);
+    store();
+    std::vector<std::uint8_t> out(g.row_bytes());
+    rig.bank.read_columns(columns, ecc, out);
+    rig.bank.precharge(t + rig.timings.tRC, 85.0);
+    t += 2 * rig.timings.tRC;
+    return out;
+  };
+  const auto power_on = [&] {
+    std::vector<std::uint8_t> bytes(g.row_bytes());
+    fault::fill_default_data(rig.rh_model.config().seed, rig.bank.context(), row, bytes);
+    return bytes;
+  };
+  for (const bool ecc : {false, true}) {
+    SCOPED_TRACE(ecc ? "ecc on" : "ecc off");
+    EXPECT_EQ(fresh_row(ecc, [&] { rig.bank.write_columns(image, columns); }), image);
+
+    const std::uint32_t wr_column = 3;
+    const std::vector<std::uint8_t> one_wr = fresh_row(ecc, [&] {
+      rig.bank.write(wr_column, std::span(image).subspan(static_cast<std::size_t>(col(wr_column)),
+                                                         g.bytes_per_column),
+                     t + rig.timings.tRCD);
+    });
+    std::vector<std::uint8_t> want = power_on();
+    std::copy(image.begin() + col(wr_column), image.begin() + col(wr_column + 1),
+              want.begin() + col(wr_column));
+    EXPECT_EQ(one_wr, want);
+
+    const std::vector<std::uint8_t> short_burst =
+        fresh_row(ecc, [&] { rig.bank.write_columns(image, columns - 1); });
+    want = power_on();
+    std::copy(image.begin(), image.begin() + col(columns - 1), want.begin());
+    EXPECT_EQ(short_burst, want);
+  }
+  EXPECT_EQ(rig.bank.stats().ecc_corrections, 0u);
 }
 
 TEST(Bank, LazyStorageOnlyTracksTouchedRows) {

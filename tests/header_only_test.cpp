@@ -281,6 +281,14 @@ std::pair<std::uint64_t, std::string> run_clean_job(const std::string& dir) {
   return {id, results.body};
 }  // ~Server drains
 
+/// The "shards" object of the job's run report.
+campaign::JsonValue report_shards(Server& server, std::uint64_t id) {
+  const HttpResponse report =
+      server.handle(request("GET", "/jobs/" + std::to_string(id) + "/report"));
+  EXPECT_EQ(report.status, 200);
+  return campaign::parse_json(report.body, "report").at("shards");
+}
+
 /// Marks the job's descriptor "running" so the next boot resumes it.
 void reopen_descriptor(const std::string& dir, std::uint64_t id) {
   const std::string path = dir + "/job-" + std::to_string(id) + ".json";
@@ -322,7 +330,7 @@ TEST(ServeBootRecovery, QuarantinesMidFileRotReRunsTheShardAndMatches) {
 
   const HttpResponse status = server.handle(request("GET", "/jobs/" + std::to_string(id)));
   const campaign::JsonValue doc = campaign::parse_json(status.body, "status");
-  EXPECT_GT(doc.at("shards").at("cached").as_u64(), 0u)
+  EXPECT_GT(report_shards(server, id).at("skipped").as_u64(), 0u)
       << "intact journal lines must be restored, not re-run";
   EXPECT_EQ(doc.at("shards").at("failed").as_u64(), 0u);
 
@@ -359,8 +367,53 @@ TEST(ServeBootRecovery, DestroyedJournalHeaderStartsOverAndStillFinishes) {
   const campaign::JsonValue doc = campaign::parse_json(status.body, "status");
   EXPECT_EQ(doc.at("shards").at("cached").as_u64(), 0u)
       << "an untrusted journal contributes nothing: every shard re-runs";
+  EXPECT_EQ(report_shards(server, id).at("skipped").as_u64(), 0u);
   const HttpResponse results =
       server.handle(request("GET", "/jobs/" + std::to_string(id) + "/results"));
+  EXPECT_EQ(results.body, clean_results);
+}
+
+TEST(ServeBootRecovery, OnlyResultCacheHitsReadCachedAcrossRestarts) {
+  // A restart restores every job's journal; that is no cache hit. A job
+  // the rigs simulated reads 0 cached after it, and a resubmission born
+  // done from the cache keeps all its shards cached.
+  const test::ScratchDir dir;
+  const auto [simulated, clean_results] = run_clean_job(dir.str());
+  Server::Options options;
+  options.data_dir = dir.str();
+  options.rigs = 1;
+  const auto expect_cached = [](Server& server, std::uint64_t id, std::uint64_t cached) {
+    const HttpResponse status = server.handle(request("GET", "/jobs/" + std::to_string(id)));
+    const campaign::JsonValue doc = campaign::parse_json(status.body, "status");
+    EXPECT_EQ(doc.at("state").text, "done") << "job " << id;
+    EXPECT_EQ(doc.at("shards").at("cached").as_u64(), cached) << "job " << id;
+    EXPECT_EQ(doc.at("cache_hit").kind == campaign::JsonValue::Kind::kBool &&
+                  doc.at("cache_hit").boolean,
+              cached > 0)
+        << "job " << id;
+  };
+
+  std::uint64_t resubmitted = 0;
+  std::uint64_t total = 0;
+  {
+    Server server(options);
+    server.start();  // the simulated job's journal warms the cache
+    expect_cached(server, simulated, 0);
+    const HttpResponse created =
+        server.handle(request("POST", "/jobs", to_canonical_json(quick_config())));
+    ASSERT_EQ(created.status, 201) << created.body;
+    const campaign::JsonValue doc = campaign::parse_json(created.body, "created");
+    resubmitted = doc.at("id").as_u64();
+    total = doc.at("shards").at("total").as_u64();
+    ASSERT_GT(total, 0u);
+    expect_cached(server, resubmitted, total);
+  }
+  Server server(options);
+  server.start();
+  expect_cached(server, simulated, 0);
+  expect_cached(server, resubmitted, total);
+  const HttpResponse results =
+      server.handle(request("GET", "/jobs/" + std::to_string(resubmitted) + "/results"));
   EXPECT_EQ(results.body, clean_results);
 }
 

@@ -111,6 +111,17 @@ TEST(ApproxNormal, LaneSumCutIsExactlyTheZCut) {
   EXPECT_EQ(max_lane_sum_at_most(approx_normal_of_lane_sum(kMaxLaneSum)), kMaxLaneSum);
 }
 
+TEST(ApproxNormal, StrictLaneSumCutIsExactlyTheStrictZCut) {
+  // At every sum's own z the strict cap is the sum below it; one ulp above
+  // that z it is the sum itself.
+  for (std::uint32_t sum = 1; sum <= kMaxLaneSum; ++sum) {
+    const double z = approx_normal_of_lane_sum(sum);
+    ASSERT_EQ(max_lane_sum_below(z), sum - 1) << sum;
+    ASSERT_EQ(max_lane_sum_below(std::nextafter(z, HUGE_VAL)), sum) << sum;
+  }
+  EXPECT_EQ(max_lane_sum_below(std::nextafter(kApproxNormalMin, HUGE_VAL)), 0u);
+}
+
 TEST(Xoshiro256, IsDeterministicPerSeed) {
   Xoshiro256 a(5);
   Xoshiro256 b(5);

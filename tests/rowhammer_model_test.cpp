@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -336,6 +338,85 @@ TEST_P(FastKernel, MatchesTheReferenceAcrossLruEviction) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastKernel, ::testing::Values(0x5AFA2123ULL, 1ULL));
+
+/// The cache's contract, checked against the scalar hashes under both
+/// threshold streams. The parameter seeds the device and the draws.
+class RowFaultCacheTest : public ::testing::TestWithParam<std::uint64_t> {
+protected:
+  RowFaultCacheTest() { cfg_.seed = GetParam(); }
+
+  /// (lane sum, bit, anti) of every slot of `entry`, in slot order.
+  static std::vector<std::array<std::uint32_t, 3>> decoded(const RowFaultCache::Entry& entry) {
+    std::vector<std::array<std::uint32_t, 3>> cells;
+    for (const std::uint32_t slot : entry.slots) {
+      cells.push_back({RowFaultCache::slot_sum(slot), RowFaultCache::slot_bit(slot),
+                       RowFaultCache::slot_anti(slot) ? 1u : 0u});
+    }
+    return cells;
+  }
+
+  hbm::Geometry geometry_ = hbm::paper_geometry();
+  FaultConfig cfg_;
+};
+
+TEST_P(RowFaultCacheTest, EntryIsTheRowsWeakTailInBitOrder) {
+  // Every cell whose lane sum is <= kTierLaneSum, in ascending bit order,
+  // with the scalar lane sum and orientation; the minimum over all cells.
+  for (const Stream stream : {Stream::kRowHammerZ, Stream::kRetentionZ}) {
+    RowFaultCache cache(cfg_, geometry_, stream);
+    common::Xoshiro256 rng(GetParam());
+    for (int draw = 0; draw < 64; ++draw) {
+      const BankContext b = test::random_bank(geometry_, rng);
+      const auto r = static_cast<std::uint32_t>(rng.below(geometry_.rows_per_bank));
+      SCOPED_TRACE(::testing::Message() << "bank " << b.flat_bank << " row " << r);
+      const std::vector<std::uint32_t> sums =
+          test::lane_sums(cfg_.seed, stream, b, r, geometry_.row_bits());
+      std::vector<std::array<std::uint32_t, 3>> want;
+      for (std::uint32_t bit = 0; bit < sums.size(); ++bit) {
+        if (sums[bit] > RowFaultCache::kTierLaneSum) continue;
+        const bool anti = is_anti_cell(cfg_.seed, b, r, bit, cfg_.anti_cell_fraction);
+        want.push_back({sums[bit], bit, anti ? 1u : 0u});
+      }
+      const RowFaultCache::Entry& entry = cache.get(b, r);
+      ASSERT_EQ(decoded(entry), want);
+      EXPECT_EQ(entry.min_sum, *std::min_element(sums.begin(), sums.end()));
+    }
+  }
+}
+
+TEST_P(RowFaultCacheTest, RecycledNodesKeepNoOtherRowsSlots) {
+  // 600 distinct rows through a 512-entry cache, then the first 64 again:
+  // each rebuild lands in the node of an evicted row and must equal the
+  // row's first build, whether its tail is longer or shorter than the one
+  // the node held.
+  for (const Stream stream : {Stream::kRowHammerZ, Stream::kRetentionZ}) {
+    RowFaultCache cache(cfg_, geometry_, stream);
+    common::Xoshiro256 rng(GetParam());
+    const BankContext b = test::random_bank(geometry_, rng);
+    std::vector<RowFaultCache::Entry> first_builds;
+    std::map<const RowFaultCache::Entry*, std::size_t> held;  // node -> its last tail size
+    for (std::uint32_t r = 0; r < 600; ++r) {
+      const RowFaultCache::Entry& entry = cache.get(b, r);
+      if (r < 64) first_builds.push_back(entry);
+      held[&entry] = entry.slots.size();
+    }
+    int longer = 0;
+    int shorter = 0;
+    for (std::uint32_t r = 0; r < 64; ++r) {
+      const RowFaultCache::Entry& entry = cache.get(b, r);
+      ASSERT_TRUE(held.count(&entry) == 1) << "row " << r << " did not land in a recycled node";
+      longer += entry.slots.size() > held[&entry] ? 1 : 0;
+      shorter += entry.slots.size() < held[&entry] ? 1 : 0;
+      held[&entry] = entry.slots.size();
+      EXPECT_EQ(entry.slots, first_builds[r].slots) << "row " << r;
+      EXPECT_EQ(entry.min_sum, first_builds[r].min_sum) << "row " << r;
+    }
+    EXPECT_GT(longer, 0);
+    EXPECT_GT(shorter, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RowFaultCacheTest, ::testing::Values(0x5AFA2123ULL, 1ULL));
 
 class DisturbanceSweep : public ::testing::TestWithParam<double> {};
 
