@@ -101,7 +101,6 @@ public:
   /// must outlive the host or be detached first; it also arms the
   /// transport layer and the temperature guard.
   void set_fault_injector(resilience::FaultInjector* injector);
-  [[nodiscard]] resilience::FaultInjector* fault_injector() const { return injector_; }
 
   /// Transport retry/backoff policy (takes effect from the next run).
   void set_retry_policy(const resilience::RetryPolicy& policy) { policy_ = policy; }

@@ -67,7 +67,6 @@ public:
   /// Attaches the fault plane (nullptr detaches; transfers then always
   /// succeed, which is the zero-overhead default path).
   void set_fault_injector(resilience::FaultInjector* injector) { injector_ = injector; }
-  [[nodiscard]] resilience::FaultInjector* fault_injector() const { return injector_; }
 
   /// Wall-clock milliseconds one transfer of `bytes` takes.
   [[nodiscard]] double transfer_ms(std::size_t bytes) const {

@@ -12,7 +12,6 @@
 #include "campaign/shard_runner.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "telemetry/stream.hpp"
 
 namespace rh::campaign {
 
@@ -79,67 +78,42 @@ std::unique_ptr<bender::BenderHost> make_default_host(const SweepSpec& spec) {
 Campaign::Campaign(CampaignConfig config, telemetry::Telemetry* aggregate)
     : config_(std::move(config)), aggregate_(aggregate), factory_(make_default_host) {}
 
+Campaign::~Campaign() = default;
+
 CampaignResult Campaign::run(const SweepSpec& spec) {
   const std::size_t n = spec.shards.size();
   for (std::size_t i = 0; i < n; ++i) {
     RH_EXPECTS(spec.shards[i].index == i);  // merge order is index order
   }
-  const JournalHeader header{spec.device.fault.seed, sweep_config_hash(spec),
-                             static_cast<std::uint64_t>(n)};
   const auto job = std::make_shared<PoolJob>();
   job->run = std::make_unique<ShardRun>(spec, config_, factory_, aggregate_);
   ShardRun& run = *job->run;
+  // The journal and the stream draw independent, reproducible fault
+  // streams decorrelated from the plan seed (and from the transport
+  // injectors' 0x819 stream).
+  run.seed_storage_faults(common::hash_coords(config_.storage_fault_plan.seed, 0x570u, 0),
+                          common::hash_coords(config_.storage_fault_plan.seed, 0x570u, 1));
 
-  // Storage fault injection: the journal and the stream draw independent,
-  // reproducible fault streams decorrelated from the plan seed (and from
-  // the transport injectors' 0x819 stream).
-  std::unique_ptr<resilience::StorageFaultInjector> journal_injector;
-  std::unique_ptr<resilience::StorageFaultInjector> stream_injector;
-  if (config_.storage_fault_plan.enabled()) {
-    resilience::StorageFaultPlan splan = config_.storage_fault_plan;
-    splan.seed = common::hash_coords(config_.storage_fault_plan.seed, 0x570u, 0);
-    journal_injector = std::make_unique<resilience::StorageFaultInjector>(splan);
-    splan.seed = common::hash_coords(config_.storage_fault_plan.seed, 0x570u, 1);
-    stream_injector = std::make_unique<resilience::StorageFaultInjector>(std::move(splan));
+  // Resume: restore journaled shards, refusing (ConfigError) a journal
+  // from a different sweep. Corrupt mid-file lines are quarantined (their
+  // shards re-run); the compacted journal is then reopened for appending.
+  if (config_.resume && !config_.checkpoint_path.empty()) {
+    const JournalReader reader(config_.checkpoint_path);
+    run.restore(reader);
+    run.open_journal(&reader);
+  } else {
+    run.open_journal();
   }
 
-  // Resume: restore journaled shards, refusing a journal from a different
-  // sweep. Corrupt mid-file lines are quarantined (their shards re-run);
-  // the compacted journal is then reopened for appending the rest.
-  try {
-    if (!config_.checkpoint_path.empty() && config_.resume) {
-      JournalReader reader(config_.checkpoint_path);
-      reader.require_matches(header);
-      for (const auto& [index, records] : reader.shards()) {
-        if (index >= n) continue;  // defensively ignore out-of-range entries
-        run.restore(index, records);
-      }
-      run.journal = std::make_unique<JournalWriter>(config_.checkpoint_path, reader,
-                                                    journal_injector.get());
-    } else if (!config_.checkpoint_path.empty()) {
-      run.journal =
-          std::make_unique<JournalWriter>(config_.checkpoint_path, header, journal_injector.get());
-    }
-  } catch (const common::StorageError& e) {
-    run.note_storage_error(e.what());  // checkpointing lost; the sweep still runs
-  }
-
-  job->remaining =
-      static_cast<std::size_t>(std::count(run.done.begin(), run.done.end(), char{0}));
+  job->remaining = run.pending();
   unsigned jobs = std::max(1u, config_.jobs);
   jobs = static_cast<unsigned>(
       std::min<std::size_t>(jobs, std::max<std::size_t>(job->remaining, 1)));
   run.workers.resize(jobs);
-
   // Live metrics stream: header first (fsync'd, like the journal), then
   // per-worker cycles samples during shards, a wall sample at every claim
   // and commit, and exactly one final sample once the last rig retired.
-  if (!config_.metrics_stream_path.empty()) {
-    run.open_stream(config_.metrics_stream_path,
-                    {spec.device.fault.seed, header.config_hash, static_cast<std::uint64_t>(n),
-                     jobs, std::max<std::uint64_t>(1, config_.stream_cycle_cadence), 0.0},
-                    stream_injector.get());
-  }
+  run.open_stream();
 
   std::ostream* progress_stream =
       config_.progress ? (config_.progress_stream != nullptr ? config_.progress_stream
@@ -169,10 +143,10 @@ CampaignResult Campaign::run(const SweepSpec& spec) {
 
   run.finish();
   progress.finish();
-  metrics_ = std::move(run.metrics);
-  profile_ = std::move(run.profile);
-  spans_ = std::move(run.spans);
+  // The run is kept for metrics(), profile() and spans(); its result moves
+  // to the caller.
   CampaignResult result = std::move(run.result);
+  run_ = std::move(job->run);
 
   if (config_.fail_on_shard_error && !result.failures.empty()) {
     std::string message = std::to_string(result.failures.size()) + " of " + std::to_string(n) +
@@ -192,13 +166,22 @@ CampaignResult Campaign::run(const SweepSpec& spec) {
   return result;
 }
 
+const telemetry::MetricsRegistry& Campaign::metrics() const { return last_run().metrics; }
+
+const profiling::Profile& Campaign::profile() const { return last_run().profile; }
+
+const telemetry::SpanSheet& Campaign::spans() const { return last_run().spans; }
+
+const ShardRun& Campaign::last_run() const {
+  RH_EXPECTS(run_ != nullptr);
+  return *run_;
+}
+
 namespace {
 
 profiling::RunReport join_report(const std::string& label, const SweepSpec& spec,
-                                 const profiling::Profile& profile,
-                                 const telemetry::SpanSheet& spans,
-                                 const telemetry::MetricsRegistry& metrics,
-                                 const CampaignResult& result, const telemetry::Telemetry* sink) {
+                                 const ShardRun& run, const CampaignResult& result,
+                                 const telemetry::Telemetry* sink) {
   profiling::RunReport report;
   report.campaign = label;
   report.seed = spec.device.fault.seed;
@@ -209,11 +192,11 @@ profiling::RunReport join_report(const std::string& label, const SweepSpec& spec
   report.shards_failed = result.failures.size();
   report.shards_retried = result.shards_retried;
   report.elapsed_wall_ms = result.elapsed_wall_ms;
-  report.profile = profile;
+  report.profile = run.profile;
   report.timings = result.timings;
   for (const auto& shard : result.per_shard) report.records += shard.size();
-  report.spans_total = spans.spans().size();
-  report.spans_dropped = spans.dropped();
+  report.spans_total = run.spans.spans().size();
+  report.spans_dropped = run.spans.dropped();
   if (sink != nullptr) {
     // The aggregate sink already holds the campaign.* counters (finish()
     // merges them in) plus every worker's cmd.*/trr.*/flip.* observations;
@@ -223,7 +206,7 @@ profiling::RunReport join_report(const std::string& label, const SweepSpec& spec
                     static_cast<std::uint64_t>(sink->trace().size()),
                     sink->trace_dropped_total()};
   } else {
-    report.metrics = metrics.snapshot();
+    report.metrics = run.metrics.snapshot();
   }
   report.shards_fatal =
       static_cast<std::uint64_t>(report.metrics.value_or("campaign.shards_fatal", 0.0));
@@ -235,13 +218,12 @@ profiling::RunReport join_report(const std::string& label, const SweepSpec& spec
 profiling::RunReport build_report(const std::string& label, const SweepSpec& spec,
                                   const Campaign& campaign, const CampaignResult& result,
                                   const telemetry::Telemetry* sink) {
-  return join_report(label, spec, campaign.profile(), campaign.spans(), campaign.metrics(),
-                     result, sink);
+  return join_report(label, spec, campaign.last_run(), result, sink);
 }
 
 profiling::RunReport build_report(const std::string& label, const SweepSpec& spec,
                                   const ShardRun& run, const telemetry::Telemetry* sink) {
-  return join_report(label, spec, run.profile, run.spans, run.metrics, run.result, sink);
+  return join_report(label, spec, run, run.result, sink);
 }
 
 }  // namespace rh::campaign

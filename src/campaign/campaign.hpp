@@ -31,13 +31,15 @@
 //     --metrics-json / --heatmap cover the whole fleet.
 //
 // Who owns what: the per-shard work (rig bring-up, attempts, spans,
-// sampler, retry/fatal split, outcome bookkeeping, wall samples) and the
-// per-run state live in the shard-execution core, ShardRun
-// (shard_runner.hpp); the rigs, their deques and their attachments live in
-// RigPool (rig_pool.hpp), the pool the campaign service runs too.
-// Campaign::run submits its sweep as one job on a pool of `jobs` rigs and
-// waits for it; it owns only the journal/stream prologue (resume
-// included), progress, and the fail-on-shard-error policy.
+// sampler, retry/fatal split, outcome bookkeeping, wall samples), the
+// per-run state and the run's journal and metrics stream (headers, disk-
+// fault injectors, resume, close) live in the shard-execution core,
+// ShardRun (shard_runner.hpp); the rigs, their deques and their
+// attachments live in RigPool (rig_pool.hpp), the pool the campaign
+// service runs too. Campaign::run submits its sweep as one job on a pool
+// of `jobs` rigs, waits for it and keeps the finished run; it owns only
+// the fault-stream seeds, --resume's refusal of a foreign journal,
+// progress, and the fail-on-shard-error policy.
 #pragma once
 
 #include <cstdint>
@@ -199,6 +201,7 @@ public:
   /// `aggregate` (may be null) receives every worker's telemetry after the
   /// run plus the campaign.* counters (a bench passes its session sink).
   explicit Campaign(CampaignConfig config, telemetry::Telemetry* aggregate = nullptr);
+  ~Campaign();
 
   /// Overrides worker host construction, make_default_host by default
   /// (population studies build variant devices; tests inject failures).
@@ -208,27 +211,30 @@ public:
   /// mismatch and CampaignError per config.fail_on_shard_error.
   CampaignResult run(const SweepSpec& spec);
 
+  /// The last run, kept whole except for the result run() returned. Its
+  /// spec reference dangles once the caller's spec is gone, so only its
+  /// state is read: the three accessors below and build_report.
+  [[nodiscard]] const ShardRun& last_run() const;
+
   /// The last run's campaign.*/resilience.* counters
   /// (shards_total/done/skipped/failed/retried/fatal, records, injected...).
-  [[nodiscard]] const telemetry::MetricsRegistry& metrics() const { return metrics_; }
+  [[nodiscard]] const telemetry::MetricsRegistry& metrics() const;
 
   /// The last run's fleet phase profile: every worker's campaign-level
   /// phases (rig_build / shard_run / checkpoint / idle) plus every retired
   /// host's host-level phases.
-  [[nodiscard]] const profiling::Profile& profile() const { return profile_; }
+  [[nodiscard]] const profiling::Profile& profile() const;
 
   /// The last run's span forest (campaign -> shard -> attempt -> host
   /// phase -> fault/recovery marks), already merged across workers and in
   /// canonical order.
-  [[nodiscard]] const telemetry::SpanSheet& spans() const { return spans_; }
+  [[nodiscard]] const telemetry::SpanSheet& spans() const;
 
 private:
   CampaignConfig config_;
   telemetry::Telemetry* aggregate_;
   HostFactory factory_;
-  telemetry::MetricsRegistry metrics_;
-  profiling::Profile profile_;
-  telemetry::SpanSheet spans_;
+  std::unique_ptr<ShardRun> run_;  ///< the last run, null before the first
 };
 
 /// Joins a finished campaign into one RunReport: the fleet profile, the

@@ -38,15 +38,13 @@ std::uint64_t fnv1a(std::string_view text) {
 
 JournalWriter::JournalWriter(const std::string& path, const JournalHeader& header,
                              resilience::StorageFaultInjector* injector)
-    : path_(path) {
-  file_ = std::make_unique<resilience::DurableFile>(path, "checkpoint journal",
-                                                    /*truncate=*/true, injector);
+    : file_(std::make_unique<resilience::DurableFile>(path, "checkpoint journal",
+                                                      /*truncate=*/true, injector)) {
   write_line(header_line(header));
 }
 
 JournalWriter::JournalWriter(const std::string& path, const JournalReader& reader,
-                             resilience::StorageFaultInjector* injector)
-    : path_(path) {
+                             resilience::StorageFaultInjector* injector) {
   // Quarantined shards are absent from reader.shards(), so the resume
   // planner re-runs exactly them and the final results stay byte-identical.
   resilience::repair_jsonl(path, reader.scan(), "checkpoint journal", injector);

@@ -98,7 +98,6 @@ private:
   void write_line(const std::string& payload);
 
   std::unique_ptr<resilience::DurableFile> file_;
-  std::string path_;
 };
 
 /// One journal line's cost/outcome annotations, in file order — what

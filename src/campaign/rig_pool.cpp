@@ -4,15 +4,6 @@
 
 namespace rh::campaign {
 
-namespace {
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
-
 RigPool::RigPool(unsigned rigs, PoolHooks hooks, PoolObserver* observer)
     : hooks_(std::move(hooks)), observer_(observer) {
   deques_.resize(std::max(1u, rigs));
@@ -190,8 +181,7 @@ void RigPool::retire(Rig& rig) {
       // Cancelled while rigs were in flight: the canceller left the writers
       // open (this rig's sampler may have been appending) — the last rig
       // out closes them, completing the on-disk record.
-      run.journal.reset();
-      run.stream.reset();
+      run.close_outputs();
     }
   }
   rig = Rig{};

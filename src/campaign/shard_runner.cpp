@@ -11,11 +11,6 @@ namespace rh::campaign {
 
 namespace {
 
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 // Per-shard end-to-end wall time (all attempts, incl. rig rebuilds). The
 // name carries "wall_ms" on purpose: the deterministic report projection
 // filters metrics by that suffix.
@@ -32,7 +27,8 @@ ShardRun::ShardRun(const SweepSpec& spec, CampaignConfig config, HostFactory fac
       spec_(spec),
       config_(std::move(config)),
       factory_(std::move(factory)),
-      aggregate_(aggregate) {
+      aggregate_(aggregate),
+      header_{spec.device.fault.seed, sweep_config_hash(spec), spec.shards.size()} {
   config_.stream_cycle_cadence = std::max<std::uint64_t>(1, config_.stream_cycle_cadence);
   result.per_shard.resize(spec.shards.size());
   // The deterministic report serializes every registered metric and the
@@ -48,6 +44,15 @@ ShardRun::ShardRun(const SweepSpec& spec, CampaignConfig config, HostFactory fac
   metrics.counter("campaign.shards_total").add(spec.shards.size());
 }
 
+void ShardRun::seed_storage_faults(std::uint64_t journal_seed, std::uint64_t stream_seed) {
+  if (!config_.storage_fault_plan.enabled()) return;
+  resilience::StorageFaultPlan plan = config_.storage_fault_plan;
+  plan.seed = journal_seed;
+  journal_injector_ = std::make_unique<resilience::StorageFaultInjector>(plan);
+  plan.seed = stream_seed;
+  stream_injector_ = std::make_unique<resilience::StorageFaultInjector>(std::move(plan));
+}
+
 void ShardRun::restore(std::uint64_t shard, std::vector<core::RowRecord> records) {
   metrics.counter("campaign.records").add(records.size());
   metrics.counter("campaign.shards_skipped").add();
@@ -56,33 +61,72 @@ void ShardRun::restore(std::uint64_t shard, std::vector<core::RowRecord> records
   ++result.shards_skipped;
 }
 
+void ShardRun::restore(const JournalReader& reader) {
+  reader.require_matches(header_);
+  for (const auto& [index, records] : reader.shards()) {
+    if (index < done.size()) restore(index, records);  // out-of-range lines are ignored
+  }
+}
+
+std::size_t ShardRun::pending() const {
+  return static_cast<std::size_t>(std::count(done.begin(), done.end(), char{0}));
+}
+
 void ShardRun::note_storage_error(const std::string& what) {
   ++result.storage_errors;
   if (result.storage_error.empty()) result.storage_error = what;
 }
 
-void ShardRun::open_stream(const std::string& path, const telemetry::MetricsStreamHeader& header,
-                           resilience::StorageFaultInjector* injector) {
+void ShardRun::open_journal(const JournalReader* resumed) {
+  if (config_.checkpoint_path.empty()) return;
   try {
-    stream = std::make_unique<telemetry::MetricsStreamWriter>(path, header, injector);
+    journal_ = resumed != nullptr
+                   ? std::make_unique<JournalWriter>(config_.checkpoint_path, *resumed,
+                                                     journal_injector_.get())
+                   : std::make_unique<JournalWriter>(config_.checkpoint_path, header_,
+                                                     journal_injector_.get());
+  } catch (const common::StorageError& e) {
+    // Checkpointing is lost, the sweep still runs; a run that can never
+    // be durable never claims it was.
+    journal_lost = true;
+    note_storage_error(e.what());
+  }
+}
+
+void ShardRun::open_stream() {
+  if (config_.metrics_stream_path.empty()) return;
+  // Wall samples come at shard claims and commits, so the header's wall
+  // cadence is 0.
+  const telemetry::MetricsStreamHeader header{header_.seed, header_.config_hash,
+                                              header_.shard_count,
+                                              static_cast<unsigned>(workers.size()),
+                                              config_.stream_cycle_cadence, 0.0};
+  try {
+    stream_ = std::make_unique<telemetry::MetricsStreamWriter>(
+        config_.metrics_stream_path, header, stream_injector_.get());
   } catch (const common::StorageError& e) {
     note_storage_error(e.what());
   }
 }
 
 std::string ShardRun::append_journal(const std::function<void(JournalWriter&)>& write) {
-  if (journal == nullptr) return "";
+  if (journal_ == nullptr) return "";
   try {
-    write(*journal);
+    write(*journal_);
   } catch (const common::StorageError& e) {
     // A storage failure is never worth a shard: drop the journal, remember
     // why, keep measuring.
-    journal.reset();
+    journal_.reset();
     journal_lost = true;
     note_storage_error(e.what());
     return e.what();
   }
   return "";
+}
+
+void ShardRun::close_outputs() {
+  journal_.reset();
+  stream_.reset();
 }
 
 void ShardRun::claim(std::size_t worker, std::uint64_t shard) {
@@ -123,7 +167,7 @@ std::string ShardRun::commit(std::size_t worker, std::uint64_t shard, ExecutedSh
 }
 
 void ShardRun::append_wall_sample() {
-  if (stream == nullptr) return;
+  if (stream_ == nullptr) return;
   const telemetry::CounterValues now_values = telemetry::counter_values(metrics);
   telemetry::CounterValues deltas;
   for (const auto& [name, value] : now_values) {
@@ -145,7 +189,7 @@ void ShardRun::append_wall_sample() {
     w.shard = s.shard;
     samples.push_back(w);
   }
-  stream->append(telemetry::format_wall_sample(ms_since(epoch), deltas, samples));
+  stream_->append(telemetry::format_wall_sample(ms_since(epoch), deltas, samples));
 }
 
 void ShardRun::finish() {
@@ -171,8 +215,8 @@ void ShardRun::finish() {
   spans.add(root);
   spans.sort_canonical();
 
-  if (stream != nullptr) {
-    stream->append(telemetry::format_final_sample(
+  if (stream_ != nullptr) {
+    stream_->append(telemetry::format_final_sample(
         ms_since(epoch), telemetry::counter_values(metrics),
         metrics.counter("campaign.shards_done").value(),
         metrics.counter("campaign.shards_failed").value(),
@@ -180,13 +224,10 @@ void ShardRun::finish() {
         metrics.counter("campaign.shards_total").value()));
     // The stream going dark is advisory-telemetry loss: counted, never
     // grounds to fail the run.
-    if (stream->degraded()) note_storage_error(stream->storage_error());
+    if (stream_->degraded()) note_storage_error(stream_->storage_error());
   }
   if (aggregate_ != nullptr) aggregate_->metrics().merge_from(metrics);
-  // Their destructors flush and close: the on-disk journal and stream are
-  // complete documents from here on.
-  journal.reset();
-  stream.reset();
+  close_outputs();
 }
 
 void ShardRun::build(WorkerRig& rig) {
@@ -196,7 +237,7 @@ void ShardRun::build(WorkerRig& rig) {
   if (aggregate_ != nullptr) {
     rig.sink = std::make_unique<telemetry::Telemetry>(aggregate_->config());
     rig.host->set_telemetry(rig.sink.get());
-  } else if (stream != nullptr) {
+  } else if (stream_ != nullptr) {
     // Streaming without an aggregate still needs a per-worker sink: the
     // cycles series samples its counters. Trace stays off (nothing will
     // export it) and the heatmap matches the device geometry.
@@ -245,7 +286,7 @@ ExecutedShard ShardRun::execute(WorkerRig& rig, std::uint64_t shard, std::mutex&
                                 const std::function<void(const std::string&)>& on_retry) {
   // Nobody replaces the stream while a worker is executing, so one unlocked
   // read serves the whole shard.
-  telemetry::MetricsStreamWriter* const writer = stream.get();
+  telemetry::MetricsStreamWriter* const writer = stream_.get();
 
   // The shard's span subtree: shard -> attempt(s) -> host layers. The
   // shard and attempt spans carry 0..cycles-consumed cycle stamps; host

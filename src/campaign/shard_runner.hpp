@@ -7,15 +7,17 @@
 //
 // A ShardRun owns one sweep run's state: its CampaignResult, the
 // campaign.*/resilience.* counter set, the fleet profile, the span sheet,
-// the journal and metrics-stream writers, per-worker status, the span
-// epoch and the rig serial that decorrelates per-rig fault streams. It
-// also owns the one wall-sample rule: claim() and commit() each append
-// one wall sample, so a shard in flight is named in the stream from its
-// claim on, and a hung shard leaves the stream quiet. The runners own only
-// what differs between them:
-//   Campaign::run   journal/stream prologue (resume), progress,
-//                   fail-on-error;
-//   serve::Job      admission (cache hits, restart resume), the result
+// per-worker status, the span epoch and the rig serial that decorrelates
+// per-rig fault streams. It is the one owner of the run's journal and
+// metrics stream: their headers, their disk-fault injectors, resume, the
+// drop on a StorageError, and the close. It owns the one wall-sample rule
+// too: claim() and commit() each append one wall sample, so a shard in
+// flight is named in the stream from its claim on, and a hung shard leaves
+// the stream quiet. The runners own only what differs between them:
+//   Campaign::run   fault-stream seeds, refusing a foreign journal on
+//                   --resume, progress, fail-on-error;
+//   serve::Job      fault-stream seeds, admission (cache hits; restart
+//                   resume, which starts a foreign journal over), the result
 //                   cache, flight-recorder events, serve.* histograms, and
 //                   finalize (report files, job state).
 //
@@ -23,7 +25,7 @@
 // with one mutex (PoolJob::mutex) and holds it for every member function
 // except execute() and retire(), which run on a rig thread without it and
 // take it only where they touch shared state. While rigs run, nothing
-// replaces `stream` or `epoch` and nobody but the claiming rig touches a
+// replaces the stream or `epoch` and nobody but the claiming rig touches a
 // claimed shard's `done` entry, so those reads need no lock.
 #pragma once
 
@@ -48,6 +50,12 @@
 #include "telemetry/telemetry.hpp"
 
 namespace rh::campaign {
+
+/// Host wall milliseconds since `start`.
+[[nodiscard]] inline double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 /// One worker's private measurement stack: a host clone, its telemetry
 /// sink, its fault injector (under fault injection), and a characterizer
@@ -82,11 +90,14 @@ struct ExecutedShard {
 
 class ShardRun {
 public:
-  /// Starts a run of `spec` (which must outlive it). Of `config`, the run
-  /// uses the execution knobs: retries, fault_plan, retry_policy, engine,
-  /// engine_bug and stream_cycle_cadence. `aggregate` (may be null)
-  /// absorbs every retired rig's telemetry and, at finish(), the run's
-  /// counters. Registers the counter set and sets the span epoch to now.
+  /// Starts a run of `spec`, which must outlive every call but the
+  /// metrics/profile/spans reads of a finished run. Of `config`, the run
+  /// uses the execution knobs (retries, fault_plan, retry_policy, engine,
+  /// engine_bug, stream_cycle_cadence) and the durable outputs
+  /// (checkpoint_path, metrics_stream_path, storage_fault_plan). `aggregate`
+  /// (may be null) absorbs every retired rig's telemetry and, at finish(),
+  /// the run's counters. Registers the counter set and sets the span epoch
+  /// to now.
   ShardRun(const SweepSpec& spec, CampaignConfig config, HostFactory factory,
            telemetry::Telemetry* aggregate);
 
@@ -98,25 +109,47 @@ public:
   telemetry::MetricsRegistry metrics;   ///< campaign.*/resilience.* counters
   profiling::Profile profile;           ///< fleet profile
   telemetry::SpanSheet spans;
-  std::unique_ptr<JournalWriter> journal;
-  std::unique_ptr<telemetry::MetricsStreamWriter> stream;
   std::vector<WorkerStatus> workers;    ///< one slot per worker; size the pool
   std::chrono::steady_clock::time_point epoch;  ///< span and sample clock base
   /// A storage failure dropped the journal: results are no longer durable.
   bool journal_lost = false;
 
+  /// Arms disk-fault injection on the journal and the stream when
+  /// config.storage_fault_plan is enabled: each draws the plan under its
+  /// own seed, which the runner derives.
+  void seed_storage_faults(std::uint64_t journal_seed, std::uint64_t stream_seed);
+  /// The journal's fault injector (null when unarmed).
+  [[nodiscard]] resilience::StorageFaultInjector* journal_injector() const {
+    return journal_injector_.get();
+  }
+
   /// Restores a shard measured before this run (journal resume, result
   /// cache): counted as skipped, never executed.
   void restore(std::uint64_t shard, std::vector<core::RowRecord> records);
+  /// Restores every in-range shard `reader` holds, once its header is this
+  /// sweep's; a foreign one throws common::ConfigError, restoring nothing.
+  void restore(const JournalReader& reader);
+  /// Shards neither restored nor committed.
+  [[nodiscard]] std::size_t pending() const;
   /// Counts a survived durable-output failure; the first message is kept.
   void note_storage_error(const std::string& what);
-  /// Opens the metrics stream. A header that cannot land leaves the run
-  /// streamless (counted), never failed: telemetry is advisory.
-  void open_stream(const std::string& path, const telemetry::MetricsStreamHeader& header,
-                   resilience::StorageFaultInjector* injector);
+
+  /// Opens the journal at config.checkpoint_path (none when empty): fresh,
+  /// header first, or after quarantine-compacting the journal `resumed`
+  /// read. A StorageError leaves the run without one: counted, and
+  /// journal_lost.
+  void open_journal(const JournalReader* resumed = nullptr);
+  /// Opens the metrics stream at config.metrics_stream_path (none when
+  /// empty); size `workers` first, the header names them. A header that
+  /// cannot land leaves the run streamless (counted), never failed:
+  /// telemetry is advisory.
+  void open_stream();
   /// Runs one journal write. A storage failure drops the journal (results
   /// stay in memory), is counted, and its message returned; "" on success.
   std::string append_journal(const std::function<void(JournalWriter&)>& write);
+  /// Closes the journal and the stream; their destructors flush, so both
+  /// files are complete documents from here on. No rig may be attached.
+  void close_outputs();
 
   /// Marks `shard` in flight on worker slot `worker` and appends a wall
   /// sample.
@@ -129,7 +162,7 @@ public:
                      profiling::Profile& worker_profile);
   /// Completes the run: sorts failures and timings, roots the span forest
   /// and sorts it canonically, appends the final stream sample, merges the
-  /// counters into the aggregate sink, and closes both writers.
+  /// counters into the aggregate sink, and closes both outputs.
   void finish();
 
   /// Runs every attempt at `shard` on `rig` (building it when empty): the
@@ -154,6 +187,11 @@ private:
   CampaignConfig config_;
   HostFactory factory_;
   telemetry::Telemetry* aggregate_;
+  JournalHeader header_;  ///< the sweep's identity, in both file headers
+  std::unique_ptr<resilience::StorageFaultInjector> journal_injector_;
+  std::unique_ptr<resilience::StorageFaultInjector> stream_injector_;
+  std::unique_ptr<JournalWriter> journal_;
+  std::unique_ptr<telemetry::MetricsStreamWriter> stream_;
   std::atomic<std::uint64_t> rig_serial_{0};
   telemetry::CounterValues last_wall_;  ///< counter values at the last wall sample
 };

@@ -241,6 +241,34 @@ void DurableFile::write_line(std::string_view line) {
   offset_ += line.size() + 1;
 }
 
+AdvisoryFile::AdvisoryFile(const std::string& path, const std::string& what, bool truncate,
+                           StorageFaultInjector* injector, std::string_view header)
+    : file_(std::make_unique<DurableFile>(path, what, truncate, injector)), path_(path) {
+  if (!header.empty()) file_->write_line(frame_line(header));
+}
+
+void AdvisoryFile::append(std::string_view payload) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (file_ == nullptr) return;  // already dark
+  try {
+    file_->write_line(frame_line(payload));
+  } catch (const StorageError& e) {
+    // Go dark and remember why; the owner reads degraded() to surface it.
+    storage_error_ = e.what();
+    file_.reset();
+  }
+}
+
+bool AdvisoryFile::degraded() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return file_ == nullptr;
+}
+
+std::string AdvisoryFile::storage_error() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return storage_error_;
+}
+
 void write_file_atomic(const std::string& path, std::string_view text,
                        const std::string& what, StorageFaultInjector* injector) {
   if (injector != nullptr && injector->should_fire(StorageFaultKind::kEnospc)) {

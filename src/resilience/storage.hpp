@@ -19,6 +19,7 @@
 //   StorageFaultInjector  — the deterministic "when does the disk lie" oracle
 //   frame_line/check_frame — CRC-32 per-line framing (the v2 record format)
 //   DurableFile           — append-one-line-then-fsync with injection points
+//   AdvisoryFile          — a DurableFile that goes dark on its first failure
 //   write_file_atomic     — write-tmp / fsync-tmp / rename / fsync-dir
 //   scan_jsonl/repair_jsonl — the one damage classifier and the one repair
 //                           for CRC-framed JSONL files (journals, streams)
@@ -29,6 +30,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -167,7 +170,7 @@ enum class FrameCheck : std::uint8_t {
 // ---------------------------------------------------------------------------
 
 /// Append-one-line-then-fsync file handle with storage-fault injection
-/// points, adopted by the journal and metrics-stream writers.
+/// points, adopted by the journal writer and by AdvisoryFile.
 ///
 /// Real I/O failures and injected kEnospc / kShortWrite / kFsyncFail throw
 /// common::StorageError; kTornLine returns silently with only a prefix on
@@ -203,6 +206,37 @@ private:
   std::string what_;
   StorageFaultInjector* injector_ = nullptr;
   std::uint64_t offset_ = 0;  ///< current end-of-file position
+};
+
+/// A DurableFile for advisory records (metrics streams, access logs),
+/// which must never cost the work they describe: lines are CRC-framed and
+/// appended under one lock, and the first StorageError sends the file dark
+/// instead of propagating. A dark file drops every later line and keeps
+/// the first failure for degraded()/storage_error().
+class AdvisoryFile {
+public:
+  /// Opens `path` as DurableFile does and, when `header` is non-empty,
+  /// writes it as the first line. An open failure throws ConfigError and a
+  /// header that cannot land StorageError: a file that never existed is
+  /// the caller's call.
+  AdvisoryFile(const std::string& path, const std::string& what, bool truncate,
+               StorageFaultInjector* injector, std::string_view header = {});
+
+  /// Appends `payload` as one framed line, flushed and fsync'd; a no-op
+  /// once dark. Never throws on storage failure.
+  void append(std::string_view payload);
+
+  /// True once a storage failure has silenced the file.
+  [[nodiscard]] bool degraded() const;
+  /// The first storage failure's message ("" while healthy).
+  [[nodiscard]] std::string storage_error() const;
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+private:
+  mutable std::mutex mutex_;
+  std::unique_ptr<DurableFile> file_;  ///< null once dark
+  std::string path_;
+  std::string storage_error_;
 };
 
 /// Atomically replaces `path` with `text`: write `path`.tmp, fsync it,

@@ -44,9 +44,9 @@ void finalize_job(Job& job) {
   bool report_written = false;
   try {
     resilience::write_file_atomic(job.report_path, render(true), "job report",
-                                  job.journal_injector.get());
+                                  run.journal_injector());
     resilience::write_file_atomic(job.det_report_path, render(false), "job report",
-                                  job.journal_injector.get());
+                                  run.journal_injector());
     report_written = true;
   } catch (const common::Error& e) {
     // finalize runs on rig threads: a report that cannot land must degrade

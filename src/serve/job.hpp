@@ -2,15 +2,15 @@
 //
 // A Job is the service's job on the campaign rig pool: a campaign::PoolJob,
 // the type Campaign::run submits too, whose campaign::ShardRun owns the
-// result, counters, profile, span sheet, journal, metrics stream and
-// worker status, and executes and books every shard, so a job's
-// deterministic report is byte-identical to running its config through
-// the bench CLI path. The pool job also carries the pool's bookkeeping
-// (mutex, remaining shards, attached rigs, finalized, cancel). The job
-// adds only what the service owns: admission identity (id, tenant,
-// config, paths), lifecycle state, cache accounting, and the per-job
-// storage fault injectors. PoolJob::mutex guards the run state and every
-// mutable field below (see the locking note in shard_runner.hpp).
+// result, counters, profile, span sheet, worker status, and the journal
+// and metrics stream with their disk-fault injectors, and executes and
+// books every shard, so a job's deterministic report is byte-identical to
+// running its config through the bench CLI path. The pool job also
+// carries the pool's bookkeeping (mutex, remaining shards, attached rigs,
+// finalized, cancel). The job adds only what the service owns: admission
+// identity (id, tenant, config, paths), lifecycle state, cache accounting,
+// and the descriptor's fault injector. PoolJob::mutex guards the run state
+// and every mutable field below (see the locking note in shard_runner.hpp).
 //
 // On-disk footprint, all under the server's data dir and all named by id:
 //   job-<id>.json           descriptor (tenant, state, canonical config) —
@@ -65,11 +65,9 @@ struct Job : campaign::PoolJob {
   std::uint64_t shards_cached = 0;  ///< answered from the result cache
 
   std::unique_ptr<telemetry::Telemetry> aggregate;  ///< fleet cmd.* sink
-  /// Per-job storage fault injectors (null unless the server was started
-  /// with a storage fault plan), one independent stream per durable output
-  /// so a journal fault never moves a stream fault.
-  std::unique_ptr<resilience::StorageFaultInjector> journal_injector;
-  std::unique_ptr<resilience::StorageFaultInjector> stream_injector;
+  /// The descriptor's storage fault injector (null unless the server was
+  /// started with a storage fault plan); the run holds the journal's and
+  /// the stream's, and the report files draw from the journal's.
   std::unique_ptr<resilience::StorageFaultInjector> meta_injector;
   // `run` (PoolJob) has one worker slot per rig. A storage failure that
   // drops its journal (run->journal_lost) fails the job at finalize.

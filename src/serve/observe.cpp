@@ -80,39 +80,10 @@ std::string access_record_json(const AccessRecord& record) {
   return out;
 }
 
+// First boot creates the file; a restart appends to the existing log
+// (DurableFile's append mode requires the file to exist).
 AccessLog::AccessLog(const std::string& path, resilience::StorageFaultInjector* injector)
-    : path_(path) {
-  // First boot creates the file; a restart appends to the existing log
-  // (DurableFile's append mode requires the file to exist).
-  const bool fresh = !std::filesystem::exists(path);
-  file_ = std::make_unique<resilience::DurableFile>(path, "access log",
-                                                    /*truncate=*/fresh, injector);
-}
-
-void AccessLog::record(const AccessRecord& record) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!storage_error_.empty()) return;  // already dark
-  try {
-    file_->write_line(resilience::frame_line(access_record_json(record)));
-  } catch (const common::StorageError& e) {
-    // Same contract as the metrics stream: the access log is advisory, so
-    // a dying disk silences it instead of failing requests.
-    storage_error_ = e.what();
-    file_.reset();
-  }
-}
-
-bool AccessLog::degraded() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return !storage_error_.empty();
-}
-
-std::string AccessLog::storage_error() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return storage_error_;
-}
-
-const std::string& AccessLog::path() const { return path_; }
+    : AdvisoryFile(path, "access log", /*truncate=*/!std::filesystem::exists(path), injector) {}
 
 // ---------------------------------------------------------------------------
 // FlightRecorder

@@ -12,11 +12,11 @@
 //     from the first scrape, traffic or not.
 //
 //   AccessLog — one JSONL line per HTTP request (method, path, status,
-//     tenant, bytes, wall-µs, outcome), written through DurableFile with
-//     the CRC-32 v2 line framing, so the tail is torn-safe and rot is
-//     detectable. Storage-failure policy mirrors the metrics stream: logs
-//     are advisory, so the first StorageError sends the log dark instead
-//     of unwinding into the accept loop.
+//     tenant, bytes, wall-µs, outcome), written with the CRC-32 v2 line
+//     framing, so the tail is torn-safe and rot is detectable. Like the
+//     metrics stream it is a resilience::AdvisoryFile: logs are advisory,
+//     so the first StorageError sends the log dark instead of unwinding
+//     into the accept loop.
 //
 //   FlightRecorder — a fixed-size in-memory ring of recent service events
 //     (admissions, rejections, steals, retries, storage errors, cancels,
@@ -27,7 +27,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -78,10 +77,9 @@ struct AccessRecord {
 /// line schema pinned by tests/golden_contract_test.cpp).
 [[nodiscard]] std::string access_record_json(const AccessRecord& record);
 
-/// Appending JSONL access-log writer (CRC-framed lines through
-/// DurableFile). Internally locked; degrades to dark on the first storage
-/// failure — see the file comment.
-class AccessLog {
+/// Appending JSONL access-log writer: a resilience::AdvisoryFile, so it
+/// goes dark on the first storage failure (see the file comment).
+class AccessLog : public resilience::AdvisoryFile {
 public:
   /// Opens `path` for appending (a restarted server continues its log).
   /// `injector` may be null and must outlive the log. Throws ConfigError
@@ -89,17 +87,7 @@ public:
   explicit AccessLog(const std::string& path,
                      resilience::StorageFaultInjector* injector = nullptr);
 
-  void record(const AccessRecord& record);
-
-  [[nodiscard]] bool degraded() const;
-  [[nodiscard]] std::string storage_error() const;
-  [[nodiscard]] const std::string& path() const;
-
-private:
-  mutable std::mutex mutex_;
-  std::unique_ptr<resilience::DurableFile> file_;
-  std::string path_;
-  std::string storage_error_;
+  void record(const AccessRecord& record) { append(access_record_json(record)); }
 };
 
 /// Everything the flight recorder knows how to remember.

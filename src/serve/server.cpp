@@ -67,39 +67,17 @@ double us_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Opens a job's metrics stream (its wall samples come at shard claims and
-/// commits, so the header's wall cadence is 0).
-void open_stream(Job& job, const Server::Options& options) {
-  job.run->open_stream(job.stream_path,
-                       {job.spec.device.fault.seed, job.hash,
-                        static_cast<std::uint64_t>(job.spec.shards.size()), options.rigs,
-                        options.stream_cycle_cadence, 0.0},
-                       job.stream_injector.get());
-}
-
 /// The service only ever puts its own jobs on the pool.
 Job& as_job(campaign::PoolJob& job) { return static_cast<Job&>(job); }
 
-/// The header a job's journal must carry.
-campaign::JournalHeader journal_header(const Job& job) {
-  return {job.spec.device.fault.seed, job.hash,
-          static_cast<std::uint64_t>(job.spec.shards.size())};
-}
-
-/// A shard answered without a rig (result cache or journal): the run books
-/// it as skipped through the same ShardRun::restore a `--resume` skip takes.
-void restore_shard(Job& job, std::uint64_t shard, std::vector<core::RowRecord> records) {
-  job.run->restore(shard, std::move(records));
-  --job.remaining;
-}
-
-/// Restores every journaled shard of the job's sweep, warming the cache
-/// with each.
-void restore_journaled(Job& job, const campaign::JournalReader& reader, ResultCache& cache) {
-  for (const auto& [index, records] : reader.shards()) {
-    if (index >= job.spec.shards.size()) continue;
-    cache.insert(shard_cache_key(job.cache_prefix, job.spec.shards[index]), records);
-    restore_shard(job, index, records);
+/// Warms the result cache with every shard the job's run restored.
+void warm_cache(const Job& job, ResultCache& cache) {
+  const campaign::ShardRun& run = *job.run;
+  for (std::size_t i = 0; i < run.done.size(); ++i) {
+    if (run.done[i] != 0) {
+      cache.insert(shard_cache_key(job.cache_prefix, job.spec.shards[i]),
+                   run.result.per_shard[i]);
+    }
   }
 }
 
@@ -454,10 +432,7 @@ HttpResponse Server::cancel_job(std::uint64_t id) {
     // lock, so resetting mid-flight is a use-after-free. With rigs
     // attached, the last retire() closes both writers; the in-flight
     // shards finish and journal (DESIGN.md: "claimed shards finish").
-    if (job->rigs_attached == 0) {
-      job->run->journal.reset();
-      job->run->stream.reset();
-    }
+    if (job->rigs_attached == 0) job->run->close_outputs();
     body = job_status_json(*job);
   }
   flightrec_.record(ServiceEventKind::kCancel, job->id, job->tenant, "");
@@ -696,25 +671,13 @@ std::shared_ptr<Job> Server::make_job(std::uint64_t id, const std::string& tenan
   job->tenant = tenant;
   job->config = std::move(config);
   job->spec = to_sweep_spec(job->config);
-  job->hash = config_hash(job->config);
+  job->hash = campaign::sweep_config_hash(job->spec);
   job->cache_prefix = sweep_cache_prefix(job->spec);
   job->journal_path = job_path(id, ".journal.jsonl");
   job->stream_path = job_path(id, ".stream.jsonl");
   job->report_path = job_path(id, ".report.json");
   job->det_report_path = job_path(id, ".report.det.json");
   job->meta_path = job_path(id, ".json");
-  if (options_.storage_plan.enabled()) {
-    // One independent fault stream per durable output, decorrelated by job
-    // id so two jobs' storms never move each other.
-    resilience::StorageFaultPlan splan = options_.storage_plan;
-    splan.seed = common::hash_coords(options_.storage_plan.seed, 0x570u, id, 0);
-    job->journal_injector = std::make_unique<resilience::StorageFaultInjector>(splan);
-    splan.seed = common::hash_coords(options_.storage_plan.seed, 0x570u, id, 1);
-    job->stream_injector = std::make_unique<resilience::StorageFaultInjector>(splan);
-    splan.seed = common::hash_coords(options_.storage_plan.seed, 0x570u, id, 2);
-    job->meta_injector = std::make_unique<resilience::StorageFaultInjector>(std::move(splan));
-  }
-  job->remaining = job->spec.shards.size();
   // Same sink configuration as a bench run with only --report:
   // report byte-identity depends on the aggregate snapshot matching.
   telemetry::TelemetryConfig tc;
@@ -723,34 +686,40 @@ std::shared_ptr<Job> Server::make_job(std::uint64_t id, const std::string& tenan
   // The execution knobs are the server's, never the job's: the same
   // physics produces the same bytes however the pool is configured.
   campaign::CampaignConfig execution;
+  execution.checkpoint_path = job->journal_path;
+  execution.metrics_stream_path = job->stream_path;
   execution.retries = options_.retries;
   execution.retry_policy = options_.retry_policy;
   execution.fault_plan = to_fault_plan(job->config);
+  execution.storage_fault_plan = options_.storage_plan;
   execution.stream_cycle_cadence = options_.stream_cycle_cadence;
   job->run = std::make_unique<campaign::ShardRun>(job->spec, std::move(execution),
                                                   campaign::make_default_host,
                                                   job->aggregate.get());
   job->run->workers.resize(options_.rigs);
+  // One independent fault stream per durable output, decorrelated by job
+  // id so two jobs' storms never move each other.
+  const std::uint64_t seed = options_.storage_plan.seed;
+  job->run->seed_storage_faults(common::hash_coords(seed, 0x570u, id, 0),
+                                common::hash_coords(seed, 0x570u, id, 1));
+  if (options_.storage_plan.enabled()) {
+    resilience::StorageFaultPlan mplan = options_.storage_plan;
+    mplan.seed = common::hash_coords(seed, 0x570u, id, 2);
+    job->meta_injector = std::make_unique<resilience::StorageFaultInjector>(std::move(mplan));
+  }
   return job;
 }
 
 void Server::prepare_fresh(Job& job) {
-  const std::size_t n = job.spec.shards.size();
   campaign::ShardRun& run = *job.run;
-  try {
-    run.journal = std::make_unique<campaign::JournalWriter>(
-        job.journal_path, journal_header(job), job.journal_injector.get());
-  } catch (const common::StorageError& e) {
-    run.note_storage_error(e.what());
-    run.journal_lost = true;  // admitted, but it can never claim success
-  }
-  open_stream(job, options_);
+  run.open_journal();  // a refused header admits a job that can never claim success
+  run.open_stream();
 
   // Probe the cache shard by shard: a superset sweep only simulates the
   // shards the cache has never seen. Hits replay through the same
   // accounting as a `--resume` skip, journal line included, so downstream
   // consumers cannot tell a cached shard from a journaled one.
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < job.spec.shards.size(); ++i) {
     std::vector<core::RowRecord> records;
     const auto lookup_start = std::chrono::steady_clock::now();
     const bool hit =
@@ -760,54 +729,41 @@ void Server::prepare_fresh(Job& job) {
     if (!hit) continue;
     metrics_.observe("serve.cache_hit_us", lookup_us);
     run.append_journal([&](campaign::JournalWriter& j) { j.append_shard(i, records); });
-    restore_shard(job, i, std::move(records));
+    run.restore(i, std::move(records));
     ++job.shards_cached;
   }
+  job.remaining = run.pending();
 }
 
 void Server::prepare_resumed(Job& job) {
   campaign::ShardRun& run = *job.run;
   try {
-    bool reopened = false;
-    std::error_code ec;
-    if (std::filesystem::exists(job.journal_path, ec)) {
-      try {
-        campaign::JournalReader reader(job.journal_path);
-        reader.require_matches(journal_header(job));
-        restore_journaled(job, reader, cache_);
-        // Quarantine-and-compact: corrupt mid-file lines move to the
-        // .quarantine sidecar and exactly their shards stay pending.
-        run.journal = std::make_unique<campaign::JournalWriter>(job.journal_path, reader,
-                                                                job.journal_injector.get());
-        reopened = true;
-      } catch (const common::ConfigError&) {
-        // Destroyed header (or a journal from another sweep): nothing in it
-        // can be trusted, so every shard re-runs into a fresh journal.
-      }
-    }
-    if (!reopened) {
-      run.journal = std::make_unique<campaign::JournalWriter>(
-          job.journal_path, journal_header(job), job.journal_injector.get());
-    }
-  } catch (const common::StorageError& e) {
-    run.note_storage_error(e.what());
-    run.journal_lost = true;
+    // Quarantine-and-compact: corrupt mid-file lines move to the
+    // .quarantine sidecar and exactly their shards stay pending.
+    const campaign::JournalReader reader(job.journal_path);
+    run.restore(reader);
+    run.open_journal(&reader);
+  } catch (const common::ConfigError&) {
+    // No journal, a destroyed header or a journal from another sweep:
+    // nothing in it can be trusted, so every shard re-runs into a fresh
+    // journal.
+    run.open_journal();
   }
-  open_stream(job, options_);
+  warm_cache(job, cache_);
+  run.open_stream();
+  job.remaining = run.pending();
   job.state = JobState::kQueued;
 }
 
 void Server::warm_cache_from_journal(Job& job) {
-  std::error_code ec;
-  if (!std::filesystem::exists(job.journal_path, ec)) return;
   try {
-    campaign::JournalReader reader(job.journal_path);
-    reader.require_matches(journal_header(job));
-    restore_journaled(job, reader, cache_);
+    job.run->restore(campaign::JournalReader(job.journal_path));
   } catch (const common::Error&) {
-    // A terminal job's journal that fails validation only costs cache
-    // warmth — the job's report on disk is still served as-is.
+    // A terminal job's journal that is missing or fails validation only
+    // costs cache warmth — the job's report on disk is still served as-is.
+    return;
   }
+  warm_cache(job, cache_);
 }
 
 void Server::persist_meta(Job& job) {

@@ -195,16 +195,19 @@ private:
   HttpResponse results_response(const std::shared_ptr<Job>& job);
   static HttpResponse file_response(const std::string& path, const char* content_type);
 
-  /// Builds a Job around a parsed config: paths, spec, counters, aggregate
-  /// sink. Shared by submit and recovery.
+  /// Builds a Job around a parsed config: paths, spec, aggregate sink, and
+  /// a run whose durable outputs are the job's files under the job's
+  /// fault-stream seeds. Shared by submit and recovery.
   [[nodiscard]] std::shared_ptr<Job> make_job(std::uint64_t id, const std::string& tenant,
                                               CampaignConfig config);
-  /// Fresh submission: open journal + stream, probe the cache, journal the
-  /// cache-served shards.
+  /// Fresh submission: the run opens its journal and stream; then probe
+  /// the cache and journal the cache-served shards.
   void prepare_fresh(Job& job);
-  /// Restart path: restore journaled shards (as skipped), reopen the
-  /// journal for appending, fresh stream file.
+  /// Restart path: the run restores the journal and reopens it compacted;
+  /// a missing, foreign or destroyed-header journal starts over instead.
+  /// Restored shards warm the cache; the stream starts afresh.
   void prepare_resumed(Job& job);
+  /// A terminal job's journal is only read: its shards warm the cache.
   void warm_cache_from_journal(Job& job);
   void persist_meta(Job& job);
   void recover();

@@ -1,7 +1,5 @@
 #include "telemetry/stream.hpp"
 
-
-#include "common/error.hpp"
 #include "common/table.hpp"
 
 namespace rh::telemetry {
@@ -38,39 +36,7 @@ void append_counter_object(std::string& out, const CounterValues& values) {
 MetricsStreamWriter::MetricsStreamWriter(const std::string& path,
                                          const MetricsStreamHeader& header,
                                          resilience::StorageFaultInjector* injector)
-    : path_(path) {
-  file_ = std::make_unique<resilience::DurableFile>(path, "metrics stream",
-                                                    /*truncate=*/true, injector);
-  // The header write throws on failure (Storage- or ConfigError): a stream
-  // whose identity line never landed is for the *caller* to shrug off.
-  file_->write_line(resilience::frame_line(header_line(header)));
-}
-
-MetricsStreamWriter::~MetricsStreamWriter() = default;
-
-void MetricsStreamWriter::append(const std::string& line) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!storage_error_.empty()) return;  // already dark
-  try {
-    file_->write_line(resilience::frame_line(line));
-  } catch (const common::StorageError& e) {
-    // Telemetry must never cost the campaign a shard: go dark, remember
-    // why, and let the owner surface it (campaign storage_errors, serve
-    // /healthz degraded).
-    storage_error_ = e.what();
-    file_.reset();
-  }
-}
-
-bool MetricsStreamWriter::degraded() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return !storage_error_.empty();
-}
-
-std::string MetricsStreamWriter::storage_error() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return storage_error_;
-}
+    : AdvisoryFile(path, "metrics stream", /*truncate=*/true, injector, header_line(header)) {}
 
 std::string format_cycles_sample(std::uint64_t shard, std::uint32_t attempt, std::uint32_t seq,
                                  std::uint64_t cycle, const CounterValues& deltas) {

@@ -34,8 +34,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -54,42 +52,22 @@ struct MetricsStreamHeader {
   double wall_cadence_ms = 0.0;
 };
 
-/// Appends sample lines to the stream file. append() is internally locked:
-/// every rig's cycles sampler and the run's wall samples write through one
-/// writer.
+/// Appends sample lines to the stream file: every rig's cycles sampler and
+/// the run's wall samples write through one writer.
 ///
 /// Storage-failure policy: the stream is advisory telemetry, never results
 /// — so a failed write (real or injected through `injector`) must not cost
 /// the campaign a shard. The constructor still throws (ConfigError for an
 /// unopenable path, StorageError if the header cannot land: a stream that
-/// never existed is a caller decision), but append() degrades instead:
-/// after the first StorageError the writer goes dark, drops every later
-/// sample, and reports the event through degraded()/storage_error().
-class MetricsStreamWriter {
+/// never existed is a caller decision), but append() degrades instead: it
+/// is a resilience::AdvisoryFile, which goes dark on the first StorageError
+/// and reports it through degraded()/storage_error().
+class MetricsStreamWriter : public resilience::AdvisoryFile {
 public:
   /// Creates (truncating any previous file) and writes an fsync'd header.
   /// `injector` may be null and must outlive the writer.
   MetricsStreamWriter(const std::string& path, const MetricsStreamHeader& header,
                       resilience::StorageFaultInjector* injector = nullptr);
-  ~MetricsStreamWriter();
-
-  MetricsStreamWriter(const MetricsStreamWriter&) = delete;
-  MetricsStreamWriter& operator=(const MetricsStreamWriter&) = delete;
-
-  /// Writes one pre-formatted sample line (CRC-framed), flushed and
-  /// fsync'd. Never throws on storage failure — see the class comment.
-  void append(const std::string& line);
-
-  /// True once a storage failure has silenced the stream.
-  [[nodiscard]] bool degraded() const;
-  /// The first storage failure's message ("" while healthy).
-  [[nodiscard]] std::string storage_error() const;
-
-private:
-  std::unique_ptr<resilience::DurableFile> file_;
-  std::string path_;
-  std::string storage_error_;
-  mutable std::mutex mutex_;
 };
 
 /// One worker's status inside a wall sample.

@@ -6,11 +6,19 @@
 
 #include "common/ascii_plot.hpp"
 #include "common/assert.hpp"
+#include "hbm/timing.hpp"
 #include "telemetry/span.hpp"
 
 namespace rh::telemetry {
 
 namespace {
+
+/// Bounds on the retained domain event streams (oldest kept; the
+/// corresponding counters keep exact totals past the bound).
+constexpr std::size_t kMaxTrrEvents = 1 << 16;
+constexpr std::size_t kMaxFlipEvents = 1 << 16;
+/// The interface-clock period, for trace timestamps (HBM2: 1.667 ns).
+constexpr double kNsPerCycle = static_cast<double>(hbm::kCyclePicoseconds) / 1000.0;
 
 std::string lane_label(std::uint32_t channel, std::uint32_t pc) {
   return "ch" + std::to_string(channel) + ".pc" + std::to_string(pc);
@@ -82,7 +90,7 @@ void Telemetry::on_trr_trigger(std::uint64_t cycle, std::uint32_t channel,
                                std::uint32_t pseudo_channel, std::uint32_t bank,
                                std::uint32_t logical_row, bool documented) {
   (documented ? trr_documented_ : trr_proprietary_)->add();
-  if (trr_events_.size() < config_.max_trr_events) {
+  if (trr_events_.size() < kMaxTrrEvents) {
     trr_events_.push_back({cycle, logical_row, static_cast<std::uint8_t>(channel),
                            static_cast<std::uint8_t>(pseudo_channel),
                            static_cast<std::uint8_t>(bank), documented});
@@ -102,7 +110,7 @@ void Telemetry::on_bit_flips(std::uint64_t cycle, std::uint32_t channel,
   flip_retention_bits_->add(retention_bits);
   flip_events_counter_->add();
   flip_size_hist_->observe(static_cast<double>(rowhammer_bits + retention_bits));
-  if (flip_events_.size() < config_.max_flip_events) {
+  if (flip_events_.size() < kMaxFlipEvents) {
     flip_events_.push_back({cycle, physical_row, rowhammer_bits, retention_bits, disturbance,
                             static_cast<std::uint8_t>(channel),
                             static_cast<std::uint8_t>(pseudo_channel),
@@ -169,7 +177,7 @@ void Telemetry::write_metrics_json(std::ostream& os) const {
 void Telemetry::write_chrome_trace(std::ostream& os, const SpanSheet* spans) const {
   os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   bool first = true;
-  write_chrome_trace_events(os, trace_.in_order(), config_.ns_per_cycle, first);
+  write_chrome_trace_events(os, trace_.in_order(), kNsPerCycle, first);
   if (spans != nullptr) write_chrome_span_events(os, spans->spans(), first);
   os << "]}";
 }
@@ -198,11 +206,11 @@ void Telemetry::absorb(const Telemetry& other) {
   registry_.merge_from(other.registry_);
   for (std::size_t i = 0; i < bank_acts_.size(); ++i) bank_acts_[i] += other.bank_acts_[i];
   for (const auto& e : other.trr_events_) {
-    if (trr_events_.size() >= config_.max_trr_events) break;
+    if (trr_events_.size() >= kMaxTrrEvents) break;
     trr_events_.push_back(e);
   }
   for (const auto& e : other.flip_events_) {
-    if (flip_events_.size() >= config_.max_flip_events) break;
+    if (flip_events_.size() >= kMaxFlipEvents) break;
     flip_events_.push_back(e);
   }
   if (config_.trace_enabled) {

@@ -48,17 +48,11 @@ struct TelemetryConfig {
   std::size_t trace_capacity = 1 << 16;
   /// Record per-command trace events (counters/heatmaps accrue regardless).
   bool trace_enabled = true;
-  /// Interface-clock period for trace timestamp conversion (HBM2: 1.667 ns).
-  double ns_per_cycle = 1.667;
   /// Heatmap dimensions; defaults mirror the paper stack (8 ch x 2 pc x 16
   /// banks).
   std::uint32_t channels = 8;
   std::uint32_t pseudo_channels = 2;
   std::uint32_t banks = 16;
-  /// Bounds on the retained domain event streams (oldest kept; the
-  /// corresponding counters keep exact totals past the bound).
-  std::size_t max_trr_events = 1 << 16;
-  std::size_t max_flip_events = 1 << 16;
 };
 
 /// One TRR trigger decision (proprietary sampler or documented JEDEC mode).

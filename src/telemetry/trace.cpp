@@ -44,14 +44,6 @@ void TraceRing::clear() {
   total_ = 0;
 }
 
-void write_chrome_trace(std::ostream& os, const std::vector<CommandEvent>& events,
-                        double ns_per_cycle) {
-  os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  write_chrome_trace_events(os, events, ns_per_cycle, first);
-  os << "]}";
-}
-
 void write_chrome_trace_events(std::ostream& os, const std::vector<CommandEvent>& events,
                                double ns_per_cycle, bool& first) {
   // Label the lanes: one "process" per channel, one "thread" per pseudo

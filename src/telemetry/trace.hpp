@@ -94,17 +94,13 @@ private:
   std::uint64_t total_ = 0;
 };
 
-/// Writes `events` as Chrome trace-event JSON ({"traceEvents":[...]}).
-/// Each command becomes a complete ("X") slice: pid = channel, tid = pseudo
-/// channel, ts/dur in microseconds (`ns_per_cycle` converts the cycle
-/// counter), args = {bank, row, arg}. Process/thread metadata events label
-/// the channel/pseudo-channel lanes for the Perfetto UI.
-void write_chrome_trace(std::ostream& os, const std::vector<CommandEvent>& events,
-                        double ns_per_cycle);
-
-/// Writes the command slices (with their lane metadata) into an
-/// already-open traceEvents array; `first` tracks comma state so further
-/// writers (e.g. span events) can append to the same array.
+/// Writes `events` as Chrome trace-event slices into an already-open
+/// traceEvents array. Each command becomes a complete ("X") slice: pid =
+/// channel, tid = pseudo channel, ts/dur in microseconds (`ns_per_cycle`
+/// converts the cycle counter), args = {bank, row, arg}. Process/thread
+/// metadata events label the channel/pseudo-channel lanes for the Perfetto
+/// UI. `first` tracks comma state so further writers (e.g. span events)
+/// can append to the same array.
 void write_chrome_trace_events(std::ostream& os, const std::vector<CommandEvent>& events,
                                double ns_per_cycle, bool& first);
 

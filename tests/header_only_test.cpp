@@ -373,6 +373,30 @@ TEST(ServeBootRecovery, DestroyedJournalHeaderStartsOverAndStillFinishes) {
   EXPECT_EQ(results.body, clean_results);
 }
 
+TEST(ServeBootRecovery, RefusedJournalHeaderFailsTheJobAsStorage) {
+  // The bench rule's service twin: one scripted ENOSPC at opportunity 0
+  // refuses the job's journal header. The job is still admitted and runs,
+  // but a job without a durable record must not claim success.
+  const test::ScratchDir dir;
+  Server::Options options;
+  options.data_dir = dir.str();
+  options.rigs = 1;
+  options.storage_plan.script.push_back({resilience::StorageFaultKind::kEnospc, 0});
+  Server server(options);
+  server.start();
+  const HttpResponse created =
+      server.handle(request("POST", "/jobs", to_canonical_json(quick_config())));
+  ASSERT_EQ(created.status, 201) << created.body;
+  const std::uint64_t id = campaign::parse_json(created.body, "created").at("id").as_u64();
+  EXPECT_EQ(wait_terminal(server, id), "failed");
+
+  const HttpResponse status = server.handle(request("GET", "/jobs/" + std::to_string(id)));
+  const std::string error = campaign::parse_json(status.body, "status").at("error").text;
+  EXPECT_EQ(error.rfind("storage:", 0), 0u) << error;
+  const HttpResponse health = server.handle(request("GET", "/healthz"));
+  EXPECT_NE(health.body.find("\"degraded\":true"), std::string::npos) << health.body;
+}
+
 TEST(ServeBootRecovery, OnlyResultCacheHitsReadCachedAcrossRestarts) {
   // A restart restores every job's journal; that is no cache hit. A job
   // the rigs simulated reads 0 cached after it, and a resubmission born

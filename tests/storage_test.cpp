@@ -463,6 +463,29 @@ TEST(StorageStorm, CampaignResultsAreByteIdenticalUnderDiskFaults) {
   EXPECT_FALSE(damaged.storage_error.empty());
 }
 
+TEST(StorageStorm, RefusedHeadersLeaveTheRunWithoutJournalOrStream) {
+  // One scripted ENOSPC at opportunity 0, copied into both derived plans:
+  // the journal header and the stream header are each refused. Neither
+  // costs a shard; both are counted, and nothing lands in the journal.
+  const SweepSpec spec = quick_sweep();
+  const test::ScratchDir dir;
+  const std::string journal = dir.file("storage_test_refused.jsonl");
+
+  Campaign clean(quiet_config());
+  const CampaignResult baseline = clean.run(spec);
+
+  CampaignConfig refused = quiet_config();
+  refused.checkpoint_path = journal;
+  refused.metrics_stream_path = dir.file("storage_test_refused_stream.jsonl");
+  refused.storage_fault_plan.script.push_back({StorageFaultKind::kEnospc, 0});
+  Campaign campaign(refused);
+  const CampaignResult result = campaign.run(spec);
+
+  expect_records_equal(baseline.flat(), result.flat());
+  EXPECT_EQ(result.storage_errors, 2u) << result.storage_error;
+  EXPECT_EQ(read_file(journal), "") << "a refused header leaves no shard line behind";
+}
+
 TEST(StorageStorm, ResumeAfterMidFileRotReRunsExactlyTheDamagedShards) {
   const SweepSpec spec = quick_sweep();
   ASSERT_GT(spec.shards.size(), 4u);
