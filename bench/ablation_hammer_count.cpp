@@ -16,29 +16,15 @@ namespace {
 
 int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 10));
-  const std::vector<std::uint64_t> counts{8'192,  16'384,  32'768,  65'536,
-                                          98'304, 131'072, 196'608, 262'144};
-  const std::uint32_t channels[2] = {0, 7};
+  // One shard per (hammer count, channel 0 or 7): `rows` rows starting at
+  // physical row 410, every 23rd row, one Rowstripe0 measure_ber each.
+  core::OnsetConfig onset;
+  onset.rows = rows;
+  const auto& counts = onset.hammer_counts;
 
-  // One shard per (hammer count, channel): `rows` rows starting at physical
-  // row 410, every 23rd row, one Rowstripe0 measure_ber each. Each point of
-  // the onset curve is an independent, journal-able unit of work.
   campaign::SweepSpec spec;
   spec.device = benchutil::paper_device_config(bench.seed());
-  for (const std::uint64_t hammers : counts) {
-    for (const std::uint32_t channel : channels) {
-      core::ShardSpec shard;
-      shard.index = spec.shards.size();
-      shard.site = core::Site{channel, 0, 0};
-      shard.row_begin = 410;
-      shard.row_end = 410 + rows * 23;
-      shard.row_stride = 23;
-      shard.mode = core::ShardMode::kSinglePattern;
-      shard.pattern = 0;  // Rowstripe0
-      shard.hammers = hammers;
-      spec.shards.push_back(shard);
-    }
-  }
+  spec.shards = core::plan_onset_shards(onset);
 
   const auto result = bench.run_campaign("hammer_count", spec);
 

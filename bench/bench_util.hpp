@@ -24,7 +24,7 @@
 //   --heatmap           print the per-bank ACT heatmap after the run
 // Each bench adds its own knobs (e.g. --stride=N row-sampling stride, 1 =
 // the paper's full methodology; --hammers=N, default 262144 = 256 K).
-// Campaign-backed benches (fig3/fig4/fig5, ablation_hammer_count,
+// Campaign-backed benches (fig3/fig4/fig5/fig6, ablation_hammer_count,
 // ablation_fault_storm), and only they, also take:
 //   --report=PATH       write the campaign run report (phase profile, shard
 //                       latencies, throughput, fault summary) as JSON; also

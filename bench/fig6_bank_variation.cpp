@@ -1,7 +1,8 @@
 // Fig. 6 of the paper: per-bank BER variation. Every bank (8 channels x 2
 // pseudo channels x 16 banks = 256 banks) is summarized by the mean (y) and
 // coefficient of variation (x) of its per-row WCDP BER over the first,
-// middle, and last 100 rows.
+// middle, and last 100 rows. The survey runs as a sharded campaign (one
+// shard per bank and region; --jobs/--checkpoint/--resume/--report).
 //
 // Paper's observations this harness reproduces in shape:
 //   - banks vary in mean BER (up to ~0.23% spread within channel 7)
@@ -14,6 +15,7 @@
 
 #include "bench_util.hpp"
 #include "common/ascii_plot.hpp"
+#include "core/shard.hpp"
 #include "core/spatial.hpp"
 
 using namespace rh;
@@ -26,12 +28,14 @@ int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   config.characterizer.ber_hammers =
       static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
   config.characterizer.max_hammers = config.characterizer.ber_hammers;
-  const auto rows_per_region =
-      static_cast<std::uint32_t>(args.get_positive_int("rows-per-region", 100));
-  const auto stride = static_cast<std::uint32_t>(args.get_positive_int("row-stride", 8));
+  config.region_rows = static_cast<std::uint32_t>(args.get_positive_int("rows-per-region", 100));
+  config.row_stride = static_cast<std::uint32_t>(args.get_positive_int("row-stride", 8));
 
-  core::SpatialSurvey survey(bench.paper_chip(), config);
-  const auto points = survey.survey_banks(rows_per_region, stride);
+  campaign::SweepSpec spec;
+  spec.device = benchutil::paper_device_config(bench.seed());
+  spec.characterizer = config.characterizer;
+  spec.shards = core::plan_bank_shards(config, spec.device.geometry);
+  const auto points = core::aggregate_banks(bench.run_campaign("fig6", spec).flat());
 
   common::Table table({"channel", "pc", "bank", "mean BER", "CV", "rows"});
   for (const auto& p : points) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bender/host.hpp"
+#include "campaign/campaign.hpp"
 #include "common/ascii_plot.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -30,10 +31,13 @@ int example_main(common::CliArgs& args) {
   bender::BenderHost host{hbm::DeviceConfig{}};
   host.set_chip_temperature(85.0);
 
-  core::SpatialSurvey survey(host, config);
+  // The survey runs as a campaign on its own rig; `host` is the probe's.
+  campaign::CampaignConfig run;
+  run.progress = false;
   std::cout << "surveying channels 0, 6, 7 (stride " << config.row_stride
             << " over the first/middle/last 3K rows)...\n\n";
-  const auto records = survey.survey_rows();
+  const auto records =
+      campaign::Campaign(run).run(campaign::survey_sweep(hbm::DeviceConfig{}, config)).flat();
 
   // Fig. 3 style: WCDP BER per channel.
   const auto ber_stats = core::aggregate_ber(records);

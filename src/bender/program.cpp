@@ -290,7 +290,6 @@ ProgramBuilder& ProgramBuilder::hammer_loop_raw(std::uint8_t bank, std::uint32_t
 
 Program ProgramBuilder::take() {
   if (!ended_) end();
-  program_.validate(geometry_);
   return std::move(program_);
 }
 

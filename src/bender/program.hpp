@@ -106,7 +106,8 @@ public:
   /// ACT+PRE pair.
   [[nodiscard]] hbm::Cycle hammer_period(std::int64_t on_time) const;
 
-  /// Finalizes: appends END if missing, validates, and returns the program.
+  /// Finalizes: appends END if missing and returns the program. Validation
+  /// is Executor::run's, the one entry every program crosses.
   [[nodiscard]] Program take();
 
   /// Access to the program being built (e.g. to preload wide registers).

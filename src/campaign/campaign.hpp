@@ -6,9 +6,10 @@
 // test re-initializes its own neighbourhood with refresh (and therefore
 // TRR) disabled. So *each rig constructs its own BenderHost from the
 // same DeviceConfig* and runs disjoint shards on it, and the merged result
-// (ordered by shard index) is bitwise-identical to the serial sweep
-// regardless of how shards were scheduled. `--jobs=8` and `--jobs=1`
-// produce byte-identical tables; the determinism test pins this.
+// (ordered by shard index) is bitwise-identical to running every shard in
+// order on one host, regardless of how shards were scheduled. `--jobs=8`
+// and `--jobs=1` produce byte-identical tables; the determinism test pins
+// this.
 //
 // Robustness:
 //   * checkpoint/resume — completed shards stream to a JSONL journal
@@ -136,8 +137,8 @@ struct SweepSpec {
   std::vector<core::ShardSpec> shards;
 };
 
-/// SweepSpec for a SpatialSurvey row sweep: same plan, same order, same
-/// measurements as SpatialSurvey(host, survey).survey_rows().
+/// SweepSpec for a row survey: `device`, `survey`'s characterizer and
+/// core::plan_survey_shards(survey, ...).
 [[nodiscard]] SweepSpec survey_sweep(hbm::DeviceConfig device, const core::SurveyConfig& survey,
                                      std::uint32_t max_rows_per_shard = 64);
 
@@ -177,7 +178,7 @@ struct CampaignResult {
   std::string storage_error;
 
   /// Records of all shards concatenated in shard order — the deterministic
-  /// merge the benches consume (identical to the serial sweep's output).
+  /// merge the benches consume (identical for any number of rigs).
   [[nodiscard]] std::vector<core::RowRecord> flat() const;
 };
 

@@ -6,10 +6,12 @@
 // runner (src/campaign): because the fault model is a pure function of
 // (seed, coordinates) and every per-row test re-initializes its own
 // neighbourhood, running disjoint shards on independently constructed
-// devices with the same seed is bitwise-equivalent to the serial sweep.
+// devices with the same seed is bitwise-equivalent to running the whole plan
+// in order on one host.
 //
-// SpatialSurvey::survey_rows() iterates the exact same plan serially, so the
-// serial and campaign paths share one source of truth for iteration order.
+// Each sweep family has one planner here, and every runner (the benches'
+// Campaign::run, rh_serve's jobs) runs the plan it returns: a survey
+// (Figs. 3-5), a bank survey (Fig. 6) and an onset curve (A12).
 #pragma once
 
 #include <cstdint>
@@ -55,18 +57,44 @@ struct ShardSpec {
   }
 };
 
-/// Executes one shard on a characterizer. Every row is measured exactly the
-/// way the serial survey measures it; the output order is row order.
+/// Executes one shard on a characterizer: one record per sampled row, in row
+/// order.
 [[nodiscard]] std::vector<RowRecord> run_shard(Characterizer& characterizer,
                                                const ShardSpec& shard);
 
-/// Decomposes a SpatialSurvey row sweep into shards, in the serial survey's
-/// iteration order (channel, then region, then row). Regions are split so no
-/// shard samples more than `max_rows_per_shard` rows, which bounds the
-/// checkpoint/retry granularity. Concatenating run_shard results in index
-/// order reproduces SpatialSurvey::survey_rows() exactly.
+/// Decomposes a row survey (Figs. 3-5) into shards over the configured
+/// channels at `config`'s pseudo channel and bank, in channel, then region,
+/// then row order. Regions are split so no shard samples more than
+/// `max_rows_per_shard` rows, which bounds the checkpoint/retry granularity.
 [[nodiscard]] std::vector<ShardSpec> plan_survey_shards(const SurveyConfig& config,
                                                         const hbm::Geometry& geometry,
                                                         std::uint32_t max_rows_per_shard = 64);
+
+/// Fig. 6's bank survey: the same regions, stride and split as
+/// plan_survey_shards, over every pseudo channel and bank of each configured
+/// channel (`config.pseudo_channel` and `config.bank` are not read), in
+/// channel, pseudo channel, bank, region, row order.
+[[nodiscard]] std::vector<ShardSpec> plan_bank_shards(const SurveyConfig& config,
+                                                      const hbm::Geometry& geometry,
+                                                      std::uint32_t max_rows_per_shard = 64);
+
+/// The onset-curve sweep (ablation A12): BER of one pattern at each hammer
+/// count, on `rows` rows from `row_begin` every `row_stride`.
+struct OnsetConfig {
+  std::vector<std::uint32_t> channels{0, 7};
+  std::uint32_t pseudo_channel = 0;
+  std::uint32_t bank = 0;
+  std::vector<std::uint64_t> hammer_counts{8'192,  16'384,  32'768,  65'536,
+                                           98'304, 131'072, 196'608, 262'144};
+  std::uint32_t rows = 10;
+  std::uint32_t row_begin = 410;
+  std::uint32_t row_stride = 23;
+  /// Index into kAllPatterns (0 = Rowstripe0).
+  std::uint32_t pattern = 0;
+};
+
+/// One kSinglePattern shard per (hammer count, channel), count-major, so
+/// each point of the curve is an independent unit of work.
+[[nodiscard]] std::vector<ShardSpec> plan_onset_shards(const OnsetConfig& config);
 
 }  // namespace rh::core

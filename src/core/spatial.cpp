@@ -1,9 +1,10 @@
 #include "core/spatial.hpp"
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 
 #include "common/assert.hpp"
-#include "core/shard.hpp"
 
 namespace rh::core {
 
@@ -15,76 +16,6 @@ std::vector<RegionSpec> paper_regions(const hbm::Geometry& geometry, std::uint32
       {"middle", middle_first, region_rows},
       {"last", geometry.rows_per_bank - region_rows, region_rows},
   };
-}
-
-SpatialSurvey::SpatialSurvey(bender::BenderHost& host, SurveyConfig config)
-    : host_(&host), config_(std::move(config)) {
-  RH_EXPECTS(!config_.channels.empty());
-  RH_EXPECTS(config_.row_stride >= 1);
-}
-
-RowRecord characterize_row_ber_only(Characterizer& chr, const Site& site, std::uint32_t row) {
-  RowRecord rec;
-  rec.site = site;
-  rec.physical_row = row;
-  for (std::size_t i = 0; i < kAllPatterns.size(); ++i) {
-    rec.ber[i] = chr.measure_ber(site, row, kAllPatterns[i]);
-  }
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < kAllPatterns.size(); ++i) {
-    if (rec.ber[i].bit_errors > rec.ber[best].bit_errors) best = i;
-  }
-  rec.wcdp = kAllPatterns[best];
-  return rec;
-}
-
-std::vector<RowRecord> SpatialSurvey::survey_rows() {
-  // The serial path iterates the same shard plan the campaign runner
-  // distributes across workers, so both produce identical records in
-  // identical order (src/campaign depends on this equivalence).
-  const auto shards = plan_survey_shards(config_, host_->device().geometry());
-  const RowMap map = RowMap::from_device(host_->device());
-  Characterizer chr(*host_, map, config_.characterizer);
-
-  std::vector<RowRecord> records;
-  for (const auto& shard : shards) {
-    auto shard_records = run_shard(chr, shard);
-    records.insert(records.end(), std::make_move_iterator(shard_records.begin()),
-                   std::make_move_iterator(shard_records.end()));
-  }
-  return records;
-}
-
-std::vector<SpatialSurvey::BankPoint> SpatialSurvey::survey_banks(std::uint32_t rows_per_region,
-                                                                  std::uint32_t stride) {
-  const auto& geometry = host_->device().geometry();
-  const auto regions = paper_regions(geometry, rows_per_region);
-  const RowMap map = RowMap::from_device(host_->device());
-
-  std::vector<BankPoint> points;
-  for (const std::uint32_t channel : config_.channels) {
-    for (std::uint32_t pc = 0; pc < geometry.pseudo_channels_per_channel; ++pc) {
-      for (std::uint32_t bank = 0; bank < geometry.banks_per_pseudo_channel; ++bank) {
-        const Site site{channel, pc, bank};
-        Characterizer chr(*host_, map, config_.characterizer);
-        std::vector<double> bers;
-        for (const auto& region : regions) {
-          for (std::uint32_t row = region.first_row; row < region.first_row + region.rows;
-               row += stride) {
-            const RowRecord rec = characterize_row_ber_only(chr, site, row);
-            bers.push_back(rec.wcdp_ber().ber());
-          }
-        }
-        BankPoint point;
-        point.site = site;
-        point.rows_tested = bers.size();
-        point.mean_ber = common::mean(bers);
-        point.cv = common::coefficient_of_variation(bers);
-        points.push_back(point);
-      }
-    }
-  }
-  return points;
 }
 
 std::string pattern_label(std::size_t pattern_index) {
@@ -149,6 +80,21 @@ std::vector<ChannelPatternStats> aggregate_hc_first(const std::vector<RowRecord>
                        values.push_back(static_cast<double>(*hc));
                      }
                    });
+}
+
+std::vector<BankPoint> aggregate_banks(const std::vector<RowRecord>& records) {
+  std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>, std::vector<double>> banks;
+  for (const auto& rec : records) {
+    banks[{rec.site.channel, rec.site.pseudo_channel, rec.site.bank}].push_back(
+        rec.wcdp_ber().ber());
+  }
+  std::vector<BankPoint> points;
+  for (const auto& [key, bers] : banks) {
+    const auto [channel, pseudo_channel, bank] = key;
+    points.push_back({Site{channel, pseudo_channel, bank}, common::mean(bers),
+                      common::coefficient_of_variation(bers), bers.size()});
+  }
+  return points;
 }
 
 }  // namespace rh::core

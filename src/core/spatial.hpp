@@ -1,5 +1,6 @@
-// Spatial-variation surveys (paper §4): drive the Characterizer across
-// channels / regions / banks and aggregate the series each figure plots.
+// Spatial-variation surveys (paper §4): what a survey covers, and the
+// series each figure plots from its records. The sweeps themselves are
+// shard plans (core/shard.hpp) that a campaign runs.
 //
 //   Fig. 3: BER box-stats per (channel, data pattern incl. WCDP)
 //   Fig. 4: HC_first box-stats per (channel, data pattern incl. WCDP)
@@ -16,10 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "bender/host.hpp"
 #include "common/stats.hpp"
 #include "core/characterizer.hpp"
-#include "core/row_map.hpp"
 #include "core/site.hpp"
 
 namespace rh::core {
@@ -55,39 +54,6 @@ struct SurveyConfig {
   CharacterizerConfig characterizer{};
 };
 
-class SpatialSurvey {
-public:
-  SpatialSurvey(bender::BenderHost& host, SurveyConfig config);
-
-  /// Fig. 3/4/5 data: one RowRecord per sampled row per channel.
-  [[nodiscard]] std::vector<RowRecord> survey_rows();
-
-  struct BankPoint {
-    Site site;
-    double mean_ber = 0.0;
-    double cv = 0.0;
-    std::size_t rows_tested = 0;
-  };
-
-  /// Fig. 6 data: per-bank mean/CV of WCDP BER over the first, middle, and
-  /// last `rows_per_region` rows sampled at `stride`, across every bank of
-  /// every pseudo channel of the configured channels.
-  [[nodiscard]] std::vector<BankPoint> survey_banks(std::uint32_t rows_per_region = 100,
-                                                    std::uint32_t stride = 10);
-
-  [[nodiscard]] const SurveyConfig& config() const { return config_; }
-
-private:
-  bender::BenderHost* host_;
-  SurveyConfig config_;
-};
-
-/// Cheap per-row characterization: BER for the four Table 1 patterns only,
-/// WCDP chosen as the max-BER pattern. The fast path behind wcdp_by_ber
-/// surveys and campaign ShardMode::kBerOnly shards.
-[[nodiscard]] RowRecord characterize_row_ber_only(Characterizer& chr, const Site& site,
-                                                  std::uint32_t row);
-
 /// Aggregation for Figs. 3 and 4: index 0..3 = Table 1 patterns, 4 = WCDP.
 struct ChannelPatternStats {
   std::uint32_t channel = 0;
@@ -105,5 +71,17 @@ struct ChannelPatternStats {
 /// HC_first exists. Fig. 4's series.
 [[nodiscard]] std::vector<ChannelPatternStats> aggregate_hc_first(
     const std::vector<RowRecord>& records);
+
+/// One bank's WCDP BER over its sampled rows.
+struct BankPoint {
+  Site site;
+  double mean_ber = 0.0;
+  double cv = 0.0;
+  std::size_t rows_tested = 0;
+};
+
+/// Per-bank mean and coefficient of variation of the WCDP BER, one point per
+/// bank in channel, pseudo channel, bank order. Fig. 6's series.
+[[nodiscard]] std::vector<BankPoint> aggregate_banks(const std::vector<RowRecord>& records);
 
 }  // namespace rh::core

@@ -249,7 +249,11 @@ hbm::DeviceConfig to_device_config(const CampaignConfig& c) {
 
 campaign::SweepSpec to_sweep_spec(const CampaignConfig& c) {
   validate(c);
-  core::CharacterizerConfig chr;
+  campaign::SweepSpec spec;
+  spec.device = to_device_config(c);
+  spec.temperature_c = c.temperature_c;
+  spec.settle_thermal = c.settle_thermal;
+  core::CharacterizerConfig& chr = spec.characterizer;
   chr.ber_hammers = c.ber_hammers;
   chr.max_hammers = c.max_hammers;
   chr.wcdp_tolerance = c.wcdp_tolerance;
@@ -257,28 +261,17 @@ campaign::SweepSpec to_sweep_spec(const CampaignConfig& c) {
   chr.enforce_retention_bound = c.enforce_retention_bound;
   chr.aggressor_on_time = c.aggressor_on_time;
 
-  campaign::SweepSpec spec;
-  spec.temperature_c = c.temperature_c;
-  spec.settle_thermal = c.settle_thermal;
   if (c.kind == "onset") {
-    spec.device = to_device_config(c);
-    spec.characterizer = chr;
-    // One shard per (hammer count, channel), in count-major order — the
-    // ablation_hammer_count plan, each point an independent unit of work.
-    for (const std::uint64_t hammers : c.hammer_counts) {
-      for (const std::uint32_t channel : c.channels) {
-        core::ShardSpec shard;
-        shard.index = spec.shards.size();
-        shard.site = core::Site{channel, c.pseudo_channel, c.bank};
-        shard.row_begin = c.onset_row_begin;
-        shard.row_end = c.onset_row_begin + c.onset_rows * c.onset_row_stride;
-        shard.row_stride = c.onset_row_stride;
-        shard.mode = core::ShardMode::kSinglePattern;
-        shard.pattern = static_cast<std::uint8_t>(c.onset_pattern);
-        shard.hammers = hammers;
-        spec.shards.push_back(shard);
-      }
-    }
+    core::OnsetConfig onset;
+    onset.channels = c.channels;
+    onset.pseudo_channel = c.pseudo_channel;
+    onset.bank = c.bank;
+    onset.hammer_counts = c.hammer_counts;
+    onset.rows = c.onset_rows;
+    onset.row_begin = c.onset_row_begin;
+    onset.row_stride = c.onset_row_stride;
+    onset.pattern = c.onset_pattern;
+    spec.shards = core::plan_onset_shards(onset);
     return spec;
   }
   core::SurveyConfig survey;
@@ -288,12 +281,8 @@ campaign::SweepSpec to_sweep_spec(const CampaignConfig& c) {
   survey.region_rows = c.region_rows;
   survey.row_stride = c.row_stride;
   survey.wcdp_by_ber = c.wcdp_by_ber;
-  survey.characterizer = chr;
-  campaign::SweepSpec planned =
-      campaign::survey_sweep(to_device_config(c), survey, c.max_rows_per_shard);
-  planned.temperature_c = c.temperature_c;
-  planned.settle_thermal = c.settle_thermal;
-  return planned;
+  spec.shards = core::plan_survey_shards(survey, spec.device.geometry, c.max_rows_per_shard);
+  return spec;
 }
 
 resilience::FaultPlan to_fault_plan(const CampaignConfig& c) {

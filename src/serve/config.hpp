@@ -26,6 +26,7 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/record_io.hpp"
+#include "core/shard.hpp"
 #include "core/spatial.hpp"
 #include "hbm/device.hpp"
 #include "resilience/fault.hpp"
@@ -35,9 +36,9 @@ namespace rh::serve {
 /// One submittable unit of campaign work. Defaults describe the paper's
 /// fig3/fig4-style full-methodology survey on the calibrated device.
 struct CampaignConfig {
-  /// Sweep family: "survey" (plan_survey_shards over channels/regions) or
-  /// "onset" (explicit single-pattern shards per hammer count, the
-  /// ablation_hammer_count sweep).
+  /// Sweep family: "survey" (core::plan_survey_shards over channels and
+  /// regions) or "onset" (core::plan_onset_shards, the planner
+  /// ablation_hammer_count runs).
   std::string kind = "survey";
   /// Report label (rh-run-report/v1 `campaign` field). Not hashed.
   std::string label = "survey";
@@ -67,13 +68,13 @@ struct CampaignConfig {
   std::uint64_t aggressor_on_time = 0;
 
   // --- onset shape (kind == "onset") -----------------------------------
-  /// One kSinglePattern shard per (hammer count, channel).
-  std::vector<std::uint64_t> hammer_counts{8'192,  16'384,  32'768,  65'536,
-                                           98'304, 131'072, 196'608, 262'144};
-  std::uint32_t onset_rows = 10;
-  std::uint32_t onset_row_begin = 410;
-  std::uint32_t onset_row_stride = 23;
-  std::uint32_t onset_pattern = 0;
+  /// One kSinglePattern shard per (hammer count, channel); the defaults are
+  /// core::OnsetConfig's (channels, pseudo_channel and bank above apply).
+  std::vector<std::uint64_t> hammer_counts = core::OnsetConfig{}.hammer_counts;
+  std::uint32_t onset_rows = core::OnsetConfig{}.rows;
+  std::uint32_t onset_row_begin = core::OnsetConfig{}.row_begin;
+  std::uint32_t onset_row_stride = core::OnsetConfig{}.row_stride;
+  std::uint32_t onset_pattern = core::OnsetConfig{}.pattern;
 
   // --- scheduling granularity + fault environment ----------------------
   /// Checkpoint/retry granularity of the shard plan (survey kind).

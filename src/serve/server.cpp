@@ -477,14 +477,7 @@ HttpResponse Server::file_response(const std::string& path, const char* content_
 }
 
 std::string Server::healthz_json() {
-  std::uint64_t storage_errors = storage_errors_.load();
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [id, job] : jobs_) {
-      const std::lock_guard<std::mutex> jlock(job->mutex);
-      storage_errors += job->run->result.storage_errors;
-    }
-  }
+  const std::uint64_t storage_errors = stats_snapshot().storage_errors;
   std::string out = "{\"degraded\":";
   out += storage_errors > 0 ? "true" : "false";
   out += ",\"ok\":true,\"schema\":\"rh-serve-healthz/v1\",\"storage_errors\":" +
@@ -495,6 +488,8 @@ std::string Server::healthz_json() {
 Server::StatsSnapshot Server::stats_snapshot() {
   StatsSnapshot snap;
   snap.storage_errors = storage_errors_.load();
+  // A dark access log counts once: its first StorageError silenced it.
+  if (access_log_ != nullptr && access_log_->degraded()) ++snap.storage_errors;
   snap.uptime_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - started_)
           .count();

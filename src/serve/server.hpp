@@ -149,7 +149,7 @@ public:
 
   /// Liveness + storage health: ok is always true while serving; degraded
   /// flips when any durable write has failed (descriptor, journal, stream,
-  /// or report), with the total in storage_errors.
+  /// report, or the access log), with /statz's storage_errors as the total.
   [[nodiscard]] std::string healthz_json();
 
 private:
@@ -244,8 +244,9 @@ private:
   std::atomic<std::uint64_t> jobs_submitted_{0};
   std::atomic<std::uint64_t> jobs_rejected_{0};  ///< 429s + 503s
   std::atomic<std::uint64_t> jobs_cache_hit_{0};  ///< admitted fully from cache
-  /// Descriptor writes that failed (job-level losses live in each job's
-  /// result.storage_errors; healthz/statz sum both).
+  /// Descriptor writes that failed and an access log that could not open
+  /// (job-level losses live in each job's result.storage_errors, and a log
+  /// gone dark counts one; the stats snapshot sums all three).
   std::atomic<std::uint64_t> storage_errors_{0};
 };
 

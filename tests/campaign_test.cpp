@@ -21,6 +21,8 @@
 #include "campaign/rig_pool.hpp"
 #include "campaign/shard_runner.hpp"
 #include "campaign/tail.hpp"
+#include "core/characterizer.hpp"
+#include "core/shard.hpp"
 #include "core/spatial.hpp"
 #include "resilience/fault.hpp"
 #include "scratch_dir.hpp"
@@ -86,7 +88,20 @@ TEST(CampaignTest, ParallelMergeIsBitwiseIdenticalToSerial) {
   expect_records_equal(flat1, flat8);
 }
 
-TEST(CampaignTest, MatchesSpatialSurveyOnOneHost) {
+/// The reference a campaign must equal: the whole plan run in shard order
+/// through core::run_shard on one host pinned at the spec's temperature.
+std::vector<core::RowRecord> one_host_sweep(const SweepSpec& spec) {
+  bender::BenderHost host{spec.device};
+  host.device().set_temperature(spec.temperature_c);
+  core::Characterizer chr(host, core::RowMap::from_device(host.device()), spec.characterizer);
+  std::vector<core::RowRecord> records;
+  for (const auto& shard : spec.shards) {
+    for (auto& rec : core::run_shard(chr, shard)) records.push_back(std::move(rec));
+  }
+  return records;
+}
+
+TEST(CampaignTest, MatchesOneHostSerialSweep) {
   core::SurveyConfig survey;
   survey.channels = {0, 7};
   survey.row_stride = 512;
@@ -99,11 +114,39 @@ TEST(CampaignTest, MatchesSpatialSurveyOnOneHost) {
   Campaign campaign(config);
   const auto flat = campaign.run(spec).flat();
 
-  bender::BenderHost host{hbm::DeviceConfig{}};
-  host.device().set_temperature(85.0);
-  const auto serial = core::SpatialSurvey(host, survey).survey_rows();
+  expect_records_equal(flat, one_host_sweep(spec));
+}
 
-  expect_records_equal(flat, serial);
+TEST(CampaignTest, BankPlanMatchesOneHostSerialSweep) {
+  core::SurveyConfig survey;
+  survey.channels = {0};
+  survey.region_rows = 40;
+  survey.row_stride = 20;
+  survey.wcdp_by_ber = true;
+  SweepSpec spec;
+  spec.shards = core::plan_bank_shards(survey, spec.device.geometry);
+  spec.settle_thermal = false;
+  // 2 pseudo channels x 16 banks x 3 regions, each region one shard.
+  ASSERT_EQ(spec.shards.size(), 96u);
+
+  const auto serial = one_host_sweep(spec);
+  for (const unsigned jobs : {1u, 3u}) {
+    CampaignConfig config = quiet_config();
+    config.jobs = jobs;
+    Campaign campaign(config);
+    expect_records_equal(campaign.run(spec).flat(), serial);
+  }
+
+  const auto points = core::aggregate_banks(serial);
+  ASSERT_EQ(points.size(), 32u);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(points[i].site.channel, 0u);
+    EXPECT_EQ(points[i].site.pseudo_channel, i / 16);
+    EXPECT_EQ(points[i].site.bank, i % 16);
+    EXPECT_EQ(points[i].rows_tested, 3u * 2u);
+    EXPECT_GE(points[i].mean_ber, 0.0);
+    EXPECT_GE(points[i].cv, 0.0);
+  }
 }
 
 TEST(CampaignTest, ResumesFromTruncatedJournalToIdenticalResult) {

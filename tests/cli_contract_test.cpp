@@ -76,14 +76,28 @@ TEST(CliContract, TypoedFlagFailsBeforeTheSweepStarts) {
 }
 
 TEST(CliContract, CampaignBenchWritesItsReport) {
-  const test::ScratchDir dir;
-  const std::string report = dir.file("r.json");
-  const Outcome got = run(dir, bench("ablation_hammer_count"), {"--rows=1", "--report=" + report});
-  ASSERT_EQ(got.status, 0) << got.err;
-  const campaign::JsonValue doc = campaign::parse_json(slurp(report), report);
-  EXPECT_EQ(doc.at("schema").text, "rh-run-report/v1");
-  EXPECT_EQ(doc.at("shards").at("total").as_u64(), 16u);
-  EXPECT_EQ(doc.at("records").as_u64(), 16u);
+  struct Case {
+    const char* bench;
+    std::vector<std::string> flags;
+    std::uint64_t shards;
+    std::uint64_t records;
+  };
+  // Fig. 6: 8 channels x 2 pseudo channels x 16 banks x 3 regions, 2 rows each.
+  const Case cases[] = {{"ablation_hammer_count", {"--rows=1"}, 16, 16},
+                        {"fig6_bank_variation", {"--rows-per-region=40", "--row-stride=20"}, 768,
+                         1536}};
+  for (const Case& c : cases) {
+    const test::ScratchDir dir;
+    const std::string report = dir.file("r.json");
+    std::vector<std::string> flags = c.flags;
+    flags.push_back("--report=" + report);
+    const Outcome got = run(dir, bench(c.bench), flags);
+    ASSERT_EQ(got.status, 0) << c.bench << ": " << got.err;
+    const campaign::JsonValue doc = campaign::parse_json(slurp(report), report);
+    EXPECT_EQ(doc.at("schema").text, "rh-run-report/v1") << c.bench;
+    EXPECT_EQ(doc.at("shards").at("total").as_u64(), c.shards) << c.bench;
+    EXPECT_EQ(doc.at("records").as_u64(), c.records) << c.bench;
+  }
 }
 
 TEST(CliContract, HostOnlyBenchRejectsReport) {

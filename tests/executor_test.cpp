@@ -105,6 +105,22 @@ TEST_F(ExecutorTest, RowRegisterOutOfRangeIsCaught) {
   EXPECT_THROW(executor_.run(b.take(), 0, 0, 0), common::ProgramError);
 }
 
+TEST_F(ExecutorTest, BuilderProgramsAreValidatedWhereTheyRun) {
+  // take() hands a malformed program over; Executor::run, the one entry
+  // every program crosses, rejects it before its first command.
+  auto b = builder();
+  b.ldi(0, 5);
+  b.act(16, 0);  // the paper part has 16 banks per pseudo channel
+  const Program program = b.take();
+  try {
+    (void)executor_.run(program, 0, 0, 0);
+    FAIL() << "expected ProgramError";
+  } catch (const common::ProgramError& e) {
+    EXPECT_STREQ(e.what(), "instruction 1 (ACT): bank out of range");
+    EXPECT_TRUE(e.context().empty());
+  }
+}
+
 TEST_F(ExecutorTest, TimingViolationsInProgramsSurface) {
   auto b = builder();
   b.ldi(0, 5);

@@ -8,13 +8,15 @@
 #include <memory>
 
 #include "bender/host.hpp"
+#include "campaign/campaign.hpp"
 #include "core/spatial.hpp"
 #include "core/utrr.hpp"
 
 namespace rh::core {
 namespace {
 
-/// One shared survey for all assertions (it is the expensive part).
+/// One shared survey for all assertions (it is the expensive part). It runs
+/// as a campaign on its own rig; `host_` serves the U-TRR run and the layout.
 class PaperNumbers : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
@@ -23,8 +25,10 @@ protected:
     SurveyConfig config;
     config.row_stride = 192;
     config.characterizer.wcdp_tolerance = 2048;
-    SpatialSurvey survey(*host_, config);
-    records_ = new std::vector<RowRecord>(survey.survey_rows());
+    campaign::CampaignConfig run;
+    run.progress = false;
+    records_ = new std::vector<RowRecord>(
+        campaign::Campaign(run).run(campaign::survey_sweep(hbm::DeviceConfig{}, config)).flat());
     ber_ = new std::vector<ChannelPatternStats>(aggregate_ber(*records_));
     hc_ = new std::vector<ChannelPatternStats>(aggregate_hc_first(*records_));
   }

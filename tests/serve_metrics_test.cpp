@@ -511,5 +511,28 @@ TEST(ServeMetrics, AccessLogGoesDarkOnStorageFailureInsteadOfThrowing) {
   EXPECT_EQ(doc.at("path").text, "/healthz");
 }
 
+TEST(ServeMetrics, DarkAccessLogCountsAsAStorageError) {
+  // The same script, through a server with no job: only the access log
+  // draws, so its second record goes dark.
+  const test::ScratchDir dir;
+  Server::Options options;
+  options.data_dir = dir.str();
+  options.storage_plan.script.push_back({resilience::StorageFaultKind::kEnospc, 1});
+  Server server(options);
+  server.start();
+  EXPECT_EQ(server.handle_observed(request("GET", "/jobs")).status, 200);
+  EXPECT_EQ(server.handle_observed(request("GET", "/jobs")).status, 200);
+  ASSERT_NE(server.access_log(), nullptr);
+  ASSERT_TRUE(server.access_log()->degraded());
+
+  const campaign::JsonValue healthz = parse(server.handle(request("GET", "/healthz")));
+  EXPECT_TRUE(healthz.at("degraded").boolean);
+  const std::uint64_t storage_errors = healthz.at("storage_errors").as_u64();
+  EXPECT_GE(storage_errors, 1u);
+  const campaign::JsonValue statz = parse(server.handle(request("GET", "/statz")));
+  EXPECT_EQ(statz.at("serve.storage_errors").as_u64(), storage_errors);
+  EXPECT_EQ(metric_value(server.metricsz_text(), "serve_access_log_degraded"), 1.0);
+}
+
 }  // namespace
 }  // namespace rh::serve

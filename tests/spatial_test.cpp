@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bender/host.hpp"
+#include "campaign/campaign.hpp"
 
 namespace rh::core {
 namespace {
@@ -40,26 +41,29 @@ protected:
     cfg.wcdp_by_ber = true;  // BER-only: fast
     return cfg;
   }
+
+  /// `cfg`'s survey, run as a campaign on one rig pinned at 85 degC.
+  static std::vector<RowRecord> survey(const SurveyConfig& cfg) {
+    campaign::SweepSpec spec = campaign::survey_sweep(hbm::DeviceConfig{}, cfg);
+    spec.settle_thermal = false;
+    campaign::CampaignConfig config;
+    config.progress = false;
+    return campaign::Campaign(config).run(spec).flat();
+  }
 };
 
 TEST_F(SurveyTest, SurveyRowsCoversRequestedChannelsAndRegions) {
-  bender::BenderHost host{hbm::DeviceConfig{}};
-  host.device().set_temperature(85.0);
-  SpatialSurvey survey(host, quick_config());
-  const auto records = survey.survey_rows();
+  const auto records = survey(quick_config());
   const std::size_t rows_per_channel = 3 * (3072 / 512);
   EXPECT_EQ(records.size(), 2 * rows_per_channel);
   for (const auto& rec : records) {
     EXPECT_TRUE(rec.site.channel == 0 || rec.site.channel == 7);
-    EXPECT_EQ(rec.ber[0].bits_tested, host.device().geometry().row_bits());
+    EXPECT_EQ(rec.ber[0].bits_tested, hbm::paper_geometry().row_bits());
   }
 }
 
 TEST_F(SurveyTest, WorstChannelHasHigherMeanWcdpBer) {
-  bender::BenderHost host{hbm::DeviceConfig{}};
-  host.device().set_temperature(85.0);
-  SpatialSurvey survey(host, quick_config());
-  const auto records = survey.survey_rows();
+  const auto records = survey(quick_config());
   const auto stats = aggregate_ber(records);
   double ch0_mean = 0.0;
   double ch7_mean = 0.0;
@@ -71,9 +75,7 @@ TEST_F(SurveyTest, WorstChannelHasHigherMeanWcdpBer) {
 }
 
 TEST_F(SurveyTest, AggregateBerEmitsFivePatternsPerChannel) {
-  bender::BenderHost host{hbm::DeviceConfig{}};
-  SpatialSurvey survey(host, quick_config());
-  const auto records = survey.survey_rows();
+  const auto records = survey(quick_config());
   const auto stats = aggregate_ber(records);
   EXPECT_EQ(stats.size(), 2u * 5u);  // 2 channels x (4 patterns + WCDP)
   for (const auto& s : stats) {
@@ -82,14 +84,11 @@ TEST_F(SurveyTest, AggregateBerEmitsFivePatternsPerChannel) {
 }
 
 TEST_F(SurveyTest, AggregateHcFirstSkipsUnflippableRows) {
-  bender::BenderHost host{hbm::DeviceConfig{}};
-  host.device().set_temperature(85.0);
   SurveyConfig cfg = quick_config();
   cfg.wcdp_by_ber = false;  // full HC_first methodology
   cfg.row_stride = 1024;
   cfg.characterizer.wcdp_tolerance = 8192;
-  SpatialSurvey survey(host, cfg);
-  const auto records = survey.survey_rows();
+  const auto records = survey(cfg);
   const auto stats = aggregate_hc_first(records);
   for (const auto& s : stats) {
     // Counts can be below the row count (last-subarray rows cap out), but
@@ -130,22 +129,6 @@ TEST_F(SurveyTest, BerProxyAgreesWithHcFirstWcdpOnClearCases) {
     const auto chosen = static_cast<std::size_t>(full.wcdp);
     if (full.ber[max_ber].bit_errors * 4 > full.ber[chosen].bit_errors * 5) continue;
     EXPECT_EQ(chosen, max_ber) << "row " << row;
-  }
-}
-
-TEST_F(SurveyTest, BankSurveyEmitsOnePointPerBank) {
-  bender::BenderHost host{hbm::DeviceConfig{}};
-  host.device().set_temperature(85.0);
-  SurveyConfig cfg = quick_config();
-  cfg.channels = {0};
-  SpatialSurvey survey(host, cfg);
-  const auto points = survey.survey_banks(40, 20);
-  // 1 channel x 2 pseudo channels x 16 banks.
-  EXPECT_EQ(points.size(), 32u);
-  for (const auto& p : points) {
-    EXPECT_EQ(p.rows_tested, 3u * 2u);
-    EXPECT_GE(p.mean_ber, 0.0);
-    EXPECT_GE(p.cv, 0.0);
   }
 }
 
