@@ -50,7 +50,7 @@ int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
 
   // Storm: every transport fault armed at --fault-rate; --report describes
   // this run.
-  config.fault_plan.set_transport_rates(fault_rate);
+  config.fault_plan.set_storm_rates(fault_rate);
   std::cout << "storm sweep   (transport fault rate " << fault_rate << " per opportunity) ...\n";
   const campaign::CampaignResult storm = bench.campaign_run(spec, config);
   bench.write_report("fault_storm", spec, storm);

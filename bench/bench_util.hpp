@@ -105,10 +105,10 @@ inline campaign::CampaignConfig campaign_config(const common::CliArgs& args) {
   config.resume = args.has("resume");
   config.retries = static_cast<unsigned>(args.get_positive_int("retries", 1));
   const double fault_rate = args.get_fraction("fault-rate", 0.0);
-  if (fault_rate > 0.0) config.fault_plan.set_transport_rates(fault_rate);
+  if (fault_rate > 0.0) config.fault_plan.set_storm_rates(fault_rate);
   config.fault_plan.seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 0x57084));
   const double storage_fault_rate = args.get_fraction("storage-fault-rate", 0.0);
-  if (storage_fault_rate > 0.0) config.storage_fault_plan.set_all_rates(storage_fault_rate);
+  if (storage_fault_rate > 0.0) config.storage_fault_plan.set_storm_rates(storage_fault_rate);
   config.storage_fault_plan.seed =
       static_cast<std::uint64_t>(args.get_int("storage-fault-seed", 0x5709A));
   config.retry_policy.max_attempts =

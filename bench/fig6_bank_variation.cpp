@@ -33,6 +33,12 @@ int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
 
   campaign::SweepSpec spec;
   spec.device = benchutil::paper_device_config(bench.seed());
+  // The first, middle and last regions must not overlap.
+  const std::uint32_t half_bank = spec.device.geometry.rows_per_bank / 2;
+  if (config.region_rows > half_bank) {
+    throw common::CliError("flag --rows-per-region expects at most " + std::to_string(half_bank) +
+                           " (half a bank), got '" + std::to_string(config.region_rows) + "'");
+  }
   spec.characterizer = config.characterizer;
   spec.shards = core::plan_bank_shards(config, spec.device.geometry);
   const auto points = core::aggregate_banks(bench.run_campaign("fig6", spec).flat());

@@ -15,6 +15,10 @@ namespace {
 
 using resilience::FaultKind;
 
+// Thermal fault magnitudes.
+constexpr double kExcursionC = 5.0;  ///< a thermal excursion's jump, degC
+constexpr double kDriftC = 1.5;      ///< an ambient drift's shift, degC
+
 std::string fmt_celsius(double c) {
   std::ostringstream os;
   os.precision(2);
@@ -101,7 +105,6 @@ void BenderHost::fault_recovered(FaultKind kind, std::uint32_t channel,
   // (upload/drain/thermal) whose scope was open when the fault fired.
   profile_.record(profiling::Phase::kRecover, 0, 0.0);
   injector_->note_recovered(kind, detail);
-  RH_TELEM(telemetry_, metrics().counter("resilience.recovered").add());
   RH_TELEM(telemetry_, on_command(telemetry::TraceCommand::kRecovery, now_, channel,
                                   pseudo_channel, 0, 0, static_cast<std::uint32_t>(kind)));
   if (span_ctx_ != nullptr) {
@@ -113,7 +116,6 @@ void BenderHost::fault_aborted(FaultKind kind, std::uint32_t channel,
                                std::uint32_t pseudo_channel, const std::string& detail) {
   ++stats_.aborted;
   injector_->note_aborted(kind, detail);
-  RH_TELEM(telemetry_, metrics().counter("resilience.aborted").add());
   RH_TELEM(telemetry_, on_command(telemetry::TraceCommand::kRecovery, now_, channel,
                                   pseudo_channel, 0, 0, static_cast<std::uint32_t>(kind)));
   if (span_ctx_ != nullptr) {
@@ -286,13 +288,13 @@ void BenderHost::enforce_temperature_guard(std::uint32_t channel,
   if (injector_->should_fire(FaultKind::kThermalExcursion)) {
     excursion = true;
     const double sign = (injector_->shape() & 1u) != 0 ? 1.0 : -1.0;
-    thermal_.perturb(sign * injector_->plan().excursion_c);
+    thermal_.perturb(sign * kExcursionC);
     device_->set_temperature(thermal_.temperature());
     fault_detected(FaultKind::kThermalExcursion, channel, pseudo_channel);
   }
   if (injector_->should_fire(FaultKind::kThermalDrift)) {
     const double sign = (injector_->shape() & 1u) != 0 ? 1.0 : -1.0;
-    thermal_.shift_ambient(sign * injector_->plan().drift_c);
+    thermal_.shift_ambient(sign * kDriftC);
     fault_detected(FaultKind::kThermalDrift, channel, pseudo_channel);
     // Drift does not move the chip out of band by itself; the PID simply
     // holds the setpoint against the shifted ambient from now on.
@@ -342,7 +344,7 @@ void BenderHost::set_chip_temperature(double celsius, double timeout_s) {
       injector_ != nullptr && injector_->should_fire(FaultKind::kThermalExcursion);
   if (injector_ != nullptr && injector_->should_fire(FaultKind::kThermalDrift)) {
     const double sign = (injector_->shape() & 1u) != 0 ? 1.0 : -1.0;
-    thermal_.shift_ambient(sign * injector_->plan().drift_c);
+    thermal_.shift_ambient(sign * kDriftC);
     fault_detected(FaultKind::kThermalDrift, 0, 0);
     fault_recovered(FaultKind::kThermalDrift, 0, 0,
                     "PID settles against shifted ambient");
@@ -352,7 +354,7 @@ void BenderHost::set_chip_temperature(double celsius, double timeout_s) {
   bool settled = settle_loop(steps);
   if (settled && excursion) {
     const double sign = (injector_->shape() & 1u) != 0 ? 1.0 : -1.0;
-    thermal_.perturb(sign * injector_->plan().excursion_c);
+    thermal_.perturb(sign * kExcursionC);
     device_->set_temperature(thermal_.temperature());
     fault_detected(FaultKind::kThermalExcursion, 0, 0);
     settled = settle_loop(steps);  // re-settle within the remaining budget

@@ -22,7 +22,6 @@
 // every drain performed (the DMA happened even if the payload is garbage).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -62,6 +61,10 @@ struct TransferOutcome {
 
 class PcieLink {
 public:
+  /// Payload bits one corrupt drain flips (the CRC-32 frame detects any
+  /// 1..3-bit error).
+  static constexpr std::uint32_t kCorruptBits = 3;
+
   explicit PcieLink(const PcieConfig& config = PcieConfig{}) : config_(config) {}
 
   /// Attaches the fault plane (nullptr detaches; transfers then always
@@ -109,8 +112,7 @@ public:
       faulted = true;
     } else if (injector_ != nullptr && !out.empty() &&
                injector_->should_fire(resilience::FaultKind::kReadbackCorrupt)) {
-      const std::uint32_t flips = std::max(1u, injector_->plan().corrupt_bits);
-      for (std::uint32_t i = 0; i < flips; ++i) {
+      for (std::uint32_t i = 0; i < kCorruptBits; ++i) {
         const std::uint64_t bit = injector_->shape() % (out.size() * 8);
         out[bit / 8] = static_cast<std::uint8_t>(out[bit / 8] ^ (1u << (bit % 8)));
       }

@@ -21,10 +21,11 @@
 //     host; a fatal error (bad program, bad config) skips the retry budget
 //     entirely; either way the failure is reported at the end without
 //     killing the rest of the campaign,
-//   * fault injection — CampaignConfig::fault_plan arms a per-rig
-//     resilience::FaultInjector so the whole recovery stack can be
+//   * fault injection — CampaignConfig::fault_plan arms a per-rig fault
+//     schedule (resilience::arm) so the whole recovery stack can be
 //     storm-tested (bench/ablation_fault_storm asserts byte-identical
-//     results under a 5 % transport-fault rate),
+//     results under a 5 % transport-fault rate); the schedules' stats are
+//     the run's one resilience.* count,
 //   * progress — a live progress/ETA line fed from campaign.* counters in
 //     the telemetry metrics registry,
 //   * observability — each rig's host gets its own telemetry sink, all
@@ -90,18 +91,18 @@ struct CampaignConfig {
   bool progress = true;
   std::ostream* progress_stream = nullptr;
   /// Infrastructure fault injection (disabled unless a rate is set or the
-  /// script is non-empty). Each worker rig gets its own FaultInjector,
-  /// deterministically re-seeded from (fault_plan.seed, rig serial), so the
-  /// plan describes the fleet-wide failure environment; because every
-  /// transport recovery is wall-clock-only, merged results stay
-  /// byte-identical to a fault-free run.
+  /// script is non-empty). Each worker rig arms its own schedule of the
+  /// plan (resilience::arm) under a seed derived from (fault_plan.seed, rig
+  /// serial), so the plan describes the fleet-wide failure environment;
+  /// because every transport recovery is wall-clock-only, merged results
+  /// stay byte-identical to a fault-free run.
   resilience::FaultPlan fault_plan;
   /// Per-host transport retry/backoff policy, applied to every worker rig.
   resilience::RetryPolicy retry_policy;
   /// Disk fault injection for the durable outputs (journal + metrics
   /// stream), disabled unless a rate is set or the script is non-empty.
-  /// The journal and the stream draw independent fault streams
-  /// deterministically re-seeded from storage_fault_plan.seed. A storage
+  /// The journal and the stream each arm their own schedule of the plan
+  /// under a seed derived from storage_fault_plan.seed. A storage
   /// fault never fails the campaign: journaling/streaming degrade (counted
   /// in CampaignResult::storage_errors) and the science continues — results
   /// stay byte-identical to a fault-free run.

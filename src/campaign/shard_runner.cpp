@@ -45,12 +45,8 @@ ShardRun::ShardRun(const SweepSpec& spec, CampaignConfig config, HostFactory fac
 }
 
 void ShardRun::seed_storage_faults(std::uint64_t journal_seed, std::uint64_t stream_seed) {
-  if (!config_.storage_fault_plan.enabled()) return;
-  resilience::StorageFaultPlan plan = config_.storage_fault_plan;
-  plan.seed = journal_seed;
-  journal_injector_ = std::make_unique<resilience::StorageFaultInjector>(plan);
-  plan.seed = stream_seed;
-  stream_injector_ = std::make_unique<resilience::StorageFaultInjector>(std::move(plan));
+  journal_injector_ = resilience::arm(config_.storage_fault_plan, journal_seed);
+  stream_injector_ = resilience::arm(config_.storage_fault_plan, stream_seed);
 }
 
 void ShardRun::restore(std::uint64_t shard, std::vector<core::RowRecord> records) {
@@ -249,14 +245,13 @@ void ShardRun::build(WorkerRig& rig) {
     rig.sink = std::make_unique<telemetry::Telemetry>(tc);
     rig.host->set_telemetry(rig.sink.get());
   }
-  if (config_.fault_plan.enabled()) {
-    // Each rig draws an independent, reproducible fault stream: the plan
-    // describes the failure environment, the serial decorrelates rigs.
-    resilience::FaultPlan plan = config_.fault_plan;
-    plan.seed = common::hash_coords(config_.fault_plan.seed, 0x819u, rig_serial_.fetch_add(1));
-    rig.injector = std::make_unique<resilience::FaultInjector>(std::move(plan));
-    rig.host->set_fault_injector(rig.injector.get());
-  }
+  // Each rig draws an independent, reproducible fault stream: the plan
+  // describes the failure environment, the serial decorrelates rigs. An
+  // unarmed rig keeps whatever schedule its factory attached.
+  rig.injector = resilience::arm(
+      config_.fault_plan,
+      common::hash_coords(config_.fault_plan.seed, 0x819u, rig_serial_.fetch_add(1)));
+  if (rig.injector != nullptr) rig.host->set_fault_injector(rig.injector.get());
   rig.host->set_engine(config_.engine, config_.engine_bug);
   rig.host->set_retry_policy(config_.retry_policy);
   rig.characterizer = std::make_unique<core::Characterizer>(

@@ -9,7 +9,6 @@
 
 #include "common/assert.hpp"
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "resilience/crc32.hpp"
 
 #if __has_include(<unistd.h>) && __has_include(<fcntl.h>)
@@ -25,11 +24,9 @@ namespace {
 using common::ConfigError;
 using common::StorageError;
 
-// Distinct hash tags keep the storage plane's fire/shape streams
-// decorrelated from the transport plane's (0xFA017/0x5AAFE in fault.cpp)
-// even when both run off the same campaign seed.
-constexpr std::uint64_t kFireTag = 0x5709A6Eu;
-constexpr std::uint64_t kShapeTag = 0xD15C5Au;
+/// Bits a bit-corrupt fault rots per line (CRC-32 detects any 1..3-bit
+/// error).
+constexpr std::uint32_t kRotBits = 2;
 
 constexpr std::size_t kFrameHexDigits = 8;
 // '\t' + 8 hex digits.
@@ -51,63 +48,6 @@ void fsync_or_throw(std::FILE* file, const std::string& what, const std::string&
 }
 
 }  // namespace
-
-void StorageFaultPlan::set_all_rates(double rate) {
-  for (double& r : rates) r = rate;
-}
-
-bool StorageFaultPlan::enabled() const {
-  if (!script.empty()) return true;
-  for (const double rate : rates) {
-    if (rate > 0.0) return true;
-  }
-  return false;
-}
-
-StorageFaultInjector::StorageFaultInjector(StorageFaultPlan plan) : plan_(std::move(plan)) {
-  for (const double rate : plan_.rates) {
-    RH_EXPECTS(rate >= 0.0 && rate <= 1.0);
-  }
-}
-
-bool StorageFaultInjector::should_fire(StorageFaultKind kind) {
-  const auto k = static_cast<std::size_t>(kind);
-  const std::uint64_t opportunity = opportunities_[k]++;
-
-  bool fire = false;
-  for (const ScriptedStorageFault& scripted : plan_.script) {
-    if (scripted.kind == kind && scripted.opportunity == opportunity) {
-      fire = true;
-      break;
-    }
-  }
-  if (!fire && plan_.rates[k] > 0.0) {
-    // Counter-based: kind k's stream is untouched by other kinds' draws.
-    const std::uint64_t h = common::hash_coords(plan_.seed, kFireTag, k, opportunity);
-    fire = common::to_unit_double(h) < plan_.rates[k];
-  }
-  if (fire) {
-    log_.push_back({stats_.injected, kind, opportunity});
-    ++stats_.injected;
-    ++stats_.by_kind[k];
-  }
-  return fire;
-}
-
-std::uint64_t StorageFaultInjector::shape() {
-  return common::hash_coords(plan_.seed, kShapeTag, shape_counter_++);
-}
-
-std::string StorageFaultInjector::log_string() const {
-  std::string out;
-  for (const StorageFaultRecord& record : log_) {
-    out += std::to_string(record.sequence) + ' ';
-    out += to_string(record.kind);
-    out += '@' + std::to_string(record.opportunity);
-    out += '\n';
-  }
-  return out;
-}
 
 std::string frame_line(std::string_view payload) {
   char frame[kFrameBytes + 1];
@@ -167,10 +107,7 @@ void DurableFile::corrupt_on_disk(std::uint64_t offset, std::size_t length) {
   // "a"-mode stream writes at end-of-file regardless of seeks anyway.
   std::FILE* side = std::fopen(path_.c_str(), "r+b");
   if (side == nullptr) return;  // best-effort rot; the write itself succeeded
-  const std::uint32_t bits = injector_->plan().corrupt_bits > 0
-                                 ? injector_->plan().corrupt_bits
-                                 : 1;
-  for (std::uint32_t i = 0; i < bits; ++i) {
+  for (std::uint32_t i = 0; i < kRotBits; ++i) {
     const auto pos = static_cast<long>(offset + injector_->shape() % length);
     const auto bit = static_cast<int>(injector_->shape() % 8);
     if (std::fseek(side, pos, SEEK_SET) != 0) break;
@@ -229,7 +166,7 @@ void DurableFile::write_line(std::string_view line) {
   if (injector_ != nullptr && !line.empty() &&
       injector_->should_fire(StorageFaultKind::kBitCorrupt)) {
     // The line is on disk and the writer saw success; the medium then rots
-    // corrupt_bits bits inside it (never the newline — byte rot within a
+    // kRotBits bits inside it (never the newline — byte rot within a
     // line is the CRC's job; eaten line breaks are the torn-line fault's).
     corrupt_on_disk(offset_, line.size());
   }

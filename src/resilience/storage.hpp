@@ -1,22 +1,17 @@
-// The storage fault-injection plane and the durable-file primitives built
-// on top of it.
+// The storage fault plane and the durable-file primitives built on top of
+// it.
 //
-// PR 3 gave the transport layer deterministic chaos (resilience::FaultInjector)
-// and property-tested recovery; this module is the same pattern pointed at
-// the other thing that fails in a multi-hour campaign: the disk. Journals,
-// metrics streams, and job descriptors are the only state that survives a
-// SIGKILL, so their write paths get a pluggable fault plane of their own —
-// short writes, failed fsyncs, post-write bit rot, torn lines, ENOSPC —
-// and the recovery code (corruption-tolerant readers, quarantine resume,
-// rh_fsck) is regression-tested against every one of them.
-//
-// Determinism contract mirrors fault.hpp: whether the i-th opportunity of
-// storage-fault kind k fires is hash(seed, k, i) < rate[k], or an exact
-// scripted match — per-kind streams are independent, so two runs of the
-// same write sequence against the same (seed, plan) tear the same bytes.
+// Journals, metrics streams, and job descriptors are the only state that
+// survives a SIGKILL, so their write paths are the storage plane's
+// injection points — short writes, failed fsyncs, post-write bit rot, torn
+// lines, ENOSPC — and the recovery code (corruption-tolerant readers,
+// quarantine resume, rh_fsck) is regression-tested against every one of
+// them. The plane runs on the one fault schedule (fault.hpp), so two runs of
+// the same write sequence against the same (seed, plan) tear the same bytes.
 //
 // Layering:
-//   StorageFaultInjector  — the deterministic "when does the disk lie" oracle
+//   StorageFaultInjector  — FaultSchedule<StorageFaultKind>, the
+//                           deterministic "when does the disk lie" oracle
 //   frame_line/check_frame — CRC-32 per-line framing (the v2 record format)
 //   DurableFile           — append-one-line-then-fsync with injection points
 //   AdvisoryFile          — a DurableFile that goes dark on its first failure
@@ -25,7 +20,6 @@
 //                           for CRC-framed JSONL files (journals, streams)
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +29,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "resilience/fault.hpp"
 
 namespace rh::resilience {
 
@@ -61,81 +57,23 @@ inline constexpr std::size_t kStorageFaultKindCount = 5;
   return "?";
 }
 
-/// One scripted storage fault: fire `kind` on its `opportunity`-th
-/// opportunity (0-based, counted per kind). Scripted entries fire
-/// regardless of rates — exact failure placement for the damage matrix.
-struct ScriptedStorageFault {
-  StorageFaultKind kind = StorageFaultKind::kEnospc;
-  std::uint64_t opportunity = 0;
+template <>
+struct FaultTraits<StorageFaultKind> {
+  static constexpr std::size_t kCount = kStorageFaultKindCount;
+  // Distinct from the transport plane's tags, so the two planes' streams
+  // stay decorrelated even when both run off the same campaign seed.
+  static constexpr std::uint64_t kFireTag = 0x5709A6Eu;
+  static constexpr std::uint64_t kShapeTag = 0xD15C5Au;
+  /// A disk storm arms every kind.
+  static constexpr bool in_storm(StorageFaultKind /*kind*/) { return true; }
 };
 
-/// The reproducible description of a disk-fault storm.
-struct StorageFaultPlan {
-  std::uint64_t seed = 0;
-  /// Per-kind probability that one opportunity fires (by StorageFaultKind).
-  std::array<double, kStorageFaultKindCount> rates{};
-  /// Exact schedule, honoured in addition to the rates.
-  std::vector<ScriptedStorageFault> script;
-  /// Bits flipped per bit-corrupt fault (CRC-32 detects any 1..3-bit error).
-  std::uint32_t corrupt_bits = 2;
-
-  [[nodiscard]] double rate(StorageFaultKind kind) const {
-    return rates[static_cast<std::size_t>(kind)];
-  }
-  void set_rate(StorageFaultKind kind, double rate) {
-    rates[static_cast<std::size_t>(kind)] = rate;
-  }
-  /// Arms every fault kind at `rate` — the disk-storm configuration.
-  void set_all_rates(double rate);
-  /// True when any rate is non-zero or the script is non-empty.
-  [[nodiscard]] bool enabled() const;
-};
-
-/// One entry of the storage-fault event log.
-struct StorageFaultRecord {
-  std::uint64_t sequence = 0;     ///< global injection order
-  StorageFaultKind kind = StorageFaultKind::kEnospc;
-  std::uint64_t opportunity = 0;  ///< per-kind opportunity index that fired
-};
-
-/// Drives one file family's storage-fault schedule.
-///
-/// Thread-compatibility: not internally synchronized — an injector belongs
-/// to one writer (journal writers append under the campaign/job lock, the
-/// stream writer brings its own mutex).
-class StorageFaultInjector {
-public:
-  explicit StorageFaultInjector(StorageFaultPlan plan);
-
-  /// Consumes one opportunity of `kind`; true when the fault fires (the
-  /// injection is appended to the log before returning).
-  [[nodiscard]] bool should_fire(StorageFaultKind kind);
-
-  /// Deterministic fault-shaping randomness (how many bytes of a short
-  /// write land, which bits rot): a counter-based hash stream independent
-  /// of the firing decisions.
-  [[nodiscard]] std::uint64_t shape();
-
-  struct Stats {
-    std::uint64_t injected = 0;
-    std::array<std::uint64_t, kStorageFaultKindCount> by_kind{};
-  };
-
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const std::vector<StorageFaultRecord>& log() const { return log_; }
-  [[nodiscard]] const StorageFaultPlan& plan() const { return plan_; }
-
-  /// Canonical one-line-per-event rendering ("2 torn-line@14") — what the
-  /// determinism tests compare across runs.
-  [[nodiscard]] std::string log_string() const;
-
-private:
-  StorageFaultPlan plan_;
-  std::array<std::uint64_t, kStorageFaultKindCount> opportunities_{};
-  std::uint64_t shape_counter_ = 0;
-  std::vector<StorageFaultRecord> log_;
-  Stats stats_;
-};
+using ScriptedStorageFault = ScriptedFaultOf<StorageFaultKind>;
+using StorageFaultPlan = FaultPlanOf<StorageFaultKind>;
+/// One file family's disk-fault stream. Belongs to one writer: journal
+/// writers append under the campaign/job lock, the stream writer brings
+/// its own mutex.
+using StorageFaultInjector = FaultSchedule<StorageFaultKind>;
 
 // ---------------------------------------------------------------------------
 // CRC-32 line framing: the v2 record format shared by the campaign journal
@@ -175,8 +113,8 @@ enum class FrameCheck : std::uint8_t {
 /// Real I/O failures and injected kEnospc / kShortWrite / kFsyncFail throw
 /// common::StorageError; kTornLine returns silently with only a prefix on
 /// disk (that is the point: the writer believes the line landed);
-/// kBitCorrupt lands the whole line and then flips plan.corrupt_bits bits
-/// in it through a separate descriptor. Open/creation failures throw
+/// kBitCorrupt lands the whole line and then flips two bits in it through
+/// a separate descriptor. Open/creation failures throw
 /// common::ConfigError (a path problem, not a durability event).
 class DurableFile {
 public:

@@ -115,6 +115,10 @@ void validate(const CampaignConfig& c) {
     throw common::ConfigError("campaign config: pseudo_channel/bank out of range");
   }
   require_positive(c.region_rows, "region_rows");
+  if (c.region_rows > geometry.rows_per_bank / 2) {
+    throw common::ConfigError("campaign config: \"region_rows\" must be at most " +
+                              std::to_string(geometry.rows_per_bank / 2) + " (half a bank)");
+  }
   require_positive(c.row_stride, "row_stride");
   require_positive(c.ber_hammers, "ber_hammers");
   require_positive(c.max_hammers, "max_hammers");
@@ -288,7 +292,7 @@ campaign::SweepSpec to_sweep_spec(const CampaignConfig& c) {
 resilience::FaultPlan to_fault_plan(const CampaignConfig& c) {
   resilience::FaultPlan plan;
   plan.seed = c.fault_seed;
-  if (c.fault_rate > 0.0) plan.set_transport_rates(c.fault_rate);
+  if (c.fault_rate > 0.0) plan.set_storm_rates(c.fault_rate);
   return plan;
 }
 

@@ -102,13 +102,10 @@ std::string Server::job_path(std::uint64_t id, const char* suffix) const {
 void Server::start() {
   std::filesystem::create_directories(options_.data_dir);
   try {
-    if (options_.storage_plan.enabled()) {
-      // The access log gets its own fault stream, decorrelated from every
-      // job's durable outputs.
-      resilience::StorageFaultPlan aplan = options_.storage_plan;
-      aplan.seed = common::hash_coords(options_.storage_plan.seed, 0x0b5u, 0);
-      access_injector_ = std::make_unique<resilience::StorageFaultInjector>(std::move(aplan));
-    }
+    // The access log gets its own fault stream, decorrelated from every
+    // job's durable outputs.
+    access_injector_ = resilience::arm(options_.storage_plan,
+                                       common::hash_coords(options_.storage_plan.seed, 0x0b5u, 0));
     access_log_ = std::make_unique<AccessLog>(options_.access_log, access_injector_.get());
   } catch (const common::Error& e) {
     // An unopenable access log degrades the server, it does not stop it.
@@ -697,11 +694,8 @@ std::shared_ptr<Job> Server::make_job(std::uint64_t id, const std::string& tenan
   const std::uint64_t seed = options_.storage_plan.seed;
   job->run->seed_storage_faults(common::hash_coords(seed, 0x570u, id, 0),
                                 common::hash_coords(seed, 0x570u, id, 1));
-  if (options_.storage_plan.enabled()) {
-    resilience::StorageFaultPlan mplan = options_.storage_plan;
-    mplan.seed = common::hash_coords(seed, 0x570u, id, 2);
-    job->meta_injector = std::make_unique<resilience::StorageFaultInjector>(std::move(mplan));
-  }
+  job->meta_injector =
+      resilience::arm(options_.storage_plan, common::hash_coords(seed, 0x570u, id, 2));
   return job;
 }
 

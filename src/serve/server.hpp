@@ -72,8 +72,9 @@ public:
     resilience::RetryPolicy retry_policy;
     std::uint64_t stream_cycle_cadence = 1ull << 24;
     /// Disk fault injection for every job's durable outputs (journal,
-    /// stream, descriptor, reports). Each job draws independent fault
-    /// streams seeded from (storage_plan.seed, job id). Storage failures
+    /// stream, descriptor, reports) and the access log. Each arms its own
+    /// schedule of the plan (resilience::arm) under a seed derived from
+    /// (storage_plan.seed, job id), the access log's from the seed alone. Storage failures
     /// degrade jobs (state failed, reason "storage: ...") and flip
     /// /healthz to degraded — they never crash the server or wedge a rig.
     resilience::StorageFaultPlan storage_plan;

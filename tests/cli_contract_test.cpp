@@ -63,6 +63,12 @@ TEST(CliContract, OutOfDomainFlagValueExitsOneWithTheMessage) {
   EXPECT_EQ(got.status, 1);
   EXPECT_EQ(got.err,
             "fig3_ber_distribution: flag --stride expects a positive integer, got '0'\n");
+
+  // A region wider than half a bank: the three regions would overlap.
+  const Outcome region = run(dir, bench("fig6_bank_variation"), {"--rows-per-region=8193"});
+  EXPECT_EQ(region.status, 1);
+  EXPECT_NE(region.err.find("--rows-per-region"), std::string::npos) << region.err;
+  EXPECT_EQ(region.err.find("precondition"), std::string::npos) << region.err;
 }
 
 TEST(CliContract, TypoedFlagFailsBeforeTheSweepStarts) {

@@ -10,12 +10,14 @@
 
 #include "bender/host.hpp"
 #include "campaign/campaign.hpp"
+#include "campaign/journal.hpp"
 #include "campaign/record_io.hpp"
 #include "common/error.hpp"
 #include "core/data_patterns.hpp"
 #include "core/spatial.hpp"
 #include "resilience/crc32.hpp"
 #include "resilience/retry.hpp"
+#include "resilience/storage.hpp"
 
 namespace rh::resilience {
 namespace {
@@ -63,7 +65,7 @@ TEST(Crc32, DetectsUpToThreeFlippedBitsInARowFrame) {
 TEST(FaultInjector, SamePlanSameSeedYieldsIdenticalStreams) {
   FaultPlan plan;
   plan.seed = 0xDECAF;
-  plan.set_transport_rates(0.3);
+  plan.set_storm_rates(0.3);
 
   const auto drive = [](FaultInjector& injector) {
     // A fixed interleaving of opportunities across kinds, with recovery
@@ -125,6 +127,43 @@ TEST(FaultInjector, ScriptedFaultsFireOnTheirExactOpportunity) {
   injector.note_recovered(FaultKind::kExecutorStall, "re-armed");
   EXPECT_FALSE(injector.should_fire(FaultKind::kExecutorStall));
   EXPECT_EQ(injector.log_string(), "0 executor-stall@2 recovered [re-armed]\n");
+}
+
+// --- both fault planes' streams, pinned -------------------------------------
+
+/// One plane's stream at a fixed plan: every kind at rate 0.2 plus one
+/// scripted entry, 64 rounds of one opportunity per kind, then the first 8
+/// shape() draws, rendered as "kind@opportunity ..." then "| draw ...".
+template <typename Kind, typename Plan, typename Injector>
+std::string pinned_stream(std::size_t kinds) {
+  Plan plan;
+  plan.seed = 0xB0071;
+  for (std::size_t k = 0; k < kinds; ++k) plan.set_rate(static_cast<Kind>(k), 0.2);
+  plan.script.push_back({static_cast<Kind>(kinds - 1), 3});
+  Injector injector(plan);
+  for (int round = 0; round < 64; ++round) {
+    for (std::size_t k = 0; k < kinds; ++k) (void)injector.should_fire(static_cast<Kind>(k));
+  }
+  std::string out;
+  for (const auto& record : injector.log()) {
+    out += std::to_string(static_cast<int>(record.kind)) + '@' +
+           std::to_string(record.opportunity) + ' ';
+  }
+  out += '|';
+  for (int i = 0; i < 8; ++i) out += ' ' + std::to_string(injector.shape());
+  return out;
+}
+
+TEST(FaultStreams, BothPlanesReplayTheirPinnedStreams) {
+  // Literal digests, not a run-vs-run comparison: they fail when a plane's
+  // hash tags or its per-kind opportunity counting move, which two runs of
+  // one build would agree on.
+  const std::string transport =
+      pinned_stream<FaultKind, FaultPlan, FaultInjector>(kFaultKindCount);
+  const std::string storage = pinned_stream<StorageFaultKind, StorageFaultPlan,
+                                            StorageFaultInjector>(kStorageFaultKindCount);
+  EXPECT_EQ(campaign::fnv1a(transport), 0x03592127afd647a5ull) << transport;
+  EXPECT_EQ(campaign::fnv1a(storage), 0x53191391ca748770ull) << storage;
 }
 
 // --- retry policy ----------------------------------------------------------
@@ -420,7 +459,7 @@ TEST(CampaignResilience, TransportStormYieldsByteIdenticalResults) {
   const std::string expected = serialize(clean.run(spec).flat());
 
   config.fault_plan.seed = 0xB0071;
-  config.fault_plan.set_transport_rates(0.05);
+  config.fault_plan.set_storm_rates(0.05);
   campaign::Campaign storm(config);
   const std::string stormed = serialize(storm.run(spec).flat());
 
@@ -429,6 +468,35 @@ TEST(CampaignResilience, TransportStormYieldsByteIdenticalResults) {
   EXPECT_GT(snapshot.value_or("resilience.injected", 0.0), 0.0);
   EXPECT_DOUBLE_EQ(snapshot.value_or("resilience.aborted", 0.0), 0.0);
   EXPECT_DOUBLE_EQ(snapshot.value_or("campaign.shards_fatal", 0.0), 0.0);
+}
+
+TEST(CampaignResilience, AggregateCountsEachFaultOnce) {
+  // The run's counters and the aggregate sink the run merges into must
+  // agree on every fault: each injection is counted once, by its schedule.
+  const campaign::SweepSpec spec = storm_sweep();
+
+  campaign::CampaignConfig config;
+  config.progress = false;
+  config.jobs = 2;
+  config.fault_plan.seed = 0xB0071;
+  config.fault_plan.set_storm_rates(0.05);
+  telemetry::TelemetryConfig tc;
+  tc.trace_enabled = false;
+  telemetry::Telemetry sink(tc);
+  campaign::Campaign storm(config, &sink);
+  (void)storm.run(spec);
+
+  const auto run = storm.metrics().snapshot();
+  const auto fleet = sink.metrics().snapshot();
+  for (const char* name :
+       {"resilience.injected", "resilience.recovered", "resilience.aborted"}) {
+    EXPECT_DOUBLE_EQ(fleet.value_or(name, -1.0), run.value_or(name, -2.0)) << name;
+  }
+  const double injected = run.value_or("resilience.injected", 0.0);
+  EXPECT_GT(injected, 0.0);
+  EXPECT_DOUBLE_EQ(run.value_or("resilience.recovered", 0.0) +
+                       run.value_or("resilience.aborted", 0.0),
+                   injected);
 }
 
 TEST(CampaignResilience, ExhaustedRetriesIsolateTheShardInsteadOfCrashing) {

@@ -116,6 +116,7 @@ TEST(ServeConfig, DomainValidation) {
   EXPECT_THROW(config_from_json(R"({"fault_rate": 1.5})", "test"), common::ConfigError);
   EXPECT_THROW(config_from_json(R"({"temperature_c": -4})", "test"), common::ConfigError);
   EXPECT_THROW(config_from_json(R"({"row_stride": 0})", "test"), common::ConfigError);
+  EXPECT_THROW(config_from_json(R"({"region_rows": 8193})", "test"), common::ConfigError);
   EXPECT_THROW(config_from_json("[1,2,3]", "test"), common::ConfigError);
   EXPECT_THROW(config_from_json("not json", "test"), common::ConfigError);
 }

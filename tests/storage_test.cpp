@@ -47,7 +47,7 @@ StorageFaultPlan scripted(StorageFaultKind kind, std::uint64_t opportunity) {
 TEST(StorageInjector, SameSeedAndPlanReplayTheSameStorm) {
   StorageFaultPlan plan;
   plan.seed = 42;
-  plan.set_all_rates(0.3);
+  plan.set_storm_rates(0.3);
 
   const auto drive = [](StorageFaultPlan p) {
     StorageFaultInjector injector(std::move(p));
@@ -191,9 +191,7 @@ TEST(DurableFileTest, TornLineLandsAPrefixSilently) {
 TEST(DurableFileTest, BitCorruptLandsTheLineThenRotsIt) {
   const test::ScratchDir dir;
   const std::string path = dir.file("storage_test_rot.jsonl");
-  StorageFaultPlan plan = scripted(StorageFaultKind::kBitCorrupt, 0);
-  plan.corrupt_bits = 2;
-  StorageFaultInjector injector(plan);
+  StorageFaultInjector injector(scripted(StorageFaultKind::kBitCorrupt, 0));
   const std::string line = "a line that will rot on the medium";
   {
     DurableFile file(path, "test file", true, &injector);
@@ -452,7 +450,7 @@ TEST(StorageStorm, CampaignResultsAreByteIdenticalUnderDiskFaults) {
   stormy.checkpoint_path = journal;
   stormy.metrics_stream_path = stream;
   stormy.storage_fault_plan.seed = 99;
-  stormy.storage_fault_plan.set_all_rates(0.5);
+  stormy.storage_fault_plan.set_storm_rates(0.5);
   Campaign storm(stormy);
   const CampaignResult damaged = storm.run(spec);
 
@@ -526,7 +524,7 @@ TEST(StreamDegrade, WriterGoesDarkAfterTheFirstStorageError) {
   const test::ScratchDir dir;
   const std::string path = dir.file("storage_test_degrade.jsonl");
   resilience::StorageFaultInjector injector(
-      resilience::StorageFaultPlan{0, {}, {{StorageFaultKind::kEnospc, 1}}, 2});
+      resilience::StorageFaultPlan{0, {}, {{StorageFaultKind::kEnospc, 1}}});
   telemetry::MetricsStreamWriter writer(path, telemetry::MetricsStreamHeader{},
                                         &injector);
   EXPECT_FALSE(writer.degraded());

@@ -76,7 +76,7 @@ std::vector<core::RowRecord> run_campaign(const campaign::SweepSpec& spec, unsig
   config.engine_bug = bug;
   if (fault_rate > 0.0) {
     config.fault_plan.seed = fault_seed;
-    config.fault_plan.set_transport_rates(fault_rate);
+    config.fault_plan.set_storm_rates(fault_rate);
   }
   campaign::Campaign campaign(config);
   return campaign.run(spec).flat();

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     options.stream_cycle_cadence =
         static_cast<std::uint64_t>(args.get_positive_int("stream-cycle-cadence", 1ll << 24));
     const double storage_fault_rate = args.get_fraction("storage-fault-rate", 0.0);
-    if (storage_fault_rate > 0.0) options.storage_plan.set_all_rates(storage_fault_rate);
+    if (storage_fault_rate > 0.0) options.storage_plan.set_storm_rates(storage_fault_rate);
     options.storage_plan.seed =
         static_cast<std::uint64_t>(args.get_int("storage-fault-seed", 0x5709A));
     options.access_log = args.get("access-log", "");
