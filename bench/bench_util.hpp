@@ -27,8 +27,12 @@
 // Campaign-backed benches (fig3/fig4/fig5/fig6, ablation_hammer_count,
 // ablation_fault_storm), and only they, also take:
 //   --report=PATH       write the campaign run report (phase profile, shard
-//                       latencies, throughput, fault summary) as JSON; also
-//                       forces a telemetry sink on so cmd.* counters exist
+//                       latencies, throughput, fault summary) as JSON and
+//                       print its text rendering; also forces a telemetry
+//                       sink on so cmd.* counters exist
+//   --deterministic     write the report's deterministic projection (no
+//                       wall-ms, call counts or gauges): byte-identical for
+//                       a fixed seed at any --jobs (requires --report)
 //   --jobs=N            worker threads, each with a private device clone;
 //                       merged output is byte-identical for any N
 //   --checkpoint=PATH   JSONL results journal written per completed shard
@@ -172,14 +176,19 @@ public:
     return *paper_chip_;
   }
 
-  /// Reads the campaign flags (benchutil::campaign_config) and --report,
-  /// the last flags a campaign bench reads, then rejects unknown flags.
+  /// Reads the campaign flags (benchutil::campaign_config), --report and
+  /// --deterministic, the last flags a campaign bench reads, then rejects
+  /// unknown flags.
   const campaign::CampaignConfig& campaign_config() {
     if (!campaign_config_) {
       campaign_config_ = benchutil::campaign_config(args_);
       report_path_ = writable(args_.get("report", ""), "report");
+      deterministic_ = args_.has("deterministic");
       if (!report_path_.empty()) require_sink();
       args_.reject_unqueried();
+      if (deterministic_ && report_path_.empty()) {
+        throw common::ConfigError("--deterministic requires --report=PATH");
+      }
     }
     return *campaign_config_;
   }
@@ -196,8 +205,9 @@ public:
   }
   [[nodiscard]] const campaign::Campaign& last_campaign() const { return *campaign_; }
 
-  /// Writes the --report document for the last campaign run, which gave
-  /// `result` (no-op without the flag).
+  /// Writes the --report document (its deterministic projection under
+  /// --deterministic) for the last campaign run, which gave `result`, and
+  /// prints the report's text rendering (no-op without the flag).
   void write_report(const std::string& label, const campaign::SweepSpec& spec,
                     const campaign::CampaignResult& result) const {
     if (report_path_.empty()) return;
@@ -205,8 +215,9 @@ public:
         campaign::build_report(label, spec, *campaign_, result, sink_.get());
     std::ofstream out(report_path_);
     if (!out) throw common::ConfigError("cannot open report output file: " + report_path_);
-    profiling::write_report_json(out, report);
+    profiling::write_report_json(out, report, !deterministic_);
     out << '\n';
+    profiling::render_report_text(std::cout, report);
     std::cout << "(report written to " << report_path_ << ")\n";
   }
 
@@ -287,6 +298,7 @@ private:
   std::string trace_path_;
   bool heatmap_;
   std::string report_path_;
+  bool deterministic_ = false;
   std::optional<campaign::CampaignConfig> campaign_config_;
   std::unique_ptr<telemetry::Telemetry> sink_;
   std::unique_ptr<campaign::Campaign> campaign_;     // after sink_: destroyed first

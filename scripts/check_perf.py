@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Compare a perf_baseline run against the committed baseline.
+"""Compare a campaign run report against the committed perf baseline.
 
 Usage:
     scripts/check_perf.py BASELINE CURRENT [--tolerance 0.25]
 
-Both files are BENCH_campaign.json documents (schema rh-perf-baseline/v1)
-emitted by bench/perf_baseline. The gate fails (exit 1) when either tracked
-throughput axis — commands_per_host_second or device_cycles_per_host_second —
-drops more than --tolerance below the baseline. Improvements and small
-regressions print but pass. A missing baseline file passes with a note, so
-the check can land before the first baseline is committed and survives
-branches that predate it.
+Both files are run reports (schema rh-run-report/v1); CURRENT comes from
+fig4_hcfirst_distribution --stride=2048 --jobs=2 --report=CURRENT. The gate
+fails (exit 1) when either tracked throughput axis — commands_per_host_second
+or device_cycles_per_host_second — drops more than --tolerance below the
+baseline, or when a deterministic axis (commands, device_cycles, records)
+differs from the baseline at all: those are a pure function of the sweep, so
+any drift means the run measured something else. Improvements and small
+throughput regressions print but pass. A missing baseline file passes with a
+note, so the check can land before the first baseline is committed and
+survives branches that predate it.
 
 --min KEY=VALUE adds an absolute floor on a tracked axis, independent of the
 committed baseline: the fast engine's >=5x speedup over the pre-engine
@@ -23,9 +26,11 @@ import json
 import os
 import sys
 
-SCHEMA = "rh-perf-baseline/v1"
+SCHEMA = "rh-run-report/v1"
 TRACKED = ("commands_per_host_second", "device_cycles_per_host_second")
-CONTEXT = ("commands", "device_cycles", "records", "elapsed_s", "jobs", "stride")
+# bringup_device_cycles is left out: it scales with the number of rigs built.
+DETERMINISTIC = ("commands", "device_cycles", "records")
+CONTEXT = ("elapsed_wall_ms", "jobs")
 
 
 def load(path):
@@ -40,7 +45,7 @@ def load(path):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline", help="committed BENCH_campaign.json")
-    parser.add_argument("current", help="BENCH_campaign.json from this build")
+    parser.add_argument("current", help="run report from this build")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional regression (default 0.25)")
     parser.add_argument("--min", action="append", default=[], metavar="KEY=VALUE",
@@ -71,19 +76,13 @@ def main():
 
     if not os.path.exists(args.baseline):
         print(f"check_perf: no baseline at {args.baseline}; nothing to "
-              "compare (run bench/perf_baseline and commit the output)")
+              "compare (commit a run report there)")
         if failed:
             print("check_perf: FAIL — below an absolute --min floor")
             return 1
         return 0
 
     base = load(args.baseline)
-
-    if base.get("stride") != cur.get("stride") or base.get("jobs") != cur.get("jobs"):
-        print(f"check_perf: note: configs differ "
-              f"(baseline stride={base.get('stride')} jobs={base.get('jobs')}, "
-              f"current stride={cur.get('stride')} jobs={cur.get('jobs')}); "
-              "comparing anyway")
 
     for key in TRACKED:
         b, c = float(base[key]), float(cur[key])
@@ -98,13 +97,19 @@ def main():
         print(f"  {key}: {c:,.0f} vs baseline {b:,.0f} "
               f"({delta:+.1%}, floor {floor:,.0f}) {verdict}")
 
+    for key in DETERMINISTIC:
+        verdict = "OK" if cur[key] == base[key] else "DIFFERS"
+        if verdict != "OK":
+            failed = True
+        print(f"  {key}: {cur[key]} (baseline {base[key]}) {verdict}")
+
     for key in CONTEXT:
-        if key in base and key in cur:
-            print(f"  {key}: {cur[key]} (baseline {base[key]})")
+        print(f"  {key}: {cur[key]} (baseline {base[key]})")
 
     if failed:
         print(f"check_perf: FAIL — throughput below an absolute --min floor "
-              f"or more than {args.tolerance:.0%} under baseline")
+              f"or more than {args.tolerance:.0%} under baseline, or a "
+              "deterministic axis differs from the baseline")
         return 1
     print("check_perf: PASS")
     return 0

@@ -100,7 +100,6 @@ void BenderHost::fault_detected(FaultKind kind, std::uint32_t channel,
 
 void BenderHost::fault_recovered(FaultKind kind, std::uint32_t channel,
                                  std::uint32_t pseudo_channel, const std::string& detail) {
-  ++stats_.recovered;
   // Calls-only: the wall time of the retry is already charged to the layer
   // (upload/drain/thermal) whose scope was open when the fault fired.
   profile_.record(profiling::Phase::kRecover, 0, 0.0);
@@ -114,7 +113,6 @@ void BenderHost::fault_recovered(FaultKind kind, std::uint32_t channel,
 
 void BenderHost::fault_aborted(FaultKind kind, std::uint32_t channel,
                                std::uint32_t pseudo_channel, const std::string& detail) {
-  ++stats_.aborted;
   injector_->note_aborted(kind, detail);
   RH_TELEM(telemetry_, on_command(telemetry::TraceCommand::kRecovery, now_, channel,
                                   pseudo_channel, 0, 0, static_cast<std::uint32_t>(kind)));

@@ -44,13 +44,12 @@ class MetricsSampler;  // stream.hpp — cycles-cadence metrics sampling
 namespace rh::bender {
 
 /// Host-side recovery bookkeeping, one struct per host. All counts are
-/// *detections and reactions* — the injector's own stats count injections;
-/// tests assert the two agree (nothing slips through silently).
+/// *detections and reactions* — the fault schedule's own stats count
+/// injections and how each one ended (recovered or aborted); tests assert
+/// the two agree (nothing slips through silently).
 struct HostResilienceStats {
   std::uint64_t detected = 0;         ///< faults observed (all kinds)
   std::uint64_t retried = 0;          ///< backoff waits charged
-  std::uint64_t recovered = 0;        ///< faults healed
-  std::uint64_t aborted = 0;          ///< faults that exhausted their budget
   std::uint64_t upload_failures = 0;  ///< timed-out or dropped uploads
   std::uint64_t crc_failures = 0;     ///< corrupt drains caught by CRC
   std::uint64_t short_reads = 0;      ///< truncated drains caught by length

@@ -115,11 +115,8 @@ CampaignResult Campaign::run(const SweepSpec& spec) {
   // and commit, and exactly one final sample once the last rig retired.
   run.open_stream();
 
-  std::ostream* progress_stream =
-      config_.progress ? (config_.progress_stream != nullptr ? config_.progress_stream
-                                                             : &std::cerr)
-                       : nullptr;
-  ProgressMeter progress(progress_stream, run.metrics.counter("campaign.shards_total"),
+  ProgressMeter progress(config_.progress ? &std::cerr : nullptr,
+                         run.metrics.counter("campaign.shards_total"),
                          run.metrics.counter("campaign.shards_done"),
                          run.metrics.counter("campaign.shards_skipped"),
                          run.metrics.counter("campaign.shards_failed"), jobs);

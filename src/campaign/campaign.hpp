@@ -46,7 +46,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,10 +85,8 @@ struct CampaignConfig {
   /// failed. Benches keep this on (partial sweeps must not masquerade as
   /// results); tests of failure isolation turn it off.
   bool fail_on_shard_error = true;
-  /// Progress/ETA line destination; nullptr = std::cerr. Disable with
-  /// `progress = false`.
+  /// Live progress/ETA line on std::cerr.
   bool progress = true;
-  std::ostream* progress_stream = nullptr;
   /// Infrastructure fault injection (disabled unless a rate is set or the
   /// script is non-empty). Each worker rig arms its own schedule of the
   /// plan (resilience::arm) under a seed derived from (fault_plan.seed, rig

@@ -137,18 +137,27 @@ void RigPool::rig_loop(unsigned rig_index) {
     if (observer_ != nullptr) {
       observer_->claimed(*task.job, rig_index, task.shard, wait_ms, task.stolen);
     }
+    bool finished = false;
     if (!task.job->cancel.load(std::memory_order_relaxed)) {
       if (rig.job != task.job) {
         retire(rig);
         attach(rig, task.job);
       }
-      run_task(rig_index, rig, task);
+      finished = run_task(rig_index, rig, task);
     }
     lock.lock();
     rig_stats_[rig_index].busy_ms += ms_since(claim);
     rig_stats_[rig_index].done += 1;
     rig_stats_[rig_index].shard = -1;
     rig_stats_[rig_index].job = nullptr;
+    if (finished) {
+      // The last shard retires the rig at once, after its claim is booked:
+      // finalize must not wait for this rig to go idle or switch jobs, and
+      // what the finalize hooks read of rig_status() counts this shard.
+      lock.unlock();
+      retire(rig);
+      lock.lock();
+    }
   }
 }
 
@@ -202,13 +211,13 @@ void RigPool::finalize_if_complete(const std::shared_ptr<PoolJob>& job) {
   if (finalized_now && hooks_.finalized) hooks_.finalized(job);
 }
 
-void RigPool::run_task(unsigned rig_index, Rig& rig, const Task& task) {
+bool RigPool::run_task(unsigned rig_index, Rig& rig, const Task& task) {
   PoolJob& job = *task.job;
   ShardRun& run = *job.run;
   const std::uint64_t i = task.shard;
   {
     const std::lock_guard<std::mutex> lock(job.mutex);
-    if (run.done[i] != 0 || job.cancel.load(std::memory_order_relaxed)) return;
+    if (run.done[i] != 0 || job.cancel.load(std::memory_order_relaxed)) return false;
     run.claim(rig_index, i);
   }
 
@@ -219,20 +228,14 @@ void RigPool::run_task(unsigned rig_index, Rig& rig, const Task& task) {
       run.execute(rig.hardware, i, job.mutex, rig.profile, rig.sheet, on_retry);
   if (observer_ != nullptr) observer_->executed(outcome.wall_ms);
 
-  bool finished = false;
-  {
-    const std::lock_guard<std::mutex> lock(job.mutex);
-    const bool ok = outcome.ok;
-    if (ok) shards_run_.fetch_add(1);
-    // A journal that dies here must not unwind and kill the rig thread:
-    // the run drops it, keeps results in memory and returns the reason.
-    const std::string dropped = run.commit(rig_index, i, std::move(outcome), rig.profile);
-    if (hooks_.committed) hooks_.committed(job, i, ok, dropped);
-    finished = --job.remaining == 0;
-  }
-  // The last shard retires the rig immediately: finalize must not wait for
-  // this rig to go idle or switch jobs.
-  if (finished) retire(rig);
+  const std::lock_guard<std::mutex> lock(job.mutex);
+  const bool ok = outcome.ok;
+  if (ok) shards_run_.fetch_add(1);
+  // A journal that dies here must not unwind and kill the rig thread:
+  // the run drops it, keeps results in memory and returns the reason.
+  const std::string dropped = run.commit(rig_index, i, std::move(outcome), rig.profile);
+  if (hooks_.committed) hooks_.committed(job, i, ok, dropped);
+  return --job.remaining == 0;
 }
 
 }  // namespace rh::campaign

@@ -167,7 +167,8 @@ private:
   bool pop_task(unsigned rig_index, Task& task);  ///< pool lock held
   void attach(Rig& rig, const std::shared_ptr<PoolJob>& job);
   void retire(Rig& rig);  ///< end the attachment; may finalize the job
-  void run_task(unsigned rig_index, Rig& rig, const Task& task);
+  /// Runs one task; true when it committed the job's last shard.
+  bool run_task(unsigned rig_index, Rig& rig, const Task& task);
   void finalize_if_complete(const std::shared_ptr<PoolJob>& job);
 
   PoolHooks hooks_;

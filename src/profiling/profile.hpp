@@ -8,7 +8,7 @@
 //     machines (the determinism test pins this).
 //   - wall_ms — real host-process time (steady_clock). This is engineering:
 //     it depends on the machine, the scheduler, and the build, and is what
-//     the perf baseline tracks. Wall fields are therefore *excluded* from
+//     the perf gate tracks. Wall fields are therefore *excluded* from
 //     every byte-identity check and from the deterministic report view.
 //
 // The layers are telemetry::Layer (see DESIGN.md §10); Phase names the same

@@ -204,26 +204,6 @@ void write_report_json(std::ostream& os, const RunReport& report, bool include_w
   os << '}';
 }
 
-void write_perf_baseline_json(std::ostream& os, const RunReport& report, std::uint32_t stride) {
-  // Keys sorted; schema tagged so check_perf.py can refuse foreign files.
-  os << "{\"bench\":\"campaign_fig4\"";
-  os << ",\"bringup_device_cycles\":" << report.bringup_device_cycles();
-  os << ",\"commands\":" << report.commands();
-  os << ",\"commands_per_host_second\":" << json_number(report.commands_per_host_second());
-  os << ",\"device_cycles\":" << report.device_cycles();
-  os << ",\"device_cycles_per_host_second\":"
-     << json_number(report.device_cycles_per_host_second());
-  os << ",\"elapsed_s\":" << json_number(report.elapsed_wall_ms * 1e-3);
-  os << ",\"jobs\":" << report.jobs;
-  os << ",\"phases\":";
-  report.profile.write_json(os, true);
-  os << ",\"records\":" << report.records;
-  os << ",\"schema\":\"rh-perf-baseline/v1\"";
-  os << ",\"seed\":" << report.seed;
-  os << ",\"stride\":" << stride;
-  os << "}\n";
-}
-
 void render_report_text(std::ostream& os, const RunReport& report) {
   os << "=== campaign run report: " << report.campaign << " (seed " << report.seed << ") ===\n";
   os << "shards: " << report.shards_done << "/" << report.shards_total << " run";

@@ -102,7 +102,7 @@ struct RunReport {
   /// commands() per host wall second; 0 when unmeasurable.
   [[nodiscard]] double commands_per_host_second() const;
   /// device_cycles() per host wall second — the "how much silicon time does
-  /// one lab second buy" throughput axis the perf baseline tracks.
+  /// one lab second buy" throughput axis the perf gate tracks.
   [[nodiscard]] double device_cycles_per_host_second() const;
   /// Fraction of jobs x elapsed wall spent inside shard measurement.
   [[nodiscard]] double worker_utilization() const;
@@ -110,10 +110,5 @@ struct RunReport {
 
 void write_report_json(std::ostream& os, const RunReport& report, bool include_wall = true);
 void render_report_text(std::ostream& os, const RunReport& report);
-
-/// Emits the rh-perf-baseline/v1 throughput document (keys sorted) that
-/// scripts/check_perf.py diffs against the committed baseline. Shared by
-/// bench/perf_baseline and the golden-contract schema test.
-void write_perf_baseline_json(std::ostream& os, const RunReport& report, std::uint32_t stride);
 
 }  // namespace rh::profiling

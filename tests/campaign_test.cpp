@@ -470,6 +470,48 @@ TEST(RigPoolTest, StopLeavesQueuedShardsForTheNextStart) {
   EXPECT_FALSE(job->finalized);
 }
 
+TEST(RigPoolTest, FinalizedJobSeesEveryRigClaimBooked) {
+  // The last shard's rig books its claim's end before it retires and
+  // finalizes the job, so a scrape from the finalized hook (as the
+  // service's /metricsz may make right after a job ends) counts every
+  // shard as done.
+  SweepSpec spec = quick_sweep();
+  spec.shards.resize(6);
+  for (const unsigned rigs : {1u, 2u}) {
+    RigPool* pool_ptr = nullptr;
+    std::mutex seen_mutex;
+    std::condition_variable seen_cv;
+    std::int64_t done_at_finalize = -1;  // guarded by seen_mutex
+    PoolHooks hooks;
+    hooks.finalized = [&](const std::shared_ptr<PoolJob>&) {
+      std::uint64_t done = 0;
+      for (const RigPool::RigStatus& rig : pool_ptr->rig_status()) done += rig.done;
+      {
+        const std::lock_guard<std::mutex> lock(seen_mutex);
+        done_at_finalize = static_cast<std::int64_t>(done);
+      }
+      seen_cv.notify_all();
+    };
+
+    const auto job = std::make_shared<PoolJob>();
+    job->run = std::make_unique<ShardRun>(spec, quiet_config(), make_default_host, nullptr);
+    job->run->workers.resize(rigs);
+    job->remaining = spec.shards.size();
+    RigPool pool(rigs, hooks);
+    pool_ptr = &pool;
+    pool.enqueue(job);
+    pool.start();
+    {
+      std::unique_lock<std::mutex> lock(seen_mutex);
+      ASSERT_TRUE(seen_cv.wait_for(lock, std::chrono::minutes(1),
+                                   [&] { return done_at_finalize >= 0; }))
+          << rigs << " rigs";
+    }
+    pool.stop();
+    EXPECT_EQ(done_at_finalize, static_cast<std::int64_t>(spec.shards.size())) << rigs << " rigs";
+  }
+}
+
 TEST(CampaignTest, SpanForestLinksARetriedFaultInjectedShardCausally) {
   SweepSpec spec = quick_sweep();
   spec.shards.resize(4);

@@ -89,9 +89,11 @@ TEST(CliContract, CampaignBenchWritesItsReport) {
     std::uint64_t records;
   };
   // Fig. 6: 8 channels x 2 pseudo channels x 16 banks x 3 regions, 2 rows each.
+  // Fig. 4 at the perf gate's stride, as its deterministic projection.
   const Case cases[] = {{"ablation_hammer_count", {"--rows=1"}, 16, 16},
                         {"fig6_bank_variation", {"--rows-per-region=40", "--row-stride=20"}, 768,
-                         1536}};
+                         1536},
+                        {"fig4_hcfirst_distribution", {"--stride=2048", "--deterministic"}, 24, 48}};
   for (const Case& c : cases) {
     const test::ScratchDir dir;
     const std::string report = dir.file("r.json");
@@ -103,7 +105,24 @@ TEST(CliContract, CampaignBenchWritesItsReport) {
     EXPECT_EQ(doc.at("schema").text, "rh-run-report/v1") << c.bench;
     EXPECT_EQ(doc.at("shards").at("total").as_u64(), c.shards) << c.bench;
     EXPECT_EQ(doc.at("records").as_u64(), c.records) << c.bench;
+    const bool deterministic =
+        std::find(c.flags.begin(), c.flags.end(), "--deterministic") != c.flags.end();
+    EXPECT_EQ(doc.find("elapsed_wall_ms") == nullptr, deterministic) << c.bench;
   }
+}
+
+TEST(CliContract, MissingRequiredFlagExitsOneWithTheMessage) {
+  const test::ScratchDir dir;
+  const Outcome projection = run(dir, bench("fig4_hcfirst_distribution"), {"--deterministic"});
+  EXPECT_EQ(projection.status, 1);
+  EXPECT_EQ(projection.err,
+            "fig4_hcfirst_distribution: --deterministic requires --report=PATH\n");
+
+  // rh_report only summarizes a journal; it runs no campaign of its own.
+  const Outcome summary = run(dir, std::string(RH_TOOLS_DIR) + "/rh_report", {});
+  EXPECT_EQ(summary.status, 1);
+  EXPECT_EQ(summary.err, "rh_report: rh_report needs --journal=PATH\n");
+  EXPECT_EQ(summary.out, "");
 }
 
 TEST(CliContract, HostOnlyBenchRejectsReport) {
@@ -162,7 +181,6 @@ const Binary kBinaries[] = {
     {RH_BENCH_DIR, "ablation_temperature", true},
     {RH_BENCH_DIR, "ablation_trr_efficacy", true},
     {RH_BENCH_DIR, "ablation_trr_evasion", true},
-    {RH_BENCH_DIR, "perf_baseline", false},
     {RH_TOOLS_DIR, "rh_report", false},
     {RH_TOOLS_DIR, "rh_fuzz", false},
     {RH_TOOLS_DIR, "rh_tail", false},

@@ -101,14 +101,6 @@ TEST(GoldenContract, MetricsSnapshotJson) {
   EXPECT_FALSE(diff.has_value()) << *diff;
 }
 
-TEST(GoldenContract, PerfBaselineSchemaV1) {
-  std::ostringstream os;
-  profiling::write_perf_baseline_json(os, canonical_report(), /*stride=*/2048);
-  const auto diff = check_golden(golden("perf_baseline_v1.shape"),
-                                 shape_text(os.str(), "rh-perf-baseline/v1"));
-  EXPECT_FALSE(diff.has_value()) << *diff;
-}
-
 TEST(GoldenContract, CheckpointJournalV1) {
   // The journal is JSONL: pin the shape of each line kind — header,
   // annotated completion, bare completion, failure — as one document each.

@@ -371,13 +371,7 @@ TEST(CampaignProfilingTest, ThroughputAxisExcludesRigBringUp) {
   for (const auto& t : result.timings) timing_total += t.device_cycles;
   EXPECT_EQ(timing_total, shard_run);
 
-  // Both JSON documents carry the split.
-  std::ostringstream perf_os;
-  profiling::write_perf_baseline_json(perf_os, report, 512);
-  const campaign::JsonValue perf_doc = campaign::parse_json(perf_os.str(), "perf-baseline");
-  EXPECT_EQ(perf_doc.at("device_cycles").as_u64(), shard_run);
-  EXPECT_EQ(perf_doc.at("bringup_device_cycles").as_u64(), rig_build);
-
+  // The report, which the perf gate reads, carries the split.
   std::ostringstream report_os;
   profiling::write_report_json(report_os, report, /*include_wall=*/true);
   const campaign::JsonValue report_doc = campaign::parse_json(report_os.str(), "report");
