@@ -58,6 +58,7 @@
 //                                every shard claim and commit
 #pragma once
 
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -273,11 +274,17 @@ private:
   /// Returns `path` once it is known to be writable ("" passes): an
   /// unwritable output fails now, not after a multi-minute run.
   static std::string writable(std::string path, const char* what) {
+    if (path.empty()) return path;
     // Probe in append mode: a truncating open would destroy an existing
     // file here, before the run has produced anything to replace it with.
-    if (!path.empty() && !std::ofstream(path, std::ios::app)) {
+    // A file the probe creates goes again at once, so a run rejected later
+    // (an unknown flag, say) leaves no empty output behind.
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(std::filesystem::symlink_status(path, ec));
+    if (!std::ofstream(path, std::ios::app)) {
       throw common::ConfigError(std::string("cannot open ") + what + " output file: " + path);
     }
+    if (!existed) std::filesystem::remove(path, ec);
     return path;
   }
 

@@ -65,18 +65,19 @@ std::size_t RetentionModel::apply(const BankContext& b, std::uint32_t physical_r
   const double z_max =
       std::log(elapsed_s / (cfg_.retention_median_s * temp_scale(temperature_c))) /
       cfg_.retention_sigma;
-  if (z_max < kZMin) return 0;
+  // Every z is >= kZMin, so a strict cut at or below it decays nothing.
+  if (z_max <= kZMin) return 0;
 
   if (cache_ != nullptr && z_max <= RowFaultCache::kTierZ) {
     // Fast kernel: a cell that decays has z < z_max <= kTierZ, so it is in
-    // the row's weak tail. Each cell's decision reads only its own bit, so
-    // flipping in place leaves every later decision as the scan makes it.
-    const RowFaultCache::Entry& entry = cache_->get(b, physical_row);
-    if (z_max <= common::approx_normal_of_lane_sum(entry.min_sum)) return 0;
+    // the row's weak tail, and the tail is in strength order, so the walk
+    // stops at the first slot above the cap. Each cell's decision reads
+    // only its own bit, so neither the order nor flipping in place changes
+    // a decision the scan makes.
     const std::uint32_t cap = RowFaultCache::slot_cap(common::max_lane_sum_below(z_max));
     std::size_t flips = 0;
-    for (const std::uint32_t slot : entry.slots) {
-      if (slot > cap) continue;
+    for (const std::uint32_t slot : cache_->get(b, physical_row).slots) {
+      if (slot > cap) break;
       const std::uint32_t bit = RowFaultCache::slot_bit(slot);
       std::uint8_t& byte = data[bit >> 3];
       const auto mask = static_cast<std::uint8_t>(1u << (bit & 7u));

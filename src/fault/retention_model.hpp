@@ -18,13 +18,14 @@
 // kFast) serves role 2. A U-TRR wait of about T decays only the row's
 // weakest few cells, so its decay threshold lies deep in the lower tail of
 // z. A settle whose threshold is at most RowFaultCache::kTierZ walks the
-// row's cached weak tail (row_fault_cache.hpp) in bit order and returns at
-// once when the threshold is at or below the row's weakest cell; it never
-// rehashes the 8,192 cells. The reference's strict compare z < z_max is
-// one integer cap per settle (common::max_lane_sum_below), checked against
-// each packed slot as it stands. Longer waits (past about 0.8 s at 85
-// degC) and every settle under kInterp take the reference scan, which
-// stays the ground truth.
+// row's cached weak tail (row_fault_cache.hpp), weakest cell first, and
+// stops at the first cell above its threshold, so it visits only the
+// cells that can decay and never rehashes the 8,192 cells. The
+// reference's strict compare z < z_max is one integer cap per settle
+// (common::max_lane_sum_below), checked against each packed slot as it
+// stands. Each decision reads only its own bit, so the walk's order does
+// not matter. Longer waits (past about 0.8 s at 85 degC) and every settle
+// under kInterp take the reference scan, which stays the ground truth.
 #pragma once
 
 #include <cstdint>
@@ -63,9 +64,9 @@ public:
   [[nodiscard]] double global_min_retention_s(double temperature_c) const;
 
   /// Selects the fast kernel (see the header comment): a decay whose
-  /// threshold is at most RowFaultCache::kTierZ walks the row's cached weak
-  /// tail instead of rescanning every cell. Bit-for-bit identical to the
-  /// reference scan. Off by default.
+  /// threshold is at most RowFaultCache::kTierZ walks the prefix of the
+  /// row's cached weak tail under it instead of rescanning every cell.
+  /// Bit-for-bit identical to the reference scan. Off by default.
   void set_fast_kernel(bool enabled);
 
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }

@@ -1,8 +1,9 @@
 #include "fault/row_fault_cache.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
+#include <iterator>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -36,20 +37,16 @@ constexpr auto kCellBit = [] {
 
 /// Hashes cells first .. first + kBlockCells - 1 of the row whose hash
 /// cursor is `base`: writes each cell's slot without its orientation to
-/// `slots` (a strong cell's sum overflows its field; it is never read),
-/// lowers `min_sum` to the block's smallest lane sum, and returns the mask
-/// of the block's tail cells (bit k for cell first + k).
+/// `slots` (a strong cell's sum overflows its field; it is never read) and
+/// returns the mask of the block's tail cells (bit k for cell first + k).
 RH_BLOCK_CLONES std::uint64_t block_tail(std::uint64_t base, std::uint32_t first,
-                                         std::uint32_t* slots, std::uint32_t& min_sum) {
+                                         std::uint32_t* slots) {
   std::uint64_t tail = 0;
-  std::uint32_t lowest = min_sum;
   for (std::uint32_t k = 0; k < RowFaultCache::kBlockCells; ++k) {
     const std::uint32_t sum = common::lane_sum(common::hash_combine(base, first + k));
     slots[k] = RowFaultCache::make_slot(sum, first + k, false);
     tail |= sum <= RowFaultCache::kTierLaneSum ? kCellBit[k] : 0;
-    lowest = std::min(lowest, sum);
   }
-  min_sum = lowest;
   return tail;
 }
 
@@ -91,14 +88,13 @@ void RowFaultCache::build(Entry& e, const BankContext& b, std::uint32_t physical
   const RowHash z_hash(seed_, threshold_, b, physical_row);
   const RowHash orient_hash(seed_, Stream::kOrientation, b, physical_row);
   std::array<std::uint32_t, kBlockCells> slots{};
-  std::uint32_t min_sum = common::kMaxLaneSum;
   // The tail is appended to the entry's own vector: a recycled node keeps
   // its capacity, so a rebuild allocates only when its tail outgrows every
   // earlier one the node held.
   e.slots.clear();
   for (std::uint32_t first = 0; first < row_bits_; first += kBlockCells) {
     // Only the block's tail cells get a slot and an orientation hash.
-    for (std::uint64_t tail = block_tail(z_hash.base, first, slots.data(), min_sum); tail != 0;
+    for (std::uint64_t tail = block_tail(z_hash.base, first, slots.data()); tail != 0;
          tail &= tail - 1) {
       const std::uint32_t slot = slots[static_cast<std::size_t>(std::countr_zero(tail))];
       const bool anti =
@@ -106,7 +102,31 @@ void RowFaultCache::build(Entry& e, const BankContext& b, std::uint32_t physical
       e.slots.push_back(slot | (anti ? 1u : 0u));
     }
   }
-  e.min_sum = min_sum;
+  sort_by_strength(e.slots);
+}
+
+void RowFaultCache::sort_by_strength(std::vector<std::uint32_t>& slots) {
+  // Two LSD counting passes, low digit then high digit, each stable, so
+  // cells of equal sum keep their bit order.
+  constexpr std::uint32_t kLowMask = (1u << kLowDigitBits) - 1;
+  const auto low = [](std::uint32_t slot) { return (slot >> kSumShift) & kLowMask; };
+  const auto high = [](std::uint32_t slot) { return slot >> (kSumShift + kLowDigitBits); };
+  std::array<std::uint32_t, std::size_t{1} << kLowDigitBits> low_at{};
+  std::array<std::uint32_t, std::size_t{1} << kHighDigitBits> high_at{};
+  for (const std::uint32_t slot : slots) {
+    ++low_at[low(slot)];
+    ++high_at[high(slot)];
+  }
+  // Counts become each digit's first output position.
+  const auto starts = [](auto& counts) {
+    std::uint32_t at = 0;
+    for (std::uint32_t& c : counts) at += std::exchange(c, at);
+  };
+  starts(low_at);
+  starts(high_at);
+  sort_scratch_.resize(slots.size());
+  for (const std::uint32_t slot : slots) sort_scratch_[low_at[low(slot)]++] = slot;
+  for (const std::uint32_t slot : sort_scratch_) slots[high_at[high(slot)]++] = slot;
 }
 
 }  // namespace rh::fault

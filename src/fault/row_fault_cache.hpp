@@ -6,11 +6,10 @@
 // re-senses the same victim; every U-TRR iteration re-reads the same probe
 // row) need not rehash its 8,192 cells each time. Per (flat bank, physical
 // row) the cache keeps only the row's *weak tail*: the cells with
-// z <= kTierZ, in bit order, plus the row's smallest lane sum. A model
-// evaluates a settle from the tail only when the settle's most permissive
-// threshold is at most kTierZ (then every cell that can flip is in the
-// tail) and takes its reference scan otherwise, so the strong cells are
-// never needed.
+// z <= kTierZ, in strength order (weakest first). A model evaluates a
+// settle from the tail only when the settle's most permissive threshold is
+// at most kTierZ (then every cell that can flip is in the tail) and takes
+// its reference scan otherwise, so the strong cells are never needed.
 //
 // Slots. z is a monotone function of the cell's integer Irwin-Hall lane sum
 // (common::lane_sum), so a tail cell is one packed 32-bit slot,
@@ -20,18 +19,23 @@
 // <= s: a model turns its threshold into one integer cap per settle
 // (common::max_lane_sum_at_most, or max_lane_sum_below for a strict
 // compare), compares raw slots against it and converts a sum to z only for
-// the slots under it.
+// the slots under it. The tail is sorted by slot, i.e. by lane sum and then
+// bit, so the cells under a cap are a prefix of it: a settle walks only
+// its candidates and stops at the first slot above the cap, and
+// slots.front() is the row's weakest cell.
 //
 // The build hashes lane sums one fixed 64-cell block at a time, in one
 // function that also returns the block's tail as a bit mask, so the scalar
 // code visits only tail cells: it hashes their orientation and appends
-// their slots. No cell becomes a double. On x86-64 GCC builds the block
-// function is compiled as target_clones for x86-64-v4 (AVX-512), x86-64-v3
-// (AVX2) and the baseline, and the loader picks one per CPU; the constant
-// trip count lets GCC vectorize the v4 and v3 clones at -O2 as well as -O3
-// (the baseline's SSE2 gains nothing on this hash). Other compilers and
-// targets, and ThreadSanitizer builds (a GCC 12 TSan binary with a cloned
-// function crashes at start-up), compile one plain version.
+// their slots in bit order, and one stable two-pass radix sort over the
+// 17-bit lane sum puts them in slot order. No cell becomes a double. On
+// x86-64 GCC builds the block function is compiled as target_clones for
+// x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the baseline, and the loader
+// picks one per CPU; the constant trip count lets GCC vectorize the v4 and
+// v3 clones at -O2 as well as -O3 (the baseline's SSE2 gains nothing on
+// this hash). Other compilers and targets, and ThreadSanitizer builds (a
+// GCC 12 TSan binary with a cloned function crashes at start-up), compile
+// one plain version.
 //
 // Entries sit on a least-recently-used list: a hit moves its node to the
 // front and a miss past kMaxEntries recycles the back node, both O(1), so
@@ -62,11 +66,9 @@ public:
   static constexpr std::uint32_t kBlockCells = 64;
 
   struct Entry {
-    /// Weak-tail cells, one packed slot each, in ascending bit order.
+    /// Weak-tail cells, one packed slot each, in ascending slot order
+    /// (lane sum first, then bit): weakest first.
     std::vector<std::uint32_t> slots;
-    /// The row's smallest lane sum (its weakest cell); a settle whose
-    /// threshold is below its z flips nothing.
-    std::uint32_t min_sum = 0;
   };
 
   /// The slot of a tail cell (sum at most kTierLaneSum, bit below 2^14);
@@ -94,6 +96,10 @@ private:
   static constexpr std::uint32_t kSumShift = 15;
   static constexpr std::uint32_t kBitMask = (1u << (kSumShift - 1)) - 1;
   static_assert(kTierLaneSum < (1u << (32 - kSumShift)), "a tail sum fits its slot field");
+  /// The strength sort's two radix digits: the low and the high bits of
+  /// the 32 - kSumShift = 17-bit lane sum.
+  static constexpr std::uint32_t kLowDigitBits = 9;
+  static constexpr std::uint32_t kHighDigitBits = 32 - kSumShift - kLowDigitBits;
 
   /// Tail entries are ~5.4 KiB (vector capacity up to 8 KiB); 512 of them
   /// cover several shards' working sets (victims, aggressors, blast-radius
@@ -107,12 +113,16 @@ private:
   };
 
   void build(Entry& e, const BankContext& b, std::uint32_t physical_row);
+  /// Stably sorts bit-ordered `slots` by lane sum, which leaves them in
+  /// ascending slot order.
+  void sort_by_strength(std::vector<std::uint32_t>& slots);
 
   std::uint64_t seed_;
   double anti_cell_fraction_;
   Stream threshold_;
   std::uint32_t row_bits_;
-  std::list<Node> lru_;                 ///< most recently used first
+  std::vector<std::uint32_t> sort_scratch_;  ///< the radix sort's middle pass
+  std::list<Node> lru_;                      ///< most recently used first
   std::unordered_map<std::uint64_t, std::list<Node>::iterator> index_;
 };
 

@@ -123,25 +123,6 @@ std::size_t RowHammerModel::apply(const BankContext& b, std::uint32_t physical_r
   const std::size_t n = data.size();
   std::size_t flips = 0;
 
-  // Decides bit j of byte i exactly as the reference scan: the byte's value
-  // pre-flip, aggressor bits from above/below, same-row neighbours with the
-  // cross-byte edges (prev byte post-flip, next byte pre-flip), orientation
-  // from `anti`. Returns true when the bit flips.
-  const auto bit_flips = [&](std::size_t i, std::uint32_t j, std::uint8_t v, std::uint8_t up,
-                             std::uint8_t dn, std::uint8_t prev_edge, std::uint8_t next_edge,
-                             int anti, double z) {
-    const int vb = (v >> j) & 1;
-    const int k = (((up >> j) & 1) != vb ? 1 : 0) + (((dn >> j) & 1) != vb ? 1 : 0);
-    const int left = j > 0 ? ((v >> (j - 1)) & 1) : (prev_edge == 0xff ? vb : prev_edge);
-    const int right = j < 7 ? ((v >> (j + 1)) & 1) : (next_edge == 0xff ? vb : next_edge);
-    const int intra = (left != vb && right != vb) ? 1 : 0;
-    const int charged = (vb == (anti != 0 ? 0 : 1)) ? 1 : 0;
-    const double zmax = z_table[static_cast<std::size_t>(charged)][static_cast<std::size_t>(k)]
-                               [static_cast<std::size_t>(intra)][static_cast<std::size_t>(anti)];
-    (void)i;
-    return zmax >= kZMin && z <= zmax;
-  };
-
   if (cache_ != nullptr) {
     double z_cap = kZMin;
     for (int charged = 0; charged < 2; ++charged) {
@@ -157,44 +138,68 @@ std::size_t RowHammerModel::apply(const BankContext& b, std::uint32_t physical_r
       }
     }
     if (z_cap <= RowFaultCache::kTierZ) {
-      // Fast kernel: only bits whose cached lane sum is at most the batch's
-      // most permissive threshold class can flip; everything else is
-      // untouched, so skipping it leaves bytes — and the cross-byte edges
-      // later bytes read — exactly as the reference scan would. z_cap is
-      // within the cached tier, so the weak tail holds every candidate, and
-      // it is already in the reference scan's bit order.
-      const RowFaultCache::Entry& entry = cache_->get(b, physical_row);
-      const std::uint32_t cap_sum = common::max_lane_sum_at_most(z_cap);
-      if (cap_sum < entry.min_sum) return 0;
-      const std::uint32_t cap = RowFaultCache::slot_cap(cap_sum);
-      const std::vector<std::uint32_t>& slots = entry.slots;
-      const std::size_t m = slots.size();
-      for (std::size_t s = 0; s < m;) {
-        if (slots[s] > cap) {
-          ++s;
-          continue;
-        }
-        const std::size_t i = RowFaultCache::slot_bit(slots[s]) >> 3;
+      // Fast kernel: only cells whose cached lane sum is at most the
+      // batch's most permissive threshold class can flip, and z_cap is
+      // within the cached tier, so they are the prefix of the row's
+      // strength-ordered weak tail up to the cap; every other cell keeps
+      // its value. The reference scan reads the row as it was before the
+      // settle, with one exception: bit 0 of byte i > 0 reads bit 7 of
+      // byte i - 1 after that bit's own decision. So the prefix is decided
+      // in two passes. Pass 1 decides every other candidate against the
+      // untouched row and only records its flips; the bit-7 flips are then
+      // applied, pass 2 decides the deferred bit-0 cells (each reads only
+      // bits 0 and 1 of its own byte, still untouched, and the previous
+      // byte's bit 7) and the remaining pass-1 flips land last.
+      const std::vector<std::uint32_t>& slots = cache_->get(b, physical_row).slots;
+      const auto end = std::upper_bound(
+          slots.begin(), slots.end(),
+          RowFaultCache::slot_cap(common::max_lane_sum_at_most(z_cap)));
+      // Decides one candidate as the reference scan does, reading the row
+      // as it stands: the cell's own byte, its aggressor bits (a missing
+      // neighbour reads as the victim's own byte) and the same-row
+      // neighbours across the byte edges.
+      const auto decide = [&](std::uint32_t slot) {
+        const std::uint32_t bit = RowFaultCache::slot_bit(slot);
+        const std::size_t i = bit >> 3;
+        const std::uint32_t j = bit & 7u;
         const std::uint8_t v = data[i];
         const std::uint8_t up = above.empty() ? v : above[i];
         const std::uint8_t dn = below.empty() ? v : below[i];
-        const std::uint8_t prev_edge =
-            i > 0 ? static_cast<std::uint8_t>((data[i - 1] >> 7) & 1u) : std::uint8_t{0xff};
-        const std::uint8_t next_edge =
-            i + 1 < n ? static_cast<std::uint8_t>(data[i + 1] & 1u) : std::uint8_t{0xff};
-        std::uint8_t flipped = 0;
-        for (; s < m && (RowFaultCache::slot_bit(slots[s]) >> 3) == i; ++s) {
-          const std::uint32_t slot = slots[s];
-          if (slot > cap) continue;
-          const std::uint32_t j = RowFaultCache::slot_bit(slot) & 7u;
-          if (bit_flips(i, j, v, up, dn, prev_edge, next_edge,
-                        RowFaultCache::slot_anti(slot) ? 1 : 0,
-                        common::approx_normal_of_lane_sum(RowFaultCache::slot_sum(slot)))) {
-            flipped |= static_cast<std::uint8_t>(1u << j);
-            ++flips;
-          }
+        const int vb = (v >> j) & 1;
+        const int k = (((up >> j) & 1) != vb ? 1 : 0) + (((dn >> j) & 1) != vb ? 1 : 0);
+        const int left = j > 0 ? (v >> (j - 1)) & 1 : i > 0 ? (data[i - 1] >> 7) & 1 : vb;
+        const int right = j < 7 ? (v >> (j + 1)) & 1 : i + 1 < n ? data[i + 1] & 1 : vb;
+        const int intra = (left != vb && right != vb) ? 1 : 0;
+        const int anti = RowFaultCache::slot_anti(slot) ? 1 : 0;
+        const int charged = (vb == (anti != 0 ? 0 : 1)) ? 1 : 0;
+        const double zmax = z_table[static_cast<std::size_t>(charged)][static_cast<std::size_t>(k)]
+                                   [static_cast<std::size_t>(intra)][static_cast<std::size_t>(anti)];
+        return zmax >= kZMin &&
+               common::approx_normal_of_lane_sum(RowFaultCache::slot_sum(slot)) <= zmax;
+      };
+      const auto deferred = [](std::uint32_t bit) { return bit >= 8 && (bit & 7u) == 0; };
+      const auto flip = [&](std::uint32_t bit) {
+        data[bit >> 3] ^= static_cast<std::uint8_t>(1u << (bit & 7u));
+      };
+      std::vector<std::uint32_t>& pass1 = pass1_flips_;
+      pass1.clear();
+      for (auto it = slots.begin(); it != end; ++it) {
+        const std::uint32_t bit = RowFaultCache::slot_bit(*it);
+        if (!deferred(bit) && decide(*it)) pass1.push_back(bit);
+      }
+      for (const std::uint32_t bit : pass1) {
+        if ((bit & 7u) == 7u) flip(bit);
+      }
+      flips = pass1.size();
+      for (auto it = slots.begin(); it != end; ++it) {
+        const std::uint32_t bit = RowFaultCache::slot_bit(*it);
+        if (deferred(bit) && decide(*it)) {
+          flip(bit);
+          ++flips;
         }
-        data[i] ^= flipped;
+      }
+      for (const std::uint32_t bit : pass1) {
+        if ((bit & 7u) != 7u) flip(bit);
       }
       return flips;
     }

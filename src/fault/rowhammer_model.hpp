@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "fault/config.hpp"
 #include "fault/context.hpp"
@@ -71,15 +72,20 @@ public:
 
   /// Selects the fast kernel: a batch whose most permissive threshold class
   /// is at most RowFaultCache::kTierZ is evaluated from the row's cached
-  /// weak tail (row_fault_cache.hpp: the cells with z <= kTierZ, in bit
-  /// order, one slot of lane sum, bit and orientation each) instead of
+  /// weak tail (row_fault_cache.hpp: the cells with z <= kTierZ, weakest
+  /// first, one slot of lane sum, bit and orientation each) instead of
   /// rescanning all 8192 bits; a stronger batch takes the reference scan.
-  /// The batch's threshold becomes one lane-sum cap, raw slots are compared
-  /// against it, and only the slots under it get a z and a class lookup.
+  /// The batch's threshold becomes one lane-sum cap, the candidates are the
+  /// tail's prefix up to it, and only they get a z and a class lookup. They
+  /// are decided in two passes: first every candidate except the bit-0
+  /// cells of bytes after the first, against the row as it was before the
+  /// settle, then those bit-0 cells, each after the previous byte's bit 7
+  /// is decided (the one flipped bit the reference scan reads).
   /// Bit-for-bit identical to the reference scan: the thresholds are the
   /// same hashes, the integer cap is exactly the z cap, every cell that can
-  /// flip is in the tail, and the tail is in the scan's bit order. Off by
-  /// default — the interp engine keeps the reference scan as ground truth.
+  /// flip is in the tail, and every cell reads the neighbours the scan
+  /// reads. Off by default — the interp engine keeps the reference scan as
+  /// ground truth.
   void set_fast_kernel(bool enabled);
 
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }
@@ -99,6 +105,9 @@ private:
   /// Present iff the fast kernel is selected. mutable: the cache memoizes
   /// pure per-cell hashes, so filling it does not change observable state.
   mutable std::unique_ptr<RowFaultCache> cache_;
+  /// The fast kernel's first-pass flips (bit indices), kept between
+  /// settles so a settle allocates only when it flips more than any before.
+  mutable std::vector<std::uint32_t> pass1_flips_;
 };
 
 }  // namespace rh::fault

@@ -229,7 +229,8 @@ void Bank::settle(std::uint32_t physical_row, Cycle now, double temperature_c) {
 void Bank::settle_impl(std::uint32_t physical_row, Cycle now, Cycle decayed_until,
                        double temperature_c) {
   const auto lr = last_refresh_.find(physical_row);
-  const Cycle last = lr == last_refresh_.end() ? epoch_ : lr->second;
+  Cycle last = lr == last_refresh_.end() ? epoch_ : lr->second;
+  if (sweep_lane_ != nullptr) last = std::max(last, sweep_lane_[physical_row]);
   const Cycle since = decayed_until > last ? decayed_until - last : 0;
   const double elapsed_s = static_cast<double>(since) *
                            static_cast<double>(kCyclePicoseconds) * 1e-12;

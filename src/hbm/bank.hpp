@@ -17,6 +17,13 @@
 // resets, and the refresh timestamp advances — exactly the lifecycle of a
 // real row through sense-amplifier restore.
 //
+// A row's refresh timestamp is the later of the bank's own stamp
+// (last_refresh_, else the full-refresh epoch) and its pseudo channel's
+// REF-sweep stamp lane (pseudo_channel.hpp), which the fast engine's sweep
+// writes in place of settling rows that hold nothing pending. A bank's
+// clock never runs backwards, so the later stamp is the one the
+// reference's settle of every swept row would have left.
+//
 // All host-facing row numbers are logical; the bank applies the row-decoder
 // scrambling internally. Disturbance and refresh bookkeeping are keyed by
 // physical row.
@@ -83,6 +90,15 @@ public:
   // --- Refresh paths (physical row addressing; caller = pseudo channel) --
   /// Sense+restore of one physical row (REF sweep step / TRR victim refresh).
   void refresh_physical_row(std::uint32_t physical_row, Cycle now, double temperature_c);
+  /// True if settling the row would do more than stamp it: the row is
+  /// materialized or holds live disturbance.
+  [[nodiscard]] bool holds_pending(std::uint32_t physical_row) const {
+    return disturbance_.contains(physical_row) || rows_.contains(physical_row);
+  }
+  /// Attaches the pseudo channel's sweep stamp lane (one Cycle per physical
+  /// row, alive as long as the bank): settles take the later of a row's own
+  /// stamp and the lane's.
+  void set_sweep_lane(const Cycle* lane) { sweep_lane_ = lane; }
   /// Treats every row as refreshed at `now` (self-refresh exit after at
   /// least one full internal sweep that started at `refresh_start`):
   /// pending fault state of tracked rows materializes first — with decay
@@ -243,6 +259,9 @@ private:
   /// Refresh timestamp for rows with no explicit last_refresh_ entry
   /// (power-up = 0; advanced by full-refresh events like self-refresh).
   Cycle epoch_ = 0;
+  /// The pseudo channel's sweep stamp lane; nullptr until its first fast
+  /// REF sweep.
+  const Cycle* sweep_lane_ = nullptr;
   std::vector<std::uint8_t> scratch_above_;
   std::vector<std::uint8_t> scratch_below_;
   Stats stats_;

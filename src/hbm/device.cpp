@@ -81,6 +81,7 @@ void Device::set_engine(common::EngineKind kind, common::PlantedBug bug) {
   const bool short_burst = bug_ == common::PlantedBug::kShortRowBurst;
   for (auto& channel : channels_) {
     for (auto& pc : channel.pseudo_channels) {
+      pc.set_fast_sweep(fast);
       pc.set_skip_trr_sample_bug(skip_trr);
       for (std::uint32_t b = 0; b < pc.bank_count(); ++b) {
         Bank& bank = pc.bank(b);

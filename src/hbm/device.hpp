@@ -101,8 +101,10 @@ public:
 
   // --- Engine selection ---------------------------------------------------
   /// Selects between the reference device core (kInterp: per-bit fault
-  /// rescans) and the fast one (kFast: both fault models evaluate settles
-  /// from cached per-row weak tails, fault/row_fault_cache.hpp).
+  /// rescans, and every REF sweep settles every swept row) and the fast one
+  /// (kFast: both fault models evaluate settles from cached per-row weak
+  /// tails, fault/row_fault_cache.hpp, and the REF sweep settles only rows
+  /// with pending state, pseudo_channel.hpp).
   /// Both are bit-identical by contract; `bug` deliberately breaks the fast
   /// path for differential-rig sensitivity tests and is only honoured when
   /// `kind == kFast`. The executor reads both to pick its engine.

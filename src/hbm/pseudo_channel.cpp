@@ -115,13 +115,7 @@ void PseudoChannel::refresh(Cycle now, double temperature_c) {
 
   // Pointer sweep: each REF refreshes the next rows_per_ref_ physical rows
   // in every bank, covering the array once per refresh window.
-  for (auto& b : banks_) {
-    for (std::uint32_t i = 0; i < rows_per_ref_; ++i) {
-      const std::uint32_t row = (refresh_pointer_ + i) % geometry_->rows_per_bank;
-      b.refresh_physical_row(row, now, temperature_c);
-    }
-  }
-  refresh_pointer_ = (refresh_pointer_ + rows_per_ref_) % geometry_->rows_per_bank;
+  sweep(rows_per_ref_, now, temperature_c);
   RH_TELEM(telemetry_, on_refresh_pointer(channel_, pseudo_channel_, refresh_pointer_));
 
   // The undisclosed mitigation spends one-in-N REFs on a victim refresh
@@ -140,6 +134,27 @@ void PseudoChannel::refresh(Cycle now, double temperature_c) {
                                           /*documented=*/true));
     }
   }
+}
+
+void PseudoChannel::sweep(std::uint32_t rows, Cycle now, double temperature_c) {
+  const std::uint32_t rows_per_bank = geometry_->rows_per_bank;
+  if (fast_sweep_ && sweep_lane_.empty()) {
+    sweep_lane_.assign(rows_per_bank, 0);
+    for (auto& b : banks_) b.set_sweep_lane(sweep_lane_.data());
+  }
+  for (auto& b : banks_) {
+    for (std::uint32_t i = 0; i < rows; ++i) {
+      const std::uint32_t row = (refresh_pointer_ + i) % rows_per_bank;
+      if (!fast_sweep_ || b.holds_pending(row)) b.refresh_physical_row(row, now, temperature_c);
+    }
+  }
+  // Stamped after the settles, which read each row's stamp from before.
+  if (fast_sweep_) {
+    for (std::uint32_t i = 0; i < rows; ++i) {
+      sweep_lane_[(refresh_pointer_ + i) % rows_per_bank] = now;
+    }
+  }
+  refresh_pointer_ = (refresh_pointer_ + rows) % rows_per_bank;
 }
 
 void PseudoChannel::hammer_pair(std::uint32_t bank_idx, std::uint32_t row_a, std::uint32_t row_b,
@@ -189,14 +204,7 @@ void PseudoChannel::exit_self_refresh(Cycle now, double temperature_c) {
   if (refs >= timings_.refs_per_window) {
     for (auto& b : banks_) b.note_full_refresh(now, self_refresh_entry_, temperature_c);
   } else {
-    for (auto& b : banks_) {
-      for (std::uint32_t i = 0; i < refs * rows_per_ref_; ++i) {
-        b.refresh_physical_row((refresh_pointer_ + i) % geometry_->rows_per_bank, now,
-                               temperature_c);
-      }
-    }
-    refresh_pointer_ =
-        (refresh_pointer_ + refs * rows_per_ref_) % geometry_->rows_per_bank;
+    sweep(refs * rows_per_ref_, now, temperature_c);
   }
   // Vendor implementations restart the mitigation engine at SR exit.
   proprietary_trr_.reset();

@@ -2,6 +2,16 @@
 // refresh pointer, and the in-DRAM mitigation engines that snoop its command
 // stream (the proprietary sampler TRR of paper §5 and the documented JEDEC
 // TRR mode).
+//
+// The REF sweep (each REF, and the REFs of a self-refresh stay shorter than
+// a refresh window) refreshes the same physical rows in every bank. Under
+// the reference engine it settles each of them. Under the fast engine
+// (set_fast_sweep, selected by Device::set_engine) it settles only the rows
+// that hold pending state (Bank::holds_pending: a materialized row or live
+// disturbance) and records the sweep in one stamp lane, one Cycle per
+// physical row, allocated at the first sweep and shared by the banks
+// (bank.hpp). A settle it skips would only have stamped the row, so both
+// engines leave every row with the same refresh time.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +42,12 @@ public:
                 const fault::RowHammerModel& rh_model,
                 const fault::RetentionModel& retention_model,
                 const trr::ProprietaryTrrConfig& trr_config);
+  // The banks point into sweep_lane_'s buffer, which a move carries along
+  // and a copy would not.
+  PseudoChannel(const PseudoChannel&) = delete;
+  PseudoChannel& operator=(const PseudoChannel&) = delete;
+  PseudoChannel(PseudoChannel&&) = default;
+  PseudoChannel& operator=(PseudoChannel&&) = default;
 
   void activate(std::uint32_t bank, std::uint32_t row, Cycle now, double temperature_c);
   void precharge(std::uint32_t bank, Cycle now, double temperature_c);
@@ -93,11 +109,18 @@ public:
   /// hammer macro-op skips the proprietary sampler's observation of the
   /// second aggressor row. Wired through Device::set_engine.
   void set_skip_trr_sample_bug(bool enabled) { skip_trr_sample_bug_ = enabled; }
+  /// Selects the fast engine's REF sweep (see the header comment). Off by
+  /// default: every swept row settles, the reference.
+  void set_fast_sweep(bool enabled) { fast_sweep_ = enabled; }
 
 private:
   /// Refreshes the physical neighbourhood of a logical aggressor row.
   void refresh_neighbourhood(std::uint32_t bank, std::uint32_t logical_row,
                              std::uint32_t radius, Cycle now, double temperature_c);
+
+  /// The REF sweep of the `rows` physical rows from the refresh pointer
+  /// in every bank at `now`; advances the pointer past them.
+  void sweep(std::uint32_t rows, Cycle now, double temperature_c);
 
   /// Throws ProtocolError if the pseudo channel is in self-refresh.
   void check_not_self_refreshing() const;
@@ -117,6 +140,10 @@ private:
   bool self_refresh_ = false;
   Cycle self_refresh_entry_ = 0;
   bool skip_trr_sample_bug_ = false;
+  bool fast_sweep_ = false;
+  /// When each physical row was last swept under the fast sweep; empty
+  /// until then. Never resized after, so the banks' pointer stays valid.
+  std::vector<Cycle> sweep_lane_;
 };
 
 }  // namespace rh::hbm

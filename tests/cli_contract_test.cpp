@@ -81,6 +81,35 @@ TEST(CliContract, TypoedFlagFailsBeforeTheSweepStarts) {
   EXPECT_FALSE(std::filesystem::exists(journal)) << "the campaign started";
 }
 
+TEST(CliContract, RejectedRunLeavesNoOutputFilesBehind) {
+  // Output paths are probed before the unknown-flag check: the files the
+  // probe created go again, and a file that was already there keeps its
+  // content.
+  const test::ScratchDir dir;
+  const std::string report = dir.file("typo.json");
+  const std::string csv = dir.file("typo.csv");
+  const std::string kept = dir.file("kept.json");
+  std::ofstream(kept) << "earlier run\n";
+  const Outcome got =
+      run(dir, bench("fig4_hcfirst_distribution"),
+          {"--report=" + report, "--csv=" + csv, "--metrics-json=" + kept, "--stirde=4"});
+  EXPECT_EQ(got.status, 1);
+  EXPECT_EQ(got.err, "fig4_hcfirst_distribution: unknown flag --stirde\n");
+  EXPECT_FALSE(std::filesystem::exists(report));
+  EXPECT_FALSE(std::filesystem::exists(csv));
+  EXPECT_EQ(slurp(kept), "earlier run\n");
+}
+
+TEST(CliContract, UnwritableOutputFailsBeforeAnyDeviceWork) {
+  const test::ScratchDir dir;
+  const std::string csv = dir.file("no-such-dir") + "/out.csv";
+  const Outcome got = run(dir, bench("fig4_hcfirst_distribution"), {"--csv=" + csv});
+  EXPECT_EQ(got.status, 1);
+  EXPECT_EQ(got.err, "fig4_hcfirst_distribution: cannot open CSV output file: " + csv + "\n");
+  // Only the three-line banner reached stdout.
+  EXPECT_EQ(std::count(got.out.begin(), got.out.end(), '\n'), 3) << got.out;
+}
+
 TEST(CliContract, CampaignBenchWritesItsReport) {
   struct Case {
     const char* bench;

@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <initializer_list>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -37,6 +39,7 @@
 #include "core/data_patterns.hpp"
 #include "core/retention_profiler.hpp"
 #include "core/row_map.hpp"
+#include "fault/cell_traits.hpp"
 #include "hbm/device.hpp"
 #include "telemetry/telemetry.hpp"
 #include "verify/command_stream.hpp"
@@ -467,6 +470,93 @@ TEST(EngineDiff, RetentionSideChannelSessionIdentical) {
   }
   EXPECT_GE(clean, 1u);
   EXPECT_LT(clean, kIterations);
+}
+
+/// A session on bank 0 where the REF sweep's stamps are observable. The
+/// sweep passes never-written rows (four REFs; a self-refresh stay shorter
+/// than a refresh window; REFs after a full one), a neighbour's hammers
+/// then disturb them, and each is read back (ECC off) 300 ms later, past
+/// the shortest retention time at 85 degC (~55 ms): its power-on image
+/// decays from the sweep's stamp, not from power-up. Rows disturbed before
+/// a sweep (settled by it) and a disturbed row no sweep passed are read
+/// too. The result is the last read's, carrying every readback in order.
+bender::ExecutionResult sweep_stamp_session(bender::BenderHost& host) {
+  const hbm::Device& device = host.device();
+  const core::RowMap map = core::RowMap::from_device(device);
+  const hbm::TimingParams& t = device.timings();
+  std::vector<std::uint8_t> readbacks;
+  bender::ExecutionResult last;
+  const auto run = [&](const std::function<void(bender::ProgramBuilder&)>& body) {
+    bender::ProgramBuilder b(device.geometry(), device.timings());
+    body(b);
+    last = host.run(b.take(), kChannel, kPseudoChannel);
+    readbacks.insert(readbacks.end(), last.readback.begin(), last.readback.end());
+  };
+  const auto hammer_next_to = [&](bender::ProgramBuilder& b, std::uint32_t physical) {
+    b.ldi(1, map.physical_to_logical(physical)).hammer_single(0, 1, 50000);
+  };
+  const auto refs = [&](bender::ProgramBuilder& b, int n) {
+    for (int i = 0; i < n; ++i) b.ref().sleep(static_cast<std::int64_t>(t.tRFC));
+  };
+  const auto self_refresh = [&](bender::ProgramBuilder& b, double stay_ms) {
+    b.sr_enter().sleep(static_cast<std::int64_t>(hbm::ms_to_cycles(stay_ms))).sr_exit();
+  };
+  const auto read_after_wait = [&](std::initializer_list<std::uint32_t> physical_rows) {
+    host.idle_ms(300.0);
+    run([&](bender::ProgramBuilder& b) {
+      b.mrs(hbm::ModeRegisters::kEccRegister, 0x0);
+      for (const std::uint32_t row : physical_rows) b.read_row(0, map.physical_to_logical(row));
+    });
+  };
+
+  // REFs 1-4 sweep physical rows 0-7: rows 5 and 7 already hold the
+  // disturbance of row 6's hammers, rows 1 and 3 nothing until row 2's;
+  // row 9 (row 10's) is never swept.
+  host.idle_ms(600.0);
+  run([&](bender::ProgramBuilder& b) {
+    hammer_next_to(b, 6);
+    hammer_next_to(b, 10);
+    refs(b, 4);
+    hammer_next_to(b, 2);
+  });
+  read_after_wait({1, 3, 5, 9});
+  // 10 ms inside: ~2,560 internal REFs sweep rows 8 to ~5,130.
+  run([&](bender::ProgramBuilder& b) {
+    self_refresh(b, 10.0);
+    hammer_next_to(b, 1000);
+  });
+  read_after_wait({999, 1001});
+  // 40 ms inside: a full window, then two REFs past the partial sweep.
+  run([&](bender::ProgramBuilder& b) {
+    self_refresh(b, 40.0);
+    hammer_next_to(b, 3000);
+    refs(b, 2);
+    hammer_next_to(b, 5136);
+  });
+  read_after_wait({2999, 5135, 5137});
+  last.readback = std::move(readbacks);
+  return last;
+}
+
+TEST(EngineDiff, RefSweepStampsMatchWhereTheyAreObservable) {
+  const hbm::DeviceConfig config;
+  const EngineRun fast = run_session(config, common::EngineKind::kFast, sweep_stamp_session);
+  const EngineRun interp = run_session(config, common::EngineKind::kInterp, sweep_stamp_session);
+  ASSERT_TRUE(fast.error.empty()) << fast.error;
+  expect_identical(fast, interp);
+  // Every row read back differs from its power-on image: it was settled
+  // with decay (and the disturbance that materialized it).
+  const std::size_t row_bytes = config.geometry.row_bytes();
+  const std::uint32_t rows[] = {1, 3, 5, 9, 999, 1001, 2999, 5135, 5137};
+  ASSERT_EQ(fast.result->readback.size(), std::size(rows) * row_bytes);
+  const auto bank0 = fault::BankContext::from(config.geometry, hbm::BankAddress{0, 0, 0});
+  for (std::size_t k = 0; k < std::size(rows); ++k) {
+    std::vector<std::uint8_t> power_on(row_bytes);
+    fault::fill_default_data(config.fault.seed, bank0, rows[k], power_on);
+    const std::span<const std::uint8_t> got(fast.result->readback.data() + k * row_bytes,
+                                            row_bytes);
+    EXPECT_FALSE(std::equal(got.begin(), got.end(), power_on.begin())) << "row " << rows[k];
+  }
 }
 
 TEST(EngineDiff, ErrorPathsMatchExactly) {
