@@ -16,8 +16,12 @@ using namespace rh;
 namespace {
 
 int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
-  const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 8));
-  const auto base_row = static_cast<std::uint32_t>(args.get_int("base-row", 1024));
+  // Victims are rows --base-row + 7i for i < --rows, all inside one bank.
+  const hbm::Geometry geometry = benchutil::paper_device_config(bench.seed()).geometry;
+  const std::int64_t last_row = geometry.rows_per_bank - 1;
+  const auto rows = static_cast<std::uint32_t>(args.get_int_in("rows", 8, 1, last_row / 7 + 1));
+  const auto base_row =
+      static_cast<std::uint32_t>(args.get_int_in("base-row", 1024, 0, last_row - 7 * (rows - 1)));
   bender::BenderHost& host = bench.paper_chip();
   const auto& timings = host.device().timings();
   const core::Site site{0, 0, 0};

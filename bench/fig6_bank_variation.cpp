@@ -28,17 +28,13 @@ int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   config.characterizer.ber_hammers =
       static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
   config.characterizer.max_hammers = config.characterizer.ber_hammers;
-  config.region_rows = static_cast<std::uint32_t>(args.get_positive_int("rows-per-region", 100));
-  config.row_stride = static_cast<std::uint32_t>(args.get_positive_int("row-stride", 8));
-
   campaign::SweepSpec spec;
   spec.device = benchutil::paper_device_config(bench.seed());
-  // The first, middle and last regions must not overlap.
-  const std::uint32_t half_bank = spec.device.geometry.rows_per_bank / 2;
-  if (config.region_rows > half_bank) {
-    throw common::CliError("flag --rows-per-region expects at most " + std::to_string(half_bank) +
-                           " (half a bank), got '" + std::to_string(config.region_rows) + "'");
-  }
+  // The first, middle and last regions must not overlap: at most half a bank.
+  config.region_rows = static_cast<std::uint32_t>(
+      args.get_int_in("rows-per-region", 100, 1, spec.device.geometry.rows_per_bank / 2));
+  config.row_stride = static_cast<std::uint32_t>(args.get_positive_int("row-stride", 8));
+
   spec.characterizer = config.characterizer;
   spec.shards = core::plan_bank_shards(config, spec.device.geometry);
   const auto points = core::aggregate_banks(bench.run_campaign("fig6", spec).flat());

@@ -15,12 +15,20 @@ using namespace rh;
 
 namespace {
 
+/// Rows past --row the probe-row scan may try before it gives up.
+constexpr std::uint32_t kProbeScan = 64;
+
 int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
-  const core::Site site{static_cast<std::uint32_t>(args.get_int("channel", 0)), 0,
-                        static_cast<std::uint32_t>(args.get_int("bank", 0))};
+  const hbm::Geometry geometry = benchutil::paper_device_config(bench.seed()).geometry;
+  const core::Site site{
+      static_cast<std::uint32_t>(args.get_int_in("channel", 0, 0, geometry.channels - 1)), 0,
+      static_cast<std::uint32_t>(
+          args.get_int_in("bank", 0, 0, geometry.banks_per_pseudo_channel - 1))};
   // Pick a probe row away from the REF-pointer sweep (2 rows advance per
-  // REF; 100 iterations sweep rows 0..199).
-  const auto probe_row = static_cast<std::uint32_t>(args.get_int("row", 4096));
+  // REF; 100 iterations sweep rows 0..199). The scan may try kProbeScan
+  // rows past it, each with its aggressor R+1.
+  const auto probe_row = static_cast<std::uint32_t>(
+      args.get_int_in("row", 4096, 0, geometry.rows_per_bank - 2 - kProbeScan));
   const auto iterations = static_cast<std::uint32_t>(args.get_positive_int("iterations", 100));
 
   bender::BenderHost& host = bench.paper_chip();
@@ -38,7 +46,7 @@ int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
       result = experiment.run(site, row);
       break;
     } catch (const common::Error&) {
-      if (row > probe_row + 64) throw;
+      if (row == probe_row + kProbeScan) throw;
     }
   }
 

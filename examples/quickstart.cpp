@@ -19,15 +19,19 @@ using namespace rh;
 namespace {
 
 int example_main(common::CliArgs& args) {
-  const auto channel = static_cast<std::uint32_t>(args.get_int("channel", 7));
-  const auto row = static_cast<std::uint32_t>(args.get_int("row", 416));
+  // The DeviceConfig defaults model the paper's chip: 4 GiB stack,
+  // 8 channels x 2 pseudo channels x 16 banks x 16384 rows.
+  const hbm::DeviceConfig config;
+  const auto channel =
+      static_cast<std::uint32_t>(args.get_int_in("channel", 7, 0, config.geometry.channels - 1));
+  const auto row =
+      static_cast<std::uint32_t>(args.get_int_in("row", 416, 0, config.geometry.rows_per_bank - 1));
   args.reject_unqueried();
 
   std::cout << "== hbm2-rowhammer-lab quickstart ==\n\n";
 
-  // 1. Host + device. The DeviceConfig defaults model the paper's chip:
-  //    4 GiB stack, 8 channels x 2 pseudo channels x 16 banks x 16384 rows.
-  bender::BenderHost host{hbm::DeviceConfig{}};
+  // 1. Host + device.
+  bender::BenderHost host{config};
   std::cout << "device: " << host.device().geometry().stack_bytes() / (1024 * 1024 * 1024)
             << " GiB stack, " << host.device().geometry().channels << " channels, "
             << host.device().geometry().total_banks() << " banks\n";

@@ -39,149 +39,6 @@ hbm::Cycle cycle_cost(const Instruction& ins, const hbm::Geometry& geometry,
   }
 }
 
-bool is_device_op(Opcode op) {
-  switch (op) {
-    case Opcode::kAct:
-    case Opcode::kPre:
-    case Opcode::kPreA:
-    case Opcode::kRd:
-    case Opcode::kWr:
-    case Opcode::kRdRow:
-    case Opcode::kWrRow:
-    case Opcode::kRef:
-    case Opcode::kHammer:
-    case Opcode::kHammerSingle:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// One device command inside a fast-forwardable loop body.
-struct Record {
-  std::size_t pc = 0;     ///< instruction index in the program
-  hbm::Cycle offset = 0;  ///< issue cycle relative to iteration start
-};
-
-/// Closed-form register update applied per fast-forwarded iteration.
-struct RegEffect {
-  std::uint8_t rd = 0;
-  bool is_ldi = false;  ///< LDI pins to imm; ADDI accumulates n * imm
-  std::int64_t imm = 0;
-};
-
-/// Static analysis of one backward BLT loop (stored only when eligible).
-struct Loop {
-  std::size_t target = 0;      ///< body start (branch target)
-  std::size_t blt_pc = 0;      ///< the closing BLT
-  std::uint64_t body_len = 0;  ///< instructions per iteration (incl. BLT)
-  hbm::Cycle delta_t = 0;      ///< cycles per iteration (incl. BLT)
-  std::uint8_t induction_reg = 0;
-  std::int64_t induction_step = 0;  ///< > 0
-  std::uint8_t bound_reg = 0;       ///< invariant inside the body
-  std::vector<Record> records;
-  std::vector<RegEffect> reg_effects;
-};
-
-struct Loops {
-  std::vector<std::int32_t> at;  ///< pc -> index into loops, or -1; empty: none
-  std::vector<Loop> loops;
-};
-
-/// Finds every fast-forwardable loop. A body is eligible only when it is
-/// branch-free, every register is written at most once (LDI, or ADDI with
-/// rd == rs1), no device operand register is written inside the body, and
-/// the closing BLT compares a single positive-step ADDI induction register
-/// against an invariant bound. Under those rules every future iteration is
-/// identical except for the induction value, so the iteration count
-/// N = ceil((bound - induction) / step) is exact, and replaying the device
-/// records at base + k*delta_t reproduces the stepped execution verbatim.
-Loops decode_loops(const std::vector<Instruction>& code, const hbm::Geometry& geometry,
-                   const hbm::TimingParams& timings) {
-  Loops d;
-  for (std::size_t p = 0; p < code.size(); ++p) {
-    const Instruction& blt = code[p];
-    if (blt.op != Opcode::kBlt) continue;
-    const auto target = static_cast<std::size_t>(blt.imm);
-    if (target >= p) continue;  // forward branch: not a loop
-
-    // Pass 1: per-register write counts and opcode eligibility.
-    std::array<std::uint8_t, kScalarRegisters> writes{};
-    bool viable = true;
-    for (std::size_t q = target; q < p && viable; ++q) {
-      const Instruction& ins = code[q];
-      switch (ins.op) {
-        case Opcode::kNop:
-        case Opcode::kSleep:
-          break;
-        case Opcode::kLdi:
-          if (++writes[ins.rd] > 1) viable = false;
-          break;
-        case Opcode::kAddi:
-          // Only self-accumulating ADDIs have a closed form per iteration.
-          if (ins.rd != ins.rs1 || ++writes[ins.rd] > 1) viable = false;
-          break;
-        default:
-          if (!is_device_op(ins.op)) viable = false;
-          break;
-      }
-    }
-    if (!viable) continue;
-
-    // Pass 2: operand invariance — device operand registers and the loop
-    // bound must not change inside the body; the BLT induction register
-    // must be exactly one positive-step ADDI.
-    if (writes[blt.rs2] != 0) continue;
-    Loop info;
-    info.target = target;
-    info.blt_pc = p;
-    info.body_len = static_cast<std::uint64_t>(p - target) + 1;
-    info.induction_reg = blt.rs1;
-    info.bound_reg = blt.rs2;
-    hbm::Cycle off = 1;  // the taken BLT itself costs one cycle
-    for (std::size_t q = target; q < p && viable; ++q) {
-      const Instruction& ins = code[q];
-      switch (ins.op) {
-        case Opcode::kLdi:
-          info.reg_effects.push_back({ins.rd, /*is_ldi=*/true, ins.imm});
-          break;
-        case Opcode::kAddi:
-          if (ins.rd == blt.rs1) {
-            if (ins.imm <= 0) viable = false;
-            info.induction_step = ins.imm;
-          }
-          info.reg_effects.push_back({ins.rd, /*is_ldi=*/false, ins.imm});
-          break;
-        case Opcode::kAct:
-        case Opcode::kRd:
-        case Opcode::kWr:
-        case Opcode::kHammerSingle:
-          if (writes[ins.rs1] != 0) viable = false;
-          break;
-        case Opcode::kHammer:
-          if (writes[ins.rs1] != 0 || writes[ins.rs2] != 0) viable = false;
-          break;
-        default:
-          break;
-      }
-      if (is_device_op(ins.op)) {
-        // Zero-count hammers issue nothing; their cost still shapes the
-        // cadence.
-        const bool issues =
-            (ins.op != Opcode::kHammer && ins.op != Opcode::kHammerSingle) || ins.imm > 0;
-        if (issues) info.records.push_back({q, off});
-      }
-      off += cycle_cost(ins, geometry, timings);
-    }
-    if (!viable || info.induction_step <= 0) continue;
-    info.delta_t = off;
-    if (d.at.empty()) d.at.assign(code.size(), -1);
-    d.at[p] = static_cast<std::int32_t>(d.loops.size());
-    d.loops.push_back(std::move(info));
-  }
-  return d;
-}
-
 }  // namespace
 
 ExecutionResult Executor::run(const Program& program, std::uint32_t channel,
@@ -191,13 +48,9 @@ ExecutionResult Executor::run(const Program& program, std::uint32_t channel,
   const auto& code = program.instructions();
   const auto& geometry = device_->geometry();
   const auto& timings = device_->timings();
-  // Only the fast engine decodes; the reference steps every instruction.
-  const Loops decoded = device_->engine() == common::EngineKind::kFast
-                            ? decode_loops(code, geometry, timings)
-                            : Loops{};
+  // The one engine difference here: the fast engine hands each row burst
+  // to one device kernel, the reference issues it column by column.
   const bool row_kernel = device_->engine() == common::EngineKind::kFast;
-  const bool drop_last_iteration =
-      device_->planted_bug() == common::PlantedBug::kOffByOneFastForward;
 
   ExecutionResult result;
   result.start_cycle = start;
@@ -240,14 +93,16 @@ ExecutionResult Executor::run(const Program& program, std::uint32_t channel,
     result.readback.insert(result.readback.end(), burst.begin(), burst.end());
   };
 
-  // The one dispatch over the instruction set: executes `ins` at cycle t,
-  // sets `next` to the pc that follows it, and returns true at END.
-  // Stepping runs every instruction through here and loop replay runs the
-  // device records through here, so a device throw carries the same
-  // context either way.
-  std::size_t next = 0;
-  const auto execute = [&](const Instruction& ins) {
-    next = pc + 1;
+  try {
+  // The one dispatch over the instruction set: executes the instruction at
+  // pc at cycle t, then moves pc to the one that follows it.
+  while (pc < code.size()) {
+    if (++executed > instruction_budget) {
+      throw common::ProgramError("instruction budget exceeded (runaway loop?)");
+    }
+    const Instruction& ins = code[pc];
+    current = &ins;
+    std::size_t next = pc + 1;
     switch (ins.op) {
       case Opcode::kNop:
       case Opcode::kSleep:
@@ -265,7 +120,12 @@ ExecutionResult Executor::run(const Program& program, std::uint32_t channel,
         next = static_cast<std::size_t>(ins.imm);
         break;
       case Opcode::kEnd:
-        return true;
+        result.end_cycle = t + 1;
+        result.instructions_executed = executed;
+        metrics.host_seconds =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - host_start).count();
+        result.metrics = metrics;
+        return result;
       case Opcode::kAct:
         device_->activate(bank_addr(ins.bank), reg_row(ins.rs1), t);
         ++metrics.acts;
@@ -343,84 +203,6 @@ ExecutionResult Executor::run(const Program& program, std::uint32_t channel,
       case Opcode::kSrExit:
         device_->self_refresh_exit(channel, pseudo_channel, t);
         break;
-    }
-    return false;
-  };
-
-  // Retires the remaining iterations of an eligible loop whose BLT is about
-  // to be taken: registers advance by n times their per-iteration effect,
-  // the clock by n times the body's duration, and only the device records
-  // are replayed, each with pc, cycle and executed count set to what
-  // stepping would have reached. Retires only whole iterations that fit the
-  // budget; returns false when none do, so stepping raises the budget error.
-  const auto fast_forward = [&](const Loop& loop) {
-    const std::int64_t r1 = regs[loop.induction_reg];
-    const std::int64_t r2 = regs[loop.bound_reg];
-    if (r1 >= r2) return false;
-    using Wide = __int128;
-    const Wide need =
-        (static_cast<Wide>(r2) - static_cast<Wide>(r1) + loop.induction_step - 1) /
-        loop.induction_step;
-    const std::uint64_t head_room =
-        instruction_budget > executed ? instruction_budget - executed : 0;
-    const std::uint64_t fit = head_room / loop.body_len;
-    const auto n = static_cast<std::uint64_t>(std::min<Wide>(need, static_cast<Wide>(fit)));
-    if (n == 0) return false;
-    const hbm::Cycle t0 = t;
-    const std::uint64_t executed0 = executed;
-    for (std::uint64_t k = 0; k < n; ++k) {
-      // Planted bug: drop the device commands of the final fast-forwarded
-      // iteration while still advancing registers, clock, and instruction
-      // count as if it ran.
-      if (drop_last_iteration && k + 1 == n) break;
-      for (const Record& rec : loop.records) {
-        pc = rec.pc;
-        current = &code[pc];
-        t = t0 + k * loop.delta_t + rec.offset;
-        executed = executed0 + k * loop.body_len +
-                   static_cast<std::uint64_t>(rec.pc - loop.target) + 2;
-        (void)execute(*current);
-      }
-    }
-    t = t0 + n * loop.delta_t;
-    executed = executed0 + n * loop.body_len;
-    for (const RegEffect& eff : loop.reg_effects) {
-      if (eff.is_ldi) {
-        regs[eff.rd] = eff.imm;
-      } else {
-        regs[eff.rd] += static_cast<std::int64_t>(n) * eff.imm;
-      }
-    }
-    pc = loop.blt_pc;
-    current = loop.blt_pc > loop.target ? &code[loop.blt_pc - 1] : &code[loop.blt_pc];
-    return true;
-  };
-
-  try {
-  while (pc < code.size()) {
-    if (!decoded.at.empty() && decoded.at[pc] >= 0 &&
-        fast_forward(decoded.loops[static_cast<std::size_t>(decoded.at[pc])])) {
-      continue;  // re-evaluate the BLT (not taken once every iteration retired)
-    }
-    if (++executed > instruction_budget) {
-      throw common::ProgramError("instruction budget exceeded (runaway loop?)");
-    }
-    const Instruction& ins = code[pc];
-    current = &ins;
-    if (execute(ins)) {
-      result.end_cycle = t + 1;
-      result.instructions_executed = executed;
-      metrics.sim_wall_ms = hbm::cycles_to_ms(result.end_cycle - result.start_cycle);
-      metrics.host_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - host_start).count();
-      if (metrics.sim_wall_ms > 0.0) {
-        metrics.act_rate_hz = static_cast<double>(metrics.acts) / (metrics.sim_wall_ms * 1e-3);
-      }
-      if (metrics.host_seconds > 0.0) {
-        metrics.instructions_per_second = static_cast<double>(executed) / metrics.host_seconds;
-      }
-      result.metrics = metrics;
-      return result;
     }
     t += cycle_cost(ins, geometry, timings);
     pc = next;

@@ -7,18 +7,12 @@
 // a readback FIFO that the host drains after the run (the PCIe DMA path of
 // the real infrastructure).
 //
-// Both engines (common/engine.hpp) run through this interpreter; it reads
-// the engine from Device::engine(). kInterp steps every instruction and
-// issues a row burst column by column through Device::write / read. kFast
-// hands each row burst to one Device::write_row / read_row kernel, and
-// also decodes fast-forwardable loops up front and retires them in closed
-// form: registers advance by n times their per-iteration effect, the clock
-// by n times the body's duration, and only the loop's device commands are
-// replayed, through the same dispatch stepping uses, at the pc, cycle and
-// executed count stepping would have reached. So results, device side
-// effects and error strings are the same on both engines; a budget that
-// runs out mid-loop retires the whole iterations that fit and lets
-// stepping raise the error.
+// Both engines (common/engine.hpp) run through this interpreter and step
+// every instruction, loops included; it reads the engine from
+// Device::engine() at one place only, the row burst. kInterp issues a row
+// burst column by column through Device::write / read; kFast hands it to one
+// Device::write_row / read_row kernel. So results, device side effects and
+// error strings are the same on both engines.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +23,9 @@
 
 namespace rh::bender {
 
-/// Per-run command mix and throughput, filled by the executor on every
-/// successful run. ACTs include the unrolled equivalents of HAMMER
-/// macro-ops, so the mix matches what real silicon would have seen.
+/// Per-run command mix, filled by the executor on every successful run.
+/// ACTs include the unrolled equivalents of HAMMER macro-ops, so the mix
+/// matches what real silicon would have seen.
 struct RunMetrics {
   std::uint64_t acts = 0;
   std::uint64_t precharges = 0;
@@ -40,14 +34,8 @@ struct RunMetrics {
   std::uint64_t refreshes = 0;
   std::uint64_t mode_register_writes = 0;
 
-  /// Simulated wall-clock time the program occupied the interface.
-  double sim_wall_ms = 0.0;
   /// Host-side (simulator) execution time of the run.
   double host_seconds = 0.0;
-  /// ACT commands per simulated second (the paper's hammer-rate axis).
-  double act_rate_hz = 0.0;
-  /// Executed Bender instructions per host second (simulator throughput).
-  double instructions_per_second = 0.0;
 };
 
 struct ExecutionResult {
@@ -56,7 +44,7 @@ struct ExecutionResult {
   hbm::Cycle start_cycle = 0;
   hbm::Cycle end_cycle = 0;
   std::uint64_t instructions_executed = 0;
-  /// Command mix and throughput snapshot for this run.
+  /// Command mix and host time of this run.
   RunMetrics metrics;
 
   [[nodiscard]] hbm::Cycle cycles() const { return end_cycle - start_cycle; }

@@ -72,12 +72,12 @@ public:
   ExecutionResult run(const Program& program, std::uint32_t channel,
                       std::uint32_t pseudo_channel);
 
-  /// Selects the program engine on the device: kFast (default) lets the
-  /// Executor fast-forward loops and uses the cached fault kernel; kInterp
-  /// steps every instruction with the reference fault scan. Both are
-  /// bit-identical by contract (see common/engine.hpp); `bug` deliberately
-  /// breaks the fast path for differential-rig sensitivity tests and is
-  /// ignored for kInterp.
+  /// Selects the program engine on the device: kFast (default) runs row
+  /// bursts and fault settles through batched and cached kernels; kInterp
+  /// runs them through the reference column-by-column and per-bit paths.
+  /// Both step every instruction and are bit-identical by contract (see
+  /// common/engine.hpp); `bug` deliberately breaks the fast path for
+  /// differential-rig sensitivity tests and is ignored for kInterp.
   void set_engine(common::EngineKind kind,
                   common::PlantedBug bug = common::PlantedBug::kNone) {
     device_->set_engine(kind, bug);

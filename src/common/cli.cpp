@@ -12,7 +12,8 @@ namespace rh::common {
 namespace {
 
 /// The error every getter throws for a value outside its flag's domain.
-CliError bad_value(const std::string& name, const std::string& value, const char* expected) {
+CliError bad_value(const std::string& name, const std::string& value,
+                   const std::string& expected) {
   return CliError("flag --" + name + " expects " + expected + ", got '" + value + "'");
 }
 
@@ -82,6 +83,16 @@ double CliArgs::get_double(const std::string& name, double def) const {
 std::int64_t CliArgs::get_positive_int(const std::string& name, std::int64_t def) const {
   const std::int64_t v = get_int(name, def);
   if (has(name) && v < 1) throw bad_value(name, get(name, ""), "a positive integer");
+  return v;
+}
+
+std::int64_t CliArgs::get_int_in(const std::string& name, std::int64_t def, std::int64_t lo,
+                                 std::int64_t hi) const {
+  const std::int64_t v = get_int(name, def);
+  if (has(name) && (v < lo || v > hi)) {
+    throw bad_value(name, get(name, ""),
+                    "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
   return v;
 }
 

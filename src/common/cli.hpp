@@ -42,6 +42,12 @@ public:
   /// Integer that must be >= 1. `def` is returned unchecked when absent.
   [[nodiscard]] std::int64_t get_positive_int(const std::string& name, std::int64_t def) const;
 
+  /// Integer in [lo, hi]: a channel, bank or row index, say, bounded by the
+  /// geometry before any device work. `def` is returned unchecked when
+  /// absent.
+  [[nodiscard]] std::int64_t get_int_in(const std::string& name, std::int64_t def,
+                                        std::int64_t lo, std::int64_t hi) const;
+
   /// Finite double that must be > 0. Rejects NaN and infinities.
   [[nodiscard]] double get_positive_double(const std::string& name, double def) const;
 

@@ -1,32 +1,30 @@
 // Engine selection for the simulation stack.
 //
 // Both engines run every Bender program through one interpreter
-// (bender::Executor) and must be bit-for-bit indistinguishable from the
-// outside:
+// (bender::Executor), which steps every instruction on both, and must be
+// bit-for-bit indistinguishable from the outside:
 //
-//   kInterp — the reference: the executor steps every instruction, with no
-//             decode, issues a row burst (WRROW / RDROW) column by column
-//             through Device::write / read, and both fault models (RowHammer
-//             and retention) re-derive each cell's threshold on every row
-//             settle. Slow, simple, the ground truth.
-//   kFast   — the production engine: the executor also decodes
-//             fast-forwardable loops up front and retires them in closed
-//             form, replaying their device commands through the same
-//             dispatch, hands each row burst to one Device::write_row /
-//             read_row kernel, and both fault models evaluate a settle
-//             from the row's cached weak tail (fault/row_fault_cache.hpp:
-//             the cells with z <= kTierZ, in bit order) whenever the
-//             settle's threshold lies inside it. Every observable (reports,
-//             journals, metrics streams, flip sets, error strings) must
-//             match kInterp exactly at the same seed;
-//             tests/engine_diff_test.cpp and the verify::Property campaign
-//             identities enforce the contract.
+//   kInterp — the reference: the executor issues a row burst (WRROW /
+//             RDROW) column by column through Device::write / read, both
+//             fault models (RowHammer and retention) re-derive each cell's
+//             threshold on every row settle, and every REF sweep settles
+//             every swept row. Slow, simple, the ground truth.
+//   kFast   — the production engine: the executor hands each row burst to
+//             one Device::write_row / read_row kernel, both fault models
+//             evaluate a settle from the row's cached weak tail
+//             (fault/row_fault_cache.hpp: the cells with z <= kTierZ, in
+//             strength order) whenever the settle's threshold lies inside
+//             it, and a REF sweep settles only the rows with pending state.
+//             Every observable (reports, journals, metrics streams, flip
+//             sets, error strings) must match kInterp exactly at the same
+//             seed; tests/engine_diff_test.cpp and the verify::Property
+//             campaign identities enforce the contract.
 //
-// PlantedBug deliberately breaks the fast path in one of the four ways the
-// closed-form math or a batched kernel most plausibly goes wrong, so the
-// differential rig can prove it *would* catch a real regression (the same
-// pattern as rh_fuzz's --disable-rule knob for the timing oracle).
-// Device::set_engine arms a bug only under kFast.
+// PlantedBug deliberately breaks a batched fast-path kernel in one of the
+// three ways it most plausibly goes wrong, so the differential rig can
+// prove it *would* catch a real regression (the same pattern as rh_fuzz's
+// --disable-rule knob for the timing oracle). Device::set_engine arms a
+// bug only under kFast.
 #pragma once
 
 #include <string>
@@ -37,15 +35,12 @@
 namespace rh::common {
 
 enum class EngineKind : std::uint8_t {
-  kFast,    ///< loop fast-forward + cached fault kernel (default)
+  kFast,    ///< row-burst and cached fault kernels (default)
   kInterp,  ///< reference interpreter
 };
 
 enum class PlantedBug : std::uint8_t {
   kNone,
-  /// Loop fast-forward replays one iteration too few (but still advances
-  /// registers, clock, and instruction count as if it ran them all).
-  kOffByOneFastForward,
   /// The batched hammer macro-op skips the TRR sampler observation of the
   /// second aggressor row.
   kSkipTrrSample,
@@ -63,7 +58,6 @@ enum class PlantedBug : std::uint8_t {
 
 [[nodiscard]] constexpr std::string_view to_string(PlantedBug bug) {
   switch (bug) {
-    case PlantedBug::kOffByOneFastForward: return "off-by-one-fast-forward";
     case PlantedBug::kSkipTrrSample: return "skip-trr-sample";
     case PlantedBug::kStaleDisturbanceFlush: return "stale-disturbance-flush";
     case PlantedBug::kShortRowBurst: return "short-row-burst";
@@ -80,13 +74,13 @@ enum class PlantedBug : std::uint8_t {
 
 [[nodiscard]] inline PlantedBug parse_planted_bug(std::string_view text) {
   for (const PlantedBug bug :
-       {PlantedBug::kNone, PlantedBug::kOffByOneFastForward, PlantedBug::kSkipTrrSample,
-        PlantedBug::kStaleDisturbanceFlush, PlantedBug::kShortRowBurst}) {
+       {PlantedBug::kNone, PlantedBug::kSkipTrrSample, PlantedBug::kStaleDisturbanceFlush,
+        PlantedBug::kShortRowBurst}) {
     if (text == to_string(bug)) return bug;
   }
   throw ConfigError("unknown engine bug '" + std::string(text) +
-                    "' (expected none|off-by-one-fast-forward|skip-trr-sample|"
-                    "stale-disturbance-flush|short-row-burst)");
+                    "' (expected none|skip-trr-sample|stale-disturbance-flush|"
+                    "short-row-burst)");
 }
 
 }  // namespace rh::common

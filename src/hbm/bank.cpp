@@ -277,12 +277,14 @@ void Bank::settle_impl(std::uint32_t physical_row, Cycle now, Cycle decayed_unti
 void Bank::add_act_disturbance(std::uint32_t aggressor, double scale) {
   const auto& cfg = rh_model_->config();
   const auto& layout = rh_model_->layout();
-  const auto rows = static_cast<std::int64_t>(geometry_->rows_per_bank);
+  // Disturbance stays inside the aggressor's subarray, whose bounds also
+  // keep it inside the bank (the layout spans the bank): one lookup per ACT.
+  const std::uint32_t sa = layout.subarray_of(aggressor);
+  const std::int64_t first = layout.start_of(sa);
+  const std::int64_t end = first + layout.size_of(sa);
   const auto add = [&](std::int64_t victim, double weight) {
-    if (victim < 0 || victim >= rows) return;
-    const auto v = static_cast<std::uint32_t>(victim);
-    if (layout.crosses_boundary(aggressor, v)) return;
-    disturbance_.add(v, weight * scale, geometry_->rows_per_bank);
+    if (victim < first || victim >= end) return;
+    disturbance_.add(static_cast<std::uint32_t>(victim), weight * scale, geometry_->rows_per_bank);
   };
   const auto a = static_cast<std::int64_t>(aggressor);
   add(a - 1, cfg.distance1_weight);

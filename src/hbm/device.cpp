@@ -52,6 +52,7 @@ Device::Device(DeviceConfig config)
                   : SubarrayLayout(config_.subarray_sizes)),
       temperature_c_(config_.initial_temperature_c) {
   config_.geometry.validate();
+  RH_EXPECTS(layout_.total_rows() == config_.geometry.rows_per_bank);
   variation_ = std::make_unique<fault::ProcessVariation>(config_.fault, config_.geometry);
   rh_model_ = std::make_unique<fault::RowHammerModel>(config_.fault, config_.geometry, layout_,
                                                       *variation_);
@@ -75,10 +76,10 @@ void Device::set_engine(common::EngineKind kind, common::PlantedBug bug) {
   retention_model_->set_fast_kernel(fast);
   // Planted bugs deliberately break the fast path only: the interp engine
   // stays ground truth so the differential rig can convict the fast one.
-  bug_ = fast ? bug : common::PlantedBug::kNone;
-  const bool skip_trr = bug_ == common::PlantedBug::kSkipTrrSample;
-  const bool stale_flush = bug_ == common::PlantedBug::kStaleDisturbanceFlush;
-  const bool short_burst = bug_ == common::PlantedBug::kShortRowBurst;
+  const common::PlantedBug armed = fast ? bug : common::PlantedBug::kNone;
+  const bool skip_trr = armed == common::PlantedBug::kSkipTrrSample;
+  const bool stale_flush = armed == common::PlantedBug::kStaleDisturbanceFlush;
+  const bool short_burst = armed == common::PlantedBug::kShortRowBurst;
   for (auto& channel : channels_) {
     for (auto& pc : channel.pseudo_channels) {
       pc.set_fast_sweep(fast);

@@ -107,11 +107,11 @@ public:
   /// with pending state, pseudo_channel.hpp).
   /// Both are bit-identical by contract; `bug` deliberately breaks the fast
   /// path for differential-rig sensitivity tests and is only honoured when
-  /// `kind == kFast`. The executor reads both to pick its engine.
+  /// `kind == kFast`. The executor reads the kind to pick its row-burst
+  /// path.
   void set_engine(common::EngineKind kind,
                   common::PlantedBug bug = common::PlantedBug::kNone);
   [[nodiscard]] common::EngineKind engine() const { return engine_; }
-  [[nodiscard]] common::PlantedBug planted_bug() const { return bug_; }
 
   // --- Observability ------------------------------------------------------
   /// Attaches (or detaches, with nullptr) a telemetry sink observing the
@@ -153,7 +153,6 @@ private:
   double temperature_c_ = 85.0;
   telemetry::Telemetry* telemetry_ = nullptr;
   common::EngineKind engine_ = common::EngineKind::kInterp;
-  common::PlantedBug bug_ = common::PlantedBug::kNone;
 };
 
 }  // namespace rh::hbm

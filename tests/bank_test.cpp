@@ -124,11 +124,30 @@ TEST(Bank, ActivateDisturbsNeighboursWithDistanceWeights) {
 }
 
 TEST(Bank, DisturbanceDoesNotCrossSubarrayBoundaries) {
-  BankRig rig;
-  // Physical row 832 starts the second subarray in the paper layout.
-  rig.bank.activate(832, 1000, 85.0);
-  EXPECT_DOUBLE_EQ(rig.bank.disturbance_of_physical(831), 0.0);
-  EXPECT_GT(rig.bank.disturbance_of_physical(833), 0.0);
+  // Physical row 832 starts the second subarray in the paper layout and
+  // 831 ends the first; the bank's first and last rows are the outer edges
+  // of the first and last subarrays. An ACT at an edge reaches its
+  // distance-1 and distance-2 neighbours on the inward side only.
+  const std::int64_t last = paper_geometry().rows_per_bank - 1;
+  const struct {
+    std::int64_t aggressor;
+    std::int64_t inward;  ///< +1: the aggressor's subarray lies above it
+  } kEdges[] = {{832, +1}, {831, -1}, {0, +1}, {last, -1}};
+  for (const auto& edge : kEdges) {
+    SCOPED_TRACE(edge.aggressor);
+    BankRig rig;
+    rig.bank.activate(static_cast<std::uint32_t>(edge.aggressor), 1000, 85.0);
+    for (const std::int64_t d : {-2, -1, 1, 2}) {
+      const std::int64_t row = edge.aggressor + d * edge.inward;
+      if (row < 0 || row > last) continue;
+      const double got = rig.bank.disturbance_of_physical(static_cast<std::uint32_t>(row));
+      if (d > 0) {
+        EXPECT_GT(got, 0.0) << row;
+      } else {
+        EXPECT_DOUBLE_EQ(got, 0.0) << row;
+      }
+    }
+  }
 }
 
 TEST(Bank, ActivatingTheVictimResetsItsDisturbance) {

@@ -64,11 +64,49 @@ TEST(CliContract, OutOfDomainFlagValueExitsOneWithTheMessage) {
   EXPECT_EQ(got.err,
             "fig3_ber_distribution: flag --stride expects a positive integer, got '0'\n");
 
-  // A region wider than half a bank: the three regions would overlap.
-  const Outcome region = run(dir, bench("fig6_bank_variation"), {"--rows-per-region=8193"});
-  EXPECT_EQ(region.status, 1);
-  EXPECT_NE(region.err.find("--rows-per-region"), std::string::npos) << region.err;
-  EXPECT_EQ(region.err.find("precondition"), std::string::npos) << region.err;
+  // A planted-bug name the engine does not have.
+  const Outcome bug =
+      run(dir, bench("fig3_ber_distribution"), {"--engine-bug=off-by-one-fast-forward"});
+  EXPECT_EQ(bug.status, 1);
+  EXPECT_EQ(bug.err,
+            "fig3_ber_distribution: unknown engine bug 'off-by-one-fast-forward' "
+            "(expected none|skip-trr-sample|stale-disturbance-flush|short-row-burst)\n");
+
+  // Site and region flags are checked against the geometry before any
+  // device work, so the message names the flag, not an internal
+  // precondition. Each bound is the highest row the binary touches: fig6's
+  // three regions must not overlap (half a bank), sec5 scans 64 rows past
+  // --row and activates R+1, rowpress reaches --base-row + 7 * (--rows - 1).
+  const std::string quickstart = std::string(RH_EXAMPLES_DIR) + "/quickstart";
+  const struct {
+    std::string binary;
+    std::string flag;
+    std::string err;
+  } kSiteCases[] = {
+      {bench("fig6_bank_variation"), "--rows-per-region=8193",
+       "fig6_bank_variation: flag --rows-per-region expects an integer in [1, 8192], "
+       "got '8193'\n"},
+      {bench("sec5_trr_discovery"), "--row=-5",
+       "sec5_trr_discovery: flag --row expects an integer in [0, 16318], got '-5'\n"},
+      {bench("sec5_trr_discovery"), "--row=16319",
+       "sec5_trr_discovery: flag --row expects an integer in [0, 16318], got '16319'\n"},
+      {bench("sec5_trr_discovery"), "--channel=9",
+       "sec5_trr_discovery: flag --channel expects an integer in [0, 7], got '9'\n"},
+      {bench("sec5_trr_discovery"), "--bank=16",
+       "sec5_trr_discovery: flag --bank expects an integer in [0, 15], got '16'\n"},
+      {bench("ablation_rowpress"), "--base-row=16370",
+       "ablation_rowpress: flag --base-row expects an integer in [0, 16334], got '16370'\n"},
+      {quickstart, "--channel=8",
+       "quickstart: flag --channel expects an integer in [0, 7], got '8'\n"},
+      {quickstart, "--row=-1",
+       "quickstart: flag --row expects an integer in [0, 16383], got '-1'\n"},
+  };
+  for (const auto& c : kSiteCases) {
+    SCOPED_TRACE(c.flag);
+    const Outcome site = run(dir, c.binary, {c.flag});
+    EXPECT_EQ(site.status, 1);
+    EXPECT_EQ(site.err, c.err);
+  }
 }
 
 TEST(CliContract, TypoedFlagFailsBeforeTheSweepStarts) {

@@ -173,10 +173,7 @@ TEST_F(ExecutorTest, RunMetricsReportCommandMixAndThroughput) {
   EXPECT_EQ(result.metrics.writes, columns);
   EXPECT_EQ(result.metrics.reads, columns);
   EXPECT_EQ(result.metrics.refreshes, 1u);
-  EXPECT_DOUBLE_EQ(result.metrics.sim_wall_ms, result.elapsed_ms());
   EXPECT_GT(result.metrics.host_seconds, 0.0);
-  EXPECT_GT(result.metrics.act_rate_hz, 0.0);
-  EXPECT_GT(result.metrics.instructions_per_second, 0.0);
 }
 
 TEST_F(ExecutorTest, HammerMacroCountsUnrolledActsInMetrics) {

@@ -330,9 +330,6 @@ TEST_F(TelemetryIntegrationTest, CommandMixMatchesHandWrittenProgram) {
   EXPECT_EQ(result.metrics.writes, columns);
   EXPECT_EQ(result.metrics.reads, columns);
   EXPECT_EQ(result.metrics.refreshes, 2u);
-  EXPECT_GT(result.metrics.act_rate_hz, 0.0);
-  EXPECT_GT(result.metrics.instructions_per_second, 0.0);
-  EXPECT_GT(result.metrics.sim_wall_ms, 0.0);
 
   // All activity landed on bank 0 of channel 0 / pc 0.
   EXPECT_EQ(telem_.bank_act_count(0, 0, 0), 2u);

@@ -159,7 +159,7 @@ TEST(VerifyProperties, FastAndInterpCampaignsAreByteIdentical) {
 /// cheap observable: clocks, command mix, bank statistics, the pending
 /// disturbance around the aggressors, the TRR sampler, and the victim
 /// readback. `use_macro` picks the batched HAMMER macro-op (the TRR/flush
-/// paths) over the unrolled register loop (the fast-forward path).
+/// paths) over the unrolled register loop it stands for.
 std::string engine_probe_digest(common::EngineKind kind, common::PlantedBug bug,
                                 std::uint32_t count, std::uint32_t row_a, std::uint32_t row_b,
                                 bool use_macro, int refs = 0) {
@@ -203,9 +203,9 @@ std::string engine_probe_digest(common::EngineKind kind, common::PlantedBug bug,
 }
 
 TEST(VerifyProperties, HammerLoopBoundariesMatchAcrossEngines) {
-  // Fuzz the unrolled hammer loop's iteration count around the pivots the
-  // closed-form fast-forward must not cross by one: 0, 1, and power-ish
-  // thresholds +/-1. Both engines must agree on every observable.
+  // Fuzz the unrolled hammer loop's iteration count around 0, 1, and
+  // power-ish thresholds +/-1. Both engines must agree on every
+  // observable.
   expect_passes(
       Property("fast == interp at hammer-loop boundaries",
                [](common::Xoshiro256& rng) -> std::optional<std::string> {
@@ -233,7 +233,7 @@ TEST(VerifyProperties, HammerLoopBoundariesMatchAcrossEngines) {
 TEST(VerifyProperties, PlantedEngineBugsDivergeFromTheReference) {
   // Sensitivity: each planted fast-path bug must visibly diverge from the
   // reference interpreter on a randomized hammer program — a rig that
-  // cannot convict a planted off-by-one could not convict a real one.
+  // cannot convict a planted bug could not convict a real one.
   // Rows 200/202 map to physically adjacent rows under the default
   // pair-swap decoder, so the macro-op's final-ACT flush has real pending
   // state to clear (what kStaleDisturbanceFlush breaks).
@@ -241,23 +241,21 @@ TEST(VerifyProperties, PlantedEngineBugsDivergeFromTheReference) {
       Property("planted fast-path bugs are caught",
                [](common::Xoshiro256& rng) -> std::optional<std::string> {
                  static constexpr common::PlantedBug kBugs[] = {
-                     common::PlantedBug::kOffByOneFastForward,
                      common::PlantedBug::kSkipTrrSample,
                      common::PlantedBug::kStaleDisturbanceFlush,
                      common::PlantedBug::kShortRowBurst,
                  };
                  const common::PlantedBug bug = kBugs[rng.below(std::size(kBugs))];
-                 const bool use_macro = bug != common::PlantedBug::kOffByOneFastForward;
                  // The sampler bug only manifests once a TRR slot fires
                  // (one victim refresh per 17 REFs).
                  const int refs = bug == common::PlantedBug::kSkipTrrSample ? 20 : 0;
                  const std::uint32_t count = 257 + static_cast<std::uint32_t>(rng.below(512));
                  const std::string buggy =
                      engine_probe_digest(common::EngineKind::kFast, bug, count, 200, 202,
-                                         use_macro, refs);
+                                         /*use_macro=*/true, refs);
                  const std::string reference =
                      engine_probe_digest(common::EngineKind::kInterp, common::PlantedBug::kNone,
-                                         count, 200, 202, use_macro, refs);
+                                         count, 200, 202, /*use_macro=*/true, refs);
                  if (buggy != reference) return std::nullopt;
                  return std::string(to_string(bug)) + " count=" + std::to_string(count) +
                         ": the rig saw no divergence";
