@@ -21,7 +21,11 @@ namespace {
 
 int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   const auto chips = static_cast<std::uint32_t>(args.get_positive_int("chips", 6));
-  const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 16));
+  // Rows 400 + 61i for i < --rows, all inside one bank.
+  const std::int64_t last_row =
+      benchutil::paper_device_config(bench.seed()).geometry.rows_per_bank - 1;
+  const auto rows =
+      static_cast<std::uint32_t>(args.get_int_in("rows", 16, 1, (last_row - 400) / 61 + 1));
 
   common::Table table({"chip (seed)", "ch0 mean BER", "ch7 mean BER", "ch7/ch0",
                        "min HC_first (sampled)"});

@@ -25,7 +25,11 @@ using namespace rh;
 namespace {
 
 int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
-  const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 24));
+  // Rows 512 + 97i for i < --rows, all inside one bank.
+  const std::int64_t last_row =
+      benchutil::paper_device_config(bench.seed()).geometry.rows_per_bank - 1;
+  const auto rows =
+      static_cast<std::uint32_t>(args.get_int_in("rows", 24, 1, (last_row - 512) / 97 + 1));
   bender::BenderHost& host = bench.paper_chip();
   const core::RowMap map = core::RowMap::from_device(host.device());
 

@@ -16,7 +16,11 @@ using namespace rh;
 namespace {
 
 int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
-  const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 12));
+  // Victims 400 + 7i for i < --rows, each with its aggressor R+1 in the bank.
+  const std::int64_t last_row =
+      benchutil::paper_device_config(bench.seed()).geometry.rows_per_bank - 1;
+  const auto rows =
+      static_cast<std::uint32_t>(args.get_int_in("rows", 12, 1, (last_row - 1 - 400) / 7 + 1));
   bender::BenderHost& host = bench.paper_chip();
   const core::RowMap map = core::RowMap::from_device(host.device());
   core::BitflipAnalyzer analyzer(host, map);

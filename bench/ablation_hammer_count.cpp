@@ -15,10 +15,13 @@ using namespace rh;
 namespace {
 
 int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
-  const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 10));
   // One shard per (hammer count, channel 0 or 7): `rows` rows starting at
   // physical row 410, every 23rd row, one Rowstripe0 measure_ber each.
   core::OnsetConfig onset;
+  const std::int64_t last_row =
+      benchutil::paper_device_config(bench.seed()).geometry.rows_per_bank - 1;
+  const auto rows = static_cast<std::uint32_t>(args.get_int_in(
+      "rows", onset.rows, 1, (last_row - onset.row_begin) / onset.row_stride + 1));
   onset.rows = rows;
   const auto& counts = onset.hammer_counts;
 

@@ -13,7 +13,11 @@ using namespace rh;
 namespace {
 
 int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
-  const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 12));
+  // Rows 1024 + 11i for i < --rows, all inside one bank.
+  const std::int64_t last_row =
+      benchutil::paper_device_config(bench.seed()).geometry.rows_per_bank - 1;
+  const auto rows =
+      static_cast<std::uint32_t>(args.get_int_in("rows", 12, 1, (last_row - 1024) / 11 + 1));
   const auto host = bench.chip(bench.seed());  // not paper_chip(): no 85 degC pre-settle
   const core::Site site{0, 0, 0};
   const core::RowMap map = core::RowMap::from_device(host->device());

@@ -51,7 +51,11 @@ std::uint64_t hammer_with_refresh(bender::BenderHost& host, const core::RowMap& 
 
 int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
   const auto hammers = static_cast<std::uint64_t>(args.get_positive_int("hammers", 262144));
-  const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 6));
+  // Victims 1200 + 13i for i < --rows, each with its aggressor R+1 in the bank.
+  const std::int64_t last_row =
+      benchutil::paper_device_config(bench.seed()).geometry.rows_per_bank - 1;
+  const auto rows =
+      static_cast<std::uint32_t>(args.get_int_in("rows", 6, 1, (last_row - 1 - 1200) / 13 + 1));
   bender::BenderHost& host = bench.paper_chip();
   const core::RowMap map = core::RowMap::from_device(host.device());
   const core::Site site{7, 0, 0};  // most vulnerable channel

@@ -17,7 +17,12 @@ using namespace rh;
 namespace {
 
 int bench_main(benchutil::Bench& bench, const common::CliArgs& args) {
-  const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 6));
+  // Victims 1200 + 13i for i < --rows, each with its decoy R+64 in the bank.
+  const std::int64_t last_row =
+      benchutil::paper_device_config(bench.seed()).geometry.rows_per_bank - 1;
+  const std::int64_t decoy_distance = core::AttackConfig{}.decoy_distance;
+  const auto rows = static_cast<std::uint32_t>(
+      args.get_int_in("rows", 6, 1, (last_row - decoy_distance - 1200) / 13 + 1));
   bender::BenderHost& host = bench.paper_chip();
   const core::RowMap map = core::RowMap::from_device(host.device());
   core::AttackRunner attacker(host, map);

@@ -10,6 +10,7 @@
 // preventive-refresh budget, comparing it to the uniform worst-case budget.
 //
 // Run:   ./build/examples/variation_aware_defense [--rows=N]
+#include <algorithm>
 #include <iostream>
 #include <cmath>
 #include <limits>
@@ -26,7 +27,12 @@ using namespace rh;
 namespace {
 
 int example_main(common::CliArgs& args) {
-  const auto rows = static_cast<std::uint32_t>(args.get_positive_int("rows", 16));
+  // Each channel profiles rows 400 + 101i and, in the last subarray,
+  // rows_per_bank - 700 + 17i, for i < --rows.
+  const std::int64_t last_row = hbm::DeviceConfig{}.geometry.rows_per_bank - 1;
+  const std::int64_t last_sa_first = last_row + 1 - 700;
+  const auto rows = static_cast<std::uint32_t>(args.get_int_in(
+      "rows", 16, 1, std::min((last_row - 400) / 101, (last_row - last_sa_first) / 17) + 1));
   args.reject_unqueried();
 
   std::cout << "== variation-aware RowHammer defense sizing ==\n\n";

@@ -97,11 +97,13 @@ ExecutionResult Executor::run(const Program& program, std::uint32_t channel,
   // The one dispatch over the instruction set: executes the instruction at
   // pc at cycle t, then moves pc to the one that follows it.
   while (pc < code.size()) {
-    if (++executed > instruction_budget) {
-      throw common::ProgramError("instruction budget exceeded (runaway loop?)");
-    }
     const Instruction& ins = code[pc];
     current = &ins;
+    // An overrun names the instruction it stopped, which did not run.
+    if (executed >= instruction_budget) {
+      throw common::ProgramError("instruction budget exceeded (runaway loop?)");
+    }
+    ++executed;
     std::size_t next = pc + 1;
     switch (ins.op) {
       case Opcode::kNop:

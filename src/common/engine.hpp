@@ -12,9 +12,10 @@
 //   kFast   — the production engine: the executor hands each row burst to
 //             one Device::write_row / read_row kernel, both fault models
 //             evaluate a settle from the row's cached weak tail
-//             (fault/row_fault_cache.hpp: the cells with z <= kTierZ, in
-//             strength order) whenever the settle's threshold lies inside
-//             it, and a REF sweep settles only the rows with pending state.
+//             (fault/row_fault_cache.hpp: the cells under the settle's
+//             cap, in bit order) whenever its threshold is at most
+//             kTierZ, and a REF sweep settles only the rows with pending
+//             state.
 //             Every observable (reports, journals, metrics streams, flip
 //             sets, error strings) must match kInterp exactly at the same
 //             seed; tests/engine_diff_test.cpp and the verify::Property

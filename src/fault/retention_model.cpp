@@ -69,15 +69,16 @@ std::size_t RetentionModel::apply(const BankContext& b, std::uint32_t physical_r
   if (z_max <= kZMin) return 0;
 
   if (cache_ != nullptr && z_max <= RowFaultCache::kTierZ) {
-    // Fast kernel: a cell that decays has z < z_max <= kTierZ, so it is in
-    // the row's weak tail, and the tail is in strength order, so the walk
-    // stops at the first slot above the cap. Each cell's decision reads
-    // only its own bit, so neither the order nor flipping in place changes
-    // a decision the scan makes.
-    const std::uint32_t cap = RowFaultCache::slot_cap(common::max_lane_sum_below(z_max));
+    // Fast kernel: a cell that decays has z < z_max <= kTierZ, so its lane
+    // sum is at most the cap and it is in the row's weak tail cut at the
+    // cap. A slot above the cap (the entry was cut deeper for an earlier,
+    // longer wait) is skipped. Each cell's decision reads only its own bit,
+    // so flipping in place changes no decision the scan makes.
+    const std::uint32_t cap = common::max_lane_sum_below(z_max);
+    const std::uint32_t slot_cap = RowFaultCache::slot_cap(cap);
     std::size_t flips = 0;
-    for (const std::uint32_t slot : cache_->get(b, physical_row).slots) {
-      if (slot > cap) break;
+    for (const std::uint32_t slot : cache_->get(b, physical_row, cap).slots) {
+      if (slot > slot_cap) continue;
       const std::uint32_t bit = RowFaultCache::slot_bit(slot);
       std::uint8_t& byte = data[bit >> 3];
       const auto mask = static_cast<std::uint8_t>(1u << (bit & 7u));

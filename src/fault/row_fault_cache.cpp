@@ -3,7 +3,6 @@
 #include <array>
 #include <bit>
 #include <iterator>
-#include <utility>
 
 #include "common/assert.hpp"
 
@@ -38,14 +37,15 @@ constexpr auto kCellBit = [] {
 /// Hashes cells first .. first + kBlockCells - 1 of the row whose hash
 /// cursor is `base`: writes each cell's slot without its orientation to
 /// `slots` (a strong cell's sum overflows its field; it is never read) and
-/// returns the mask of the block's tail cells (bit k for cell first + k).
+/// returns the mask of the block's cells whose sum is at most `cut` (bit k
+/// for cell first + k).
 RH_BLOCK_CLONES std::uint64_t block_tail(std::uint64_t base, std::uint32_t first,
-                                         std::uint32_t* slots) {
+                                         std::uint32_t cut, std::uint32_t* slots) {
   std::uint64_t tail = 0;
   for (std::uint32_t k = 0; k < RowFaultCache::kBlockCells; ++k) {
     const std::uint32_t sum = common::lane_sum(common::hash_combine(base, first + k));
     slots[k] = RowFaultCache::make_slot(sum, first + k, false);
-    tail |= sum <= RowFaultCache::kTierLaneSum ? kCellBit[k] : 0;
+    tail |= sum <= cut ? kCellBit[k] : 0;
   }
   return tail;
 }
@@ -62,13 +62,16 @@ RowFaultCache::RowFaultCache(const FaultConfig& cfg, const hbm::Geometry& geomet
   RH_EXPECTS(row_bits_ % kBlockCells == 0);  // the build hashes whole blocks
 }
 
-const RowFaultCache::Entry& RowFaultCache::get(const BankContext& b,
-                                               std::uint32_t physical_row) {
+const RowFaultCache::Entry& RowFaultCache::get(const BankContext& b, std::uint32_t physical_row,
+                                               std::uint32_t cap) {
+  RH_EXPECTS(cap <= kTierLaneSum);  // a tail sum fits its slot field
   const std::uint64_t key = (static_cast<std::uint64_t>(b.flat_bank) << 32) | physical_row;
   const auto found = index_.find(key);
   if (found != index_.end()) {
     lru_.splice(lru_.begin(), lru_, found->second);
-    return found->second->entry;
+    Entry& e = found->second->entry;
+    if (cap > e.cut) build(e, b, physical_row, cap);
+    return e;
   }
   if (lru_.size() < kMaxEntries) {
     lru_.emplace_front();
@@ -79,22 +82,24 @@ const RowFaultCache::Entry& RowFaultCache::get(const BankContext& b,
   }
   Node& node = lru_.front();
   node.key = key;
-  build(node.entry, b, physical_row);
+  build(node.entry, b, physical_row, cap);
   index_.emplace(key, lru_.begin());
   return node.entry;
 }
 
-void RowFaultCache::build(Entry& e, const BankContext& b, std::uint32_t physical_row) {
+void RowFaultCache::build(Entry& e, const BankContext& b, std::uint32_t physical_row,
+                          std::uint32_t cut) {
   const RowHash z_hash(seed_, threshold_, b, physical_row);
   const RowHash orient_hash(seed_, Stream::kOrientation, b, physical_row);
   std::array<std::uint32_t, kBlockCells> slots{};
-  // The tail is appended to the entry's own vector: a recycled node keeps
-  // its capacity, so a rebuild allocates only when its tail outgrows every
-  // earlier one the node held.
+  // The tail is appended to the entry's own vector: a recycled or deepened
+  // node keeps its capacity, so a rebuild allocates only when its tail
+  // outgrows every earlier one the node held.
+  e.cut = cut;
   e.slots.clear();
   for (std::uint32_t first = 0; first < row_bits_; first += kBlockCells) {
     // Only the block's tail cells get a slot and an orientation hash.
-    for (std::uint64_t tail = block_tail(z_hash.base, first, slots.data()); tail != 0;
+    for (std::uint64_t tail = block_tail(z_hash.base, first, cut, slots.data()); tail != 0;
          tail &= tail - 1) {
       const std::uint32_t slot = slots[static_cast<std::size_t>(std::countr_zero(tail))];
       const bool anti =
@@ -102,31 +107,6 @@ void RowFaultCache::build(Entry& e, const BankContext& b, std::uint32_t physical
       e.slots.push_back(slot | (anti ? 1u : 0u));
     }
   }
-  sort_by_strength(e.slots);
-}
-
-void RowFaultCache::sort_by_strength(std::vector<std::uint32_t>& slots) {
-  // Two LSD counting passes, low digit then high digit, each stable, so
-  // cells of equal sum keep their bit order.
-  constexpr std::uint32_t kLowMask = (1u << kLowDigitBits) - 1;
-  const auto low = [](std::uint32_t slot) { return (slot >> kSumShift) & kLowMask; };
-  const auto high = [](std::uint32_t slot) { return slot >> (kSumShift + kLowDigitBits); };
-  std::array<std::uint32_t, std::size_t{1} << kLowDigitBits> low_at{};
-  std::array<std::uint32_t, std::size_t{1} << kHighDigitBits> high_at{};
-  for (const std::uint32_t slot : slots) {
-    ++low_at[low(slot)];
-    ++high_at[high(slot)];
-  }
-  // Counts become each digit's first output position.
-  const auto starts = [](auto& counts) {
-    std::uint32_t at = 0;
-    for (std::uint32_t& c : counts) at += std::exchange(c, at);
-  };
-  starts(low_at);
-  starts(high_at);
-  sort_scratch_.resize(slots.size());
-  for (const std::uint32_t slot : slots) sort_scratch_[low_at[low(slot)]++] = slot;
-  for (const std::uint32_t slot : sort_scratch_) slots[high_at[high(slot)]++] = slot;
 }
 
 }  // namespace rh::fault

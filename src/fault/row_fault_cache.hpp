@@ -5,30 +5,31 @@
 // a row that settles again and again (every probe of a hammer bisection
 // re-senses the same victim; every U-TRR iteration re-reads the same probe
 // row) need not rehash its 8,192 cells each time. Per (flat bank, physical
-// row) the cache keeps only the row's *weak tail*: the cells with
-// z <= kTierZ, in strength order (weakest first). A model evaluates a
-// settle from the tail only when the settle's most permissive threshold is
-// at most kTierZ (then every cell that can flip is in the tail) and takes
-// its reference scan otherwise, so the strong cells are never needed.
+// row) the cache keeps only the row's *weak tail*: the cells whose lane sum
+// is at most a cut, in bit order. A model turns its settle's most
+// permissive threshold into one integer cap (common::max_lane_sum_at_most,
+// or max_lane_sum_below for a strict compare) and asks for the tail cut at
+// it, so every cell that can flip is in the tail and the tail holds little
+// else; a settle whose threshold is above kTierZ takes its reference scan
+// instead, so the strong cells are never needed.
 //
 // Slots. z is a monotone function of the cell's integer Irwin-Hall lane sum
 // (common::lane_sum), so a tail cell is one packed 32-bit slot,
 //     lane sum << 15 | bit << 1 | orientation (1 = anti cell).
 // Tail sums are at most kTierLaneSum < 2^17 and a row has at most 2^14
 // bits, so `slot <= slot_cap(s)` holds exactly when the slot's sum is
-// <= s: a model turns its threshold into one integer cap per settle
-// (common::max_lane_sum_at_most, or max_lane_sum_below for a strict
-// compare), compares raw slots against it and converts a sum to z only for
-// the slots under it. The tail is sorted by slot, i.e. by lane sum and then
-// bit, so the cells under a cap are a prefix of it: a settle walks only
-// its candidates and stops at the first slot above the cap, and
-// slots.front() is the row's weakest cell.
+// <= s: a settle compares raw slots against its cap and converts a sum to
+// z only for the slots under it.
+//
+// Cuts. A miss builds the tail at the settle's cap. A later settle of the
+// row whose cap is above the entry's cut (a longer hammer, a longer wait)
+// rebuilds the entry in place at its own cap; any other hit is served as it
+// is, and the settle skips the slots above its cap.
 //
 // The build hashes lane sums one fixed 64-cell block at a time, in one
-// function that also returns the block's tail as a bit mask, so the scalar
-// code visits only tail cells: it hashes their orientation and appends
-// their slots in bit order, and one stable two-pass radix sort over the
-// 17-bit lane sum puts them in slot order. No cell becomes a double. On
+// function that also returns the block's cells under the cut as a bit mask,
+// so the scalar code visits only tail cells: it hashes their orientation
+// and appends their slots in bit order. No cell becomes a double. On
 // x86-64 GCC builds the block function is compiled as target_clones for
 // x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the baseline, and the loader
 // picks one per CPU; the constant trip count lets GCC vectorize the v4 and
@@ -57,17 +58,20 @@ namespace rh::fault {
 
 class RowFaultCache {
 public:
-  /// Weak-tail cut. P(z <= -1) ~ 16% under the Irwin-Hall(4) normal, so the
-  /// tail carries ~1/6 of the row's cells.
+  /// The deepest cut. P(z <= -1) ~ 16% under the Irwin-Hall(4) normal, so
+  /// a tail cut here carries ~1/6 of the row's cells; a settle whose
+  /// threshold is above it takes the reference scan.
   static constexpr double kTierZ = -1.0;
-  /// The largest lane sum whose z is <= kTierZ.
+  /// The largest lane sum whose z is <= kTierZ: the largest cap get() takes.
   static constexpr std::uint32_t kTierLaneSum = common::max_lane_sum_at_most(kTierZ);
   /// Cells per hashing block; a row's bits are a multiple of it.
   static constexpr std::uint32_t kBlockCells = 64;
 
   struct Entry {
-    /// Weak-tail cells, one packed slot each, in ascending slot order
-    /// (lane sum first, then bit): weakest first.
+    /// The lane sum the tail was cut at: `slots` holds every cell of the
+    /// row whose sum is at most `cut`, and no other.
+    std::uint32_t cut = 0;
+    /// The tail's cells, one packed slot each, in bit order.
     std::vector<std::uint32_t> slots;
   };
 
@@ -88,23 +92,21 @@ public:
   /// Stream::kRetentionZ) for rows of `geometry` under `cfg`'s seed.
   RowFaultCache(const FaultConfig& cfg, const hbm::Geometry& geometry, Stream threshold);
 
-  /// The entry of (b.flat_bank, physical_row), built on first use. The
-  /// reference stays valid until the next get().
-  const Entry& get(const BankContext& b, std::uint32_t physical_row);
+  /// The entry of (b.flat_bank, physical_row), cut at `cap` (at most
+  /// kTierLaneSum) or deeper: built at `cap` on first use, rebuilt in place
+  /// at `cap` when its cut is shallower. The reference stays valid until
+  /// the next get().
+  const Entry& get(const BankContext& b, std::uint32_t physical_row, std::uint32_t cap);
 
 private:
   static constexpr std::uint32_t kSumShift = 15;
   static constexpr std::uint32_t kBitMask = (1u << (kSumShift - 1)) - 1;
   static_assert(kTierLaneSum < (1u << (32 - kSumShift)), "a tail sum fits its slot field");
-  /// The strength sort's two radix digits: the low and the high bits of
-  /// the 32 - kSumShift = 17-bit lane sum.
-  static constexpr std::uint32_t kLowDigitBits = 9;
-  static constexpr std::uint32_t kHighDigitBits = 32 - kSumShift - kLowDigitBits;
 
-  /// Tail entries are ~5.4 KiB (vector capacity up to 8 KiB); 512 of them
-  /// cover several shards' working sets (victims, aggressors, blast-radius
-  /// neighbours) without LRU thrash: a fig4-style shard set touches ~140
-  /// distinct rows.
+  /// A tail cut at a settle's cap is a few hundred bytes and one cut at
+  /// kTierZ ~5.4 KiB; 512 entries cover several shards' working sets
+  /// (victims, aggressors, blast-radius neighbours) without LRU thrash: a
+  /// fig4-style shard set touches ~140 distinct rows.
   static constexpr std::size_t kMaxEntries = 512;
 
   struct Node {
@@ -112,17 +114,13 @@ private:
     Entry entry;
   };
 
-  void build(Entry& e, const BankContext& b, std::uint32_t physical_row);
-  /// Stably sorts bit-ordered `slots` by lane sum, which leaves them in
-  /// ascending slot order.
-  void sort_by_strength(std::vector<std::uint32_t>& slots);
+  void build(Entry& e, const BankContext& b, std::uint32_t physical_row, std::uint32_t cut);
 
   std::uint64_t seed_;
   double anti_cell_fraction_;
   Stream threshold_;
   std::uint32_t row_bits_;
-  std::vector<std::uint32_t> sort_scratch_;  ///< the radix sort's middle pass
-  std::list<Node> lru_;                      ///< most recently used first
+  std::list<Node> lru_;  ///< most recently used first
   std::unordered_map<std::uint64_t, std::list<Node>::iterator> index_;
 };
 

@@ -138,29 +138,31 @@ std::size_t RowHammerModel::apply(const BankContext& b, std::uint32_t physical_r
       }
     }
     if (z_cap <= RowFaultCache::kTierZ) {
-      // Fast kernel: only cells whose cached lane sum is at most the
-      // batch's most permissive threshold class can flip, and z_cap is
-      // within the cached tier, so they are the prefix of the row's
-      // strength-ordered weak tail up to the cap; every other cell keeps
-      // its value. The reference scan reads the row as it was before the
-      // settle, with one exception: bit 0 of byte i > 0 reads bit 7 of
-      // byte i - 1 after that bit's own decision. So the prefix is decided
-      // in two passes. Pass 1 decides every other candidate against the
-      // untouched row and only records its flips; the bit-7 flips are then
-      // applied, pass 2 decides the deferred bit-0 cells (each reads only
-      // bits 0 and 1 of its own byte, still untouched, and the previous
-      // byte's bit 7) and the remaining pass-1 flips land last.
-      const std::vector<std::uint32_t>& slots = cache_->get(b, physical_row).slots;
-      const auto end = std::upper_bound(
-          slots.begin(), slots.end(),
-          RowFaultCache::slot_cap(common::max_lane_sum_at_most(z_cap)));
-      // Decides one candidate as the reference scan does, reading the row
-      // as it stands: the cell's own byte, its aggressor bits (a missing
-      // neighbour reads as the victim's own byte) and the same-row
-      // neighbours across the byte edges.
-      const auto decide = [&](std::uint32_t slot) {
+      // Fast kernel: only cells whose lane sum is at most the cap of the
+      // batch's most permissive threshold class can flip, and the cap is
+      // within the deepest cut, so they are all in the row's weak tail cut
+      // at the cap; every other cell keeps its value. The tail is in bit
+      // order, so it is decided in one pass, as the reference scan decides
+      // the row: a byte's flips land when the walk leaves that byte, so a
+      // candidate reads its own byte and the next one as they were before
+      // the settle and the previous byte after its decisions (bit 0 of
+      // byte i reads bit 7 of byte i - 1, the one flipped bit the scan
+      // reads). A missing neighbour reads as the victim's own byte.
+      const std::uint32_t cap = common::max_lane_sum_at_most(z_cap);
+      const std::uint32_t slot_cap = RowFaultCache::slot_cap(cap);
+      std::size_t byte = 0;
+      std::uint8_t flipped = 0;
+      for (const std::uint32_t slot : cache_->get(b, physical_row, cap).slots) {
+        // A slot above the cap (the entry was cut deeper for an earlier
+        // settle) cannot flip.
+        if (slot > slot_cap) continue;
         const std::uint32_t bit = RowFaultCache::slot_bit(slot);
         const std::size_t i = bit >> 3;
+        if (i != byte) {
+          data[byte] ^= flipped;
+          byte = i;
+          flipped = 0;
+        }
         const std::uint32_t j = bit & 7u;
         const std::uint8_t v = data[i];
         const std::uint8_t up = above.empty() ? v : above[i];
@@ -174,33 +176,13 @@ std::size_t RowHammerModel::apply(const BankContext& b, std::uint32_t physical_r
         const int charged = (vb == (anti != 0 ? 0 : 1)) ? 1 : 0;
         const double zmax = z_table[static_cast<std::size_t>(charged)][static_cast<std::size_t>(k)]
                                    [static_cast<std::size_t>(intra)][static_cast<std::size_t>(anti)];
-        return zmax >= kZMin &&
-               common::approx_normal_of_lane_sum(RowFaultCache::slot_sum(slot)) <= zmax;
-      };
-      const auto deferred = [](std::uint32_t bit) { return bit >= 8 && (bit & 7u) == 0; };
-      const auto flip = [&](std::uint32_t bit) {
-        data[bit >> 3] ^= static_cast<std::uint8_t>(1u << (bit & 7u));
-      };
-      std::vector<std::uint32_t>& pass1 = pass1_flips_;
-      pass1.clear();
-      for (auto it = slots.begin(); it != end; ++it) {
-        const std::uint32_t bit = RowFaultCache::slot_bit(*it);
-        if (!deferred(bit) && decide(*it)) pass1.push_back(bit);
-      }
-      for (const std::uint32_t bit : pass1) {
-        if ((bit & 7u) == 7u) flip(bit);
-      }
-      flips = pass1.size();
-      for (auto it = slots.begin(); it != end; ++it) {
-        const std::uint32_t bit = RowFaultCache::slot_bit(*it);
-        if (deferred(bit) && decide(*it)) {
-          flip(bit);
+        if (zmax >= kZMin &&
+            common::approx_normal_of_lane_sum(RowFaultCache::slot_sum(slot)) <= zmax) {
+          flipped |= static_cast<std::uint8_t>(1u << j);
           ++flips;
         }
       }
-      for (const std::uint32_t bit : pass1) {
-        if ((bit & 7u) != 7u) flip(bit);
-      }
+      data[byte] ^= flipped;
       return flips;
     }
     // The batch's threshold class reaches above the cached tier: strong

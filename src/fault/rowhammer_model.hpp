@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "fault/config.hpp"
 #include "fault/context.hpp"
@@ -72,20 +71,17 @@ public:
 
   /// Selects the fast kernel: a batch whose most permissive threshold class
   /// is at most RowFaultCache::kTierZ is evaluated from the row's cached
-  /// weak tail (row_fault_cache.hpp: the cells with z <= kTierZ, weakest
-  /// first, one slot of lane sum, bit and orientation each) instead of
-  /// rescanning all 8192 bits; a stronger batch takes the reference scan.
-  /// The batch's threshold becomes one lane-sum cap, the candidates are the
-  /// tail's prefix up to it, and only they get a z and a class lookup. They
-  /// are decided in two passes: first every candidate except the bit-0
-  /// cells of bytes after the first, against the row as it was before the
-  /// settle, then those bit-0 cells, each after the previous byte's bit 7
-  /// is decided (the one flipped bit the reference scan reads).
-  /// Bit-for-bit identical to the reference scan: the thresholds are the
-  /// same hashes, the integer cap is exactly the z cap, every cell that can
-  /// flip is in the tail, and every cell reads the neighbours the scan
-  /// reads. Off by default — the interp engine keeps the reference scan as
-  /// ground truth.
+  /// weak tail (row_fault_cache.hpp) instead of rescanning all 8192 bits; a
+  /// stronger batch takes the reference scan. The batch's threshold becomes
+  /// one lane-sum cap, the tail holds the cells under it (one slot of lane
+  /// sum, bit and orientation each, in bit order), and only they get a z
+  /// and a class lookup. They are decided in one pass that flips a byte's
+  /// cells when it leaves the byte, so each reads the neighbours the scan
+  /// reads: its own byte and the next one before the settle, the previous
+  /// byte after it. Bit-for-bit identical to the reference scan: the
+  /// thresholds are the same hashes, the integer cap is exactly the z cap,
+  /// and every cell that can flip is in the tail. Off by default — the
+  /// interp engine keeps the reference scan as ground truth.
   void set_fast_kernel(bool enabled);
 
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }
@@ -105,9 +101,6 @@ private:
   /// Present iff the fast kernel is selected. mutable: the cache memoizes
   /// pure per-cell hashes, so filling it does not change observable state.
   mutable std::unique_ptr<RowFaultCache> cache_;
-  /// The fast kernel's first-pass flips (bit indices), kept between
-  /// settles so a settle allocates only when it flips more than any before.
-  mutable std::vector<std::uint32_t> pass1_flips_;
 };
 
 }  // namespace rh::fault

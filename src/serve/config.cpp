@@ -130,6 +130,14 @@ void validate(const CampaignConfig& c) {
   for (const std::uint64_t h : c.hammer_counts) require_positive(h, "hammer_counts");
   require_positive(c.onset_rows, "onset_rows");
   require_positive(c.onset_row_stride, "onset_row_stride");
+  // The onset sweep's last row, onset_row_begin + (onset_rows - 1) *
+  // onset_row_stride, must be in the bank.
+  if (c.onset_row_begin + std::uint64_t{c.onset_rows - 1} * c.onset_row_stride >=
+      geometry.rows_per_bank) {
+    throw common::ConfigError(
+        "campaign config: \"onset_row_begin\" + (\"onset_rows\" - 1) * \"onset_row_stride\" "
+        "must be below " + std::to_string(geometry.rows_per_bank) + " (rows per bank)");
+  }
   if (c.onset_pattern >= core::kAllPatterns.size()) {
     throw common::ConfigError("campaign config: \"onset_pattern\" out of range (have " +
                               std::to_string(core::kAllPatterns.size()) + " patterns)");

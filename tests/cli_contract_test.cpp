@@ -76,8 +76,13 @@ TEST(CliContract, OutOfDomainFlagValueExitsOneWithTheMessage) {
   // device work, so the message names the flag, not an internal
   // precondition. Each bound is the highest row the binary touches: fig6's
   // three regions must not overlap (half a bank), sec5 scans 64 rows past
-  // --row and activates R+1, rowpress reaches --base-row + 7 * (--rows - 1).
+  // --row and activates R+1, rowpress reaches --base-row + 7 * (--rows - 1),
+  // and every other --rows stops where its loop's last row would leave the
+  // bank (flip directions and TRR efficacy also activate R+1, TRR evasion
+  // a decoy at R+64; the variation-aware example's tighter loop walks the
+  // last subarray, rows 15684 + 17i).
   const std::string quickstart = std::string(RH_EXAMPLES_DIR) + "/quickstart";
+  const std::string variation_aware = std::string(RH_EXAMPLES_DIR) + "/variation_aware_defense";
   const struct {
     std::string binary;
     std::string flag;
@@ -100,9 +105,25 @@ TEST(CliContract, OutOfDomainFlagValueExitsOneWithTheMessage) {
        "quickstart: flag --channel expects an integer in [0, 7], got '8'\n"},
       {quickstart, "--row=-1",
        "quickstart: flag --row expects an integer in [0, 16383], got '-1'\n"},
+      {bench("ablation_defense"), "--rows=165",
+       "ablation_defense: flag --rows expects an integer in [1, 164], got '165'\n"},
+      {bench("ablation_temperature"), "--rows=1398",
+       "ablation_temperature: flag --rows expects an integer in [1, 1397], got '1398'\n"},
+      {bench("ablation_chip_population"), "--rows=264",
+       "ablation_chip_population: flag --rows expects an integer in [1, 263], got '264'\n"},
+      {bench("ablation_hammer_count"), "--rows=696",
+       "ablation_hammer_count: flag --rows expects an integer in [1, 695], got '696'\n"},
+      {bench("ablation_flip_directions"), "--rows=2285",
+       "ablation_flip_directions: flag --rows expects an integer in [1, 2284], got '2285'\n"},
+      {bench("ablation_trr_efficacy"), "--rows=1169",
+       "ablation_trr_efficacy: flag --rows expects an integer in [1, 1168], got '1169'\n"},
+      {bench("ablation_trr_evasion"), "--rows=1165",
+       "ablation_trr_evasion: flag --rows expects an integer in [1, 1164], got '1165'\n"},
+      {variation_aware, "--rows=43",
+       "variation_aware_defense: flag --rows expects an integer in [1, 42], got '43'\n"},
   };
   for (const auto& c : kSiteCases) {
-    SCOPED_TRACE(c.flag);
+    SCOPED_TRACE(c.binary + " " + c.flag);
     const Outcome site = run(dir, c.binary, {c.flag});
     EXPECT_EQ(site.status, 1);
     EXPECT_EQ(site.err, c.err);

@@ -147,15 +147,16 @@ TEST_F(ExecutorTest, PropagatedErrorsCarryExecutionContext) {
 }
 
 TEST_F(ExecutorTest, BudgetErrorsCarryContextToo) {
+  // Five instructions run; the overrun names the sixth, pc 5, which did not.
   auto b = builder();
-  const Label spin = b.here();
-  b.jmp(spin);
-  b.end();
+  b.hammer_loop_raw(0, 100, 102, 4096);
   try {
-    (void)executor_.run(b.take(), 0, 0, 0, 10'000);
+    (void)executor_.run(b.take(), 0, 0, 0, 5);
     FAIL() << "expected ProgramError";
   } catch (const common::ProgramError& e) {
-    EXPECT_NE(std::string(e.what()).find("instructions"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()),
+              "instruction budget exceeded (runaway loop?) "
+              "[after 5 instructions, cycle 5, pc 5: SLEEP 18]");
   }
 }
 

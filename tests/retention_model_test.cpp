@@ -229,8 +229,10 @@ TEST_P(RetentionFastKernel, MatchesTheReferenceAtTheTierAndTheWeakestCells) {
 }
 
 TEST_P(RetentionFastKernel, MatchesTheReferenceOnRepeatedAppliesToOneRow) {
-  // U-TRR's probe row: every settle after the first is a cache hit, below,
-  // at and above the row's retention time, and past the tier.
+  // U-TRR's probe row: the wait rises and falls below, at and above the
+  // row's retention time, and past the tier. A longer wait rebuilds the
+  // row's entry in place at its own cap, a shorter one reads the deeper
+  // entry and skips the slots above its cap.
   common::Xoshiro256 rng(GetParam());
   const BankContext b = test::random_bank(geometry_, rng);
   const auto r = static_cast<std::uint32_t>(rng.below(geometry_.rows_per_bank));

@@ -309,8 +309,10 @@ TEST_P(FastKernel, MatchesTheReferenceAtTheTierAndTheWeakestCells) {
 }
 
 TEST_P(FastKernel, MatchesTheReferenceOnRepeatedAppliesToOneRow) {
-  // Every apply after the first is a cache hit on the same entry; flipped
-  // cells stay flipped on both sides.
+  // The disturbance rises and falls on one row: a rising cap rebuilds the
+  // row's entry in place at its own cut, a falling one reads the deeper
+  // entry and skips the slots above its cap. Flipped cells stay flipped on
+  // both sides.
   common::Xoshiro256 rng(GetParam());
   const BankContext b = test::random_bank(geometry_, rng);
   const auto r = static_cast<std::uint32_t>(rng.below(geometry_.rows_per_bank));
@@ -396,7 +398,7 @@ class RowFaultCacheTest : public ::testing::TestWithParam<std::uint64_t> {
 protected:
   RowFaultCacheTest() { cfg_.seed = GetParam(); }
 
-  /// (lane sum, bit, anti) of every slot of `entry`, in slot order.
+  /// (lane sum, bit, anti) of every slot of `entry`, in its order.
   static std::vector<std::array<std::uint32_t, 3>> decoded(const RowFaultCache::Entry& entry) {
     std::vector<std::array<std::uint32_t, 3>> cells;
     for (const std::uint32_t slot : entry.slots) {
@@ -406,44 +408,92 @@ protected:
     return cells;
   }
 
+  /// (lane sum, bit, anti) of every cell of row (b, r) whose lane sum in
+  /// `sums` (the row's, from the scalar hashes) is at most `cap`, in bit
+  /// order.
+  std::vector<std::array<std::uint32_t, 3>> tail_under(const std::vector<std::uint32_t>& sums,
+                                                       const BankContext& b, std::uint32_t r,
+                                                       std::uint32_t cap) const {
+    std::vector<std::array<std::uint32_t, 3>> cells;
+    for (std::uint32_t bit = 0; bit < sums.size(); ++bit) {
+      if (sums[bit] > cap) continue;
+      const bool anti = is_anti_cell(cfg_.seed, b, r, bit, cfg_.anti_cell_fraction);
+      cells.push_back({sums[bit], bit, anti ? 1u : 0u});
+    }
+    return cells;
+  }
+
   hbm::Geometry geometry_ = hbm::paper_geometry();
   FaultConfig cfg_;
 };
 
-TEST_P(RowFaultCacheTest, EntryIsTheRowsWeakTailInStrengthOrder) {
-  // Every cell whose lane sum is <= kTierLaneSum, with the scalar lane sum
-  // and orientation, in ascending slot order: by lane sum, equal sums by
-  // bit. The front is the row's weakest cell over all its cells.
+TEST_P(RowFaultCacheTest, EntryIsTheRowsTailUnderTheCapInBitOrder) {
+  // A miss builds the tail at the settle's cap: every cell whose lane sum
+  // is at most the cap, with the scalar lane sum and orientation, in bit
+  // order. Three caps: just below the row's weakest cell (an empty tail),
+  // a sum midway into the tail and the deepest cut.
   for (const Stream stream : {Stream::kRowHammerZ, Stream::kRetentionZ}) {
-    RowFaultCache cache(cfg_, geometry_, stream);
     common::Xoshiro256 rng(GetParam());
-    for (int draw = 0; draw < 64; ++draw) {
+    for (int draw = 0; draw < 32; ++draw) {
       const BankContext b = test::random_bank(geometry_, rng);
       const auto r = static_cast<std::uint32_t>(rng.below(geometry_.rows_per_bank));
-      SCOPED_TRACE(::testing::Message() << "bank " << b.flat_bank << " row " << r);
       const std::vector<std::uint32_t> sums =
           test::lane_sums(cfg_.seed, stream, b, r, geometry_.row_bits());
-      std::vector<std::array<std::uint32_t, 3>> want;
-      for (std::uint32_t bit = 0; bit < sums.size(); ++bit) {
-        if (sums[bit] > RowFaultCache::kTierLaneSum) continue;
-        const bool anti = is_anti_cell(cfg_.seed, b, r, bit, cfg_.anti_cell_fraction);
-        want.push_back({sums[bit], bit, anti ? 1u : 0u});
+      const std::uint32_t weakest = *std::min_element(sums.begin(), sums.end());
+      ASSERT_GT(weakest, 0u);
+      for (const std::uint32_t cap : {weakest - 1, (weakest + RowFaultCache::kTierLaneSum) / 2,
+                                      RowFaultCache::kTierLaneSum}) {
+        SCOPED_TRACE(::testing::Message() << "bank " << b.flat_bank << " row " << r << " cap "
+                                          << cap);
+        RowFaultCache cache(cfg_, geometry_, stream);
+        const RowFaultCache::Entry& entry = cache.get(b, r, cap);
+        EXPECT_EQ(entry.cut, cap);
+        ASSERT_EQ(decoded(entry), tail_under(sums, b, r, cap));
+        EXPECT_EQ(entry.slots.empty(), cap < weakest);
       }
-      std::sort(want.begin(), want.end());
-      const RowFaultCache::Entry& entry = cache.get(b, r);
-      ASSERT_EQ(decoded(entry), want);
-      EXPECT_TRUE(std::is_sorted(entry.slots.begin(), entry.slots.end()));
-      EXPECT_EQ(RowFaultCache::slot_sum(entry.slots.front()),
-                *std::min_element(sums.begin(), sums.end()));
     }
   }
 }
 
+TEST_P(RowFaultCacheTest, ADeeperCapRebuildsTheNodeInPlace) {
+  // A hit whose cap is above the entry's cut rebuilds that node at the new
+  // cap; a hit at or below the cut is served as it is.
+  for (const Stream stream : {Stream::kRowHammerZ, Stream::kRetentionZ}) {
+    RowFaultCache cache(cfg_, geometry_, stream);
+    common::Xoshiro256 rng(GetParam());
+    const BankContext b = test::random_bank(geometry_, rng);
+    const auto r = static_cast<std::uint32_t>(rng.below(geometry_.rows_per_bank));
+    const std::vector<std::uint32_t> sums =
+        test::lane_sums(cfg_.seed, stream, b, r, geometry_.row_bits());
+    const std::uint32_t shallow =
+        (*std::min_element(sums.begin(), sums.end()) + RowFaultCache::kTierLaneSum) / 2;
+    const std::uint32_t deep = RowFaultCache::kTierLaneSum;
+
+    const RowFaultCache::Entry* node = &cache.get(b, r, shallow);
+    ASSERT_EQ(decoded(*node), tail_under(sums, b, r, shallow));
+    const RowFaultCache::Entry& deeper = cache.get(b, r, deep);
+    EXPECT_EQ(&deeper, node);
+    EXPECT_EQ(deeper.cut, deep);
+    ASSERT_EQ(decoded(deeper), tail_under(sums, b, r, deep));
+    EXPECT_GT(deeper.slots.size(), tail_under(sums, b, r, shallow).size());
+
+    const std::vector<std::uint32_t> deep_slots = deeper.slots;
+    const RowFaultCache::Entry& again = cache.get(b, r, shallow);
+    EXPECT_EQ(&again, node);
+    EXPECT_EQ(again.cut, deep);
+    EXPECT_EQ(again.slots, deep_slots);
+  }
+}
+
 TEST_P(RowFaultCacheTest, RecycledNodesKeepNoOtherRowsSlots) {
-  // 600 distinct rows through a 512-entry cache, then the first 64 again:
-  // each rebuild lands in the node of an evicted row and must equal the
-  // row's first build, whether its tail is longer or shorter than the one
-  // the node held.
+  // 600 distinct rows through a 512-entry cache, each at a cap of its own
+  // (four depths, from the deepest cut to a third of the way into the
+  // tail), then the first 64 again at the same caps: each rebuild lands in
+  // the node of an evicted row and must equal the row's first build,
+  // whether its tail is longer or shorter than the one the node held.
+  const auto cap_of = [](std::uint32_t r) {
+    return RowFaultCache::kTierLaneSum - (r % 4) * 12'000;
+  };
   for (const Stream stream : {Stream::kRowHammerZ, Stream::kRetentionZ}) {
     RowFaultCache cache(cfg_, geometry_, stream);
     common::Xoshiro256 rng(GetParam());
@@ -451,18 +501,19 @@ TEST_P(RowFaultCacheTest, RecycledNodesKeepNoOtherRowsSlots) {
     std::vector<RowFaultCache::Entry> first_builds;
     std::map<const RowFaultCache::Entry*, std::size_t> held;  // node -> its last tail size
     for (std::uint32_t r = 0; r < 600; ++r) {
-      const RowFaultCache::Entry& entry = cache.get(b, r);
+      const RowFaultCache::Entry& entry = cache.get(b, r, cap_of(r));
       if (r < 64) first_builds.push_back(entry);
       held[&entry] = entry.slots.size();
     }
     int longer = 0;
     int shorter = 0;
     for (std::uint32_t r = 0; r < 64; ++r) {
-      const RowFaultCache::Entry& entry = cache.get(b, r);
+      const RowFaultCache::Entry& entry = cache.get(b, r, cap_of(r));
       ASSERT_TRUE(held.count(&entry) == 1) << "row " << r << " did not land in a recycled node";
       longer += entry.slots.size() > held[&entry] ? 1 : 0;
       shorter += entry.slots.size() < held[&entry] ? 1 : 0;
       held[&entry] = entry.slots.size();
+      EXPECT_EQ(entry.cut, cap_of(r)) << "row " << r;
       EXPECT_EQ(entry.slots, first_builds[r].slots) << "row " << r;
     }
     EXPECT_GT(longer, 0);

@@ -117,6 +117,18 @@ TEST(ServeConfig, DomainValidation) {
   EXPECT_THROW(config_from_json(R"({"temperature_c": -4})", "test"), common::ConfigError);
   EXPECT_THROW(config_from_json(R"({"row_stride": 0})", "test"), common::ConfigError);
   EXPECT_THROW(config_from_json(R"({"region_rows": 8193})", "test"), common::ConfigError);
+  // The onset sweep's last row, begin + (rows - 1) * stride, must be in the
+  // bank: 16176 + 9 * 23 = 16383 is its last row, 16177 + 207 is past it.
+  EXPECT_NO_THROW(config_from_json(R"({"onset_row_begin": 16176})", "test"));
+  try {
+    (void)config_from_json(R"({"onset_row_begin": 16177})", "test");
+    ADD_FAILURE() << "expected ConfigError";
+  } catch (const common::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("\"onset_row_begin\" + (\"onset_rows\" - 1) * "
+                                         "\"onset_row_stride\" must be below 16384"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_THROW(config_from_json("[1,2,3]", "test"), common::ConfigError);
   EXPECT_THROW(config_from_json("not json", "test"), common::ConfigError);
 }

@@ -360,6 +360,9 @@ TEST(ServeServer, AdmissionControl) {
   // Malformed and invalid configs are 400s, not crashes.
   EXPECT_EQ(server.handle(request("POST", "/jobs", "not json")).status, 400);
   EXPECT_EQ(server.handle(request("POST", "/jobs", R"({"rigs": 4})")).status, 400);
+  EXPECT_EQ(server.handle(request("POST", "/jobs", R"({"kind": "onset", "onset_rows": 800})"))
+                .status,
+            400);
 
   EXPECT_EQ(server.handle(request("POST", "/jobs", body, "alice")).status, 201);
   EXPECT_EQ(server.handle(request("POST", "/jobs", body, "alice")).status, 201);
